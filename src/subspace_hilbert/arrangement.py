@@ -20,9 +20,25 @@ _SUBSET_CAP_ENV = "SUBSPACE_HILBERT_SUBSET_CAP"
 _DEFAULT_SUBSET_CAP = 16
 
 
+def env_cap(name: str, default: int) -> int:
+    """A nonnegative integer cap from the environment variable, else default."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+        if value < 0:
+            raise ValueError
+    except ValueError:
+        raise ValueError(
+            f"{name} must be a nonnegative integer, got {raw!r}"
+        ) from None
+    return value
+
+
 def subset_cap() -> int:
     """Maximum number of subspaces; the subset lattice has 2^m nodes."""
-    return int(os.environ.get(_SUBSET_CAP_ENV, _DEFAULT_SUBSET_CAP))
+    return env_cap(_SUBSET_CAP_ENV, _DEFAULT_SUBSET_CAP)
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+import numpy as np
+
 from .arrangement import Arrangement
-from .linalg import IntEchelon, QMatrix, approx_rank, primitive_int_vector, rref
-from .oracle import monomial_basis
+from .linalg import (
+    INT64_SAFE,
+    IntEchelon,
+    QMatrix,
+    approx_rank,
+    primitive_int_vector,
+    rref,
+)
+from .oracle import MonomialBasis, monomial_basis
 from .ratpoly import (
     ONE,
     QPoly,
@@ -115,9 +124,14 @@ def estimate_hilbert_value(pc: PointCloud, d: int, tol: float | None = None) -> 
     """Dimension of the degree-d forms vanishing on every point of the cloud.
 
     Builds the evaluation matrix (one row per point, one column per degree-d
-    monomial) and returns C(d+n-1, n-1) minus its rank.  Exact clouds use
-    exact integer elimination; float clouds (or an explicit tol) use
-    tolerance-based elimination, defaulting to a relative 1e-8.
+    monomial) and returns C(d+n-1, n-1) minus its rank.  Exact clouds
+    evaluate at each point's primitive integer ray instead: scaling a point
+    by lambda scales its row by lambda^d, so the rank is unchanged and every
+    entry is an integer.  The rows are int64 products of powers when
+    max|x|^d < 2^62 bounds every entry, Python ints otherwise; they are
+    built and fed to IntEchelon one at a time until it is full.  Float
+    clouds (or an explicit tol) use tolerance-based elimination, defaulting
+    to a relative 1e-8.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
@@ -128,19 +142,8 @@ def estimate_hilbert_value(pc: PointCloud, d: int, tol: float | None = None) -> 
         return total
     if pc.exact and tol is None:
         ech = IntEchelon(total)
-        for p in pc.points:
-            powers = [[Fraction(1)] * (d + 1) for _ in range(n)]
-            for j in range(n):
-                for e in range(1, d + 1):
-                    powers[j][e] = powers[j][e - 1] * p[j]
-            row = [Fraction(1)] * total
-            for idx, exps in enumerate(basis.monomials):
-                v = Fraction(1)
-                for j, e in enumerate(exps):
-                    if e:
-                        v *= powers[j][e]
-                row[idx] = v
-            ech.add(primitive_int_vector(row))
+        for row in _integer_rows(pc, basis):
+            ech.add(row)
             if ech.full:
                 break
         return total - ech.rank
@@ -156,6 +159,27 @@ def estimate_hilbert_value(pc: PointCloud, d: int, tol: float | None = None) -> 
             row.append(v)
         matrix.append(row)
     return total - approx_rank(matrix, rel_tol=1e-8 if tol is None else tol)
+
+
+def _integer_rows(pc: PointCloud, basis: MonomialBasis):
+    """Evaluation rows of an exact cloud at its primitive integer rays.
+
+    Every entry is a degree-d monomial in a ray's coordinates, so max|x|^d
+    bounds it: the rows are int64 below 2^62 and object arrays of Python
+    ints otherwise.  One row is built at a time, from the ray's table of
+    powers.
+    """
+    rays = [primitive_int_vector(p) for p in pc.points]
+    d = basis.d
+    top = max(abs(x) for ray in rays for x in ray)
+    dtype = np.int64 if top**d < INT64_SAFE else object
+    steps = np.arange(d + 1).astype(dtype)
+    # flat position of x_j^e_j in the n x (d+1) table of powers
+    index = np.array(basis.monomials, dtype=np.intp)
+    index += (d + 1) * np.arange(basis.n)
+    for ray in rays:
+        powers = np.array(ray, dtype=dtype)[:, None] ** steps
+        yield powers.ravel()[index].prod(axis=1)
 
 
 def interpolate_polynomial(values: Sequence[Union[int, Fraction]], start: int) -> QPoly:
@@ -276,13 +300,20 @@ def end_to_end_recover(
     return recover_codimensions(values, m, n)
 
 
+# Draws per sample point before a repeated ray is accepted; the -9..9
+# combinations hold only about a hundred rays on a plane.
+_RAY_DRAWS = 100
+
+
 def sample_points(a: Arrangement, per_subspace: int, seed: int) -> PointCloud:
     """Deterministic rational sample points drawn from each subspace.
 
     Each point is a random small-integer combination of the subspace's basis
-    vectors; zero combinations are redrawn.  Genericity is empirical: enough
-    samples per subspace make the vanishing-space estimates match the true
-    graded dimensions for small degrees.
+    vectors; zero combinations are redrawn, and on subspaces of dimension 2
+    or more so are combinations whose ray (up to sign) was already drawn,
+    up to _RAY_DRAWS tries per point (a line has a single ray).  Genericity
+    is empirical: enough samples per subspace make the vanishing-space
+    estimates match the true graded dimensions for small degrees.
     """
     if per_subspace < 1:
         raise ValueError("need at least one point per subspace")
@@ -293,14 +324,21 @@ def sample_points(a: Arrangement, per_subspace: int, seed: int) -> PointCloud:
             raise ValueError(
                 "the zero subspace contributes no nonzero sample points"
             )
+        seen: set[tuple[int, ...]] = set()
         for _ in range(per_subspace):
-            while True:
-                coeffs = [rng.randint(-9, 9) for _ in range(s.dim)]
-                point = [
+            for _ in range(_RAY_DRAWS):
+                coeffs = [0] * s.dim
+                while not any(coeffs):
+                    coeffs = [rng.randint(-9, 9) for _ in range(s.dim)]
+                ray = tuple(primitive_int_vector(coeffs))
+                ray = max(ray, tuple(-c for c in ray))
+                if s.dim == 1 or ray not in seen:
+                    break
+            seen.add(ray)
+            points.append(
+                [
                     sum(c * v[j] for c, v in zip(coeffs, s.vectors))
                     for j in range(a.ambient_dim)
                 ]
-                if any(x != 0 for x in point):
-                    break
-            points.append(point)
+            )
     return PointCloud(a.ambient_dim, points)

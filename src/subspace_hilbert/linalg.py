@@ -21,11 +21,10 @@ import numpy as np
 
 Vector = tuple[Fraction, ...]
 
-# Entry bounds for the int64 fast path in IntEchelon: a row update
-# lead*v - c*r is provably overflow-free when |lead|*max|v| + |c|*max|r|
-# stays below 2^62.
-_INT64_SAFE = 1 << 62
-_GCD_STRIP_THRESHOLD = 1 << 40
+# Entry bound for the int64 fast path in IntEchelon: a row update
+# a*v - b*r is provably overflow-free when |a|*max|v| + |b|*max|r| stays
+# below 2^62.
+INT64_SAFE = 1 << 62
 
 
 def _to_vector(entries: Iterable) -> Vector:
@@ -231,10 +230,14 @@ def approx_rank(m, rel_tol: float = 1e-8) -> int:
 class IntEchelon:
     """Incremental exact rank accumulator for integer row vectors.
 
-    Rows are reduced by cross-multiplication (no division), kept primitive
-    (gcd 1, positive leading entry) and indexed by pivot column.  Arithmetic
-    runs on int64 numpy vectors while a bound check proves the update cannot
-    overflow, and falls back to arbitrary-precision Python ints otherwise.
+    Rows are reduced fraction-free: against a kept row r with leading entry
+    rl, a row v with entry c in that column becomes (rl/g)*v - (c/g)*r with
+    g = gcd(rl, c).  Kept rows are primitive (gcd 1, positive leading entry)
+    and indexed by pivot column.  A row stays an int64 numpy vector while
+    the proven bound |rl/g|*max|v| + |c/g|*max|r| < 2^62 shows the update
+    cannot overflow; when the bound fails the row's gcd is divided out and
+    the multipliers recomputed before it is tried again, and only a row that
+    still does not fit drops to a list of Python ints.  Exact throughout.
     """
 
     def __init__(self, ncols: int):
@@ -255,14 +258,15 @@ class IntEchelon:
     def rows(self) -> tuple[Union[np.ndarray, list[int]], ...]:
         """The reduced rows kept so far (same span as everything added).
 
-        Callers must not mutate the returned arrays.
+        Rows whose entries fit int64 are numpy arrays, the others lists of
+        Python ints.  Callers must not mutate the returned rows.
         """
         return tuple(self._rows)
 
     @staticmethod
     def _first_nonzero(v, start: int) -> int | None:
         if isinstance(v, np.ndarray):
-            nz = np.nonzero(v[start:])[0]
+            nz = v[start:].nonzero()[0]
             return start + int(nz[0]) if nz.size else None
         for i in range(start, len(v)):
             if v[i]:
@@ -271,17 +275,20 @@ class IntEchelon:
 
     @staticmethod
     def _strip(v) -> tuple[Union[np.ndarray, list[int]], int]:
-        """Divide out the gcd; return (vector, max abs entry)."""
+        """Divide out the gcd; return (vector, exact max abs entry).
+
+        A list comes back as an int64 array when its entries fit.
+        """
         if isinstance(v, np.ndarray):
             g = int(np.gcd.reduce(v))
             if g > 1:
                 v = v // g
             return v, int(np.max(np.abs(v)))
-        g = reduce(math.gcd, v, 0)
+        g = math.gcd(*v)
         if g > 1:
             v = [e // g for e in v]
-        m = max(abs(e) for e in v)
-        if m < _INT64_SAFE:
+        m = max(map(abs, v))
+        if m < INT64_SAFE:
             return np.array(v, dtype=np.int64), m
         return v, m
 
@@ -297,20 +304,17 @@ class IntEchelon:
             v = row
             vmax = int(np.max(np.abs(v))) if v.size else 0
         else:
-            vmax = max((abs(int(e)) for e in row), default=0)
-            if vmax < _INT64_SAFE:
-                v = np.asarray(row, dtype=np.int64)
-            else:
-                v = [int(e) for e in row]
+            v = [int(e) for e in row]
+            vmax = max(map(abs, v), default=0)
+            if vmax < INT64_SAFE:
+                v = np.array(v, dtype=np.int64)
         lead = self._first_nonzero(v, 0)
         while lead is not None:
             idx = self._by_pivot.get(lead)
             if idx is None:
                 v, vmax = self._strip(v)
-                if isinstance(v, np.ndarray) and v[lead] < 0:
-                    v = -v
-                elif isinstance(v, list) and v[lead] < 0:
-                    v = [-e for e in v]
+                if v[lead] < 0:
+                    v = -v if isinstance(v, np.ndarray) else [-e for e in v]
                 # own the stored row: the caller may reuse its buffer
                 if isinstance(v, np.ndarray) and (v is row or v.base is not None):
                     v = v.copy()
@@ -318,20 +322,27 @@ class IntEchelon:
                 self._rows.append(v)
                 self._max.append(vmax)
                 return True
-            r = self._rows[idx]
-            rl = int(r[lead]) if isinstance(r, np.ndarray) else r[lead]
-            c = int(v[lead]) if isinstance(v, np.ndarray) else v[lead]
-            bound = abs(rl) * vmax + abs(c) * self._max[idx]
-            if bound < _INT64_SAFE and isinstance(v, np.ndarray) and isinstance(r, np.ndarray):
-                v = rl * v - c * r
-                vmax = int(np.max(np.abs(v))) if v.size else 0
-                if vmax > _GCD_STRIP_THRESHOLD:
+            r, rmax = self._rows[idx], self._max[idx]
+            rl, c = int(r[lead]), int(v[lead])
+            g = math.gcd(rl, c)
+            a, b = rl // g, c // g
+            if isinstance(v, np.ndarray) and isinstance(r, np.ndarray):
+                bound = a * vmax + abs(b) * rmax
+                if bound >= INT64_SAFE:
+                    # the multipliers depend on v[lead]: recompute after the strip
                     v, vmax = self._strip(v)
-            else:
-                vl = v.tolist() if isinstance(v, np.ndarray) else v
-                rlist = r.tolist() if isinstance(r, np.ndarray) else r
-                vl = [rl * a - c * b for a, b in zip(vl, rlist)]
-                v, vmax = self._strip(vl)
+                    c = int(v[lead])
+                    g = math.gcd(rl, c)
+                    a, b = rl // g, c // g
+                    bound = a * vmax + abs(b) * rmax
+                if bound < INT64_SAFE:
+                    v = a * v - b * r
+                    vmax = bound
+                    lead = self._first_nonzero(v, lead + 1)
+                    continue
+            vl = v.tolist() if isinstance(v, np.ndarray) else v
+            rlist = r.tolist() if isinstance(r, np.ndarray) else r
+            v, vmax = self._strip([a * x - b * y for x, y in zip(vl, rlist)])
             lead = self._first_nonzero(v, lead + 1)
         return False
 

@@ -19,22 +19,18 @@ configurable monomial cap.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .arrangement import Arrangement
-from .linalg import IntEchelon, annihilator, primitive_int_vector
+from .arrangement import Arrangement, env_cap
+from .linalg import INT64_SAFE, IntEchelon, annihilator, primitive_int_vector
 from .ratpoly import binom
 
 _MONOMIAL_CAP_ENV = "SUBSPACE_HILBERT_MONOMIAL_CAP"
 _DEFAULT_MONOMIAL_CAP = 3000
-
-# int64 is safe for a*b + c*d when all inputs stay below this bound
-_INT64_SAFE = 1 << 62
 
 SubsetLike = Union[int, Iterable[int]]
 
@@ -44,7 +40,7 @@ class MonomialCapExceeded(ValueError):
 
 
 def monomial_cap() -> int:
-    return int(os.environ.get(_MONOMIAL_CAP_ENV, _DEFAULT_MONOMIAL_CAP))
+    return env_cap(_MONOMIAL_CAP_ENV, _DEFAULT_MONOMIAL_CAP)
 
 
 @dataclass(frozen=True)
@@ -266,7 +262,7 @@ def dim_product_ideal(a: Arrangement, S: SubsetLike, d: int) -> int:
         if matrix is not None:
             row_max = int(np.max(np.abs(matrix))) if matrix.size else 0
             coeff_max = max(abs(c) for f in forms for c in f)
-            if row_max and coeff_max and n * row_max * coeff_max >= _INT64_SAFE:
+            if row_max and coeff_max and n * row_max * coeff_max >= INT64_SAFE:
                 big_rows = [list(map(int, r)) for r in matrix]
                 matrix = None
         if matrix is not None:

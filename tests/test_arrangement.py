@@ -11,6 +11,7 @@ from subspace_hilbert.arrangement import (
     dimension_function,
     is_transversal,
     random_arrangement,
+    subset_cap,
 )
 from subspace_hilbert.linalg import QMatrix, SubspaceBasis, rank
 
@@ -76,6 +77,20 @@ class TestArrangement:
         with pytest.raises(ValueError):
             Arrangement(3, [line, line, line, line])
         Arrangement(3, [line, line, line])
+
+    @pytest.mark.parametrize("raw", ["abc", "-1", "2.5", ""])
+    def test_bad_subset_cap_names_the_variable(self, monkeypatch, raw):
+        monkeypatch.setenv("SUBSPACE_HILBERT_SUBSET_CAP", raw)
+        with pytest.raises(ValueError) as info:
+            subset_cap()
+        assert "SUBSPACE_HILBERT_SUBSET_CAP" in str(info.value)
+        assert repr(raw) in str(info.value)
+
+    def test_subset_cap_default_and_zero(self, monkeypatch):
+        monkeypatch.delenv("SUBSPACE_HILBERT_SUBSET_CAP", raising=False)
+        assert subset_cap() == 16
+        monkeypatch.setenv("SUBSPACE_HILBERT_SUBSET_CAP", "0")
+        assert subset_cap() == 0
 
     def test_singleton_codims(self):
         assert coordinate_axes().singleton_codims == (2, 2, 2)

@@ -182,6 +182,24 @@ class TestAnalyzeCommand:
         assert main(["analyze", path, "--max-degree", "6", "--oracle"]) == EXIT_DATA
         assert "cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, raw, flags",
+        [
+            ("SUBSPACE_HILBERT_MONOMIAL_CAP", "abc", ["--oracle"]),
+            ("SUBSPACE_HILBERT_MONOMIAL_CAP", "-1", ["--oracle"]),
+            ("SUBSPACE_HILBERT_SUBSET_CAP", "abc", []),
+            ("SUBSPACE_HILBERT_SUBSET_CAP", "-3", []),
+        ],
+    )
+    def test_bad_env_cap_exits_with_data_error(
+        self, capsys, monkeypatch, name, raw, flags
+    ):
+        monkeypatch.setenv(name, raw)
+        path = str(fixture_path("three-coordinate-axes"))
+        assert main(["analyze", path, *flags]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert name in err and repr(raw) in err
+
     def test_jobs_flag_accepted(self, capsys):
         path = str(fixture_path("three-coordinate-axes"))
         assert main(["analyze", path, "--jobs", "4"]) == EXIT_OK

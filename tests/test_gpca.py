@@ -1,9 +1,12 @@
 """Tests for Hilbert-value estimation from points and codimension recovery."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subspace_hilbert.arrangement import (
     Arrangement,
@@ -26,8 +29,8 @@ from subspace_hilbert.hilbert import (
     shifted_binomial_polynomial,
     transversal_hilbert_function,
 )
-from subspace_hilbert.linalg import SubspaceBasis
-from subspace_hilbert.oracle import dim_intersection_ideal
+from subspace_hilbert.linalg import QMatrix, SubspaceBasis, rank
+from subspace_hilbert.oracle import dim_intersection_ideal, monomial_basis
 from subspace_hilbert.ratpoly import QPoly, binom
 
 
@@ -40,6 +43,37 @@ def coordinate_axes() -> Arrangement:
             SubspaceBasis(3, [[0, 0, 1]]),
         ],
     )
+
+
+def reference_hilbert_value(pc: PointCloud, d: int) -> int:
+    """C(d+n-1, n-1) minus the rank of the Fraction evaluation matrix."""
+    basis = monomial_basis(pc.ambient_dim, d)
+    rows = [
+        [math.prod(x**e for x, e in zip(p, exps)) for exps in basis.monomials]
+        for p in pc.points
+    ]
+    return len(basis) - (rank(QMatrix(rows, ncols=len(basis))) if rows else 0)
+
+
+@st.composite
+def rational_clouds(draw, entries=st.integers(-12, 12)):
+    """Points on one or two random subspaces, each scaled by a rational;
+    small combinations repeat rays and low-dimensional subspaces make the
+    evaluation rows dependent."""
+    n = draw(st.integers(1, 4))
+    scales = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+    points = []
+    for _ in range(draw(st.integers(1, 2))):
+        k = draw(st.integers(1, n))
+        vector = st.lists(entries, min_size=n, max_size=n)
+        basis = draw(st.lists(vector, min_size=k, max_size=k))
+        for _ in range(draw(st.integers(0, 6))):
+            alpha = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+            point = [sum(a * b[j] for a, b in zip(alpha, basis)) for j in range(n)]
+            if any(point):
+                scale = draw(scales)
+                points.append([scale * x for x in point])
+    return PointCloud(n, points)
 
 
 class TestPointCloud:
@@ -88,6 +122,33 @@ class TestEstimateHilbertValue:
     def test_empty_cloud_gives_full_space(self):
         pc = PointCloud(3, [])
         assert estimate_hilbert_value(pc, 2) == binom(4, 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(rational_clouds(), st.integers(0, 4))
+    def test_matches_fraction_rows(self, pc, d):
+        assert estimate_hilbert_value(pc, d) == reference_hilbert_value(pc, d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rational_clouds(entries=st.integers(-(1 << 40), 1 << 40)),
+        st.integers(2, 4),
+    )
+    def test_matches_fraction_rows_with_large_coordinates(self, pc, d):
+        assert estimate_hilbert_value(pc, d) == reference_hilbert_value(pc, d)
+
+    def test_rows_past_int64_use_python_ints(self):
+        # Seven rays on a plane; the primitive rays pass 2^40, so from
+        # d = 2 on max|x|^d passes 2^62 and the rows are Python ints.  The
+        # rows are dependent, so an overflowed row would show in the rank.
+        u = [1234567890123, 3, -987654321987]
+        v = [5, 2222222222227, 2]
+        combos = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (3, -2)]
+        pc = PointCloud(
+            3, [[a * x + b * y for x, y in zip(u, v)] for a, b in combos]
+        )
+        for d, expected in enumerate([0, 1, 3, 6, 10]):
+            assert estimate_hilbert_value(pc, d) == expected
+            assert reference_hilbert_value(pc, d) == expected
 
     def test_ten_points_per_line_match_oracle(self):
         arr = coordinate_axes()
@@ -264,6 +325,26 @@ class TestSamplePoints:
     def test_deterministic(self):
         arr = coordinate_axes()
         assert sample_points(arr, 4, seed=513) == sample_points(arr, 4, seed=513)
+
+    def test_rays_are_distinct_on_planes(self):
+        # Seed 1 used to draw one ray of the plane twice among five points,
+        # one short of the five that degree 4 needs, and recovery raised
+        # InconsistentDataError on this valid arrangement.
+        arr = Arrangement(
+            3,
+            [
+                SubspaceBasis(3, [[1, 0, 0], [0, 1, 0]]),
+                SubspaceBasis(3, [[0, 0, 1]]),
+            ],
+        )
+        pc = sample_points(arr, 5, seed=1)
+        rays = {tuple(x / next(y for y in p if y) for x in p) for p in pc.points[:5]}
+        assert len(rays) == 5
+        assert end_to_end_recover(pc, m=2).dims == (1, 2)
+
+    def test_more_points_than_rays_terminates(self):
+        plane = Arrangement(3, [SubspaceBasis(3, [[1, 0, 0], [0, 1, 0]])])
+        assert len(sample_points(plane, 200, seed=516)) == 200
 
     def test_zero_subspace_rejected(self):
         arr = Arrangement(2, [SubspaceBasis(2)])

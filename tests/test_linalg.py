@@ -1,9 +1,13 @@
 """Tests for exact matrix algebra and subspace operations."""
 
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subspace_hilbert.linalg import (
     IntEchelon,
@@ -271,3 +275,80 @@ class TestIntEchelon:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             IntEchelon(3).add([1, 2])
+
+    def test_multipliers_recomputed_after_strip(self):
+        # Reducing [2^61, 0, 2^61] against [2, 1, 0] fails the int64 bound
+        # until the row is stripped to [1, 0, 1]; eliminating it with the
+        # multipliers of the unstripped row would keep a row that is not
+        # zero left of its pivot, and [1, 0, 1] would then count as new.
+        ech = IntEchelon(3)
+        assert ech.add([2, 1, 0])
+        assert ech.add([1 << 61, 0, 1 << 61])
+        assert not ech.add([1, 0, 1])
+        assert ech.rank == 2
+        assert_echelon_invariant(ech)
+
+
+def assert_echelon_invariant(ech: IntEchelon) -> None:
+    """Kept rows are primitive, lead positive, with distinct first columns;
+    rows that fit int64 are arrays and the others Python-int lists."""
+    leads = []
+    for row in ech.rows:
+        entries = row.tolist() if isinstance(row, np.ndarray) else row
+        assert isinstance(row, np.ndarray) == (max(map(abs, entries)) < 1 << 62)
+        lead = next(i for i, e in enumerate(entries) if e)
+        assert entries[lead] > 0
+        assert math.gcd(*entries) == 1
+        leads.append(lead)
+    assert len(set(leads)) == len(leads)
+
+
+# Entries near the int64 update bound, far past it, and small ones; rows are
+# scaled by large common factors so that the gcd strip has work to do.
+_entries = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-9, 9).map(lambda e: e + (1 << 62) * (1 if e >= 0 else -1)),
+    st.integers(-(1 << 70), 1 << 70),
+)
+_factors = st.sampled_from([1, 1, 3 << 40, 1 << 58, 7**20, 10**25])
+
+
+@st.composite
+def integer_rows(draw):
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(_entries, min_size=ncols, max_size=ncols), max_size=7))
+    # repeat combinations of earlier rows so that some rows are dependent
+    for _ in range(draw(st.integers(0, 3))):
+        if rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            k = draw(st.integers(-3, 3))
+            rows.append([x + k * y for x, y in zip(a, b)])
+    factors = draw(st.lists(_factors, min_size=len(rows), max_size=len(rows)))
+    return ncols, [[f * e for e in row] for f, row in zip(factors, rows)]
+
+
+class TestIntEchelonProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(integer_rows())
+    def test_rank_matches_rational_rank(self, case):
+        ncols, rows = case
+        ech = IntEchelon(ncols)
+        for row in rows:
+            ech.add(row)
+        assert ech.rank == (rank(QMatrix(rows, ncols=ncols)) if rows else 0)
+        assert_echelon_invariant(ech)
+
+    @settings(max_examples=60, deadline=None)
+    @given(integer_rows())
+    def test_reused_int64_buffer_reduces_like_lists(self, case):
+        # the echelon must own what it keeps: callers refill one buffer
+        ncols, rows = case
+        small = [row for row in rows if max(map(abs, row)) < 1 << 62]
+        as_lists, from_buffer = IntEchelon(ncols), IntEchelon(ncols)
+        buffer = np.empty(ncols, dtype=np.int64)
+        for row in small:
+            buffer[:] = row
+            assert as_lists.add(row) == from_buffer.add(buffer)
+        assert [np.asarray(r).tolist() for r in as_lists.rows] == [
+            np.asarray(r).tolist() for r in from_buffer.rows
+        ]

@@ -21,6 +21,7 @@ from subspace_hilbert.oracle import (
     dim_product_ideal,
     hilbert_table,
     monomial_basis,
+    monomial_cap,
 )
 from subspace_hilbert.ratpoly import QPoly, binom, expand_rational
 
@@ -298,6 +299,16 @@ class TestHilbertTable:
         monkeypatch.setenv("SUBSPACE_HILBERT_MONOMIAL_CAP", "10")
         with pytest.raises(MonomialCapExceeded):
             hilbert_table(coordinate_axes(), 5)
+
+    @pytest.mark.parametrize("raw", ["abc", "-5", "1e3"])
+    def test_bad_cap_env_names_the_variable(self, monkeypatch, raw):
+        monkeypatch.setenv("SUBSPACE_HILBERT_MONOMIAL_CAP", raw)
+        with pytest.raises(ValueError) as info:
+            monomial_cap()
+        assert "SUBSPACE_HILBERT_MONOMIAL_CAP" in str(info.value)
+        assert repr(raw) in str(info.value)
+        with pytest.raises(ValueError):
+            hilbert_table(coordinate_axes(), 2)
 
     def test_transversal_formula_agreement(self):
         arr = coplanar_lines()
