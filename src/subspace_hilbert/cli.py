@@ -380,8 +380,6 @@ def _emit(doc: dict, as_json: bool, render_text: Callable[[dict], str]) -> None:
 # subcommands
 
 def _cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
     if args.max_degree is not None and args.max_degree < 0:
         parser.error("--max-degree must be nonnegative")
     arr, name = parse_arrangement_document(_load_json(args.file))
@@ -599,13 +597,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     pa.add_argument(
         "--json", action="store_true", help="emit a canonical JSON report"
-    )
-    pa.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="K",
-        help="accepted for compatibility; evaluation is sequential",
     )
     pa.set_defaults(handler=_cmd_analyze)
 

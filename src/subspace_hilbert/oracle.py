@@ -7,11 +7,21 @@ the package; it is the ground truth those formulas are tested against.
 For an arrangement V_1, ..., V_m in K^n and a subset S of indices:
 
 * the intersection ideal's piece (I_S)_d is the kernel of the stacked
-  restriction maps R_d -> K[V_i]_d, computed by substituting a parametrization
-  of each V_i into every monomial;
+  restriction maps R_d -> K[V_i]_d, integer matrices built one degree at a
+  time from a parametrization x = B^T u of each V_i;
 * the product ideal's piece (J_S)_d is spanned by all products of one
   annihilating linear form per chosen subspace times a monomial of the
   complementary degree, accumulated one factor at a time.
+
+``hilbert_table`` certifies both values of a degree with one pair of ranks
+over GF(p), p = ``PRIME``.  Reducing an integer matrix mod p never raises
+its rank, and J is contained in I, so
+
+    rank_p(product matrix) <= dim J_d <= dim I_d <= total - rank_p(restriction matrix),
+
+and where the two ends meet both values are exact.  Only the other degrees
+(mostly those below m, where I and J differ) run the exact per-degree
+functions ``dim_intersection_ideal`` and ``dim_product_ideal``.
 
 Cost grows roughly with the cube of C(d+n-1, n-1), so calls are guarded by a
 configurable monomial cap.
@@ -21,16 +31,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from itertools import islice
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
 from .arrangement import Arrangement, env_cap
-from .linalg import INT64_SAFE, IntEchelon, annihilator, primitive_int_vector
+from .linalg import (
+    INT64_SAFE,
+    IntEchelon,
+    SubspaceBasis,
+    annihilator,
+    int_rank,
+    primitive_int_vector,
+)
 from .ratpoly import binom
 
 _MONOMIAL_CAP_ENV = "SUBSPACE_HILBERT_MONOMIAL_CAP"
 _DEFAULT_MONOMIAL_CAP = 3000
+
+# Modulus of the rank certificate in hilbert_table.  Any prime is sound;
+# below 2^31 a product of two residues stays under 2^62.
+PRIME = 2**31 - 1
 
 SubsetLike = Union[int, Iterable[int]]
 
@@ -132,56 +154,62 @@ def _as_indices(S: SubsetLike, m: int) -> tuple[int, ...]:
     return tuple(indices)
 
 
-def _integer_basis_rows(a: Arrangement, i: int) -> list[list[int]]:
-    return [primitive_int_vector(v) for v in a.subspaces[i].vectors]
+def _integer_basis(s: SubspaceBasis) -> list[list[int]]:
+    return [primitive_int_vector(v) for v in s.vectors]
 
 
-def _substitution_block(a: Arrangement, i: int, d: int) -> list[dict[tuple[int, ...], int]]:
-    """Image of every degree-d monomial under restriction to subspace i.
+def _annihilator_forms(s: SubspaceBasis) -> list[list[int]]:
+    return [primitive_int_vector(f) for f in annihilator(s)]
 
-    The subspace is parametrized as x = B u with integer B, so the image of
-    x^alpha is the product over j of (sum_k B[k][j] u_k)^{alpha_j}, expanded
-    as a dict over degree-d monomials in the parameters u.
+
+@lru_cache(maxsize=None)
+def _split_first_variable(n: int, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each degree-e monomial (e >= 1): its first variable j, and the
+    position in degree e-1 of the monomial divided by x_j."""
+    parent_pos = _position_map(n, e - 1)
+    first, parents = [], []
+    for exps in monomial_basis(n, e).monomials:
+        j = next(t for t, x in enumerate(exps) if x)
+        first.append(j)
+        parents.append(parent_pos[exps[:j] + (exps[j] - 1,) + exps[j + 1 :]])
+    out = np.array(first, dtype=np.intp), np.array(parents, dtype=np.intp)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def _restriction_matrices(basis: Sequence[Sequence[int]], n: int) -> Iterator[np.ndarray]:
+    """Restriction matrices of degree d = 0, 1, 2, ... to the span of integer rows B.
+
+    Row r of the degree-d matrix holds the image of monomial r of R_d under
+    x = B^T u, as coefficients over the degree-d monomials in u.  It is
+    built from degree d-1: with x_j the first variable of x^beta, the image
+    of x^beta is (sum_k B[k, j] u_k) times the image of x^beta / x_j.  Every
+    coefficient is at most top^d in absolute value, with top the largest
+    l1 norm of a column of B, so the matrix is int64 while top^d < 2^62 and
+    an object array of Python ints from there on.
     """
-    rows_B = _integer_basis_rows(a, i)
-    n = a.ambient_dim
-    n_i = len(rows_B)
-    linear_forms: list[dict[tuple[int, ...], int]] = []
-    for j in range(n):
-        form = {}
+    n_i = len(basis)
+    top = max((sum(abs(row[j]) for row in basis) for j in range(n)), default=0)
+    B = np.array(basis, dtype=object).reshape(n_i, n)
+    s = np.ones((1, 1), dtype=np.int64)
+    e = 0
+    while True:
+        yield s
+        e += 1
+        dtype = np.int64 if top**e < INT64_SAFE else object
+        first, parents = _split_first_variable(n, e)
+        coeffs = B[:, first].astype(dtype)
+        prev = s[parents].astype(dtype)
+        maps = _raise_degree_maps(n_i, e - 1)
+        s = np.zeros((len(first), len(monomial_basis(n_i, e))), dtype=dtype)
         for k in range(n_i):
-            c = rows_B[k][j]
-            if c:
-                exps = tuple(int(k == t) for t in range(n_i))
-                form[exps] = c
-        linear_forms.append(form)
+            s[:, maps[:, k]] += coeffs[k][:, None] * prev
 
-    def poly_mul(p, q):
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in p.items():
-            for e2, c2 in q.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return {e: c for e, c in out.items() if c}
 
-    max_power = max((exps[j] for exps in monomial_basis(n, d).monomials for j in range(n)), default=0)
-    powers: list[list[dict]] = []
-    for j in range(n):
-        pj = [{(0,) * n_i: 1}]
-        for _ in range(max_power):
-            pj.append(poly_mul(pj[-1], linear_forms[j]))
-        powers.append(pj)
-
-    images = []
-    for exps in monomial_basis(n, d).monomials:
-        acc = {(0,) * n_i: 1}
-        for j, e in enumerate(exps):
-            if e:
-                acc = poly_mul(acc, powers[j][e])
-                if not acc:
-                    break
-        images.append(acc)
-    return images
+def _restriction_matrix(basis: Sequence[Sequence[int]], n: int, d: int) -> np.ndarray:
+    """The degree-d matrix of ``_restriction_matrices``."""
+    return next(islice(_restriction_matrices(basis, n), d, None))
 
 
 def dim_intersection_ideal(a: Arrangement, S: SubsetLike, d: int) -> int:
@@ -189,48 +217,32 @@ def dim_intersection_ideal(a: Arrangement, S: SubsetLike, d: int) -> int:
 
     A form lies in every chosen ideal exactly when it restricts to zero on
     every chosen subspace, so the answer is C(d+n-1, n-1) minus the rank of
-    the stacked substitution matrices.
+    the side-by-side restriction matrices.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
     n = a.ambient_dim
     idxs = _as_indices(S, a.num_subspaces)
     total = len(monomial_basis(n, d))
-    if not idxs:
+    blocks = [_restriction_matrix(_integer_basis(a.subspaces[i]), n, d) for i in idxs]
+    # by width, not dim: the zero subspace has a width-1 block at d = 0
+    blocks = [b for b in blocks if b.shape[1]]
+    if not blocks:
         return total
-    blocks = []
-    offsets = []
-    ncols = 0
-    for i in idxs:
-        n_i = a.subspaces[i].dim
-        width = len(monomial_basis(n_i, d))
-        if width:
-            blocks.append((i, _substitution_block(a, i, d), n_i))
-            offsets.append(ncols)
-            ncols += width
-    if ncols == 0:
-        return total
-    ech = IntEchelon(ncols)
-    for row_idx in range(total):
-        row = [0] * ncols
-        for (i, images, n_i), off in zip(blocks, offsets):
-            pos = _position_map(n_i, d)
-            for exps, c in images[row_idx].items():
-                row[off + pos[exps]] = c
-        ech.add(row)
-        if ech.full:
-            break
-    return total - ech.rank
+    matrix = np.hstack(blocks)
+    return total - int_rank(matrix, matrix.shape[1])
 
 
-def _echelon_rows(ech: IntEchelon) -> tuple[np.ndarray | None, list[list[int]]]:
-    """Current reduced rows, as one int64 matrix when all rows allow it."""
+def _echelon_rows(ech: IntEchelon) -> np.ndarray:
+    """Current reduced rows as one matrix: int64 when all rows are, else object."""
     rows = ech.rows
     if all(isinstance(r, np.ndarray) for r in rows):
         if rows:
-            return np.vstack(rows), []
-        return np.empty((0, ech.ncols), dtype=np.int64), []
-    return None, [r.tolist() if isinstance(r, np.ndarray) else list(r) for r in rows]
+            return np.vstack(rows)
+        return np.empty((0, ech.ncols), dtype=np.int64)
+    return np.array(
+        [r.tolist() if isinstance(r, np.ndarray) else r for r in rows], dtype=object
+    )
 
 
 def dim_product_ideal(a: Arrangement, S: SubsetLike, d: int) -> int:
@@ -251,53 +263,107 @@ def dim_product_ideal(a: Arrangement, S: SubsetLike, d: int) -> int:
     if d < k:
         return 0
 
-    matrix: np.ndarray | None = np.eye(len(monomial_basis(n, d - k)), dtype=np.int64)
-    big_rows: list[list[int]] = []
+    matrix = np.eye(len(monomial_basis(n, d - k)), dtype=np.int64)
     for step, i in enumerate(idxs):
-        forms = [primitive_int_vector(f) for f in annihilator(a.subspaces[i])]
+        forms = _annihilator_forms(a.subspaces[i])
         e = d - k + step
         maps = _raise_degree_maps(n, e)
         ncols = len(monomial_basis(n, e + 1))
+        # each entry of a product row sums at most n terms c * v
+        row_max = int(np.max(np.abs(matrix))) if matrix.size else 0
+        coeff_max = max(abs(c) for f in forms for c in f)
+        dtype = np.int64 if n * row_max * coeff_max < INT64_SAFE else object
+        matrix = matrix.astype(dtype, copy=False)
         ech = IntEchelon(ncols)
-        if matrix is not None:
-            row_max = int(np.max(np.abs(matrix))) if matrix.size else 0
-            coeff_max = max(abs(c) for f in forms for c in f)
-            if row_max and coeff_max and n * row_max * coeff_max >= INT64_SAFE:
-                big_rows = [list(map(int, r)) for r in matrix]
-                matrix = None
-        if matrix is not None:
-            for f in forms:
-                out = np.zeros((matrix.shape[0], ncols), dtype=np.int64)
-                for j, c in enumerate(f):
-                    if c:
-                        out[:, maps[:, j]] += c * matrix
-                for row in out:
-                    ech.add(row)
-                    if ech.full:
-                        break
+        for f in forms:
+            out = np.zeros((matrix.shape[0], ncols), dtype=dtype)
+            for j, c in enumerate(f):
+                if c:
+                    out[:, maps[:, j]] += c * matrix
+            for row in out:
+                ech.add(row)
                 if ech.full:
                     break
-        else:
-            for w in big_rows:
-                for f in forms:
-                    out_list = [0] * ncols
-                    for j, c in enumerate(f):
-                        if c:
-                            col = maps[:, j]
-                            for src, val in enumerate(w):
-                                if val:
-                                    out_list[col[src]] += c * val
-                    ech.add(out_list)
-        matrix, big_rows = _echelon_rows(ech)
-    if matrix is not None:
-        return matrix.shape[0]
-    return len(big_rows)
+            if ech.full:
+                break
+        matrix = _echelon_rows(ech)
+    return matrix.shape[0]
+
+
+def _echelon_mod_p(m: np.ndarray, p: int) -> np.ndarray:
+    """Row-reduce m over GF(p) in place and return its nonzero rows.
+
+    m is int64 with entries in [0, p), p < 2^31, so a product of two entries
+    and a difference of two such products stay inside int64.  The rows come
+    back in echelon form with leading entries 1, spanning the row space of m.
+    """
+    rows, cols = m.shape
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = m[r:, c].nonzero()[0]
+        if not nz.size:
+            continue
+        if nz[0]:
+            m[[r, r + nz[0]]] = m[[r + nz[0], r]]
+        if m[r, c] != 1:
+            m[r, c:] = m[r, c:] * pow(int(m[r, c]), -1, p) % p
+        below = r + 1 + m[r + 1 :, c].nonzero()[0]
+        if below.size:
+            m[below, c:] = (m[below, c:] - np.outer(m[below, c], m[r, c:])) % p
+        r += 1
+    return m[:r]
+
+
+def _rank_mod_p(blocks: list[np.ndarray], p: int) -> int:
+    """Rank over GF(p) of the integer blocks placed side by side."""
+    m = np.hstack([(b % p).astype(np.int64) for b in blocks])
+    if m.shape[1] > m.shape[0]:
+        m = m.T.copy()
+    return len(_echelon_mod_p(m, p))
+
+
+def _times_forms_mod_p(
+    basis: np.ndarray, forms: Sequence[Sequence[int]], n: int, e: int, p: int, limit: int
+) -> np.ndarray:
+    """GF(p) echelon basis of the products f * b, f a linear form, b a row of basis.
+
+    basis holds degree-e forms mod p.  The products of one form are reduced
+    together with the rows kept so far before the next form is taken, and
+    the loop stops once the rank reaches limit, an upper bound on it.
+    """
+    maps = _raise_degree_maps(n, e)
+    ncols = len(monomial_basis(n, e + 1))
+    ech = np.empty((0, ncols), dtype=np.int64)
+    for f in forms:
+        block = np.zeros((len(basis), ncols), dtype=np.int64)
+        for j, c in enumerate(f):
+            if c % p:
+                # each term is below p, so the n terms of an entry fit int64
+                block[:, maps[:, j]] += c % p * basis % p
+        ech = _echelon_mod_p(np.vstack([ech, block % p]), p)
+        if len(ech) >= limit:
+            break
+    return ech
 
 
 def hilbert_table(
     a: Arrangement, d_max: int, cap: int | None = None
 ) -> list[GradedPieceResult]:
     """Oracle dimensions of both ideals (full index set) for d = 0..d_max.
+
+    Each degree is first bounded by ranks mod PRIME:
+    L_J = rank_p(product matrix) <= dim J_d <= dim I_d <= U_I = total -
+    rank_p(restriction matrix).  When L_J = U_I both values are exact.
+    Otherwise dim I_d is U_I when the restriction matrix has full column
+    rank mod p and ``dim_intersection_ideal`` else, and dim J_d is L_J when
+    it reaches that exact dim I_d and ``dim_product_ideal`` else.  Every
+    value returned is exact.
+
+    The product span mod p is carried from degree to degree: J_d mod p is
+    J_{d-1} mod p times the forms of V_d while d <= m, and times x_1, ...,
+    x_n after that, since J is generated in degree m.
 
     Refuses degrees whose monomial count exceeds the cap (argument, else the
     SUBSPACE_HILBERT_MONOMIAL_CAP environment variable, else 3000).
@@ -312,14 +378,31 @@ def hilbert_table(
             f"degree {d_max} in {n} variables needs {count} monomials, "
             f"above the cap of {limit}"
         )
-    full = (1 << a.num_subspaces) - 1
+    p = PRIME
+    k = a.num_subspaces
+    full = (1 << k) - 1
+    restrictions = [_restriction_matrices(_integer_basis(s), n) for s in a.subspaces]
+    # the chain multiplies by the forms of V_1, ..., V_k, then by x_1, ..., x_n
+    factors = [_annihilator_forms(s) for s in a.subspaces]
+    coordinates = np.eye(n, dtype=np.int64).tolist()
+    span = np.ones((1, 1), dtype=np.int64)
     results = []
     for d in range(d_max + 1):
-        results.append(
-            GradedPieceResult(
-                degree=d,
-                dim_I=dim_intersection_ideal(a, full, d),
-                dim_J=dim_product_ideal(a, full, d),
+        total = len(monomial_basis(n, d))
+        blocks = [b for b in map(next, restrictions) if b.shape[1]]
+        ncols = sum(b.shape[1] for b in blocks)
+        rank_I = _rank_mod_p(blocks, p) if blocks else 0
+        upper_I = total - rank_I
+        if d:
+            forms = factors[d - 1] if d <= k else coordinates
+            span = _times_forms_mod_p(
+                span, forms, n, d - 1, p, upper_I if d >= k else total
             )
-        )
+        lower_J = len(span) if d >= k else 0
+        if lower_J == upper_I:
+            dim_I = dim_J = lower_J
+        else:
+            dim_I = upper_I if rank_I == ncols else dim_intersection_ideal(a, full, d)
+            dim_J = lower_J if lower_J == dim_I else dim_product_ideal(a, full, d)
+        results.append(GradedPieceResult(degree=d, dim_I=dim_I, dim_J=dim_J))
     return results

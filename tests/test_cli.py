@@ -200,15 +200,10 @@ class TestAnalyzeCommand:
         err = capsys.readouterr().err
         assert name in err and repr(raw) in err
 
-    def test_jobs_flag_accepted(self, capsys):
-        path = str(fixture_path("three-coordinate-axes"))
-        assert main(["analyze", path, "--jobs", "4"]) == EXIT_OK
-        capsys.readouterr()
-
     @pytest.mark.parametrize(
         "argv",
         [
-            ["analyze", "x.json", "--jobs", "0"],
+            ["analyze", "x.json", "--jobs", "4"],
             ["analyze", "x.json", "--max-degree", "-1"],
         ],
     )

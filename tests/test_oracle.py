@@ -4,19 +4,28 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from subspace_hilbert import oracle
 from subspace_hilbert.arrangement import (
     Arrangement,
     dimension_function,
     random_arrangement,
 )
+from subspace_hilbert.fixtures import fixture_arrangement
 from subspace_hilbert.hilbert import hilbert_series_J, transversal_hilbert_function
 from subspace_hilbert.linalg import QMatrix, SubspaceBasis, annihilator, rank
 from subspace_hilbert.oracle import (
     GradedPieceResult,
     MonomialBasis,
     MonomialCapExceeded,
+    _echelon_mod_p,
+    _raise_degree_maps,
+    _restriction_matrix,
+    _times_forms_mod_p,
     dim_intersection_ideal,
     dim_product_ideal,
     hilbert_table,
@@ -70,6 +79,16 @@ def pencil_planes() -> Arrangement:
     )
 
 
+def large_entries() -> Arrangement:
+    return Arrangement(
+        3,
+        [
+            SubspaceBasis(3, [[10**9, 3, 7]]),
+            SubspaceBasis(3, [[1, 2**40, 5], [0, 1, 3**30]]),
+        ],
+    )
+
+
 def naive_dim_product(arr: Arrangement, idxs: tuple[int, ...], d: int) -> int:
     """Direct definition: rank of all products of chosen forms and monomials."""
     n = arr.ambient_dim
@@ -95,6 +114,81 @@ def naive_dim_product(arr: Arrangement, idxs: tuple[int, ...], d: int) -> int:
                 row[basis_d.position(exps)] = c
             rows.append(row)
     return rank(QMatrix(rows, ncols=len(basis_d)))
+
+
+def substitution_images(basis: list[list[int]], n: int, d: int) -> list[dict]:
+    """Image of every degree-d monomial under x = B^T u, by dict polynomials.
+
+    The image of x^alpha is the product over j of (sum_k B[k][j] u_k)^alpha_j,
+    expanded as a dict from exponent tuples in u to integer coefficients.
+    """
+    n_i = len(basis)
+    linear_forms = [
+        {tuple(int(k == t) for t in range(n_i)): basis[k][j] for k in range(n_i) if basis[k][j]}
+        for j in range(n)
+    ]
+
+    def poly_mul(p, q):
+        out: dict[tuple[int, ...], int] = {}
+        for e1, c1 in p.items():
+            for e2, c2 in q.items():
+                key = tuple(x + y for x, y in zip(e1, e2))
+                out[key] = out.get(key, 0) + c1 * c2
+        return {e: c for e, c in out.items() if c}
+
+    images = []
+    for exps in monomial_basis(n, d).monomials:
+        acc = {(0,) * n_i: 1}
+        for j, e in enumerate(exps):
+            for _ in range(e):
+                acc = poly_mul(acc, linear_forms[j])
+        images.append(acc)
+    return images
+
+
+def reference_restriction_rows(basis: list[list[int]], n: int, d: int) -> list[list[int]]:
+    target = monomial_basis(len(basis), d)
+    rows = []
+    for image in substitution_images(basis, n, d):
+        row = [0] * len(target)
+        for exps, c in image.items():
+            row[target.position(exps)] = c
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def integer_bases(draw):
+    """(n, rows): up to three integer rows of length n, not necessarily independent."""
+    n = draw(st.integers(1, 4))
+    vector = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    return n, draw(st.lists(vector, max_size=3))
+
+
+_rationals = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+
+
+@st.composite
+def arrangements(draw):
+    """Arrangements with non-integral rational bases, zero subspaces,
+    repeated subspaces and pencils (members sharing a common subspace)."""
+    n = draw(st.integers(1, 4))
+    vector = st.lists(_rationals, min_size=n, max_size=n)
+    core = draw(st.lists(vector, max_size=max(0, n - 2)))
+    subspaces: list[SubspaceBasis] = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["span", "pencil", "zero", "repeat"]))
+        if kind == "zero":
+            s = SubspaceBasis(n)
+        elif kind == "repeat" and subspaces:
+            s = draw(st.sampled_from(subspaces))
+        elif kind == "pencil":
+            s = SubspaceBasis.span_of(n, core + [draw(vector)])
+        else:
+            s = SubspaceBasis.span_of(n, draw(st.lists(vector, max_size=n - 1)))
+        assume(s.dim < n)
+        subspaces.append(s)
+    return Arrangement(n, subspaces)
 
 
 class TestMonomialBasis:
@@ -191,6 +285,27 @@ class TestIntersectionIdeal:
         )
 
 
+class TestRestrictionMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(integer_bases(), st.integers(0, 4))
+    def test_matches_dict_substitution(self, case, d):
+        n, basis = case
+        matrix = _restriction_matrix(basis, n, d)
+        assert matrix.shape == (len(monomial_basis(n, d)), len(monomial_basis(len(basis), d)))
+        assert matrix.tolist() == reference_restriction_rows(basis, n, d)
+
+    def test_zero_subspace(self):
+        assert _restriction_matrix([], 3, 0).tolist() == [[1]]
+        assert _restriction_matrix([], 3, 2).shape == (6, 0)
+
+    def test_object_path_past_int64(self):
+        basis = [[1 << 31, 1, 0], [3, -(1 << 31), 5]]
+        for d in (1, 2, 3):
+            matrix = _restriction_matrix(basis, 3, d)
+            assert matrix.dtype == (object if d >= 2 else np.int64)
+            assert matrix.tolist() == reference_restriction_rows(basis, 3, d)
+
+
 class TestProductIdeal:
     def test_three_lines_values(self):
         arr = coordinate_axes()
@@ -249,6 +364,12 @@ class TestProductIdeal:
             full = (1 << m) - 1
             for d in range(0, m + 4):
                 assert dim_product_ideal(arr, full, d) == coeffs[d]
+
+    def test_large_entries_match_naive_span(self):
+        # products pass the int64 bound, so the factor steps run on object rows
+        arr = large_entries()
+        for d in range(2, 5):
+            assert dim_product_ideal(arr, (0, 1), d) == naive_dim_product(arr, (0, 1), d)
 
     def test_subset_matches_subarrangement_series(self):
         arr = pencil_planes()
@@ -316,3 +437,81 @@ class TestHilbertTable:
         for d in range(3, 6):
             assert results[d].dim_I == transversal_hilbert_function([2, 2, 2], 3, d)
             assert results[d].dim_J == transversal_hilbert_function([2, 2, 2], 3, d)
+
+
+class TestCertifiedTable:
+    @pytest.mark.parametrize("p", [2, 3, 7, 2**31 - 1])
+    @settings(max_examples=30, deadline=None)
+    @given(arr=arrangements())
+    def test_matches_exact_functions(self, p, arr):
+        d_max = arr.num_subspaces + 2
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "PRIME", p)
+            table = hilbert_table(arr, d_max)
+        full = (1 << arr.num_subspaces) - 1
+        assert [(r.dim_I, r.dim_J) for r in table] == [
+            (dim_intersection_ideal(arr, full, d), dim_product_ideal(arr, full, d))
+            for d in range(d_max + 1)
+        ]
+
+    def test_large_entries(self):
+        # restriction matrices on object arrays, reduced mod p before the rank
+        arr = large_entries()
+        table = hilbert_table(arr, 5)
+        assert [(r.dim_I, r.dim_J) for r in table] == [
+            (dim_intersection_ideal(arr, 3, d), dim_product_ideal(arr, 3, d))
+            for d in range(6)
+        ]
+
+    def test_products_mod_p_match_python_ints(self):
+        # entries p - 1 times a form coefficient -1 put every term near 2^62,
+        # so an entry summing three terms would pass int64 unless each is reduced
+        p, n, e = oracle.PRIME, 5, 4
+        rng = random.Random(1007)
+        width = len(monomial_basis(n, e))
+        basis = [[p - 1] * width] + [[rng.randrange(p) for _ in range(width)] for _ in range(2)]
+        forms = [[-1, -1, -1, 0, 2], [0, -1, -1, -1, -1]]
+        maps = _raise_degree_maps(n, e)
+        reference = []
+        for f in forms:
+            for b in basis:
+                row = [0] * len(monomial_basis(n, e + 1))
+                for j, c in enumerate(f):
+                    for i, x in enumerate(b):
+                        row[maps[i, j]] += c * x
+                reference.append([x % p for x in row])
+        expected = _echelon_mod_p(np.array(reference, dtype=np.int64), p)
+        got = _times_forms_mod_p(np.array(basis, dtype=np.int64), forms, n, e, p, 10**6)
+        assert len(got) == len(expected) == 3 * len(forms)
+        assert len(_echelon_mod_p(np.vstack([got, expected]), p)) == len(got)
+
+    @pytest.mark.parametrize(
+        "name, exact_I, exact_J",
+        [
+            # I and J differ in every positive degree: both fall back
+            ("three-pencil-planes", [1, 2, 3, 4, 5], [1, 2, 3, 4, 5]),
+            # full column rank certifies I below m; J is 0 there but not 0 = dim I_2
+            ("three-coordinate-axes", [], [2]),
+        ],
+    )
+    def test_fallback_degrees(self, monkeypatch, name, exact_I, exact_J):
+        arr = fixture_arrangement(name)
+        full = (1 << arr.num_subspaces) - 1
+        expected = [
+            (dim_intersection_ideal(arr, full, d), dim_product_ideal(arr, full, d))
+            for d in range(6)
+        ]
+        calls: dict[str, list[int]] = {"I": [], "J": []}
+
+        def spy(key, fn):
+            def wrapper(a, S, d):
+                calls[key].append(d)
+                return fn(a, S, d)
+
+            return wrapper
+
+        monkeypatch.setattr(oracle, "dim_intersection_ideal", spy("I", dim_intersection_ideal))
+        monkeypatch.setattr(oracle, "dim_product_ideal", spy("J", dim_product_ideal))
+        table = hilbert_table(arr, 5)
+        assert [(r.dim_I, r.dim_J) for r in table] == expected
+        assert calls == {"I": exact_I, "J": exact_J}
