@@ -5,16 +5,33 @@ combinatorial data consumed elsewhere is its dimension function: the map
 sending every subset S of indices to dim of the intersection of the chosen
 subspaces.  Subsets are encoded as bitmasks over subspace indices, so the
 whole function is a table of length 2^m.
+
+The codimension of an intersection is the rank of the stacked linear forms
+vanishing on its members, so ``dimension_function`` needs no subspace
+intersections: it ranks primitive integer forms with a fraction-free echelon
+grown along a depth-first walk of the masks.  A hand-built
+``DimensionFunction`` is checked against the axioms every dimension function
+satisfies (entries in 0..n, proper singletons, monotone, submodular
+codimension), so the closed forms never see a table no arrangement has.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .linalg import QMatrix, SubspaceBasis, intersect, rank
+import numpy as np
+
+from .linalg import (
+    QMatrix,
+    SubspaceBasis,
+    annihilator,
+    primitive_int_vector,
+    rank,
+)
 
 _SUBSET_CAP_ENV = "SUBSPACE_HILBERT_SUBSET_CAP"
 _DEFAULT_SUBSET_CAP = 16
@@ -76,6 +93,40 @@ class Arrangement:
         return tuple(self.ambient_dim - s.dim for s in self.subspaces)
 
 
+def _check_axioms(n: int, m: int, dims: Sequence[int]) -> None:
+    """Raise ValueError unless the table can be a dimension function.
+
+    Checks that every entry lies in 0..n, that each single subspace is
+    proper, that dims never grow when a subspace is added, and that codim
+    is submodular on every local square:
+    c(S+i) + c(S+j) >= c(S+i+j) + c(S), i.e. adding i to S+j lowers the
+    dimension by no more than adding it to S does.  The table is viewed as
+    an m-dimensional 2 x ... x 2 cube, so every check is one array
+    comparison per index or pair of indices.
+    """
+    table = np.array(dims, dtype=np.int64)
+    if table.min() < 0 or table.max() > n:
+        raise ValueError(f"dimensions must lie in 0..{n}")
+    if any(dims[1 << i] >= n for i in range(m)):
+        raise ValueError("every single subspace must be proper (dim < ambient)")
+    cube = table.reshape((2,) * m)
+    for axis in range(m):
+        gain = cube.take(1, axis=axis) - cube.take(0, axis=axis)
+        if (gain > 0).any():
+            raise ValueError("dimensions must not grow when a subspace is added")
+        for other in range(axis, m - 1):
+            if (gain.take(1, axis=other) < gain.take(0, axis=other)).any():
+                raise ValueError("codimensions must be submodular")
+
+
+def _transversal_dims(n: int, codims: Sequence[int]) -> np.ndarray:
+    """n - min(n, sum of codims[i] over i in S), indexed by mask S."""
+    sums = np.zeros(1, dtype=np.int64)
+    for c in codims:
+        sums = np.concatenate([sums, sums + c])
+    return n - np.minimum(n, sums)
+
+
 @dataclass(frozen=True)
 class DimensionFunction:
     """dim of the subspace intersection for every subset of indices.
@@ -91,10 +142,15 @@ class DimensionFunction:
 
     def __init__(self, ambient_dim: int, num_subspaces: int, dims_by_mask: Sequence[int]):
         dims_by_mask = tuple(dims_by_mask)
+        if ambient_dim < 1:
+            raise ValueError("ambient dimension must be at least 1")
+        if num_subspaces < 0:
+            raise ValueError("the number of subspaces must be nonnegative")
         if len(dims_by_mask) != 1 << num_subspaces:
             raise ValueError("dimension table length must be 2^num_subspaces")
         if dims_by_mask[0] != ambient_dim:
             raise ValueError("the empty intersection must have the ambient dimension")
+        _check_axioms(ambient_dim, num_subspaces, dims_by_mask)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "num_subspaces", num_subspaces)
         object.__setattr__(self, "dims_by_mask", dims_by_mask)
@@ -103,14 +159,10 @@ class DimensionFunction:
     def transversal(cls, ambient_dim: int, codims: Sequence[int]) -> "DimensionFunction":
         """The dimension function a transversal arrangement with the given
         singleton codimensions must have."""
-        m = len(codims)
         if any(c < 1 or c > ambient_dim for c in codims):
             raise ValueError("codimensions must lie in 1..ambient_dim")
-        table = []
-        for mask in range(1 << m):
-            total = sum(codims[i] for i in range(m) if mask >> i & 1)
-            table.append(ambient_dim - min(ambient_dim, total))
-        return cls(ambient_dim, m, table)
+        table = _transversal_dims(ambient_dim, codims)
+        return cls(ambient_dim, len(codims), table.tolist())
 
     def dim_of(self, mask: int) -> int:
         return self.dims_by_mask[mask]
@@ -123,37 +175,70 @@ class DimensionFunction:
         return tuple(self.codim_of(1 << i) for i in range(self.num_subspaces))
 
 
+def _insert_form(echelon: dict[int, list[int]], v: list[int]) -> bool:
+    """Reduce an integer row against a fraction-free echelon (pivot column ->
+    primitive row); keep it and return True when it is independent."""
+    lead = next((i for i, x in enumerate(v) if x), None)
+    while lead is not None:
+        r = echelon.get(lead)
+        if r is None:
+            echelon[lead] = v
+            return True
+        g = math.gcd(r[lead], v[lead])
+        a, b = r[lead] // g, v[lead] // g
+        v = [a * x - b * y for x, y in zip(v, r)]
+        g = math.gcd(*v)
+        if g > 1:
+            v = [x // g for x in v]
+        lead = next((i for i in range(lead + 1, len(v)) if v[i]), None)
+    return False
+
+
 def dimension_function(arr: Arrangement) -> DimensionFunction:
     """Compute the full dimension function of an arrangement.
 
-    Intersections are built incrementally over the subset lattice: each mask
-    reuses the intersection for the mask with its lowest bit cleared.
+    codim of an intersection is the rank of the stacked annihilator forms of
+    its subspaces, so each subspace's forms are made primitive integer rows
+    once and every mask's rank is an exact integer rank.  Masks are walked
+    depth first, each child adding an index above its parent's highest one,
+    and a child's echelon grows from a copy of its parent's: only the
+    echelons on the current path are held.  The rank of all the forms
+    together is the largest codim any mask can have, so elimination stops
+    there, and a mask that reaches it (in particular a saturated one, codim
+    n) passes it to every superset without further work.
     """
     n = arr.ambient_dim
     m = arr.num_subspaces
-    full = SubspaceBasis.span_of(n, QMatrix.identity(n).entries)
-    spaces: list[SubspaceBasis] = [full] * (1 << m)
-    dims = [n] * (1 << m)
-    for mask in range(1, 1 << m):
-        low = (mask & -mask).bit_length() - 1
-        rest = mask & (mask - 1)
-        if rest == 0:
-            spaces[mask] = arr.subspaces[low]
-        else:
-            spaces[mask] = intersect(spaces[rest], arr.subspaces[low])
-        dims[mask] = spaces[mask].dim
+    forms = [
+        [primitive_int_vector(f) for f in annihilator(s)] for s in arr.subspaces
+    ]
+    full: dict[int, list[int]] = {}
+    for fs in forms:
+        for f in fs:
+            _insert_form(full, f)
+    ceiling = len(full)
+    dims = [n - ceiling] * (1 << m)
+    dims[0] = n
+
+    def visit(mask: int, echelon: dict[int, list[int]], start: int) -> None:
+        for i in range(start, m):
+            child = mask | 1 << i
+            grown = dict(echelon)
+            for f in forms[i]:
+                if _insert_form(grown, f) and len(grown) == ceiling:
+                    break
+            if len(grown) < ceiling:
+                dims[child] = n - len(grown)
+                visit(child, grown, i + 1)
+
+    visit(0, {}, 0)
     return DimensionFunction(n, m, dims)
 
 
 def is_transversal(df: DimensionFunction) -> bool:
     """True when every subset codimension is min(n, sum of singleton codims)."""
-    n = df.ambient_dim
-    codims = df.singleton_codims
-    for mask in range(1 << df.num_subspaces):
-        total = sum(codims[i] for i in range(df.num_subspaces) if mask >> i & 1)
-        if df.codim_of(mask) != min(n, total):
-            return False
-    return True
+    expected = _transversal_dims(df.ambient_dim, df.singleton_codims)
+    return bool(np.array_equal(expected, df.dims_by_mask))
 
 
 def random_arrangement(

@@ -7,6 +7,15 @@ t^m p(t)/(1-t)^n, the Betti numbers read off p(t), the closed-form series
 available when the arrangement is transversal, and Hilbert-polynomial
 extraction from any numerator over (1-t)^n.
 
+The p_S family is computed with integers only, in the basis u = 1 - t.  The
+defining congruences are taken mod (1-t)^c = u^c, so reducing mod (1-t)^c is
+truncation to the first c coefficients in u, and the unit t inverts as
+t^-e = (1-u)^-e = sum_j C(j+e-1, e-1) u^j.  No division is left, and every
+p_S has integer u-coefficients because the recursion only adds integer
+multiples of them.  ``compute_ps_family`` gives the derivation and the
+overflow bound; a p_S is expanded back to t by p(t) = sum_j a_j (1-t)^j only
+when it is read, so ``hilbert_series_J`` converts only the top polynomial.
+
 The series of the intersection ideal I is deliberately absent: it is not
 determined by the dimension function alone, so it is only available through
 the degree-by-degree oracle or, for transversal arrangements, through the
@@ -20,16 +29,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
+import numpy as np
+
 from .arrangement import DimensionFunction
+from .linalg import INT64_SAFE
 from .ratpoly import (
     ONE,
     ZERO,
     QPoly,
     binom,
     expand_rational,
-    inverse_of_t_mod,
     one_minus_t_pow,
     poly_mod_one_minus_t_pow,
+    substitute_one_minus_t,
 )
 
 RationalFunction = tuple[QPoly, int]
@@ -40,59 +52,129 @@ def _minus_t_pow(k: int) -> QPoly:
     return QPoly((0,) * k + ((-1) ** k,))
 
 
-@dataclass(frozen=True)
-class PSFamily:
-    """The reduction polynomials p_S(t), indexed by subset bitmask."""
+def _check_family(size: int, empty: QPoly | None) -> None:
+    if size == 0 or size & (size - 1):
+        raise ValueError("family length must be a power of two")
+    if empty != ONE:
+        raise ValueError("the empty-set polynomial must be 1")
 
-    polys_by_mask: tuple[QPoly, ...]
+
+class PSFamily:
+    """The reduction polynomials p_S(t), indexed by subset bitmask.
+
+    Built from a sequence of polynomials, or by ``compute_ps_family`` from an
+    integer array of coefficients in u = 1 - t (one row per mask); each p_S
+    is then expanded in t, p(t) = sum_j a_j (1-t)^j, on first access.
+    """
 
     def __init__(self, polys_by_mask: Sequence[QPoly]):
-        polys_by_mask = tuple(polys_by_mask)
-        size = len(polys_by_mask)
-        if size == 0 or size & (size - 1):
-            raise ValueError("family length must be a power of two")
-        if polys_by_mask[0] != ONE:
-            raise ValueError("the empty-set polynomial must be 1")
-        object.__setattr__(self, "polys_by_mask", polys_by_mask)
+        polys = list(polys_by_mask)
+        _check_family(len(polys), polys[0] if polys else None)
+        self._polys: list = polys
+        self._u = None
+
+    @classmethod
+    def from_u_coefficients(cls, coeffs: np.ndarray) -> "PSFamily":
+        """The family whose row ``mask`` holds p_S's coefficients in u = 1 - t."""
+        family = cls.__new__(cls)
+        family._polys = [None] * len(coeffs)
+        family._u = coeffs
+        _check_family(len(coeffs), family.p(0) if len(coeffs) else None)
+        return family
 
     @property
     def num_subspaces(self) -> int:
-        return len(self.polys_by_mask).bit_length() - 1
+        return len(self._polys).bit_length() - 1
 
     def p(self, mask: int) -> QPoly:
-        return self.polys_by_mask[mask]
+        poly = self._polys[mask]
+        if poly is None:
+            u_poly = QPoly(int(a) for a in self._u[mask])
+            poly = self._polys[mask] = substitute_one_minus_t(u_poly)
+        return poly
 
     @property
     def top(self) -> QPoly:
         """p_S for the full index set."""
-        return self.polys_by_mask[-1]
+        return self.p(len(self._polys) - 1)
+
+
+def _t_inverse_power(e: int, n: int) -> np.ndarray:
+    """T_e: multiplication by t^-e = (1-u)^-e on u-coefficient vectors of
+    length n, as the lower-triangular Toeplitz matrix C(i-j+e-1, e-1) of
+    Python ints."""
+    col = [math.comb(j + e - 1, e - 1) for j in range(n)]
+    out = np.zeros((n, n), dtype=object)
+    for i in range(n):
+        out[i, : i + 1] = col[i::-1]
+    return out
+
+
+def _zeta(f: np.ndarray, m: int) -> None:
+    """In place: f[S] <- sum of f[X] over X subset of S (rows are masks)."""
+    n = f.shape[1]
+    for i in range(m):
+        view = f.reshape(-1, 2, 1 << i, n)
+        view[:, 1] += view[:, 0]
 
 
 def compute_ps_family(d: DimensionFunction) -> PSFamily:
-    """Solve the defining congruences for all p_S in cardinality order.
+    """Solve the defining congruences for all p_S, one cardinality at a time.
 
     For nonempty S with subset codimension c_S, p_S is the unique polynomial
     of degree < c_S with sum over X subsets of S of (-t)^|X| p_X divisible by
-    (1-t)^{c_S}.  Since t is invertible mod (1-t)^{c_S}, the congruence is
-    solved directly by multiplying the known part by the inverse of (-t)^|S|.
+    (1-t)^{c_S}.  Multiplying by (-t)^-|S| (t is a unit mod (1-t)^{c_S}):
+
+        p_S = -sum_{k<|S|} (-1)^{|S|-k} t^{-(|S|-k)} z_k(S)  mod (1-t)^{c_S},
+        z_k(S) = sum of p_X over X subset of S with |X| = k.
+
+    In the basis u = 1 - t every p_S has integer coefficients, "mod u^c" is
+    truncation to c terms and t^-e = (1-u)^-e = sum_j C(j+e-1, e-1) u^j, so
+    t^-e acts on length-n coefficient vectors as a lower-triangular Toeplitz
+    matrix T_e.  Once layer k (all |X| = k) is known, z_k is its zeta
+    transform over all 2^m masks (the ranked transform of Bjorklund,
+    Husfeldt, Kaski and Koivisto, "Fourier meets Mobius: fast subset
+    convolution", STOC 2007), and each later layer s accumulates
+    (-1)^{s-k} T_{s-k} z_k.  The cost is O(m 2^m n (m + n)) integer
+    operations, vectorised over masks.
+
+    Arrays are int64 while the bound checked before each layer holds:
+    |z_k(S)| <= C(s, k) max|p_X| for |S| = s, and T_e's row sums are at most
+    C(n-1+e, e), so the accumulator of layer s never exceeds
+    sum_k C(s, k) C(n-1+s-k, s-k) max_{|X|=k} |p_X|.  Past 2^62 the same
+    code continues on object arrays of Python ints.  Invalid tables never
+    reach this point: ``DimensionFunction`` rejects them.
     """
-    m = d.num_subspaces
-    polys: list[QPoly] = [ONE] * (1 << m)
-    for mask in sorted(range(1, 1 << m), key=lambda s: (s.bit_count(), s)):
-        c = d.codim_of(mask)
-        q = ZERO
-        sub = (mask - 1) & mask
-        while True:
-            q = q - polys[sub] * _minus_t_pow(sub.bit_count())
-            if sub == 0:
-                break
-            sub = (sub - 1) & mask
-        size = mask.bit_count()
-        signed = q if size % 2 == 0 else -q
-        polys[mask] = poly_mod_one_minus_t_pow(
-            signed * inverse_of_t_mod(c) ** size, c
-        )
-    return PSFamily(polys)
+    m, n = d.num_subspaces, d.ambient_dim
+    size = 1 << m
+    codims = n - np.array(d.dims_by_mask, dtype=np.int64)
+    masks = np.arange(size)
+    popcount = np.zeros(size, dtype=np.int64)
+    for i in range(m):
+        popcount += (masks >> i) & 1
+    layers = [np.flatnonzero(popcount == k) for k in range(m + 1)]
+    kept = np.arange(n) < codims[:, None]
+    p = np.zeros((size, n), dtype=np.int64)
+    p[0, 0] = 1
+    acc = np.zeros_like(p)
+    toeplitz = [None] + [_t_inverse_power(e, n) for e in range(1, m + 1)]
+    bound = [0] * (m + 1)
+    for k in range(m):
+        top = int(np.max(np.abs(p[layers[k]])))
+        for s in range(k + 1, m + 1):
+            bound[s] += math.comb(s, k) * math.comb(n - 1 + s - k, s - k) * top
+        if p.dtype != object and max(bound) >= INT64_SAFE:
+            p, acc = p.astype(object), acc.astype(object)
+        z = np.zeros_like(p)
+        z[layers[k]] = p[layers[k]]
+        _zeta(z, m)
+        for s in range(k + 1, m + 1):
+            # T's entries are at most bound[s], so the cast is exact
+            step = z[layers[s]] @ toeplitz[s - k].astype(p.dtype).T
+            acc[layers[s]] += step if (s - k) % 2 == 0 else -step
+        nxt = layers[k + 1]
+        p[nxt] = np.where(kept[nxt], -acc[nxt], 0)
+    return PSFamily.from_u_coefficients(p)
 
 
 def ps_family_satisfies_congruences(family: PSFamily, d: DimensionFunction) -> bool:
@@ -263,16 +345,16 @@ def transversal_hilbert_function(codims: Sequence[int], n: int, d: int) -> int:
     Sums (-1)^|S| C(d+n-1-c_S, n-1-c_S) over subsets S (empty set included)
     whose total codimension c_S = sum of c_i stays below n.  For a
     transversal arrangement this equals dim J_d = dim I_d whenever d >= m.
+    The subsets are grouped by c_S: sum over S of (-1)^|S| x^{c_S} is the
+    product of the (1 - x^{c_i}), kept below x^n, so the sum has at most n
+    terms.
     """
-    m = len(codims)
-    total = 0
-    for mask in range(1 << m):
-        c = sum(codims[i] for i in range(m) if mask >> i & 1)
-        if c >= n:
-            continue
-        term = binom(d + n - 1 - c, n - 1 - c)
-        total += -term if mask.bit_count() % 2 else term
-    return total
+    if any(c < 0 for c in codims):
+        raise ValueError("codimensions must be nonnegative")
+    signed = [1] + [0] * (n - 1)
+    for c in codims:
+        signed = [a - (signed[j - c] if j >= c else 0) for j, a in enumerate(signed)]
+    return sum(a * binom(d + n - 1 - c, n - 1 - c) for c, a in enumerate(signed) if a)
 
 
 @dataclass(frozen=True)

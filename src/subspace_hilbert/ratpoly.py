@@ -236,22 +236,6 @@ def poly_mod_one_minus_t_pow(p: QPoly, k: int) -> QPoly:
     return p % one_minus_t_pow(k)
 
 
-def inverse_of_t_mod(k: int) -> QPoly:
-    """The degree-<k polynomial q with t*q = 1 mod (1-t)^k.
-
-    t is a unit modulo (1-t)^k, with inverse sum_{j<k} (1-t)^j: writing
-    u = 1-t, the product t*q telescopes to 1 - u^k.
-    """
-    if k < 1:
-        raise ValueError("t is not invertible mod (1-t)^0")
-    acc = ZERO
-    power = ONE
-    for _ in range(k):
-        acc = acc + power
-        power = power * ONE_MINUS_T
-    return acc
-
-
 def expand_rational(numerator: QPoly, denom_power: int, order: int) -> QSeries:
     """Series coefficients of numerator(t) / (1-t)^denom_power through t^order.
 

@@ -179,6 +179,40 @@ class TestDimensionFunction:
         with pytest.raises(ValueError):
             DimensionFunction(3, 1, [2, 1])
 
+    @pytest.mark.parametrize(
+        "n, m, dims, message",
+        [
+            (3, 1, [3, -1], "0..3"),
+            (3, 2, [3, 1, 1, 4], "0..3"),
+            (3, 1, [3, 3], "proper"),
+            (3, 2, [3, 2, 3, 2], "proper"),
+            (3, 2, [3, 1, 2, 2], "grow"),
+            (4, 3, [4, 2, 2, 1, 2, 1, 1, 2], "grow"),
+            # two planes in Q^3 always share a line
+            (3, 2, [3, 2, 2, 0], "submodular"),
+            (4, 3, [4, 3, 3, 2, 3, 2, 2, 0], "submodular"),
+            (1, 0, [1], None),
+            (0, 0, [0], "ambient"),
+        ],
+    )
+    def test_axioms_validated(self, n, m, dims, message):
+        if message is None:
+            assert DimensionFunction(n, m, dims).dims_by_mask == tuple(dims)
+            return
+        with pytest.raises(ValueError, match=message):
+            DimensionFunction(n, m, dims)
+
+    def test_submodularity_checked_on_every_square(self):
+        # a transversal table is valid; dropping one five-subset's dim from
+        # 2 to 0 keeps it monotone, but 4 + 4 > 0 + 6 on the square from
+        # {3,4,5} (dim 6) through {1,3,4,5} and {2,3,4,5} (dim 4 each)
+        df = DimensionFunction.transversal(12, [2] * 10)
+        dims = list(df.dims_by_mask)
+        assert dims[0b111110] == 2
+        dims[0b111110] = 0
+        with pytest.raises(ValueError, match="submodular"):
+            DimensionFunction(12, 10, dims)
+
 
 class TestTransversal:
     def test_axes_are_transversal(self):

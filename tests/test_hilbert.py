@@ -32,10 +32,11 @@ from subspace_hilbert.ratpoly import (
     QPoly,
     binom,
     expand_rational,
-    inverse_of_t_mod,
     one_minus_t_pow,
     poly_mod_one_minus_t_pow,
 )
+
+from closed_form_reference import inverse_of_t_mod
 
 
 def coordinate_axes() -> Arrangement:

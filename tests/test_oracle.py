@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strategies import arrangements
 from subspace_hilbert import oracle
 from subspace_hilbert.arrangement import (
     Arrangement,
@@ -163,32 +164,6 @@ def integer_bases(draw):
     n = draw(st.integers(1, 4))
     vector = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
     return n, draw(st.lists(vector, max_size=3))
-
-
-_rationals = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
-
-
-@st.composite
-def arrangements(draw):
-    """Arrangements with non-integral rational bases, zero subspaces,
-    repeated subspaces and pencils (members sharing a common subspace)."""
-    n = draw(st.integers(1, 4))
-    vector = st.lists(_rationals, min_size=n, max_size=n)
-    core = draw(st.lists(vector, max_size=max(0, n - 2)))
-    subspaces: list[SubspaceBasis] = []
-    for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["span", "pencil", "zero", "repeat"]))
-        if kind == "zero":
-            s = SubspaceBasis(n)
-        elif kind == "repeat" and subspaces:
-            s = draw(st.sampled_from(subspaces))
-        elif kind == "pencil":
-            s = SubspaceBasis.span_of(n, core + [draw(vector)])
-        else:
-            s = SubspaceBasis.span_of(n, draw(st.lists(vector, max_size=n - 1)))
-        assume(s.dim < n)
-        subspaces.append(s)
-    return Arrangement(n, subspaces)
 
 
 class TestMonomialBasis:

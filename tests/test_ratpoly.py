@@ -12,12 +12,13 @@ from subspace_hilbert.ratpoly import (
     binom,
     expand_rational,
     fit_numerator,
-    inverse_of_t_mod,
     one_minus_t_pow,
     poly_mod_one_minus_t_pow,
     series_divide,
     substitute_one_minus_t,
 )
+
+from closed_form_reference import inverse_of_t_mod
 
 
 def random_poly(rng, max_degree, max_num=9, max_den=5):
