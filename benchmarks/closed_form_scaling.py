@@ -1,6 +1,6 @@
 """m-scaling of the closed forms at n = 12: per-layer wall times.
 
-For m = 8, 10, 12, 14, 16 and two arrangement kinds, times four calls on
+For m = 8, 10, 12, 14, 16 and three arrangement kinds, times four calls on
 one seeded arrangement each, once:
 
 - ``dimension_function(arr)``;
@@ -10,21 +10,24 @@ one seeded arrangement each, once:
 - ``cli.main(["analyze", "--json", FILE])`` end to end, with parsing and
   rendering, stdout captured.
 
-Kinds: ``generic`` draws random integer bases of dimensions 4..8 (most
-masks are saturated, codim n); ``degenerate`` puts every subspace through
-one common line inside one common hyperplane (dimensions 2..9, so no mask
-reaches codim n).  The arrangements depend on the seed alone, so two source
-trees can be measured on the same inputs.
+The kinds are those of ``arrangement_kinds`` (generic, degenerate,
+hyperplanes), each arrangement seeded by m alone, so two source trees can be
+measured on the same inputs.  Each rung also records ``saturated_frac``, the
+share of nonempty masks with codim n, and ``ceiling_frac``, the share whose
+codim equals the rank of all the forms (the most any mask can have).  The
+walk of ``dimension_function`` does no work below a mask at that ceiling,
+so ``ceiling_frac`` says how much of the walk the input lets it skip.
 
 Usage, from the repository root::
 
     PYTHONPATH=src python3 benchmarks/closed_form_scaling.py --label after
 
-Results are merged into ``benchmarks/BENCH_closed_form.json`` under the
-label.  ``--max-m M`` records only the rungs with m <= M and writes null for
-the others (for a slow tree, e.g. ``--label before --max-m 10`` with
-``PYTHONPATH`` pointing at an older checkout's ``src``).  Each rung runs in
-this one process, one call at a time.
+Rungs are merged into ``benchmarks/BENCH_closed_form.json`` under the
+label, replacing earlier rungs of the same name.  ``--kinds`` limits the run
+to some kinds.  ``--max-m M`` records only the rungs with m <= M and writes
+null for the others (for a slow tree, e.g. ``--label before --max-m 10``
+with ``PYTHONPATH`` pointing at an older checkout's ``src``).  Each rung
+runs in this one process, one call at a time.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ import io
 import json
 import os
 import platform
-import random
 import sys
 import tempfile
 import time
@@ -43,50 +45,14 @@ from pathlib import Path
 
 import numpy as np
 
-from subspace_hilbert import (
-    Arrangement,
-    SubspaceBasis,
-    compute_ps_family,
-    dimension_function,
-    random_arrangement,
-)
+import arrangement_kinds
+from subspace_hilbert import Arrangement, compute_ps_family, dimension_function
 from subspace_hilbert.cli import analyze_document, main as cli_main
-from subspace_hilbert.linalg import QMatrix, rank
 
 N = 12
 RUNGS = (8, 10, 12, 14, 16)
-KINDS = ("generic", "degenerate")
 SEED = 20261018
 DEFAULT_OUT = Path(__file__).with_name("BENCH_closed_form.json")
-
-
-def generic(m: int, seed: int) -> Arrangement:
-    rng = random.Random(seed)
-    dims = [rng.randint(4, 8) for _ in range(m)]
-    return random_arrangement(N, dims, rng.randrange(10**9))
-
-
-def degenerate(m: int, seed: int) -> Arrangement:
-    """Subspaces through one common line, all inside one common hyperplane."""
-    rng = random.Random(seed)
-    h = [rng.randint(-3, 3) for _ in range(N - 1)] + [1]
-
-    def in_hyperplane() -> list[int]:
-        head = [rng.randint(-3, 3) for _ in range(N - 1)]
-        return head + [-sum(a * b for a, b in zip(h, head))]
-
-    line = in_hyperplane()
-    while not any(line):
-        line = in_hyperplane()
-    subspaces = []
-    for _ in range(m):
-        k = rng.randint(2, 9)
-        while True:
-            rows = [line] + [in_hyperplane() for _ in range(k - 1)]
-            if rank(QMatrix(rows, ncols=N)) == k:
-                subspaces.append(SubspaceBasis(N, rows))
-                break
-    return Arrangement(N, subspaces)
 
 
 def timed(fn, *args):
@@ -109,8 +75,7 @@ def run_cli(arr: Arrangement) -> None:
 
 
 def measure(kind: str, m: int) -> dict:
-    build = generic if kind == "generic" else degenerate
-    arr = build(m, SEED + m)
+    arr = arrangement_kinds.build(kind, N, m, SEED + m)
     df, t_df = timed(dimension_function, arr)
     _, t_ps = timed(compute_ps_family, df)
     _, t_an = timed(analyze_document, arr, None, m + 3, False)
@@ -119,6 +84,7 @@ def measure(kind: str, m: int) -> dict:
     return {
         "dims": [s.dim for s in arr.subspaces],
         "saturated_frac": round(sum(1 for d in dims if d == 0) / len(dims), 4),
+        "ceiling_frac": round(dims.count(min(dims)) / len(dims), 4),
         "dimension_function_s": t_df,
         "compute_ps_family_s": t_ps,
         "analyze_document_s": t_an,
@@ -130,10 +96,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True)
     parser.add_argument("--max-m", type=int, default=max(RUNGS))
+    parser.add_argument(
+        "--kinds", nargs="+", choices=arrangement_kinds.KINDS, default=arrangement_kinds.KINDS
+    )
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
     args = parser.parse_args(argv)
     rungs = {}
-    for kind in KINDS:
+    for kind in args.kinds:
         for m in RUNGS:
             key = f"{kind} m={m}"
             if m > args.max_m:
@@ -144,14 +113,13 @@ def main(argv=None) -> int:
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["description"] = __doc__.splitlines()[0]
     doc["n"], doc["seed"] = N, SEED
-    doc[args.label] = {
-        "machine": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cpus": os.cpu_count(),
-        },
-        "rungs": rungs,
+    entry = doc.setdefault(args.label, {"rungs": {}})
+    entry["machine"] = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpus": os.cpu_count(),
     }
+    entry["rungs"].update(rungs)
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 

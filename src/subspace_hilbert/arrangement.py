@@ -8,8 +8,8 @@ whole function is a table of length 2^m.
 
 The codimension of an intersection is the rank of the stacked linear forms
 vanishing on its members, so ``dimension_function`` needs no subspace
-intersections: it ranks primitive integer forms with a fraction-free echelon
-grown along a depth-first walk of the masks.  A hand-built
+intersections: it ranks primitive integer forms with one ``IntEchelon``
+that grows and shrinks along a depth-first walk of the masks.  A hand-built
 ``DimensionFunction`` is checked against the axioms every dimension function
 satisfies (entries in 0..n, proper singletons, monotone, submodular
 codimension), so the closed forms never see a table no arrangement has.
@@ -17,7 +17,6 @@ codimension), so the closed forms never see a table no arrangement has.
 
 from __future__ import annotations
 
-import math
 import os
 import random
 from dataclasses import dataclass
@@ -26,9 +25,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .linalg import (
+    IntEchelon,
     QMatrix,
     SubspaceBasis,
     annihilator,
+    int_rank,
     primitive_int_vector,
     rank,
 )
@@ -119,14 +120,6 @@ def _check_axioms(n: int, m: int, dims: Sequence[int]) -> None:
                 raise ValueError("codimensions must be submodular")
 
 
-def _transversal_dims(n: int, codims: Sequence[int]) -> np.ndarray:
-    """n - min(n, sum of codims[i] over i in S), indexed by mask S."""
-    sums = np.zeros(1, dtype=np.int64)
-    for c in codims:
-        sums = np.concatenate([sums, sums + c])
-    return n - np.minimum(n, sums)
-
-
 @dataclass(frozen=True)
 class DimensionFunction:
     """dim of the subspace intersection for every subset of indices.
@@ -161,8 +154,12 @@ class DimensionFunction:
         singleton codimensions must have."""
         if any(c < 1 or c > ambient_dim for c in codims):
             raise ValueError("codimensions must lie in 1..ambient_dim")
-        table = _transversal_dims(ambient_dim, codims)
-        return cls(ambient_dim, len(codims), table.tolist())
+        m = len(codims)
+        table = []
+        for mask in range(1 << m):
+            total = sum(codims[i] for i in range(m) if mask >> i & 1)
+            table.append(ambient_dim - min(ambient_dim, total))
+        return cls(ambient_dim, m, table)
 
     def dim_of(self, mask: int) -> int:
         return self.dims_by_mask[mask]
@@ -175,70 +172,55 @@ class DimensionFunction:
         return tuple(self.codim_of(1 << i) for i in range(self.num_subspaces))
 
 
-def _insert_form(echelon: dict[int, list[int]], v: list[int]) -> bool:
-    """Reduce an integer row against a fraction-free echelon (pivot column ->
-    primitive row); keep it and return True when it is independent."""
-    lead = next((i for i, x in enumerate(v) if x), None)
-    while lead is not None:
-        r = echelon.get(lead)
-        if r is None:
-            echelon[lead] = v
-            return True
-        g = math.gcd(r[lead], v[lead])
-        a, b = r[lead] // g, v[lead] // g
-        v = [a * x - b * y for x, y in zip(v, r)]
-        g = math.gcd(*v)
-        if g > 1:
-            v = [x // g for x in v]
-        lead = next((i for i in range(lead + 1, len(v)) if v[i]), None)
-    return False
-
-
 def dimension_function(arr: Arrangement) -> DimensionFunction:
     """Compute the full dimension function of an arrangement.
 
     codim of an intersection is the rank of the stacked annihilator forms of
     its subspaces, so each subspace's forms are made primitive integer rows
-    once and every mask's rank is an exact integer rank.  Masks are walked
-    depth first, each child adding an index above its parent's highest one,
-    and a child's echelon grows from a copy of its parent's: only the
-    echelons on the current path are held.  The rank of all the forms
-    together is the largest codim any mask can have, so elimination stops
-    there, and a mask that reaches it (in particular a saturated one, codim
-    n) passes it to every superset without further work.
+    once and every mask's rank is an exact ``IntEchelon`` rank.  Masks are
+    walked depth first, each child adding an index above its parent's
+    highest one, with one echelon: a child adds its subspace's forms to it,
+    and on return the echelon is truncated back to the parent's rank.  The
+    rank of all the forms together is the largest codim any mask can have,
+    so elimination stops there, and a mask that reaches it (in particular a
+    saturated one, codim n) passes it to every superset without further
+    work.
     """
     n = arr.ambient_dim
     m = arr.num_subspaces
     forms = [
         [primitive_int_vector(f) for f in annihilator(s)] for s in arr.subspaces
     ]
-    full: dict[int, list[int]] = {}
-    for fs in forms:
-        for f in fs:
-            _insert_form(full, f)
-    ceiling = len(full)
+    ceiling = int_rank((f for fs in forms for f in fs), n)
     dims = [n - ceiling] * (1 << m)
     dims[0] = n
+    echelon = IntEchelon(n)
 
-    def visit(mask: int, echelon: dict[int, list[int]], start: int) -> None:
+    def visit(mask: int, start: int) -> None:
+        base = echelon.rank
         for i in range(start, m):
-            child = mask | 1 << i
-            grown = dict(echelon)
             for f in forms[i]:
-                if _insert_form(grown, f) and len(grown) == ceiling:
+                if echelon.add(f) and echelon.rank == ceiling:
                     break
-            if len(grown) < ceiling:
-                dims[child] = n - len(grown)
-                visit(child, grown, i + 1)
+            if echelon.rank < ceiling:
+                child = mask | 1 << i
+                dims[child] = n - echelon.rank
+                visit(child, i + 1)
+            echelon.truncate(base)
 
-    visit(0, {}, 0)
+    visit(0, 0)
     return DimensionFunction(n, m, dims)
 
 
 def is_transversal(df: DimensionFunction) -> bool:
     """True when every subset codimension is min(n, sum of singleton codims)."""
-    expected = _transversal_dims(df.ambient_dim, df.singleton_codims)
-    return bool(np.array_equal(expected, df.dims_by_mask))
+    n = df.ambient_dim
+    codims = df.singleton_codims
+    for mask in range(1 << df.num_subspaces):
+        total = sum(codims[i] for i in range(df.num_subspaces) if mask >> i & 1)
+        if df.codim_of(mask) != min(n, total):
+            return False
+    return True
 
 
 def random_arrangement(

@@ -345,16 +345,16 @@ def transversal_hilbert_function(codims: Sequence[int], n: int, d: int) -> int:
     Sums (-1)^|S| C(d+n-1-c_S, n-1-c_S) over subsets S (empty set included)
     whose total codimension c_S = sum of c_i stays below n.  For a
     transversal arrangement this equals dim J_d = dim I_d whenever d >= m.
-    The subsets are grouped by c_S: sum over S of (-1)^|S| x^{c_S} is the
-    product of the (1 - x^{c_i}), kept below x^n, so the sum has at most n
-    terms.
     """
-    if any(c < 0 for c in codims):
-        raise ValueError("codimensions must be nonnegative")
-    signed = [1] + [0] * (n - 1)
-    for c in codims:
-        signed = [a - (signed[j - c] if j >= c else 0) for j, a in enumerate(signed)]
-    return sum(a * binom(d + n - 1 - c, n - 1 - c) for c, a in enumerate(signed) if a)
+    m = len(codims)
+    total = 0
+    for mask in range(1 << m):
+        c = sum(codims[i] for i in range(m) if mask >> i & 1)
+        if c >= n:
+            continue
+        term = binom(d + n - 1 - c, n - 1 - c)
+        total += -term if mask.bit_count() % 2 else term
+    return total
 
 
 @dataclass(frozen=True)

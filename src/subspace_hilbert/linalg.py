@@ -292,6 +292,17 @@ class IntEchelon:
             return np.array(v, dtype=np.int64), m
         return v, m
 
+    def truncate(self, rank: int) -> None:
+        """Drop every row kept after the first ``rank``.
+
+        Kept rows are never changed by later additions, so the echelon is
+        then exactly as it was when it had that rank.
+        """
+        if rank < len(self._rows):
+            del self._rows[rank:]
+            del self._max[rank:]
+            self._by_pivot = {p: i for p, i in self._by_pivot.items() if i < rank}
+
     def add(self, row: Sequence[int]) -> bool:
         """Reduce a row against the accumulated echelon; keep it if independent.
 

@@ -4,8 +4,7 @@
 over all pairs X subset of S (3^m polynomial products), and
 ``reference_dimension_function`` intersects subspaces by ``Fraction`` RREF,
 one mask at a time.  The package computes both with integer arithmetic; the
-tests compare the two routes.  The transversal sum and test are also kept
-here in their one-subset-at-a-time form.
+tests compare the two routes.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from subspace_hilbert.ratpoly import (
     ONE_MINUS_T,
     ZERO,
     QPoly,
-    binom,
     poly_mod_one_minus_t_pow,
 )
 
@@ -86,26 +84,3 @@ def reference_dimension_function(arr: Arrangement) -> DimensionFunction:
         dims[mask] = spaces[mask].dim
     return DimensionFunction(n, m, dims)
 
-
-def reference_transversal_hilbert_function(codims, n: int, d: int) -> int:
-    """The alternating binomial sum, one subset at a time."""
-    m = len(codims)
-    total = 0
-    for mask in range(1 << m):
-        c = sum(codims[i] for i in range(m) if mask >> i & 1)
-        if c >= n:
-            continue
-        term = binom(d + n - 1 - c, n - 1 - c)
-        total += -term if mask.bit_count() % 2 else term
-    return total
-
-
-def reference_is_transversal(df: DimensionFunction) -> bool:
-    """Every subset codimension compared with min(n, sum of singleton codims)."""
-    n = df.ambient_dim
-    codims = df.singleton_codims
-    for mask in range(1 << df.num_subspaces):
-        total = sum(codims[i] for i in range(df.num_subspaces) if mask >> i & 1)
-        if df.codim_of(mask) != min(n, total):
-            return False
-    return True

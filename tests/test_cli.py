@@ -1,13 +1,13 @@
 """Tests for the command-line interface and its file formats."""
 
 import json
-import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from subspace_hilbert.arrangement import Arrangement, random_arrangement
+import arrangement_kinds
+from subspace_hilbert.arrangement import Arrangement
 from subspace_hilbert.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -21,7 +21,6 @@ from subspace_hilbert.cli import (
 from subspace_hilbert.fixtures import fixture_arrangement, fixture_path
 from subspace_hilbert.gpca import sample_points
 from subspace_hilbert.hilbert import is_series_difference_polynomial
-from subspace_hilbert.linalg import QMatrix, SubspaceBasis, rank
 from subspace_hilbert.ratpoly import QPoly
 
 
@@ -300,14 +299,13 @@ class TestSelftestCommand:
         assert "selftest: 4 passed, 0 failed" in out
 
 
-def _hyperplane_vector(rng: random.Random, h: list[int]) -> list[int]:
-    """A random integer vector w with h . w = 0 (h[-1] is 1)."""
-    head = [rng.randint(-3, 3) for _ in range(len(h) - 1)]
-    return head + [-sum(a * b for a, b in zip(h, head))]
-
-
 class TestSubsetCapCost:
-    """The advertised subset cap is usable: analyze stays inside a budget."""
+    """The advertised subset cap is usable: analyze stays inside a budget.
+
+    ``hyperplanes`` is the kind whose masks mostly stay below the rank of
+    all the forms, so the depth-first walk of ``dimension_function`` can
+    cut off little of it.
+    """
 
     BUDGET_S = 30.0
 
@@ -323,10 +321,9 @@ class TestSubsetCapCost:
         assert elapsed < self.BUDGET_S, f"analyze took {elapsed:.1f} s"
         return json.loads(capsys.readouterr().out)
 
-    def test_transversal_sixteen_subspaces(self, tmp_path, capsys):
-        rng = random.Random(1601)
-        arr = random_arrangement(12, [rng.randint(4, 8) for _ in range(16)], 1602)
-        report = self._analyze(tmp_path, capsys, arr)
+    @pytest.mark.parametrize("kind", ["generic", "hyperplanes"])
+    def test_transversal_sixteen_subspaces(self, tmp_path, capsys, kind):
+        report = self._analyze(tmp_path, capsys, arrangement_kinds.build(kind, 12, 16, 1601))
         assert report["m"] == 16 and report["transversal"]
         series, closed = report["series"], report["transversal_closed_form"]
         assert is_series_difference_polynomial(
@@ -336,14 +333,6 @@ class TestSubsetCapCost:
 
     def test_degenerate_twelve_subspaces(self, tmp_path, capsys):
         # one common line inside one common hyperplane: no mask reaches codim n
-        rng = random.Random(1201)
-        h = [rng.randint(-3, 3) for _ in range(11)] + [1]
-        line = _hyperplane_vector(rng, h)
-        subspaces = []
-        while len(subspaces) < 12:
-            rows = [line] + [_hyperplane_vector(rng, h) for _ in range(rng.randint(1, 8))]
-            if rank(QMatrix(rows, ncols=12)) == len(rows):
-                subspaces.append(SubspaceBasis(12, rows))
-        report = self._analyze(tmp_path, capsys, Arrangement(12, subspaces))
+        report = self._analyze(tmp_path, capsys, arrangement_kinds.build("degenerate", 12, 12, 1201))
         assert report["m"] == 12 and not report["transversal"]
         assert all(1 <= row["dim"] for row in report["dimension_function"])

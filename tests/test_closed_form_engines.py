@@ -4,8 +4,7 @@
 ``dimension_function`` (integer rank of stacked annihilator forms) are
 compared with the slow recursions in ``closed_form_reference`` on drawn
 arrangements and transversal tables, and the object-array path of the p_S
-engine is forced and compared with the int64 path.  The grouped transversal
-sum and the vectorised transversality test are checked the same way.
+engine is forced and compared with the int64 path.
 """
 
 import numpy as np
@@ -15,9 +14,7 @@ from hypothesis import strategies as st
 
 from closed_form_reference import (
     reference_dimension_function,
-    reference_is_transversal,
     reference_ps_family,
-    reference_transversal_hilbert_function,
 )
 from strategies import arrangements
 from subspace_hilbert import hilbert
@@ -25,7 +22,6 @@ from subspace_hilbert.arrangement import (
     Arrangement,
     DimensionFunction,
     dimension_function,
-    is_transversal,
     random_arrangement,
 )
 from subspace_hilbert.hilbert import (
@@ -33,7 +29,6 @@ from subspace_hilbert.hilbert import (
     hilbert_series_J,
     is_series_difference_polynomial,
     ps_family_satisfies_congruences,
-    transversal_hilbert_function,
     transversal_series,
 )
 from subspace_hilbert.linalg import SubspaceBasis
@@ -118,21 +113,3 @@ class TestPSFamily:
         hs = hilbert_series_J(df)
         assert is_series_difference_polynomial(hs, transversal_series(codims, 12))
 
-
-class TestTransversalForms:
-    @settings(max_examples=60, deadline=None)
-    @given(arr=arrangements(max_n=5, max_m=5))
-    def test_is_transversal_matches_reference(self, arr):
-        df = dimension_function(arr)
-        assert is_transversal(df) == reference_is_transversal(df)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        n=st.integers(1, 8),
-        codims=st.lists(st.integers(0, 9), max_size=8),
-        d=st.integers(-2, 14),
-    )
-    def test_hilbert_function_matches_reference(self, n, codims, d):
-        assert transversal_hilbert_function(codims, n, d) == (
-            reference_transversal_hilbert_function(codims, n, d)
-        )

@@ -288,6 +288,20 @@ class TestIntEchelon:
         assert ech.rank == 2
         assert_echelon_invariant(ech)
 
+    def test_truncate_restores_the_earlier_echelon(self):
+        ech = IntEchelon(3)
+        assert ech.add([1, 2, 3])
+        assert ech.add([0, 1, 1])
+        ech.truncate(1)
+        assert ech.rank == 1
+        assert ech.add([0, 2, 5])
+        assert not ech.add([1, 4, 8])
+        assert ech.add([0, 0, 1])
+        ech.truncate(5)
+        assert ech.full
+        ech.truncate(0)
+        assert ech.rank == 0 and ech.add([0, 0, 7])
+
 
 def assert_echelon_invariant(ech: IntEchelon) -> None:
     """Kept rows are primitive, lead positive, with distinct first columns;
@@ -352,3 +366,25 @@ class TestIntEchelonProperties:
         assert [np.asarray(r).tolist() for r in as_lists.rows] == [
             np.asarray(r).tolist() for r in from_buffer.rows
         ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(integer_rows(), integer_rows(), st.integers(0, 7))
+    def test_truncate_then_add_equals_a_fresh_echelon(self, first, later, keep):
+        # the walk of dimension_function backtracks by truncating
+        ncols, rows = first
+        extra = [(row + [0] * ncols)[:ncols] for row in later[1]]
+        ech = IntEchelon(ncols)
+        for row in rows:
+            ech.add(row)
+        keep = min(keep, ech.rank)
+        kept = [np.asarray(r).tolist() for r in ech.rows[:keep]]
+        ech.truncate(keep)
+        fresh = IntEchelon(ncols)
+        for row in kept:
+            fresh.add(row)
+        for row in extra:
+            assert ech.add(row) == fresh.add(row)
+        assert [np.asarray(r).tolist() for r in ech.rows] == [
+            np.asarray(r).tolist() for r in fresh.rows
+        ]
+        assert_echelon_invariant(ech)
