@@ -60,7 +60,6 @@ from .linalg import (
     rank,
     rref,
     spans_equal,
-    sum_subspaces,
 )
 from .oracle import (
     GradedPieceResult,
@@ -133,7 +132,6 @@ __all__ = [
     "shifted_binomial_polynomial",
     "spans_equal",
     "subset_cap",
-    "sum_subspaces",
     "transversal_hilbert_function",
     "transversal_series",
 ]

@@ -28,9 +28,7 @@ from .linalg import (
     IntEchelon,
     QMatrix,
     SubspaceBasis,
-    annihilator,
     int_rank,
-    primitive_int_vector,
     rank,
 )
 
@@ -176,21 +174,20 @@ def dimension_function(arr: Arrangement) -> DimensionFunction:
     """Compute the full dimension function of an arrangement.
 
     codim of an intersection is the rank of the stacked annihilator forms of
-    its subspaces, so each subspace's forms are made primitive integer rows
-    once and every mask's rank is an exact ``IntEchelon`` rank.  Masks are
-    walked depth first, each child adding an index above its parent's
-    highest one, with one echelon: a child adds its subspace's forms to it,
-    and on return the echelon is truncated back to the parent's rank.  The
-    rank of all the forms together is the largest codim any mask can have,
+    its subspaces, so every mask's rank is an exact ``IntEchelon`` rank of
+    the primitive integer forms each subspace caches
+    (``SubspaceBasis.annihilator_forms``).  Masks are walked depth first,
+    each child adding an index above its parent's highest one, with one
+    echelon: a child adds its subspace's forms to it, and on return the
+    echelon is truncated back to the parent's rank.  The rank of all the
+    forms together (``int_rank``) is the largest codim any mask can have,
     so elimination stops there, and a mask that reaches it (in particular a
     saturated one, codim n) passes it to every superset without further
     work.
     """
     n = arr.ambient_dim
     m = arr.num_subspaces
-    forms = [
-        [primitive_int_vector(f) for f in annihilator(s)] for s in arr.subspaces
-    ]
+    forms = [s.annihilator_forms for s in arr.subspaces]
     ceiling = int_rank((f for fs in forms for f in fs), n)
     dims = [n - ceiling] * (1 << m)
     dims[0] = n

@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -28,9 +29,9 @@ import numpy as np
 from .arrangement import Arrangement
 from .linalg import (
     INT64_SAFE,
-    IntEchelon,
     QMatrix,
     approx_rank,
+    certified_rank,
     primitive_int_vector,
     rref,
 )
@@ -88,6 +89,23 @@ class PointCloud:
     def __len__(self) -> int:
         return len(self.points)
 
+    @cached_property
+    def rays(self) -> tuple[tuple[int, ...], ...]:
+        """The distinct rays of the cloud, as primitive integer vectors with
+        a positive first nonzero entry, in order of first appearance.
+
+        Points on one ray give evaluation rows that agree up to a nonzero
+        factor, so the rank of the evaluation matrix is the rank of its rows
+        at these vectors.  Computed once per cloud, for every degree.
+        """
+        rays = {}
+        for p in self.points:
+            ray = primitive_int_vector(p)
+            if next(x for x in ray if x) < 0:
+                ray = [-x for x in ray]
+            rays.setdefault(tuple(ray), None)
+        return tuple(rays)
+
 
 @dataclass(frozen=True)
 class RecoveryResult:
@@ -125,13 +143,13 @@ def estimate_hilbert_value(pc: PointCloud, d: int, tol: float | None = None) -> 
 
     Builds the evaluation matrix (one row per point, one column per degree-d
     monomial) and returns C(d+n-1, n-1) minus its rank.  Exact clouds
-    evaluate at each point's primitive integer ray instead: scaling a point
-    by lambda scales its row by lambda^d, so the rank is unchanged and every
-    entry is an integer.  The rows are int64 products of powers when
-    max|x|^d < 2^62 bounds every entry, Python ints otherwise; they are
-    built and fed to IntEchelon one at a time until it is full.  Float
-    clouds (or an explicit tol) use tolerance-based elimination, defaulting
-    to a relative 1e-8.
+    evaluate at their distinct primitive integer rays instead
+    (``PointCloud.rays``): scaling a point by lambda scales its row by
+    lambda^d, so the rank is unchanged and every entry is an integer.  The
+    matrix is int64 when max|x|^d < 2^62 bounds every entry, an object
+    array of Python ints otherwise, and its exact rank is
+    ``certified_rank``'s.  Float clouds (or an explicit tol) use
+    tolerance-based elimination, defaulting to a relative 1e-8.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
@@ -141,12 +159,7 @@ def estimate_hilbert_value(pc: PointCloud, d: int, tol: float | None = None) -> 
     if not pc.points:
         return total
     if pc.exact and tol is None:
-        ech = IntEchelon(total)
-        for row in _integer_rows(pc, basis):
-            ech.add(row)
-            if ech.full:
-                break
-        return total - ech.rank
+        return total - certified_rank(_evaluation_matrix(pc.rays, basis))
     matrix = []
     for p in pc.points:
         coords = [float(x) for x in p]
@@ -161,25 +174,25 @@ def estimate_hilbert_value(pc: PointCloud, d: int, tol: float | None = None) -> 
     return total - approx_rank(matrix, rel_tol=1e-8 if tol is None else tol)
 
 
-def _integer_rows(pc: PointCloud, basis: MonomialBasis):
-    """Evaluation rows of an exact cloud at its primitive integer rays.
+def _evaluation_matrix(
+    rays: Sequence[Sequence[int]], basis: MonomialBasis
+) -> np.ndarray:
+    """The evaluation matrix: entry (k, j) is monomial j of the basis at ray k.
 
-    Every entry is a degree-d monomial in a ray's coordinates, so max|x|^d
-    bounds it: the rows are int64 below 2^62 and object arrays of Python
-    ints otherwise.  One row is built at a time, from the ray's table of
-    powers.
+    Every entry, and every partial product of one, is at most max|x|^d in
+    absolute value, so the matrix is int64 below 2^62 and an object array
+    of Python ints otherwise.  It is multiplied up one variable at a time
+    from each ray's table of powers.
     """
-    rays = [primitive_int_vector(p) for p in pc.points]
     d = basis.d
     top = max(abs(x) for ray in rays for x in ray)
     dtype = np.int64 if top**d < INT64_SAFE else object
-    steps = np.arange(d + 1).astype(dtype)
-    # flat position of x_j^e_j in the n x (d+1) table of powers
-    index = np.array(basis.monomials, dtype=np.intp)
-    index += (d + 1) * np.arange(basis.n)
-    for ray in rays:
-        powers = np.array(ray, dtype=dtype)[:, None] ** steps
-        yield powers.ravel()[index].prod(axis=1)
+    exponents = np.array(basis.monomials, dtype=np.intp).reshape(len(basis), basis.n)
+    powers = np.array(rays, dtype=dtype)[:, :, None] ** np.arange(d + 1).astype(dtype)
+    matrix = powers[:, 0, exponents[:, 0]]
+    for i in range(1, basis.n):
+        matrix = matrix * powers[:, i, exponents[:, i]]
+    return matrix
 
 
 def interpolate_polynomial(values: Sequence[Union[int, Fraction]], start: int) -> QPoly:

@@ -2,11 +2,16 @@
 
 Reduced row echelon form, rank, kernel, subspace intersection/sum and
 annihilators, all over ``fractions.Fraction``; plus a tolerance-based rank for
-float matrices.  ``IntEchelon`` is an exact incremental rank accumulator over
-the integers used where many large ranks are needed.
+float matrices.  Integer matrices have two exact rank routes:
+``certified_rank``, a rank mod a prime certified over Q by a lifted reduced
+echelon form (the one exact-rank entry point), and ``IntEchelon``, an
+incremental fraction-free accumulator for callers that add rows one at a
+time and for the certificate's fallback.  ``echelon_mod_p`` is the one
+GF(p) eliminator.
 
 Everything here is immutable after construction and safe to share across
-threads.
+threads; ``SubspaceBasis.annihilator_forms`` is computed on first use and
+never changes.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -25,6 +30,23 @@ Vector = tuple[Fraction, ...]
 # a*v - b*r is provably overflow-free when |a|*max|v| + |b|*max|r| stays
 # below 2^62.
 INT64_SAFE = 1 << 62
+
+# Moduli of the GF(p) eliminations.  Any prime is sound; below 2^31 a product
+# of two residues stays under 2^62.  PRIME is the oracle's certificate
+# modulus and the first of the primes certified_rank lifts from.
+PRIME = 2**31 - 1
+LIFT_PRIMES = (
+    PRIME, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
+    2147483543, 2147483497,
+)
+
+# Moduli of certified_rank's exact check: below 2^25 an int64 matrix product
+# of r residues per entry is exact while r < 2^13.
+CHECK_PRIMES = (
+    33554393, 33554383, 33554371, 33554347, 33554341, 33554317, 33554291,
+    33554273, 33554267, 33554249, 33554239, 33554221, 33554201, 33554167,
+    33554159, 33554137,
+)
 
 
 def _to_vector(entries: Iterable) -> Vector:
@@ -133,6 +155,15 @@ class SubspaceBasis:
     @property
     def dim(self) -> int:
         return len(self.vectors)
+
+    @cached_property
+    def annihilator_forms(self) -> tuple[tuple[int, ...], ...]:
+        """Primitive integer coefficient vectors of ``annihilator(self)``.
+
+        Computed once per subspace: the dimension function and the oracle
+        both rank these forms.
+        """
+        return tuple(tuple(primitive_int_vector(f)) for f in annihilator(self))
 
     def contains(self, v: Sequence) -> bool:
         vv = _to_vector(v)
@@ -359,10 +390,243 @@ class IntEchelon:
 
 
 def int_rank(rows: Iterable[Sequence[int]], ncols: int) -> int:
-    """Exact rank of a collection of integer rows."""
-    ech = IntEchelon(ncols)
-    for row in rows:
+    """Exact rank of a collection of integer rows: ``certified_rank`` of
+    their matrix."""
+    rows = [[int(e) for e in row] for row in rows]
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("row length does not match column count")
+    return certified_rank(np.array(rows, dtype=object).reshape(len(rows), ncols))
+
+
+def echelon_mod_p(m: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-reduce m over GF(p) in place; return its nonzero rows and their sources.
+
+    m is int64 with entries in [0, p), p < 2^31, so a product of two entries
+    and a difference of two such products stay inside int64.  The rows come
+    back in echelon form with leading entries 1, spanning the row space of
+    m.  ``sources[i]`` is the index in m of the row that echelon row i was
+    reduced from, so those rows of m are independent mod p.
+    """
+    rows, cols = m.shape
+    sources = np.arange(rows)
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = m[r:, c].nonzero()[0]
+        if not nz.size:
+            continue
+        if nz[0]:
+            i = r + nz[0]
+            m[[r, i]] = m[[i, r]]
+            sources[[r, i]] = sources[[i, r]]
+        if m[r, c] != 1:
+            m[r, c:] = m[r, c:] * pow(int(m[r, c]), -1, p) % p
+        below = r + 1 + m[r + 1 :, c].nonzero()[0]
+        if below.size:
+            m[below, c:] = (m[below, c:] - np.outer(m[below, c], m[r, c:])) % p
+        r += 1
+    return m[:r], sources[:r]
+
+
+def _residues(m: np.ndarray, p: int) -> np.ndarray:
+    """m mod p as a fresh int64 array with entries in [0, p)."""
+    return (m % p).astype(np.int64, copy=False)
+
+
+def _max_abs(m: np.ndarray) -> int:
+    # from max and min: abs(-2^63) wraps in int64
+    return max(int(m.max(initial=0)), -int(m.min(initial=0)))
+
+
+def _rref_mod_p(m: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reduced echelon rows of the integer matrix m over GF(p), their pivot
+    columns, and the rows of m they were reduced from.
+
+    The echelon of ``echelon_mod_p`` is back-substituted over its pivots,
+    last to first, so every pivot column becomes a unit vector.
+    """
+    ech, sources = echelon_mod_p(_residues(m, p), p)
+    ech = ech.copy()  # the r rows alone, not the buffer they were reduced in
+    pivots = (ech != 0).argmax(axis=1)
+    for i in range(len(ech) - 1, 0, -1):
+        c = pivots[i]
+        above = ech[:i, c].nonzero()[0]
+        if above.size:
+            ech[above, c:] = (ech[above, c:] - np.outer(ech[above, c], ech[i, c:])) % p
+    return ech, pivots, sources
+
+
+def _symmetric_crt(residues: list[tuple[int, np.ndarray]]) -> np.ndarray:
+    """The integers in (-P/2, P/2], P the product of the primes, with the
+    given int64 residues mod each prime.
+
+    Garner's steps x + P' * ((y - x) / P' mod q) combine the primes in
+    int64 while the product stays under 2^62; the other primes then only
+    confirm that every entry is already exact.  An entry they contradict
+    needs more than 62 bits, and the steps are finished in an object array
+    of Python ints.
+    """
+    (modulus, x), rest = residues[0], list(residues[1:])
+    while rest and modulus * rest[0][0] < INT64_SAFE:
+        q, y = rest.pop(0)
+        x = x + modulus * ((y - x % q) % q * pow(modulus, -1, q) % q)
+        modulus *= q
+    x = np.where(x > modulus // 2, x - modulus, x)
+    if all(np.array_equal(x % q, y) for q, y in rest):
+        return x
+    x = x.astype(object)
+    for q, y in rest:
+        x = x + modulus * ((y - _residues(x, q)) % q * pow(modulus, -1, q) % q).astype(object)
+        modulus *= q
+    return np.where(x > modulus // 2, x - modulus, x)
+
+
+def _denominator(u: int, modulus: int, bound: int) -> int | None:
+    """Wang's rational reconstruction of one residue: the denominator b of
+    the a/b with |a| <= bound, 0 < b <= bound and a = b*u mod modulus, or
+    None when the half-extended Euclidean algorithm finds none."""
+    r0, r1, s0, s1 = modulus, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if s1 == 0 or abs(s1) > bound or math.gcd(r1, s1) != 1:
+        return None
+    return abs(s1)
+
+
+# Entries of the first reconstruction pass, which finds the denominator
+# before the whole matrix is combined.
+_SAMPLE = 64
+
+
+def _reconstruct(residues: list[tuple[int, np.ndarray]]) -> tuple[np.ndarray, int] | None:
+    """Integer matrix N and common denominator D with N = D*x mod P, where x
+    has the given residues mod primes of product P.
+
+    Both are bounded by sqrt(P / 2): N is D*x in the symmetric range, and
+    while an entry of it passes the bound, the denominator of that entry
+    (Wang's reconstruction) is multiplied into D.  A strided sample of the
+    entries is reconstructed first, so a P too small for the true entries
+    is mostly rejected before the whole matrix is combined.  Returns None
+    when an entry has no reconstruction or D passes the bound.
+    """
+    modulus = math.prod(p for p, _ in residues)
+    bound = math.isqrt(modulus // 2)
+    shape = residues[0][1].shape
+    flat = [(p, x.ravel()) for p, x in residues]
+    step = max(1, flat[0][1].size // _SAMPLE)
+    sample = _symmetric_crt([(p, x[::step]) for p, x in flat]).tolist()
+    d = 1
+    while True:
+        # an entry of d*x mod P past the bound: in the sample, else anywhere
+        scaled = (w * d % modulus for w in sample)
+        u = next((v for v in scaled if bound < v < modulus - bound), None)
+        if u is None:
+            n = _symmetric_crt([(p, d % p * x % p) for p, x in flat])
+            bad = np.flatnonzero(np.abs(n) > bound)
+            if not bad.size:
+                return n.reshape(shape), d
+            u = int(n[bad[0]]) % modulus
+        b = _denominator(u, modulus, bound)
+        if b is None or d * b > bound:
+            return None
+        d *= b
+
+
+def _lifts(residues: np.ndarray, p: int, independent: np.ndarray, pivots: np.ndarray):
+    """Residues of the reduced echelon form mod p, then also mod each further
+    prime of LIFT_PRIMES while it gives the same pivots, as (prime,
+    residues) lists.
+
+    ``independent`` holds rows of the matrix that are independent mod p; the
+    reduced echelon form of the matrix is theirs when the rank over Q is
+    len(pivots).
+    """
+    lifted = [(p, residues)]
+    yield lifted
+    for q in LIFT_PRIMES[1:]:
+        more, more_pivots, _ = _rref_mod_p(independent, q)
+        if not np.array_equal(more_pivots, pivots):
+            return
+        lifted = lifted + [(q, more)]
+        yield lifted
+
+
+def _certify(m: np.ndarray, pivots: np.ndarray, n: np.ndarray, d: int) -> bool:
+    """True when d*m == m[:, pivots] @ n holds over the integers.
+
+    An entry of the difference is at most d*max|m| + r*max|m_C|*max|n| in
+    absolute value, so it is zero once it vanishes mod primes whose product
+    exceeds twice that bound.  The identity is checked mod CHECK_PRIMES one
+    at a time until the product does; False when it fails mod one of them,
+    or when the primes run out (or are too large for an exact int64 product
+    of this rank) first.
+    """
+    r = len(pivots)
+    bound = d * _max_abs(m) + r * _max_abs(m[:, pivots]) * _max_abs(n)
+    product = 1
+    for q in CHECK_PRIMES:
+        if product > 2 * bound:
+            break
+        if r * q * q >= 1 << 63:
+            return False
+        mq = _residues(m, q)
+        rhs = mq[:, pivots] @ _residues(n, q)
+        rhs %= q
+        mq *= d % q
+        mq %= q
+        if not np.array_equal(mq, rhs):
+            return False
+        product *= q
+    return product > 2 * bound
+
+
+def _echelon_rank(m: np.ndarray) -> int:
+    """Exact rank by ``IntEchelon``, one row at a time until it is full."""
+    ech = IntEchelon(m.shape[1])
+    for row in m.tolist():
         ech.add(row)
         if ech.full:
             break
     return ech.rank
+
+
+def certified_rank(matrix: np.ndarray) -> int:
+    """Exact rank over Q of an integer matrix (int64 or object ndarray).
+
+    1. r = rank mod p1 = LIFT_PRIMES[0], with pivot columns C.  Reduction
+       mod p never raises the rank, so rank_Q >= r; r = min(rows, cols) is
+       the answer.
+    2. The reduced echelon form is lifted from GF(p1), GF(p2), ...: r rows
+       of the matrix independent mod p1 (so over Q, and spanning its row
+       space if rank_Q = r) are reduced mod each further prime, which must
+       give the same pivots; the residues are combined by CRT and every
+       entry recovered by rational reconstruction, as an integer matrix N
+       (r x cols, N[:, C] = D*I) over one denominator D > 0.
+    3. The check D*M = M[:, C] @ N over Z (``_certify``) puts every column
+       of M in the span of its r columns C, so rank_Q <= r.
+    4. When the pivots differ between primes, no reconstruction passes the
+       check within LIFT_PRIMES, or the check cannot be completed, the rank
+       is computed by ``IntEchelon``.  The result is exact in every case.
+    """
+    m = np.asarray(matrix)
+    if m.ndim != 2:
+        raise ValueError("expected a 2-d matrix")
+    if m.dtype != object and not np.issubdtype(m.dtype, np.integer):
+        raise ValueError("expected an integer matrix")
+    if m.dtype == object and _max_abs(m) < 1 << 63:
+        m = m.astype(np.int64)
+    if not m.size:
+        return 0
+    p = LIFT_PRIMES[0]
+    residues, pivots, sources = _rref_mod_p(m, p)
+    r = len(pivots)
+    if r == min(m.shape):
+        return r
+    for lifted in _lifts(residues, p, m[sources], pivots):
+        candidate = _reconstruct(lifted)
+        if candidate is not None and _certify(m, pivots, *candidate):
+            return r
+    return _echelon_rank(m)

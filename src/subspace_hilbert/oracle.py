@@ -14,14 +14,15 @@ For an arrangement V_1, ..., V_m in K^n and a subset S of indices:
   complementary degree, accumulated one factor at a time.
 
 ``hilbert_table`` certifies both values of a degree with one pair of ranks
-over GF(p), p = ``PRIME``.  Reducing an integer matrix mod p never raises
-its rank, and J is contained in I, so
+over GF(p), p = ``PRIME`` (``linalg.echelon_mod_p``).  Reducing an integer
+matrix mod p never raises its rank, and J is contained in I, so
 
     rank_p(product matrix) <= dim J_d <= dim I_d <= total - rank_p(restriction matrix),
 
 and where the two ends meet both values are exact.  Only the other degrees
 (mostly those below m, where I and J differ) run the exact per-degree
-functions ``dim_intersection_ideal`` and ``dim_product_ideal``.
+functions ``dim_intersection_ideal`` (``linalg.certified_rank``) and
+``dim_product_ideal`` (``IntEchelon``, one factor at a time).
 
 Cost grows roughly with the cube of C(d+n-1, n-1), so calls are guarded by a
 configurable monomial cap.
@@ -39,20 +40,17 @@ import numpy as np
 from .arrangement import Arrangement, env_cap
 from .linalg import (
     INT64_SAFE,
+    PRIME,
     IntEchelon,
     SubspaceBasis,
-    annihilator,
-    int_rank,
+    certified_rank,
+    echelon_mod_p,
     primitive_int_vector,
 )
 from .ratpoly import binom
 
 _MONOMIAL_CAP_ENV = "SUBSPACE_HILBERT_MONOMIAL_CAP"
 _DEFAULT_MONOMIAL_CAP = 3000
-
-# Modulus of the rank certificate in hilbert_table.  Any prime is sound;
-# below 2^31 a product of two residues stays under 2^62.
-PRIME = 2**31 - 1
 
 SubsetLike = Union[int, Iterable[int]]
 
@@ -158,10 +156,6 @@ def _integer_basis(s: SubspaceBasis) -> list[list[int]]:
     return [primitive_int_vector(v) for v in s.vectors]
 
 
-def _annihilator_forms(s: SubspaceBasis) -> list[list[int]]:
-    return [primitive_int_vector(f) for f in annihilator(s)]
-
-
 @lru_cache(maxsize=None)
 def _split_first_variable(n: int, e: int) -> tuple[np.ndarray, np.ndarray]:
     """For each degree-e monomial (e >= 1): its first variable j, and the
@@ -230,7 +224,7 @@ def dim_intersection_ideal(a: Arrangement, S: SubsetLike, d: int) -> int:
     if not blocks:
         return total
     matrix = np.hstack(blocks)
-    return total - int_rank(matrix, matrix.shape[1])
+    return total - certified_rank(matrix)
 
 
 def _echelon_rows(ech: IntEchelon) -> np.ndarray:
@@ -265,7 +259,7 @@ def dim_product_ideal(a: Arrangement, S: SubsetLike, d: int) -> int:
 
     matrix = np.eye(len(monomial_basis(n, d - k)), dtype=np.int64)
     for step, i in enumerate(idxs):
-        forms = _annihilator_forms(a.subspaces[i])
+        forms = a.subspaces[i].annihilator_forms
         e = d - k + step
         maps = _raise_degree_maps(n, e)
         ncols = len(monomial_basis(n, e + 1))
@@ -290,38 +284,12 @@ def dim_product_ideal(a: Arrangement, S: SubsetLike, d: int) -> int:
     return matrix.shape[0]
 
 
-def _echelon_mod_p(m: np.ndarray, p: int) -> np.ndarray:
-    """Row-reduce m over GF(p) in place and return its nonzero rows.
-
-    m is int64 with entries in [0, p), p < 2^31, so a product of two entries
-    and a difference of two such products stay inside int64.  The rows come
-    back in echelon form with leading entries 1, spanning the row space of m.
-    """
-    rows, cols = m.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = m[r:, c].nonzero()[0]
-        if not nz.size:
-            continue
-        if nz[0]:
-            m[[r, r + nz[0]]] = m[[r + nz[0], r]]
-        if m[r, c] != 1:
-            m[r, c:] = m[r, c:] * pow(int(m[r, c]), -1, p) % p
-        below = r + 1 + m[r + 1 :, c].nonzero()[0]
-        if below.size:
-            m[below, c:] = (m[below, c:] - np.outer(m[below, c], m[r, c:])) % p
-        r += 1
-    return m[:r]
-
-
 def _rank_mod_p(blocks: list[np.ndarray], p: int) -> int:
     """Rank over GF(p) of the integer blocks placed side by side."""
     m = np.hstack([(b % p).astype(np.int64) for b in blocks])
     if m.shape[1] > m.shape[0]:
         m = m.T.copy()
-    return len(_echelon_mod_p(m, p))
+    return len(echelon_mod_p(m, p)[0])
 
 
 def _times_forms_mod_p(
@@ -342,7 +310,7 @@ def _times_forms_mod_p(
             if c % p:
                 # each term is below p, so the n terms of an entry fit int64
                 block[:, maps[:, j]] += c % p * basis % p
-        ech = _echelon_mod_p(np.vstack([ech, block % p]), p)
+        ech = echelon_mod_p(np.vstack([ech, block % p]), p)[0]
         if len(ech) >= limit:
             break
     return ech
@@ -383,7 +351,7 @@ def hilbert_table(
     full = (1 << k) - 1
     restrictions = [_restriction_matrices(_integer_basis(s), n) for s in a.subspaces]
     # the chain multiplies by the forms of V_1, ..., V_k, then by x_1, ..., x_n
-    factors = [_annihilator_forms(s) for s in a.subspaces]
+    factors = [s.annihilator_forms for s in a.subspaces]
     coordinates = np.eye(n, dtype=np.int64).tolist()
     span = np.ones((1, 1), dtype=np.int64)
     results = []

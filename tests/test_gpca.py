@@ -96,6 +96,14 @@ class TestPointCloud:
     def test_empty_cloud_allowed(self):
         assert len(PointCloud(3, [])) == 0
 
+    def test_rays_are_distinct_primitive_and_cached(self):
+        pc = PointCloud(
+            3,
+            [[2, 4, -6], [0, -3, 1], [Fraction(-1, 2), -1, Fraction(3, 2)], [0, 6, -2], [1, 1, 1]],
+        )
+        assert pc.rays == ((1, 2, -3), (0, 3, -1), (1, 1, 1))
+        assert pc.rays is pc.rays
+
 
 class TestRecoveryResult:
     def test_expansion_and_dims(self):

@@ -1,5 +1,6 @@
 """Tests for exact matrix algebra and subspace operations."""
 
+import collections
 import math
 import random
 from fractions import Fraction
@@ -9,12 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subspace_hilbert import linalg
 from subspace_hilbert.linalg import (
+    CHECK_PRIMES,
+    LIFT_PRIMES,
     IntEchelon,
     QMatrix,
     SubspaceBasis,
     annihilator,
     approx_rank,
+    certified_rank,
+    echelon_mod_p,
     int_rank,
     intersect,
     kernel,
@@ -131,6 +137,16 @@ class TestSubspaceBasis:
         s = SubspaceBasis(3, [[1, 0, 0], [0, 1, 0]])
         assert s.contains([3, -2, 0])
         assert not s.contains([0, 0, 1])
+
+
+class TestAnnihilatorForms:
+    def test_primitive_forms_of_the_annihilator_computed_once(self):
+        rng = random.Random(1019)
+        for _ in range(20):
+            s = random_subspace(rng, rng.randint(1, 5), 3)
+            forms = s.annihilator_forms
+            assert forms == tuple(tuple(primitive_int_vector(f)) for f in annihilator(s))
+            assert s.annihilator_forms is forms
 
 
 class TestSubspaceOps:
@@ -388,3 +404,198 @@ class TestIntEchelonProperties:
             np.asarray(r).tolist() for r in fresh.rows
         ]
         assert_echelon_invariant(ech)
+
+
+def _matrix(rows: list[list[int]], ncols: int) -> np.ndarray:
+    """int64 when every entry fits, else an object array of Python ints."""
+    fits = all(abs(e) < 1 << 63 for row in rows for e in row)
+    return np.array(rows, dtype=np.int64 if fits else object).reshape(len(rows), ncols)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Tall, wide and square integer matrices with entries from ``_entries``.
+
+    Half are a product A @ B with a small-entry A and an inner dimension k
+    at most min(rows, cols), so rank <= k; half are the rows of
+    ``integer_rows``.  Some rows are then zeroed.
+    """
+    if draw(st.booleans()):
+        nrows, ncols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+        k = draw(st.integers(0, min(nrows, ncols)))
+        a = draw(st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k),
+                          min_size=nrows, max_size=nrows))
+        b = draw(st.lists(st.lists(_entries, min_size=ncols, max_size=ncols),
+                          min_size=k, max_size=k))
+        rows = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(ncols)]
+                for i in range(nrows)]
+    else:
+        ncols, rows = draw(integer_rows())
+    for i in draw(st.sets(st.integers(0, max(0, len(rows) - 1)), max_size=2)):
+        if rows:
+            rows[i] = [0] * ncols
+    return ncols, rows
+
+
+def _echelon_rank(rows: list[list[int]], ncols: int) -> int:
+    ech = IntEchelon(ncols)
+    for row in rows:
+        ech.add(row)
+    return ech.rank
+
+
+_TINY_PRIMES = (2, 3, 5, 7)
+
+
+class TestCertifiedRank:
+    @settings(max_examples=150, deadline=None)
+    @given(integer_matrices())
+    def test_matches_rational_and_echelon_rank(self, case):
+        ncols, rows = case
+        expected = rank(QMatrix(rows, ncols=ncols)) if rows else 0
+        assert certified_rank(_matrix(rows, ncols)) == expected
+        assert certified_rank(np.array(rows, dtype=object).reshape(len(rows), ncols)) == expected
+        assert _echelon_rank(rows, ncols) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(integer_matrices())
+    def test_tiny_primes_stay_exact(self, case):
+        # mod 2..7 pivots disagree, reconstructions fail and checks cannot
+        # finish, so most matrices reach the IntEchelon fallback
+        ncols, rows = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "LIFT_PRIMES", _TINY_PRIMES)
+            mp.setattr(linalg, "CHECK_PRIMES", _TINY_PRIMES)
+            got = certified_rank(_matrix(rows, ncols))
+        assert got == (rank(QMatrix(rows, ncols=ncols)) if rows else 0)
+
+    def test_rejects_non_matrices(self):
+        with pytest.raises(ValueError):
+            certified_rank(np.arange(3))
+        with pytest.raises(ValueError):
+            certified_rank(np.eye(2))
+
+    def test_empty_shapes(self):
+        assert certified_rank(np.zeros((0, 4), dtype=np.int64)) == 0
+        assert certified_rank(np.zeros((3, 0), dtype=np.int64)) == 0
+        assert certified_rank(np.zeros((3, 4), dtype=np.int64)) == 0
+
+    def test_int64_extremes(self):
+        # -2^63 has no int64 absolute value; the bounds must not wrap
+        low = -(1 << 63)
+        rows = [[low, 1], [low, 1], [1, low]]
+        assert certified_rank(np.array(rows, dtype=np.int64)) == 2
+        assert certified_rank(np.array([[low, low], [low, low]], dtype=np.int64)) == 1
+
+    def test_moduli_are_distinct_primes_in_range(self):
+        def is_prime(p):
+            return p > 1 and all(p % f for f in range(2, math.isqrt(p) + 1))
+
+        assert len(set(LIFT_PRIMES)) == len(LIFT_PRIMES)
+        assert len(set(CHECK_PRIMES)) == len(CHECK_PRIMES)
+        assert all(is_prime(p) and p < 1 << 31 for p in LIFT_PRIMES)
+        assert all(is_prime(q) and q < 1 << 25 for q in CHECK_PRIMES)
+        assert LIFT_PRIMES[0] == linalg.PRIME
+
+
+class TestCertifiedRankPaths:
+    """Fixed matrices that take each way through certified_rank."""
+
+    @staticmethod
+    def run(monkeypatch, rows, lift=None, check=None):
+        calls = collections.Counter()
+
+        def counted(name, fn, outcome):
+            def wrapper(*args):
+                result = fn(*args)
+                calls[f"{name}:{outcome(result)}"] += 1
+                return result
+            monkeypatch.setattr(linalg, name, wrapper)
+
+        counted("_reconstruct", linalg._reconstruct, lambda r: r is not None)
+        counted("_certify", linalg._certify, bool)
+        counted("_echelon_rank", linalg._echelon_rank, lambda r: "ran")
+        if lift:
+            monkeypatch.setattr(linalg, "LIFT_PRIMES", lift)
+        if check:
+            monkeypatch.setattr(linalg, "CHECK_PRIMES", check)
+        return certified_rank(np.array(rows, dtype=object)), calls
+
+    def test_full_rank_mod_p_needs_no_certificate(self, monkeypatch):
+        got, calls = self.run(monkeypatch, [[2, 1, 0], [0, 3, 1]])
+        assert got == 2 and not calls
+
+    def test_certified(self, monkeypatch):
+        rows = [[3, 1, 4, 1], [6, 2, 8, 2], [5, 9, 2, 6], [8, 10, 6, 7]]
+        got, calls = self.run(monkeypatch, rows)
+        assert got == 2
+        assert calls["_certify:True"] == 1 and not calls["_echelon_rank:ran"]
+
+    def test_pivots_disagree(self, monkeypatch):
+        # pivot column 1 mod 2, column 0 mod 3
+        got, calls = self.run(monkeypatch, [[2, 3], [4, 6]], lift=_TINY_PRIMES)
+        assert got == 1
+        assert calls["_certify:False"] == 1 and calls["_echelon_rank:ran"] == 1
+
+    def test_reconstruction_fails(self, monkeypatch):
+        # 100 has no reconstruction below 2 * 3 * 5 * 7
+        got, calls = self.run(monkeypatch, [[1, 100], [2, 200]], lift=_TINY_PRIMES)
+        assert got == 1
+        assert calls["_reconstruct:False"] and calls["_echelon_rank:ran"] == 1
+
+    def test_check_cannot_finish(self, monkeypatch):
+        # the bound 1*200 + 1*2*100 needs a product of check primes past 800
+        got, calls = self.run(monkeypatch, [[1, 100], [2, 200]], check=_TINY_PRIMES)
+        assert got == 1
+        assert calls["_certify:True"] == 0 and calls["_echelon_rank:ran"] == 1
+
+    def test_unlucky_first_prime(self, monkeypatch):
+        # rank 2 over Q but 1 mod 2: no certificate for rank 1 can hold
+        got, calls = self.run(monkeypatch, [[1, 1], [1, 3], [3, 5]], lift=(2, 3))
+        assert got == 2
+        assert calls["_certify:True"] == 0 and calls["_echelon_rank:ran"] == 1
+
+
+class TestCertificate:
+    def setup_method(self):
+        rng = random.Random(1018)
+        basis = [[rng.randint(-50, 50) for _ in range(7)] for _ in range(3)]
+        combos = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(6)]
+        self.m = np.array(
+            [[sum(c * b[j] for c, b in zip(cs, basis)) for j in range(7)] for cs in combos],
+            dtype=np.int64,
+        )
+        reduced, pivots = rref(QMatrix(self.m.tolist()))
+        self.pivots = np.array(pivots)
+        entries = reduced.entries[: len(pivots)]
+        self.d = math.lcm(*(e.denominator for row in entries for e in row))
+        self.n = np.array([[int(e * self.d) for e in row] for row in entries], dtype=object)
+
+    def test_exact_rref_passes(self):
+        assert len(self.pivots) == 3
+        assert linalg._certify(self.m, self.pivots, self.n, self.d)
+
+    @pytest.mark.parametrize("shift", [1, -1, math.prod(CHECK_PRIMES[:4])])
+    def test_corrupted_entry_fails(self, shift):
+        # a shift by a product of check primes vanishes mod each of them;
+        # the larger entry must raise the bound until a further prime sees it
+        free = next(j for j in range(self.m.shape[1]) if j not in self.pivots)
+        corrupted = self.n.copy()
+        corrupted[1, free] += shift
+        assert not linalg._certify(self.m, self.pivots, corrupted, self.d)
+
+    def test_wrong_denominator_fails(self):
+        assert not linalg._certify(self.m, self.pivots, self.n, self.d + 1)
+
+
+class TestEchelonModP:
+    @settings(max_examples=60, deadline=None)
+    @given(integer_matrices(), st.sampled_from([2, 7, linalg.PRIME]))
+    def test_sources_are_independent_and_span(self, case, p):
+        ncols, rows = case
+        m = _matrix(rows, ncols)
+        ech, sources = echelon_mod_p((m % p).astype(np.int64), p)
+        r = len(ech)
+        assert len(echelon_mod_p((m[sources] % p).astype(np.int64), p)[0]) == r
+        stacked = np.vstack([ech, (m % p).astype(np.int64)])
+        assert len(echelon_mod_p(stacked, p)[0]) == r

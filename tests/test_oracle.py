@@ -18,12 +18,17 @@ from subspace_hilbert.arrangement import (
 )
 from subspace_hilbert.fixtures import fixture_arrangement
 from subspace_hilbert.hilbert import hilbert_series_J, transversal_hilbert_function
-from subspace_hilbert.linalg import QMatrix, SubspaceBasis, annihilator, rank
+from subspace_hilbert.linalg import (
+    QMatrix,
+    SubspaceBasis,
+    annihilator,
+    echelon_mod_p,
+    rank,
+)
 from subspace_hilbert.oracle import (
     GradedPieceResult,
     MonomialBasis,
     MonomialCapExceeded,
-    _echelon_mod_p,
     _raise_degree_maps,
     _restriction_matrix,
     _times_forms_mod_p,
@@ -455,10 +460,10 @@ class TestCertifiedTable:
                     for i, x in enumerate(b):
                         row[maps[i, j]] += c * x
                 reference.append([x % p for x in row])
-        expected = _echelon_mod_p(np.array(reference, dtype=np.int64), p)
+        expected, _ = echelon_mod_p(np.array(reference, dtype=np.int64), p)
         got = _times_forms_mod_p(np.array(basis, dtype=np.int64), forms, n, e, p, 10**6)
         assert len(got) == len(expected) == 3 * len(forms)
-        assert len(_echelon_mod_p(np.vstack([got, expected]), p)) == len(got)
+        assert len(echelon_mod_p(np.vstack([got, expected]), p)[0]) == len(got)
 
     @pytest.mark.parametrize(
         "name, exact_I, exact_J",
