@@ -19,8 +19,9 @@ from subspace_hilbert.fixtures import three_coordinate_axes
 
 ## Start from values alone.  Suppose the Hilbert function of an unknown
 ## union of m = 3 subspaces of Q^3 takes the values 7, 12, 18 at degrees
-## 3, 4, 5.  Recovery interpolates the Hilbert polynomial, rewrites it in a
-## binomial basis, and peels one cyclotomic-style factor per codimension.
+## 3, 4, 5.  Recovery turns the values, by integer difference steps, into
+## the first n coefficients of the product of the factors (1 - t^c), one per
+## subspace, and peels off the factors one codimension at a time.
 
 result = recover_codimensions([7, 12, 18], m=3, n=3)
 print("multiplicities by codimension:", result.multiplicities)

@@ -28,10 +28,8 @@ from .gpca import (
     InconsistentDataError,
     PointCloud,
     RecoveryResult,
-    binomial_basis_coefficients,
     end_to_end_recover,
     estimate_hilbert_value,
-    interpolate_polynomial,
     recover_codimensions,
     sample_points,
 )
@@ -55,7 +53,6 @@ from .linalg import (
     SubspaceBasis,
     annihilator,
     approx_rank,
-    intersect,
     kernel,
     rank,
     rref,
@@ -103,7 +100,6 @@ __all__ = [
     "approx_rank",
     "betti_numbers",
     "binom",
-    "binomial_basis_coefficients",
     "compute_ps_family",
     "dim_intersection_ideal",
     "dim_product_ideal",
@@ -115,8 +111,6 @@ __all__ = [
     "hilbert_polynomial_from_numerator",
     "hilbert_series_J",
     "hilbert_table",
-    "interpolate_polynomial",
-    "intersect",
     "is_series_difference_polynomial",
     "is_transversal",
     "kernel",

@@ -152,12 +152,12 @@ class DimensionFunction:
         singleton codimensions must have."""
         if any(c < 1 or c > ambient_dim for c in codims):
             raise ValueError("codimensions must lie in 1..ambient_dim")
-        m = len(codims)
-        table = []
-        for mask in range(1 << m):
-            total = sum(codims[i] for i in range(m) if mask >> i & 1)
-            table.append(ambient_dim - min(ambient_dim, total))
-        return cls(ambient_dim, m, table)
+        # c_S for every mask, doubling over the subspaces: index = mask
+        sums = [0]
+        for c in codims:
+            sums += [s + c for s in sums]
+        table = [ambient_dim - min(ambient_dim, s) for s in sums]
+        return cls(ambient_dim, len(codims), table)
 
     def dim_of(self, mask: int) -> int:
         return self.dims_by_mask[mask]
@@ -210,14 +210,10 @@ def dimension_function(arr: Arrangement) -> DimensionFunction:
 
 
 def is_transversal(df: DimensionFunction) -> bool:
-    """True when every subset codimension is min(n, sum of singleton codims)."""
-    n = df.ambient_dim
-    codims = df.singleton_codims
-    for mask in range(1 << df.num_subspaces):
-        total = sum(codims[i] for i in range(df.num_subspaces) if mask >> i & 1)
-        if df.codim_of(mask) != min(n, total):
-            return False
-    return True
+    """True when every subset codimension is min(n, sum of singleton codims),
+    i.e. the table is the transversal one for its singleton codimensions."""
+    expected = DimensionFunction.transversal(df.ambient_dim, df.singleton_codims)
+    return df.dims_by_mask == expected.dims_by_mask
 
 
 def random_arrangement(

@@ -5,8 +5,9 @@ space of degree-d forms vanishing on a point set has dimension C(d+n-1, n-1)
 minus the rank of the evaluation matrix, and with enough generic points per
 subspace this reproduces the arrangement's own graded dimensions.  Second,
 exact recovery: given the values of the Hilbert polynomial at the n
-consecutive degrees m..m+n-1 for a transversal arrangement, interpolation
-plus binomial-basis bookkeeping yields the multiset of codimensions.
+consecutive degrees m..m+n-1 for a transversal arrangement, integer
+difference steps turn them into the coefficients of the product of the
+(1 - t^{c_i}), mod t^n, and those yield the multiset of codimensions.
 
 Codimension-n components (the zero subspace) are invisible to recovery: they
 contribute a factor congruent to 1, so they surface only through the final
@@ -18,6 +19,7 @@ source can evade detection.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,24 +29,8 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .arrangement import Arrangement
-from .linalg import (
-    INT64_SAFE,
-    QMatrix,
-    approx_rank,
-    certified_rank,
-    primitive_int_vector,
-    rref,
-)
+from .linalg import INT64_SAFE, approx_rank, certified_rank, primitive_int_vector
 from .oracle import MonomialBasis, monomial_basis
-from .ratpoly import (
-    ONE,
-    QPoly,
-    QSeries,
-    poly_mod_one_minus_t_pow,
-    series_divide,
-    substitute_one_minus_t,
-)
-from .hilbert import shifted_binomial_polynomial
 
 Number = Union[int, float, Fraction]
 
@@ -195,51 +181,6 @@ def _evaluation_matrix(
     return matrix
 
 
-def interpolate_polynomial(values: Sequence[Union[int, Fraction]], start: int) -> QPoly:
-    """The unique polynomial of degree < len(values) through
-    (start, values[0]), (start+1, values[1]), ...; exact Lagrange form."""
-    if not values:
-        raise ValueError("need at least one value")
-    total = QPoly.of()
-    xs = [start + r for r in range(len(values))]
-    for r, y in enumerate(values):
-        if y == 0:
-            continue
-        term = ONE
-        denom = 1
-        for s, x in enumerate(xs):
-            if s != r:
-                term = term * QPoly.of(-x, 1)
-                denom *= xs[r] - x
-        total = total + term * Fraction(y, denom)
-    return total
-
-
-def binomial_basis_coefficients(h: QPoly, n: int) -> QPoly:
-    """Write h (a polynomial in d, degree < n) as sum a_j C(d+n-1-j, n-1).
-
-    Returns a(t) = sum a_j t^j.  The n shifted binomial polynomials form a
-    basis of the degree-< n polynomials, so the square system is solvable
-    exactly and uniquely.
-    """
-    if n < 1:
-        raise ValueError("ambient dimension must be at least 1")
-    if h.degree >= n:
-        raise ValueError("polynomial degree must stay below the ambient dimension")
-    columns = [shifted_binomial_polynomial(n, j) for j in range(n)]
-    augmented = QMatrix(
-        [
-            [columns[j].coeff(deg) for j in range(n)] + [h.coeff(deg)]
-            for deg in range(n)
-        ],
-        ncols=n + 1,
-    )
-    reduced, pivots = rref(augmented)
-    if pivots != tuple(range(n)):
-        raise ArithmeticError("shifted binomial polynomials failed to form a basis")
-    return QPoly([reduced.entries[j][n] for j in range(n)])
-
-
 def recover_codimensions(
     values: Sequence[Union[int, Fraction]], m: int, n: int
 ) -> RecoveryResult:
@@ -247,15 +188,24 @@ def recover_codimensions(
 
     values[r] must be the Hilbert function of the arrangement's vanishing
     ideal at degree m+r, for r = 0..n-1, with the arrangement transversal and
-    m the number of subspaces.  Pipeline: interpolate the degree-< n
-    polynomial, rewrite it in the shifted binomial basis as a(t), reduce to
-    b(t) = a(t) mod (1-t)^n, expand b(1-t) as a series mod t^n (congruent to
-    the product of (1-t^{c_i})), and peel off each codimension's multiplicity
-    by successive exact series division.
+    m the number of subspaces.  Everything is exact on Python ints:
 
-    Raises InconsistentDataError when any step contradicts that model:
-    non-integer basis coefficients, constant term != 1, a negative or
-    fractional multiplicity, or multiplicities that fail to account for all m
+    - the values belong to a polynomial h of degree < n, whose n-th
+      difference vanishes, so they extend back to h(0), ..., h(m-1);
+    - the generating function of h over d >= 0 is a(t)/(1-t)^n with
+      deg a < n, so a(t) = (1-t)^n sum_{d<n} h(d) t^d mod t^n, and
+      h(d) = sum_j a_j C(d+n-1-j, n-1);
+    - P(t) = a(1-t) mod t^n is congruent to the product of (1-t^{c_i})
+      (``transversal_hilbert_function`` sums the same product's
+      coefficients, in u = 1-t), so each codimension's multiplicity is
+      r_c = -P[c] once the smaller ones are divided out, and dividing by
+      1-t^c is a prefix sum with stride c.
+
+    Raises InconsistentDataError when any step contradicts that model: a
+    non-integer value (exactly when the coefficients a_j are not integers,
+    since values at n consecutive degrees and the a_j determine each other
+    unimodularly), constant term != 1, a negative multiplicity or one past
+    the subspaces left, or multiplicities that fail to account for all m
     subspaces (codimension-n components are invisible and surface here).
     """
     if n < 1:
@@ -264,32 +214,42 @@ def recover_codimensions(
         raise ValueError("the arrangement must have at least one subspace")
     if len(values) != n:
         raise ValueError(f"need exactly {n} values at degrees {m}..{m + n - 1}")
-    h = interpolate_polynomial(values, m)
-    a = binomial_basis_coefficients(h, n)
-    if any(c.denominator != 1 for c in a.coeffs):
-        raise InconsistentDataError(
-            f"binomial-basis coefficients {a.coeffs} are not integers"
-        )
-    b = poly_mod_one_minus_t_pow(a, n)
-    product = QSeries.from_poly(substitute_one_minus_t(b), n - 1)
-    if product.coeff(0) != 1:
+    h = [int(v) for v in values]
+    for r, (v, x) in enumerate(zip(values, h)):
+        if v != x:
+            raise InconsistentDataError(
+                f"Hilbert value {v} at degree {m + r} is not an integer"
+            )
+    # sum_k (-1)^k C(n, k) h(d+k) = 0 solved for h(d)
+    weights = [(-1) ** k * math.comb(n, k) for k in range(1, n + 1)]
+    for _ in range(m):
+        h.insert(0, -sum(w * x for w, x in zip(weights, h)))
+    a = h[:n]
+    for _ in range(n):
+        for j in range(n - 1, 0, -1):
+            a[j] -= a[j - 1]
+    product = [
+        (-1) ** k * sum(math.comb(j, k) * a[j] for j in range(k, n))
+        for k in range(n)
+    ]
+    if product[0] != 1:
         raise InconsistentDataError(
             "series constant term is not 1; values do not come from a "
             "transversal arrangement with this m"
         )
-    multiplicities = []
-    running = product
+    multiplicities: list[int] = []
     for c in range(1, n):
-        r_c = -running.coeff(c)
-        if r_c.denominator != 1 or r_c < 0:
+        r_c = -product[c]
+        left = m - sum(multiplicities)
+        if not 0 <= r_c <= left:
             raise InconsistentDataError(
-                f"multiplicity for codimension {c} came out as {r_c}"
+                f"multiplicity for codimension {c} came out as {r_c}, "
+                f"outside 0..{left}"
             )
-        r_c = int(r_c)
         multiplicities.append(r_c)
-        if r_c:
-            factor = (ONE - QPoly((0,) * c + (1,))) ** r_c
-            running = series_divide(running, QSeries.from_poly(factor, n - 1))
+        for _ in range(r_c):
+            for k in range(c, n):
+                product[k] += product[k - c]
     if sum(multiplicities) != m:
         raise InconsistentDataError(
             f"recovered {sum(multiplicities)} subspaces out of {m}; "

@@ -1,13 +1,12 @@
 """Exact rational matrix algebra.
 
-Reduced row echelon form, rank, kernel, subspace intersection/sum and
-annihilators, all over ``fractions.Fraction``; plus a tolerance-based rank for
-float matrices.  Integer matrices have two exact rank routes:
-``certified_rank``, a rank mod a prime certified over Q by a lifted reduced
-echelon form (the one exact-rank entry point), and ``IntEchelon``, an
-incremental fraction-free accumulator for callers that add rows one at a
-time and for the certificate's fallback.  ``echelon_mod_p`` is the one
-GF(p) eliminator.
+Reduced row echelon form, rank, kernel and annihilators, all over
+``fractions.Fraction``; plus a tolerance-based rank for float matrices.
+Integer matrices have two exact rank routes: ``certified_rank``, a rank
+mod a prime certified over Q by a lifted reduced echelon form (the one
+exact-rank entry point), and ``IntEchelon``, an incremental fraction-free
+accumulator for callers that add rows one at a time and for the
+certificate's fallback.  ``echelon_mod_p`` is the one GF(p) eliminator.
 
 Everything here is immutable after construction and safe to share across
 threads; ``SubspaceBasis.annihilator_forms`` is computed on first use and
@@ -80,12 +79,6 @@ class QMatrix:
     @property
     def nrows(self) -> int:
         return len(self.entries)
-
-    def matvec(self, v: Sequence) -> Vector:
-        vv = _to_vector(v)
-        if len(vv) != self.ncols:
-            raise ValueError("vector length does not match column count")
-        return tuple(sum((a * b for a, b in zip(row, vv)), Fraction(0)) for row in self.entries)
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
@@ -196,20 +189,6 @@ def annihilator(s: SubspaceBasis) -> tuple[Vector, ...]:
     if not s.vectors:
         return kernel(QMatrix((), ncols=s.ambient_dim)).vectors
     return kernel(QMatrix(s.vectors, ncols=s.ambient_dim)).vectors
-
-
-def sum_subspaces(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    return SubspaceBasis.span_of(a.ambient_dim, a.vectors + b.vectors)
-
-
-def intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
-    """Basis of the intersection of two subspaces."""
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    forms = annihilator(a) + annihilator(b)
-    return kernel(QMatrix(forms, ncols=a.ambient_dim))
 
 
 def spans_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:

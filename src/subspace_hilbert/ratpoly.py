@@ -181,10 +181,6 @@ class QSeries:
             raise ValueError("a series needs at least the t^0 coefficient")
         object.__setattr__(self, "coeffs", out)
 
-    @classmethod
-    def from_poly(cls, p: QPoly, order: int) -> "QSeries":
-        return cls(p.coeff(d) for d in range(order + 1))
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
@@ -193,27 +189,6 @@ class QSeries:
         if not 0 <= d <= self.order:
             raise IndexError(f"degree {d} outside truncation order {self.order}")
         return self.coeffs[d]
-
-    def _check_order(self, other: "QSeries") -> None:
-        if self.order != other.order:
-            raise ValueError("series truncation orders differ")
-
-    def __add__(self, other: "QSeries") -> "QSeries":
-        self._check_order(other)
-        return QSeries(a + b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        self._check_order(other)
-        return QSeries(a - b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __mul__(self, other: "QSeries") -> "QSeries":
-        self._check_order(other)
-        out = [Fraction(0)] * (self.order + 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                for j in range(self.order + 1 - i):
-                    out[i + j] += c * other.coeffs[j]
-        return QSeries(out)
 
     def __str__(self) -> str:
         return QPoly(self.coeffs).to_str() + f" + O(t^{self.order + 1})"
@@ -257,25 +232,13 @@ def expand_rational(numerator: QPoly, denom_power: int, order: int) -> QSeries:
 
 
 def substitute_one_minus_t(p: QPoly) -> QPoly:
-    """p(1-t), expanded.  Applying it twice gives back p."""
-    acc = ZERO
-    for c in reversed(p.coeffs):
-        acc = acc * ONE_MINUS_T + QPoly.of(c)
-    return acc
-
-
-def series_divide(a: QSeries, b: QSeries) -> QSeries:
-    """Truncated quotient q with q*b = a through the common order."""
-    a._check_order(b)
-    if b.coeffs[0] == 0:
-        raise ValueError("series divisor has zero constant term")
-    out = [Fraction(0)] * (a.order + 1)
-    for d in range(a.order + 1):
-        acc = a.coeffs[d]
-        for j in range(d):
-            acc -= out[j] * b.coeffs[d - j]
-        out[d] = acc / b.coeffs[0]
-    return QSeries(out)
+    """p(1-t), expanded: the coefficient of t^k is (-1)^k sum_{j>=k} C(j, k) p_j.
+    Applying it twice gives back p."""
+    c = p.coeffs
+    return QPoly(
+        (-1) ** k * sum(math.comb(j, k) * c[j] for j in range(k, len(c)))
+        for k in range(len(c))
+    )
 
 
 def fit_numerator(values: Sequence[Scalar], denom_power: int) -> QPoly:

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subspace_hilbert.arrangement import (
@@ -18,10 +18,8 @@ from subspace_hilbert.gpca import (
     InconsistentDataError,
     PointCloud,
     RecoveryResult,
-    binomial_basis_coefficients,
     end_to_end_recover,
     estimate_hilbert_value,
-    interpolate_polynomial,
     recover_codimensions,
     sample_points,
 )
@@ -32,6 +30,12 @@ from subspace_hilbert.hilbert import (
 from subspace_hilbert.linalg import QMatrix, SubspaceBasis, rank
 from subspace_hilbert.oracle import dim_intersection_ideal, monomial_basis
 from subspace_hilbert.ratpoly import QPoly, binom
+
+from closed_form_reference import (
+    binomial_basis_coefficients,
+    interpolate_polynomial,
+    reference_recover_codimensions,
+)
 
 
 def coordinate_axes() -> Arrangement:
@@ -74,6 +78,37 @@ def rational_clouds(draw, entries=st.integers(-12, 12)):
                 scale = draw(scales)
                 points.append([scale * x for x in point])
     return PointCloud(n, points)
+
+
+@st.composite
+def recovery_inputs(draw):
+    """(values, m, n) for recovery, with n = 1..8 and m = 1..8: Hilbert
+    values of transversal arrangements (codimension n included), the same
+    with one entry perturbed, arbitrary integers, or a vector holding a
+    non-integer Fraction."""
+    n = draw(st.integers(1, 8))
+    source = draw(st.sampled_from(["transversal", "perturbed", "arbitrary", "fraction"]))
+    if source == "arbitrary":
+        m = draw(st.integers(1, 8))
+        values = draw(st.lists(st.integers(-60, 60), min_size=n, max_size=n))
+    else:
+        codims = draw(st.lists(st.integers(1, n), min_size=1, max_size=8))
+        m = len(codims)
+        values = [transversal_hilbert_function(codims, n, d) for d in range(m, m + n)]
+    r = draw(st.integers(0, n - 1))
+    if source == "perturbed":
+        values[r] += draw(st.integers(-3, 3).filter(bool))
+    elif source == "fraction":
+        values[r] += Fraction(draw(st.integers(1, 4)), 5)
+    return values, m, n
+
+
+def recovery_outcome(recover, values, m, n):
+    """The multiplicities, or "inconsistent" when recovery rejects the data."""
+    try:
+        return recover(values, m, n).multiplicities
+    except InconsistentDataError:
+        return "inconsistent"
 
 
 class TestPointCloud:
@@ -293,6 +328,38 @@ class TestRecoverCodimensions:
         ]
         with pytest.raises(InconsistentDataError):
             recover_codimensions(values, m=2, n=3)
+
+    def test_non_integer_value_rejected(self):
+        with pytest.raises(InconsistentDataError, match="not an integer"):
+            recover_codimensions([7, Fraction(25, 2), 18], m=3, n=3)
+        assert recover_codimensions([7, Fraction(12), 18], m=3, n=3).dims == (1, 1, 1)
+
+    def test_multiplicity_past_m_rejected(self):
+        # P(t) = 1 - k t + b t^2 claims k subspaces of codimension 1 out of
+        # m = 2: recovery stops there instead of dividing by (1 - t)^k, k
+        # prefix sums.  b makes the next multiplicity -1, so a recovery
+        # without that bound also ends, at codimension 2.
+        k = 10**5
+        b = k * (k - 1) // 2 + 1
+        a = [1 - k + b, k - 2 * b, b]  # P(1 - t), the shifted binomial basis
+        values = [
+            sum(aj * binom(d + 2 - j, 2) for j, aj in enumerate(a))
+            for d in range(2, 5)
+        ]
+        with pytest.raises(
+            InconsistentDataError, match="codimension 1 came out as 100000"
+        ):
+            recover_codimensions(values, m=2, n=3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(recovery_inputs())
+    @example(([1], 1, 1))
+    @example(([7, 12, 18], 3, 3))
+    def test_matches_fraction_reference(self, case):
+        values, m, n = case
+        assert recovery_outcome(recover_codimensions, values, m, n) == (
+            recovery_outcome(reference_recover_codimensions, values, m, n)
+        )
 
 
 class TestEndToEnd:

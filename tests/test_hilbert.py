@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subspace_hilbert.arrangement import (
     Arrangement,
@@ -36,7 +38,16 @@ from subspace_hilbert.ratpoly import (
     poly_mod_one_minus_t_pow,
 )
 
-from closed_form_reference import inverse_of_t_mod
+from closed_form_reference import (
+    inverse_of_t_mod,
+    matvec,
+    reference_transversal_hilbert_function,
+)
+
+# (n, codims) with n <= 8, m <= 8 and codimension n allowed
+n_and_codims = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n), max_size=8))
+)
 
 
 def coordinate_axes() -> Arrangement:
@@ -185,7 +196,7 @@ class TestHilbertSeriesJ:
             mapped = Arrangement(
                 n,
                 [
-                    SubspaceBasis(n, [change.matvec(v) for v in s.vectors])
+                    SubspaceBasis(n, [matvec(change, v) for v in s.vectors])
                     for s in arr.subspaces
                 ],
             )
@@ -269,6 +280,15 @@ class TestTransversalSeries:
         with pytest.raises(ValueError):
             transversal_series([4], 3)
 
+    @settings(max_examples=100, deadline=None)
+    @given(n_and_codims)
+    def test_matches_product_of_factors(self, case):
+        n, codims = case
+        expected = ONE
+        for c in codims:
+            expected = expected * (ONE - one_minus_t_pow(c))
+        assert transversal_series(codims, n) == (expected, n)
+
 
 class TestSeriesDifference:
     def test_product_series_vs_transversal_form(self):
@@ -321,6 +341,25 @@ class TestTransversalHilbertFunction:
             assert transversal_hilbert_function([n - 1], n, d) == (
                 binom(d + n - 1, n - 1) - binom(d + n - 1 - (n - 1), 0)
             )
+
+    @settings(max_examples=100, deadline=None)
+    @given(n_and_codims)
+    def test_matches_subset_sum(self, case):
+        # codimension n included: its subsets reach c_S >= n and drop out
+        n, codims = case
+        for d in range(len(codims) + 5):
+            assert transversal_hilbert_function(codims, n, d) == (
+                reference_transversal_hilbert_function(codims, n, d)
+            )
+
+    def test_rejects_bad_codims(self):
+        with pytest.raises(ValueError):
+            transversal_hilbert_function([0], 3, 2)
+        with pytest.raises(ValueError):
+            transversal_hilbert_function([4], 3, 2)
+
+    def test_negative_degree_is_zero(self):
+        assert transversal_hilbert_function([1, 2], 3, -1) == 0
 
     def test_matches_product_series_coefficients(self):
         rng = random.Random(908)
