@@ -1,0 +1,179 @@
+"""Per-degree cost of the oracle table: hilbert_table times and fallbacks.
+
+Two parts, both on seeded arrangements (``random_arrangement``), so two
+source trees can be measured on the same inputs:
+
+- **Per degree.**  For ``INSTANCES`` arrangements in Q^5 for each m = 2, 3,
+  4 (dimensions drawn from 0..4), and every d <= 8: the time of
+  ``hilbert_table(arr, d)``, best of ``--repeat`` runs, and for each degree
+  whether dim I_d and dim J_d closed by the GF(p) bracket or fell back to
+  the exact ``dim_intersection_ideal`` / ``dim_product_ideal``.  The
+  fallbacks come from wrapping those two functions around one extra,
+  untimed call.
+- **Near the monomial cap.**  Four larger cases (Q^6 dims [1,1,1] to d = 9,
+  Q^7 [2,3] to d = 7, Q^4 [1,1,2,1] to d = 16, Q^5 [1,2] to d = 10), each
+  run ``--repeat`` times in a fresh interpreter: the best ``hilbert_table``
+  time and the largest peak RSS (``ru_maxrss``), next to the peak RSS of a
+  fresh interpreter that only builds the arrangement.
+
+Usage, from the repository root::
+
+    PYTHONPATH=src python3 benchmarks/oracle_scaling.py --label after
+
+Results are merged into ``benchmarks/BENCH_oracle.json`` under the label,
+replacing an earlier entry of the same name.  To measure another checkout,
+point ``PYTHONPATH`` at its ``src`` (e.g. ``--label before``); the fresh
+interpreters import the package from the same place.  Everything runs one
+call at a time.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import random
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+import subspace_hilbert
+from subspace_hilbert import oracle
+from subspace_hilbert.arrangement import random_arrangement
+
+N = 5
+D_MAX = 8
+MS = (2, 3, 4)
+INSTANCES = 4
+SEED = 20261018
+NEAR_CAP = (
+    (6, (1, 1, 1), 9),
+    (7, (2, 3), 7),
+    (4, (1, 1, 2, 1), 16),
+    (5, (1, 2), 10),
+)
+DEFAULT_OUT = Path(__file__).with_name("BENCH_oracle.json")
+
+# One near-cap case in a fresh interpreter: argv is n, dims, d, seed, and
+# d = -1 builds the arrangement only.  Prints seconds and peak RSS in KiB.
+CHILD = """
+import json, resource, sys, time
+from subspace_hilbert.arrangement import random_arrangement
+from subspace_hilbert.oracle import hilbert_table
+n, dims, d, seed = int(sys.argv[1]), json.loads(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
+arr = random_arrangement(n, dims, seed)
+start = time.perf_counter()
+if d >= 0:
+    hilbert_table(arr, d)
+elapsed = time.perf_counter() - start
+print(json.dumps([elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))
+"""
+
+
+def best_of(repeat: int, fn, *args) -> float:
+    times = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        fn(*args)
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def closing(arr) -> tuple[list[str], list[str]]:
+    """Per degree, "bracket" or "exact" for I and for J."""
+    exact = {"I": set(), "J": set()}
+
+    def spy(key, fn):
+        def wrapper(a, S, d):
+            exact[key].add(d)
+            return fn(a, S, d)
+
+        return wrapper
+
+    saved = oracle.dim_intersection_ideal, oracle.dim_product_ideal
+    oracle.dim_intersection_ideal = spy("I", saved[0])
+    oracle.dim_product_ideal = spy("J", saved[1])
+    try:
+        oracle.hilbert_table(arr, D_MAX)
+    finally:
+        oracle.dim_intersection_ideal, oracle.dim_product_ideal = saved
+    return tuple(
+        ["exact" if d in exact[key] else "bracket" for d in range(D_MAX + 1)]
+        for key in ("I", "J")
+    )
+
+
+def per_degree(repeat: int) -> dict:
+    rng = random.Random(SEED)
+    cases = {}
+    for m in MS:
+        for k in range(INSTANCES):
+            dims = [rng.randint(0, N - 1) for _ in range(m)]
+            seed = rng.randrange(1 << 30)
+            arr = random_arrangement(N, dims, seed)
+            I, J = closing(arr)
+            cases[f"m={m} #{k}"] = {
+                "dims": dims,
+                "seed": seed,
+                "hilbert_table_s": [
+                    round(best_of(repeat, oracle.hilbert_table, arr, d), 5)
+                    for d in range(D_MAX + 1)
+                ],
+                "I": I,
+                "J": J,
+            }
+            print(f"m={m} #{k}", json.dumps(cases[f"m={m} #{k}"]), file=sys.stderr, flush=True)
+    return cases
+
+
+def fresh(n: int, dims, d: int, seed: int) -> tuple[float, float]:
+    env = dict(os.environ, PYTHONPATH=str(Path(subspace_hilbert.__file__).parents[1]))
+    argv = [sys.executable, "-c", CHILD, str(n), json.dumps(list(dims)), str(d), str(seed)]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
+    seconds, rss_kb = json.loads(out)
+    return seconds, rss_kb / 1024
+
+
+def near_cap(repeat: int) -> dict:
+    cases = {}
+    for n, dims, d in NEAR_CAP:
+        runs = [fresh(n, dims, d, SEED) for _ in range(repeat)]
+        cases[f"n={n} dims={list(dims)} d={d}"] = {
+            "monomials": len(oracle.monomial_basis(n, d)),
+            "hilbert_table_s": round(min(t for t, _ in runs), 4),
+            "peak_rss_mb": round(max(r for _, r in runs), 1),
+            "arrangement_only_rss_mb": round(fresh(n, dims, -1, SEED)[1], 1),
+        }
+        print(n, dims, d, json.dumps(cases[f"n={n} dims={list(dims)} d={d}"]), file=sys.stderr, flush=True)
+    return cases
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
+    args = parser.parse_args(argv)
+    entry = {
+        "machine": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpus": os.cpu_count(),
+        },
+        "per_degree": per_degree(args.repeat),
+        "near_cap": near_cap(args.repeat),
+    }
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc["description"] = __doc__.splitlines()[0]
+    doc["n"], doc["d_max"], doc["seed"] = N, D_MAX, SEED
+    doc[args.label] = entry
+    args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

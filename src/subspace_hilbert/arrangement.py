@@ -28,7 +28,7 @@ from .linalg import (
     IntEchelon,
     QMatrix,
     SubspaceBasis,
-    int_rank,
+    certified_rank,
     rank,
 )
 
@@ -180,15 +180,16 @@ def dimension_function(arr: Arrangement) -> DimensionFunction:
     each child adding an index above its parent's highest one, with one
     echelon: a child adds its subspace's forms to it, and on return the
     echelon is truncated back to the parent's rank.  The rank of all the
-    forms together (``int_rank``) is the largest codim any mask can have,
-    so elimination stops there, and a mask that reaches it (in particular a
-    saturated one, codim n) passes it to every superset without further
-    work.
+    forms together (``certified_rank``) is the largest codim any mask can
+    have, so elimination stops there, and a mask that reaches it (in
+    particular a saturated one, codim n) passes it to every superset without
+    further work.
     """
     n = arr.ambient_dim
     m = arr.num_subspaces
     forms = [s.annihilator_forms for s in arr.subspaces]
-    ceiling = int_rank((f for fs in forms for f in fs), n)
+    stacked = [f for fs in forms for f in fs]
+    ceiling = certified_rank(np.array(stacked, dtype=object).reshape(len(stacked), n))
     dims = [n - ceiling] * (1 << m)
     dims[0] = n
     echelon = IntEchelon(n)

@@ -212,6 +212,8 @@ def analyze_document(
     betti = betti_numbers(hs)
     hp = hs.hilbert_polynomial()
     transversal = is_transversal(df)
+    # before the Hilbert-function values: a degree past the cap fails at once
+    table = hilbert_table(arr, max_degree) if with_oracle else None
     m = arr.num_subspaces
     doc: dict[str, Any] = {
         "n": arr.ambient_dim,
@@ -257,8 +259,7 @@ def analyze_document(
                 for d in range(m, max_degree + 1)
             ],
         }
-    if with_oracle:
-        table = hilbert_table(arr, max_degree)
+    if table is not None:
         dim_i = [r.dim_I for r in table]
         dim_j = [r.dim_J for r in table]
         agrees = list(hs.table(max_degree)) == dim_j

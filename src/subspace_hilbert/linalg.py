@@ -368,15 +368,6 @@ class IntEchelon:
         return False
 
 
-def int_rank(rows: Iterable[Sequence[int]], ncols: int) -> int:
-    """Exact rank of a collection of integer rows: ``certified_rank`` of
-    their matrix."""
-    rows = [[int(e) for e in row] for row in rows]
-    if any(len(row) != ncols for row in rows):
-        raise ValueError("row length does not match column count")
-    return certified_rank(np.array(rows, dtype=object).reshape(len(rows), ncols))
-
-
 def echelon_mod_p(m: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Row-reduce m over GF(p) in place; return its nonzero rows and their sources.
 

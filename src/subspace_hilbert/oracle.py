@@ -11,7 +11,9 @@ For an arrangement V_1, ..., V_m in K^n and a subset S of indices:
   time from a parametrization x = B^T u of each V_i;
 * the product ideal's piece (J_S)_d is spanned by all products of one
   annihilating linear form per chosen subspace times a monomial of the
-  complementary degree, accumulated one factor at a time.
+  complementary degree, accumulated one factor at a time.  One builder,
+  ``_times_forms``, makes those products for the GF(p) bracket and for the
+  exact route alike.
 
 ``hilbert_table`` certifies both values of a degree with one pair of ranks
 over GF(p), p = ``PRIME`` (``linalg.echelon_mod_p``).  Reducing an integer
@@ -239,13 +241,36 @@ def _echelon_rows(ech: IntEchelon) -> np.ndarray:
     )
 
 
+def _times_forms(basis: np.ndarray, forms: Sequence[Sequence[int]], n: int, e: int) -> np.ndarray:
+    """The products f * b of each linear form f with each row b of basis.
+
+    basis holds degree-e forms over the degree-e monomials.  The result has
+    one block of len(basis) rows per form, in the order of forms, over the
+    degree-(e+1) monomials.  An entry sums at most n terms c * v, so the
+    matrix is int64 while n * max|basis| * max|c| < 2^62 and an object array
+    of Python ints from there on.
+    """
+    maps = _raise_degree_maps(n, e)
+    row_max = int(np.abs(basis).max(initial=0))
+    coeff_max = max(abs(c) for f in forms for c in f)
+    dtype = np.int64 if n * row_max * coeff_max < INT64_SAFE else object
+    basis = basis.astype(dtype, copy=False)
+    out = np.zeros((len(forms), len(basis), len(monomial_basis(n, e + 1))), dtype=dtype)
+    for block, f in zip(out, forms):
+        for j, c in enumerate(f):
+            if c:
+                block[:, maps[:, j]] += c * basis
+    return out.reshape(-1, out.shape[2])
+
+
 def dim_product_ideal(a: Arrangement, S: SubsetLike, d: int) -> int:
     """dim of the degree-d piece of the product of the chosen ideals.
 
     The piece is spanned by products of one annihilating form per chosen
     subspace and a monomial of degree d-|S|; the span is accumulated one
-    factor at a time, reducing to an independent set after each factor, which
-    spans the same space by bilinearity of multiplication.
+    factor at a time (``_times_forms``), reducing to an independent set
+    after each factor, which spans the same space by bilinearity of
+    multiplication.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
@@ -259,25 +284,10 @@ def dim_product_ideal(a: Arrangement, S: SubsetLike, d: int) -> int:
 
     matrix = np.eye(len(monomial_basis(n, d - k)), dtype=np.int64)
     for step, i in enumerate(idxs):
-        forms = a.subspaces[i].annihilator_forms
-        e = d - k + step
-        maps = _raise_degree_maps(n, e)
-        ncols = len(monomial_basis(n, e + 1))
-        # each entry of a product row sums at most n terms c * v
-        row_max = int(np.max(np.abs(matrix))) if matrix.size else 0
-        coeff_max = max(abs(c) for f in forms for c in f)
-        dtype = np.int64 if n * row_max * coeff_max < INT64_SAFE else object
-        matrix = matrix.astype(dtype, copy=False)
-        ech = IntEchelon(ncols)
-        for f in forms:
-            out = np.zeros((matrix.shape[0], ncols), dtype=dtype)
-            for j, c in enumerate(f):
-                if c:
-                    out[:, maps[:, j]] += c * matrix
-            for row in out:
-                ech.add(row)
-                if ech.full:
-                    break
+        products = _times_forms(matrix, a.subspaces[i].annihilator_forms, n, d - k + step)
+        ech = IntEchelon(products.shape[1])
+        for row in products:
+            ech.add(row)
             if ech.full:
                 break
         matrix = _echelon_rows(ech)
@@ -290,30 +300,6 @@ def _rank_mod_p(blocks: list[np.ndarray], p: int) -> int:
     if m.shape[1] > m.shape[0]:
         m = m.T.copy()
     return len(echelon_mod_p(m, p)[0])
-
-
-def _times_forms_mod_p(
-    basis: np.ndarray, forms: Sequence[Sequence[int]], n: int, e: int, p: int, limit: int
-) -> np.ndarray:
-    """GF(p) echelon basis of the products f * b, f a linear form, b a row of basis.
-
-    basis holds degree-e forms mod p.  The products of one form are reduced
-    together with the rows kept so far before the next form is taken, and
-    the loop stops once the rank reaches limit, an upper bound on it.
-    """
-    maps = _raise_degree_maps(n, e)
-    ncols = len(monomial_basis(n, e + 1))
-    ech = np.empty((0, ncols), dtype=np.int64)
-    for f in forms:
-        block = np.zeros((len(basis), ncols), dtype=np.int64)
-        for j, c in enumerate(f):
-            if c % p:
-                # each term is below p, so the n terms of an entry fit int64
-                block[:, maps[:, j]] += c % p * basis % p
-        ech = echelon_mod_p(np.vstack([ech, block % p]), p)[0]
-        if len(ech) >= limit:
-            break
-    return ech
 
 
 def hilbert_table(
@@ -331,7 +317,9 @@ def hilbert_table(
 
     The product span mod p is carried from degree to degree: J_d mod p is
     J_{d-1} mod p times the forms of V_d while d <= m, and times x_1, ...,
-    x_n after that, since J is generated in degree m.
+    x_n after that, since J is generated in degree m.  Each degree stacks
+    the products of the carried span with all of its forms
+    (``_times_forms``), reduces them mod p and takes one elimination.
 
     Refuses degrees whose monomial count exceeds the cap (argument, else the
     SUBSPACE_HILBERT_MONOMIAL_CAP environment variable, else 3000).
@@ -363,9 +351,9 @@ def hilbert_table(
         upper_I = total - rank_I
         if d:
             forms = factors[d - 1] if d <= k else coordinates
-            span = _times_forms_mod_p(
-                span, forms, n, d - 1, p, upper_I if d >= k else total
-            )
+            products = _times_forms(span, forms, n, d - 1)
+            products %= p
+            span = echelon_mod_p(products.astype(np.int64, copy=False), p)[0]
         lower_J = len(span) if d >= k else 0
         if lower_J == upper_I:
             dim_I = dim_J = lower_J

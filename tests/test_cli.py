@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import arrangement_kinds
+from subspace_hilbert import cli
 from subspace_hilbert.arrangement import Arrangement
 from subspace_hilbert.cli import (
     EXIT_DATA,
@@ -186,6 +187,18 @@ class TestAnalyzeCommand:
         path = str(fixture_path("three-coordinate-axes"))
         assert main(["analyze", path, "--max-degree", "6", "--oracle"]) == EXIT_DATA
         assert "cap" in capsys.readouterr().err
+
+    def test_monomial_cap_checked_before_hilbert_values(self, capsys, monkeypatch):
+        # the transversal values run over every degree m..D: the oracle's
+        # cap must refuse D first, before any of them is computed
+        def spy(*args):
+            raise AssertionError("transversal_hilbert_function called")
+
+        monkeypatch.setattr(cli, "transversal_hilbert_function", spy)
+        path = str(fixture_path("three-coordinate-axes"))
+        argv = ["analyze", path, "--max-degree", str(10**9), "--oracle"]
+        assert main(argv) == EXIT_DATA
+        assert "above the cap" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "name, raw, flags",

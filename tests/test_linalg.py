@@ -21,7 +21,6 @@ from subspace_hilbert.linalg import (
     approx_rank,
     certified_rank,
     echelon_mod_p,
-    int_rank,
     kernel,
     primitive_int_vector,
     rank,
@@ -255,14 +254,14 @@ class TestIntEchelon:
         for _ in range(60):
             nrows, ncols = rng.randint(1, 10), rng.randint(1, 10)
             rows = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)]
-            assert int_rank(rows, ncols) == rank(QMatrix(rows, ncols=ncols))
+            assert certified_rank(_matrix(rows, ncols)) == rank(QMatrix(rows, ncols=ncols))
 
     def test_large_entries_fall_back_exactly(self):
         big = 10**30
         rows = [[big, big + 1, 0], [big + 1, big, 0], [1, 1, 1]]
-        assert int_rank(rows, 3) == 3
+        assert certified_rank(_matrix(rows, 3)) == 3
         rows = [[big, 2 * big], [3 * big, 6 * big]]
-        assert int_rank(rows, 2) == 1
+        assert certified_rank(_matrix(rows, 2)) == 1
 
     def test_accumulated_overflow_is_avoided(self):
         # Repeated cross-multiplications grow entries; the result must still
@@ -273,13 +272,13 @@ class TestIntEchelon:
             rows = [
                 [rng.randint(-10**9, 10**9) for _ in range(ncols)] for _ in range(8)
             ]
-            assert int_rank(rows, ncols) == rank(QMatrix(rows, ncols=ncols))
+            assert certified_rank(_matrix(rows, ncols)) == rank(QMatrix(rows, ncols=ncols))
 
     def test_zero_rows_and_columns(self):
         ech = IntEchelon(3)
         assert not ech.add([0, 0, 0])
         assert ech.rank == 0
-        assert int_rank([], 5) == 0
+        assert certified_rank(_matrix([], 5)) == 0
 
     def test_full_flag(self):
         ech = IntEchelon(2)

@@ -29,9 +29,8 @@ from subspace_hilbert.oracle import (
     GradedPieceResult,
     MonomialBasis,
     MonomialCapExceeded,
-    _raise_degree_maps,
     _restriction_matrix,
-    _times_forms_mod_p,
+    _times_forms,
     dim_intersection_ideal,
     dim_product_ideal,
     hilbert_table,
@@ -120,6 +119,20 @@ def naive_dim_product(arr: Arrangement, idxs: tuple[int, ...], d: int) -> int:
                 row[basis_d.position(exps)] = c
             rows.append(row)
     return rank(QMatrix(rows, ncols=len(basis_d)))
+
+
+def python_products(basis: list[list[int]], forms: list[list[int]], n: int, e: int) -> list[list[int]]:
+    """Rows f * b in Python ints, one block per form, over the degree-(e+1) monomials."""
+    target = monomial_basis(n, e + 1)
+    rows = []
+    for f in forms:
+        for b in basis:
+            row = [0] * len(target)
+            for exps, x in zip(monomial_basis(n, e).monomials, b):
+                for j, c in enumerate(f):
+                    row[target.position(exps[:j] + (exps[j] + 1,) + exps[j + 1 :])] += c * x
+            rows.append(row)
+    return rows
 
 
 def substitution_images(basis: list[list[int]], n: int, d: int) -> list[dict]:
@@ -444,26 +457,30 @@ class TestCertifiedTable:
         ]
 
     def test_products_mod_p_match_python_ints(self):
-        # entries p - 1 times a form coefficient -1 put every term near 2^62,
-        # so an entry summing three terms would pass int64 unless each is reduced
+        # entries p - 1 times form coefficients -1 and 2: exact int64
+        # products, reduced mod p before the one elimination of the chain
         p, n, e = oracle.PRIME, 5, 4
         rng = random.Random(1007)
         width = len(monomial_basis(n, e))
         basis = [[p - 1] * width] + [[rng.randrange(p) for _ in range(width)] for _ in range(2)]
         forms = [[-1, -1, -1, 0, 2], [0, -1, -1, -1, -1]]
-        maps = _raise_degree_maps(n, e)
-        reference = []
-        for f in forms:
-            for b in basis:
-                row = [0] * len(monomial_basis(n, e + 1))
-                for j, c in enumerate(f):
-                    for i, x in enumerate(b):
-                        row[maps[i, j]] += c * x
-                reference.append([x % p for x in row])
-        expected, _ = echelon_mod_p(np.array(reference, dtype=np.int64), p)
-        got = _times_forms_mod_p(np.array(basis, dtype=np.int64), forms, n, e, p, 10**6)
+        exact = python_products(basis, forms, n, e)
+        expected, _ = echelon_mod_p(np.array([[x % p for x in row] for row in exact]), p)
+        products = _times_forms(np.array(basis, dtype=np.int64), forms, n, e)
+        assert products.dtype == np.int64 and products.tolist() == exact
+        got, _ = echelon_mod_p((products % p).astype(np.int64), p)
         assert len(got) == len(expected) == 3 * len(forms)
         assert len(echelon_mod_p(np.vstack([got, expected]), p)[0]) == len(got)
+
+    def test_products_past_int64_are_python_ints(self):
+        # n * max|basis| * max|c| = 3 * 2^41 * 2^22 passes 2^62, and single
+        # products 2^41 * 2^22 = 2^63 already wrap int64
+        n, e = 3, 2
+        basis = [[2**41, -1, 0, 3, 0, 2**41 - 5], [1, 2, 3, 4, 5, -(2**41)]]
+        forms = [[2**22, -1, 0], [0, 3, -(2**22)], [1, 1, 1]]
+        got = _times_forms(np.array(basis, dtype=np.int64), forms, n, e)
+        assert got.dtype == object
+        assert got.tolist() == python_products(basis, forms, n, e)
 
     @pytest.mark.parametrize(
         "name, exact_I, exact_J",
