@@ -15,19 +15,14 @@ from subspace_hilbert import (
     transversal_hilbert_function,
     transversal_series,
 )
-from subspace_hilbert.fixtures import (
-    three_axis_planes,
-    three_coordinate_axes,
-    three_coplanar_lines,
-    three_pencil_planes,
-)
+from subspace_hilbert.fixtures import fixture_arrangement
 
 ## Pair one: the coordinate axes versus three coplanar lines in Q^3.
 ## Every pairwise and triple intersection is the origin in both cases, so
 ## the dimension functions agree.
 
-axes = three_coordinate_axes()
-coplanar = three_coplanar_lines()
+axes = fixture_arrangement("three-coordinate-axes")
+coplanar = fixture_arrangement("three-coplanar-lines")
 df_axes = dimension_function(axes)
 df_coplanar = dimension_function(coplanar)
 print("dimension functions equal:", df_axes.dims_by_mask == df_coplanar.dims_by_mask)
@@ -49,8 +44,8 @@ print("dim I_d, coplanar lines:", [r.dim_I for r in table_coplanar])
 ## Pair two, in Q^4: three planes through a common line, either spanning
 ## the space or squeezed into a hyperplane.  Same dimension function again.
 
-spanning = three_axis_planes()
-flattened = three_pencil_planes()
+spanning = fixture_arrangement("three-axis-planes")
+flattened = fixture_arrangement("three-pencil-planes")
 hs_spanning = hilbert_series_J(dimension_function(spanning))
 hs_flattened = hilbert_series_J(dimension_function(flattened))
 print("product series equal in Q^4:", hs_spanning == hs_flattened)

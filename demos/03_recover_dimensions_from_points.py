@@ -15,7 +15,7 @@ from subspace_hilbert import (
     sample_points,
     transversal_hilbert_function,
 )
-from subspace_hilbert.fixtures import three_coordinate_axes
+from subspace_hilbert.fixtures import fixture_arrangement
 
 ## Start from values alone.  Suppose the Hilbert function of an unknown
 ## union of m = 3 subspaces of Q^3 takes the values 7, 12, 18 at degrees
@@ -31,7 +31,7 @@ print("dimensions:  ", result.dims)
 ## Now end to end from points.  Sample ten exact rational points from each
 ## coordinate axis and estimate the Hilbert values by rank computations.
 
-axes = three_coordinate_axes()
+axes = fixture_arrangement("three-coordinate-axes")
 cloud = sample_points(axes, 10, seed=2718)
 print(f"points sampled: {len(cloud.points)} (exact: {cloud.exact})")
 values = [estimate_hilbert_value(cloud, d) for d in (3, 4, 5)]

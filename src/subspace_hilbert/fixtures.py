@@ -9,122 +9,46 @@ a dimension function, so the product-ideal series agree while the
 intersection-ideal tables differ — the standard witness that only the product
 ideal's series is determined by the dimension function.
 
-Each fixture also ships as a JSON document under ``data/`` in the package, in
-the arrangement file format the command-line interface reads.
+Each fixture is defined only by its JSON document under ``data/`` in the
+package, in the arrangement file format the command-line interface reads.
 """
 
 from __future__ import annotations
 
+import json
 from importlib import resources
 from pathlib import Path
-from typing import Callable
 
 from .arrangement import Arrangement
-from .linalg import SubspaceBasis
 
-_DESCRIPTIONS = {
-    "three-coordinate-axes": "three coordinate axes in Q^3",
-    "three-coplanar-lines": "three coplanar lines in Q^3",
-    "three-axis-planes": "three planes in Q^4 through a common line",
-    "three-pencil-planes": (
-        "three planes in Q^4 through a common line, inside a common hyperplane"
-    ),
-}
-
-
-def three_coordinate_axes() -> Arrangement:
-    """The coordinate axes of Q^3; transversal."""
-    return Arrangement(
-        3,
-        [
-            SubspaceBasis(3, [[1, 0, 0]]),
-            SubspaceBasis(3, [[0, 1, 0]]),
-            SubspaceBasis(3, [[0, 0, 1]]),
-        ],
-    )
-
-
-def three_coplanar_lines() -> Arrangement:
-    """Three distinct lines in the plane z = 0 of Q^3; transversal.
-
-    Same dimension function as the coordinate axes, but a linear form
-    vanishes on the union, so the intersection ideal starts in degree 1.
-    """
-    return Arrangement(
-        3,
-        [
-            SubspaceBasis(3, [[1, 0, 0]]),
-            SubspaceBasis(3, [[0, 1, 0]]),
-            SubspaceBasis(3, [[1, 1, 0]]),
-        ],
-    )
-
-
-def three_axis_planes() -> Arrangement:
-    """Three planes in Q^4 meeting pairwise in the e4 axis; not transversal."""
-    return Arrangement(
-        4,
-        [
-            SubspaceBasis(4, [[1, 0, 0, 0], [0, 0, 0, 1]]),
-            SubspaceBasis(4, [[0, 1, 0, 0], [0, 0, 0, 1]]),
-            SubspaceBasis(4, [[0, 0, 1, 0], [0, 0, 0, 1]]),
-        ],
-    )
-
-
-def three_pencil_planes() -> Arrangement:
-    """Three planes in Q^4 through the e4 axis, all inside x3 = 0.
-
-    Same dimension function as the axis planes, but the common hyperplane
-    changes the intersection ideal (a linear form vanishes on the union).
-    """
-    return Arrangement(
-        4,
-        [
-            SubspaceBasis(4, [[1, 0, 0, 0], [0, 0, 0, 1]]),
-            SubspaceBasis(4, [[0, 1, 0, 0], [0, 0, 0, 1]]),
-            SubspaceBasis(4, [[1, 1, 0, 0], [0, 0, 0, 1]]),
-        ],
-    )
-
-
-FIXTURE_BUILDERS: dict[str, Callable[[], Arrangement]] = {
-    "three-coordinate-axes": three_coordinate_axes,
-    "three-coplanar-lines": three_coplanar_lines,
-    "three-axis-planes": three_axis_planes,
-    "three-pencil-planes": three_pencil_planes,
-}
+# selftest reports the fixtures in this order
+_NAMES = (
+    "three-coordinate-axes",
+    "three-coplanar-lines",
+    "three-axis-planes",
+    "three-pencil-planes",
+)
 
 
 def fixture_names() -> tuple[str, ...]:
-    return tuple(FIXTURE_BUILDERS)
-
-
-def fixture_arrangement(name: str) -> Arrangement:
-    try:
-        return FIXTURE_BUILDERS[name]()
-    except KeyError:
-        raise ValueError(f"unknown fixture {name!r}") from None
-
-
-def fixture_document(name: str) -> dict:
-    """The arrangement-file document for a fixture (rationals as strings)."""
-    a = fixture_arrangement(name)
-    return {
-        "n": a.ambient_dim,
-        "name": _DESCRIPTIONS[name],
-        "subspaces": [
-            [[str(x) for x in v] for v in s.vectors] for s in a.subspaces
-        ],
-    }
+    return _NAMES
 
 
 def fixture_path(name: str) -> Path:
     """Filesystem path of the shipped JSON document for a fixture."""
-    if name not in FIXTURE_BUILDERS:
+    if name not in _NAMES:
         raise ValueError(f"unknown fixture {name!r}")
     return Path(str(resources.files(__package__) / "data" / f"{name}.json"))
 
 
 def fixture_text(name: str) -> str:
     return fixture_path(name).read_text(encoding="utf-8")
+
+
+def fixture_arrangement(name: str) -> Arrangement:
+    """The fixture's arrangement, parsed from its shipped file."""
+    # imported here because cli imports this module
+    from .cli import parse_arrangement_document
+
+    arrangement, _ = parse_arrangement_document(json.loads(fixture_text(name)))
+    return arrangement

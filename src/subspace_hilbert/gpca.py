@@ -30,7 +30,7 @@ import numpy as np
 
 from .arrangement import Arrangement
 from .linalg import INT64_SAFE, approx_rank, certified_rank, primitive_int_vector
-from .oracle import MonomialBasis, monomial_basis
+from .oracle import MonomialBasis, check_monomial_cap, monomial_basis
 
 Number = Union[int, float, Fraction]
 
@@ -67,7 +67,10 @@ class PointCloud:
             if exact:
                 out.append(tuple(Fraction(x) for x in p))
             else:
-                out.append(tuple(float(x) for x in p))
+                coords = tuple(float(x) for x in p)
+                if not all(map(math.isfinite, coords)):
+                    raise ValueError("point entries must be finite")
+                out.append(coords)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "points", tuple(out))
         object.__setattr__(self, "exact", exact)
@@ -136,10 +139,14 @@ def estimate_hilbert_value(pc: PointCloud, d: int, tol: float | None = None) -> 
     array of Python ints otherwise, and its exact rank is
     ``certified_rank``'s.  Float clouds (or an explicit tol) use
     tolerance-based elimination, defaulting to a relative 1e-8.
+
+    Raises MonomialCapExceeded, before any basis is built, when degree d
+    needs more monomials than ``oracle.check_monomial_cap`` allows.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
     n = pc.ambient_dim
+    check_monomial_cap(n, d)
     basis = monomial_basis(n, d)
     total = len(basis)
     if not pc.points:
@@ -188,25 +195,28 @@ def recover_codimensions(
 
     values[r] must be the Hilbert function of the arrangement's vanishing
     ideal at degree m+r, for r = 0..n-1, with the arrangement transversal and
-    m the number of subspaces.  Everything is exact on Python ints:
+    m the number of subspaces.  Everything is exact on Python ints, in
+    O(n^2) big-integer operations for any m (only the result's codims tuple
+    has m entries):
 
-    - the values belong to a polynomial h of degree < n, whose n-th
-      difference vanishes, so they extend back to h(0), ..., h(m-1);
-    - the generating function of h over d >= 0 is a(t)/(1-t)^n with
-      deg a < n, so a(t) = (1-t)^n sum_{d<n} h(d) t^d mod t^n, and
-      h(d) = sum_j a_j C(d+n-1-j, n-1);
-    - P(t) = a(1-t) mod t^n is congruent to the product of (1-t^{c_i})
+    - the values belong to the polynomial h(d) = sum_{c<n} P[c]
+      C(d+n-1-c, n-1-c), where P is the product of the (1-t^{c_i}) mod t^n
       (``transversal_hilbert_function`` sums the same product's
-      coefficients, in u = 1-t), so each codimension's multiplicity is
-      r_c = -P[c] once the smaller ones are divided out, and dividing by
-      1-t^c is a prefix sum with stride c.
+      coefficients, in u = 1-t);
+    - the j-th forward difference of C(d+k, k) is C(d+k, k-j), so the j-th
+      difference of the values at degree m is sum_c P[c]
+      C(m+n-1-c, n-1-c-j): unitriangular in P, solved from the top
+      difference (which is P[0]) down;
+    - each codimension's multiplicity is r_c = -P[c] once the smaller ones
+      are divided out, and dividing by (1-t^c)^r multiplies by
+      sum_j C(j+r-1, j) t^{cj}.
 
     Raises InconsistentDataError when any step contradicts that model: a
-    non-integer value (exactly when the coefficients a_j are not integers,
-    since values at n consecutive degrees and the a_j determine each other
-    unimodularly), constant term != 1, a negative multiplicity or one past
-    the subspaces left, or multiplicities that fail to account for all m
-    subspaces (codimension-n components are invisible and surface here).
+    non-integer value (exactly when P is not integral, since values at n
+    consecutive degrees and P determine each other unimodularly), constant
+    term != 1, a negative multiplicity or one past the subspaces left, or
+    multiplicities that fail to account for all m subspaces (codimension-n
+    components are invisible and surface here).
     """
     if n < 1:
         raise ValueError("ambient dimension must be at least 1")
@@ -220,18 +230,14 @@ def recover_codimensions(
             raise InconsistentDataError(
                 f"Hilbert value {v} at degree {m + r} is not an integer"
             )
-    # sum_k (-1)^k C(n, k) h(d+k) = 0 solved for h(d)
-    weights = [(-1) ** k * math.comb(n, k) for k in range(1, n + 1)]
-    for _ in range(m):
-        h.insert(0, -sum(w * x for w, x in zip(weights, h)))
-    a = h[:n]
-    for _ in range(n):
-        for j in range(n - 1, 0, -1):
-            a[j] -= a[j - 1]
-    product = [
-        (-1) ** k * sum(math.comb(j, k) * a[j] for j in range(k, n))
-        for k in range(n)
-    ]
+    differences = []  # differences[j]: the j-th forward difference at m
+    while h:
+        differences.append(h[0])
+        h = [y - x for x, y in zip(h, h[1:])]
+    product: list[int] = []
+    for k in range(n):
+        known = sum(w * math.comb(m + n - 1 - c, k - c) for c, w in enumerate(product))
+        product.append(differences[n - 1 - k] - known)
     if product[0] != 1:
         raise InconsistentDataError(
             "series constant term is not 1; values do not come from a "
@@ -247,9 +253,11 @@ def recover_codimensions(
                 f"outside 0..{left}"
             )
         multiplicities.append(r_c)
-        for _ in range(r_c):
-            for k in range(c, n):
-                product[k] += product[k - c]
+        for k in range(n - 1, c - 1, -1):
+            product[k] += sum(
+                math.comb(j + r_c - 1, j) * product[k - c * j]
+                for j in range(1, k // c + 1)
+            )
     if sum(multiplicities) != m:
         raise InconsistentDataError(
             f"recovered {sum(multiplicities)} subspaces out of {m}; "

@@ -60,25 +60,15 @@ def _check_family(size: int, empty: QPoly | None) -> None:
 class PSFamily:
     """The reduction polynomials p_S(t), indexed by subset bitmask.
 
-    Built from a sequence of polynomials, or by ``compute_ps_family`` from an
-    integer array of coefficients in u = 1 - t (one row per mask); each p_S
-    is then expanded in t, p(t) = sum_j a_j (1-t)^j, on first access.
+    Built from an integer array whose row ``mask`` holds p_S's coefficients
+    in u = 1 - t, as ``compute_ps_family`` makes it; each p_S is expanded in
+    t, p(t) = sum_j a_j (1-t)^j, on first access.
     """
 
-    def __init__(self, polys_by_mask: Sequence[QPoly]):
-        polys = list(polys_by_mask)
-        _check_family(len(polys), polys[0] if polys else None)
-        self._polys: list = polys
-        self._u = None
-
-    @classmethod
-    def from_u_coefficients(cls, coeffs: np.ndarray) -> "PSFamily":
-        """The family whose row ``mask`` holds p_S's coefficients in u = 1 - t."""
-        family = cls.__new__(cls)
-        family._polys = [None] * len(coeffs)
-        family._u = coeffs
-        _check_family(len(coeffs), family.p(0) if len(coeffs) else None)
-        return family
+    def __init__(self, coeffs: np.ndarray):
+        self._polys: list = [None] * len(coeffs)
+        self._u = coeffs
+        _check_family(len(coeffs), self.p(0) if len(coeffs) else None)
 
     @property
     def num_subspaces(self) -> int:
@@ -172,7 +162,7 @@ def compute_ps_family(d: DimensionFunction) -> PSFamily:
             acc[layers[s]] += step if (s - k) % 2 == 0 else -step
         nxt = layers[k + 1]
         p[nxt] = np.where(kept[nxt], -acc[nxt], 0)
-    return PSFamily.from_u_coefficients(p)
+    return PSFamily(p)
 
 
 def ps_family_satisfies_congruences(family: PSFamily, d: DimensionFunction) -> bool:

@@ -215,8 +215,8 @@ def approx_rank(m, rel_tol: float = 1e-8) -> int:
     A pivot counts only if its absolute value exceeds rel_tol times the
     largest absolute entry of the original matrix.
     """
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
+    if not (math.isfinite(rel_tol) and rel_tol > 0):
+        raise ValueError("rel_tol must be finite and positive")
     a = np.array(m, dtype=float)
     if a.size == 0:
         return 0

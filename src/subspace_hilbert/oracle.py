@@ -65,6 +65,19 @@ def monomial_cap() -> int:
     return env_cap(_MONOMIAL_CAP_ENV, _DEFAULT_MONOMIAL_CAP)
 
 
+def check_monomial_cap(n: int, d: int, cap: int | None = None) -> None:
+    """Raise MonomialCapExceeded when degree d in n variables has more
+    monomials than the cap (argument, else the SUBSPACE_HILBERT_MONOMIAL_CAP
+    environment variable, else 3000)."""
+    limit = monomial_cap() if cap is None else cap
+    count = binom(d + n - 1, n - 1)
+    if count > limit:
+        raise MonomialCapExceeded(
+            f"degree {d} in {n} variables needs {count} monomials, "
+            f"above the cap of {limit}"
+        )
+
+
 @dataclass(frozen=True)
 class MonomialBasis:
     """All exponent vectors of total degree d in n variables, graded-lex.
@@ -321,19 +334,13 @@ def hilbert_table(
     the products of the carried span with all of its forms
     (``_times_forms``), reduces them mod p and takes one elimination.
 
-    Refuses degrees whose monomial count exceeds the cap (argument, else the
-    SUBSPACE_HILBERT_MONOMIAL_CAP environment variable, else 3000).
+    Refuses degrees whose monomial count exceeds the cap
+    (``check_monomial_cap``).
     """
     if d_max < 0:
         raise ValueError("d_max must be nonnegative")
-    limit = monomial_cap() if cap is None else cap
     n = a.ambient_dim
-    count = binom(d_max + n - 1, n - 1)
-    if count > limit:
-        raise MonomialCapExceeded(
-            f"degree {d_max} in {n} variables needs {count} monomials, "
-            f"above the cap of {limit}"
-        )
+    check_monomial_cap(n, d_max, cap)
     p = PRIME
     k = a.num_subspaces
     full = (1 << k) - 1

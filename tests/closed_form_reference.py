@@ -17,6 +17,8 @@ import math
 from fractions import Fraction
 from typing import Sequence, Union
 
+import numpy as np
+
 from subspace_hilbert.arrangement import Arrangement, DimensionFunction
 from subspace_hilbert.gpca import InconsistentDataError, RecoveryResult
 from subspace_hilbert.hilbert import PSFamily, shifted_binomial_polynomial
@@ -88,6 +90,9 @@ def reference_ps_family(d: DimensionFunction) -> PSFamily:
 
     For nonempty S, sum over X subset of S of (-t)^|X| p_X must vanish mod
     (1-t)^{c_S}; the known part is multiplied by the inverse of (-t)^|S|.
+    The family is handed over as ``PSFamily`` takes it, in u = 1 - t
+    (``substitute_one_minus_t`` is an involution); a coefficient that is
+    not an integer raises ArithmeticError.
     """
     m = d.num_subspaces
     polys: list[QPoly] = [ONE] * (1 << m)
@@ -105,7 +110,13 @@ def reference_ps_family(d: DimensionFunction) -> PSFamily:
         polys[mask] = poly_mod_one_minus_t_pow(
             signed * inverse_of_t_mod(c) ** size, c
         )
-    return PSFamily(polys)
+    rows = []
+    for poly in polys:
+        u = substitute_one_minus_t(poly).coeffs
+        if any(c.denominator != 1 for c in u):
+            raise ArithmeticError(f"p_S has non-integer u-coefficients {u}")
+        rows.append([int(c) for c in u] + [0] * (d.ambient_dim - len(u)))
+    return PSFamily(np.array(rows, dtype=object))
 
 
 def reference_dimension_function(arr: Arrangement) -> DimensionFunction:

@@ -21,12 +21,7 @@ from subspace_hilbert.arrangement import (
     is_transversal,
     random_arrangement,
 )
-from subspace_hilbert.fixtures import (
-    three_axis_planes,
-    three_coordinate_axes,
-    three_coplanar_lines,
-    three_pencil_planes,
-)
+from subspace_hilbert.fixtures import fixture_arrangement
 from subspace_hilbert.gpca import (
     end_to_end_recover,
     estimate_hilbert_value,
@@ -144,7 +139,7 @@ def suite() -> Suite:
 
 def test_criterion_1_coordinate_axes_goldens():
     with criterion(1, "coordinate-axes goldens", budget=1.0) as failures:
-        arr = three_coordinate_axes()
+        arr = fixture_arrangement("three-coordinate-axes")
         df = dimension_function(arr)
         family = compute_ps_family(df)
         for mask in (1, 2, 4):
@@ -186,9 +181,11 @@ def test_criterion_1_coordinate_axes_goldens():
 
 def test_criterion_2_coplanar_lines_goldens():
     with criterion(2, "coplanar-lines goldens", budget=1.0) as failures:
-        arr = three_coplanar_lines()
+        arr = fixture_arrangement("three-coplanar-lines")
         hs = hilbert_series_J(dimension_function(arr))
-        axes_hs = hilbert_series_J(dimension_function(three_coordinate_axes()))
+        axes_hs = hilbert_series_J(
+            dimension_function(fixture_arrangement("three-coordinate-axes"))
+        )
         check(
             failures,
             hs == axes_hs,
@@ -204,14 +201,14 @@ def test_criterion_2_coplanar_lines_goldens():
 
 def test_criterion_3_plane_triples_goldens():
     with criterion(3, "plane-triple goldens in Q^4", budget=5.0) as failures:
-        axis = three_axis_planes()
+        axis = fixture_arrangement("three-axis-planes")
         axis_I = [r.dim_I for r in hilbert_table(axis, 6)]
         expected_axis = [
             int(c) for c in expand_rational(QPoly.of(0, 0, 3, -2), 4, 6).coeffs
         ]
         check(failures, axis_I == expected_axis, f"axis-plane table {axis_I}")
 
-        pencil = three_pencil_planes()
+        pencil = fixture_arrangement("three-pencil-planes")
         df = dimension_function(pencil)
         pencil_rows = hilbert_table(pencil, 6)
         pencil_I = [r.dim_I for r in pencil_rows]
@@ -338,7 +335,7 @@ def test_criterion_7_recovery_round_trip():
 
 def test_criterion_8_point_pipeline():
     with criterion(8, "end-to-end recovery from sampled points", budget=10.0) as failures:
-        cloud = sample_points(three_coordinate_axes(), 10, seed=88)
+        cloud = sample_points(fixture_arrangement("three-coordinate-axes"), 10, seed=88)
         check(failures, cloud.exact, "sampled cloud must be exact")
         values = [estimate_hilbert_value(cloud, d) for d in (3, 4, 5)]
         check(failures, values == [7, 12, 18], f"estimated values {values}")

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import arrangement_kinds
-from subspace_hilbert import cli
+from subspace_hilbert import cli, gpca
 from subspace_hilbert.arrangement import Arrangement
 from subspace_hilbert.cli import (
     EXIT_DATA,
@@ -22,7 +22,8 @@ from subspace_hilbert.cli import (
 from subspace_hilbert.fixtures import fixture_arrangement, fixture_path
 from subspace_hilbert.gpca import sample_points
 from subspace_hilbert.hilbert import is_series_difference_polynomial
-from subspace_hilbert.ratpoly import QPoly
+from subspace_hilbert.oracle import monomial_basis
+from subspace_hilbert.ratpoly import QPoly, binom
 
 
 def write_json(tmp_path, name, doc):
@@ -102,6 +103,17 @@ class TestParsePointDocument:
             parse_point_document(
                 {"n": 2, "points": [["0", "0"]]}, allow_float=False
             )
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_entry_names_the_field(self, tmp_path, capsys, token):
+        # json reads these tokens as floats; the cloud must not take them
+        path = tmp_path / "cloud.json"
+        path.write_text(
+            '{"n": 2, "points": [[1.0, 2.0], [0.5, %s]]}' % token, encoding="utf-8"
+        )
+        argv = ["recover", "--points", str(path), "--m", "1", "--tol", "1e-8"]
+        assert main(argv) == EXIT_DATA
+        assert "points[1][1]" in capsys.readouterr().err
 
 
 class TestAnalyzeCommand:
@@ -280,6 +292,27 @@ class TestRecoverCommand:
         assert code == EXIT_OK
         assert "dimensions: 1, 1, 1" in capsys.readouterr().out
 
+    def test_points_past_the_monomial_cap(self, tmp_path, capsys, monkeypatch):
+        # degrees 3, 4, 5 in Q^3 need 10, 15, 21 monomials: with a cap of 10
+        # the degree-4 value is refused before its basis is built
+        built = []
+
+        def spy(n, d):
+            built.append(binom(d + n - 1, n - 1))
+            return monomial_basis(n, d)
+
+        monkeypatch.setattr(gpca, "monomial_basis", spy)
+        monkeypatch.setenv("SUBSPACE_HILBERT_MONOMIAL_CAP", "10")
+        pc = sample_points(fixture_arrangement("three-coordinate-axes"), 10, seed=61)
+        path = write_json(
+            tmp_path,
+            "cloud.json",
+            {"n": 3, "points": [[str(x) for x in p] for p in pc.points]},
+        )
+        assert main(["recover", "--points", path, "--m", "3"]) == EXIT_DATA
+        assert "above the cap of 10" in capsys.readouterr().err
+        assert built and max(built) <= 10
+
     def test_wrong_value_count_is_a_data_error(self, capsys):
         assert main(["recover", "--values", "7", "12", "--m", "3", "--n", "3"]) == EXIT_DATA
         capsys.readouterr()
@@ -294,6 +327,8 @@ class TestRecoverCommand:
             ["recover", "--values", "7", "--m", "1", "--n", "1", "--tol", "1e-8"],
             ["recover", "--points", "x.json", "--m", "1", "--n", "3"],
             ["recover", "--points", "x.json", "--m", "1", "--tol", "-1"],
+            ["recover", "--points", "x.json", "--m", "1", "--tol", "nan"],
+            ["recover", "--points", "x.json", "--m", "1", "--tol", "inf"],
         ],
     )
     def test_usage_errors_exit_2(self, argv, capsys):

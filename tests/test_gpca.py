@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -127,6 +128,11 @@ class TestPointCloud:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             PointCloud(3, [[1, 2]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PointCloud(2, [[1.0, 2.0], [bad, 1.0]])
 
     def test_empty_cloud_allowed(self):
         assert len(PointCloud(3, [])) == 0
@@ -297,6 +303,13 @@ class TestRecoverCodimensions:
     def test_wrong_value_count(self):
         with pytest.raises(ValueError):
             recover_codimensions([7, 12], m=3, n=3)
+
+    def test_million_lines_in_the_plane(self):
+        # --m reaches recovery straight from the command line
+        start = time.perf_counter()
+        result = recover_codimensions([1, 2], 10**6, 2)
+        assert time.perf_counter() - start < 5.0
+        assert result.multiplicities == (10**6,)
 
     def test_round_trip_random_transversal(self):
         rng = random.Random(507)

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,10 +143,11 @@ class TestPSFamily:
     def test_rejects_bad_family(self):
         from subspace_hilbert.hilbert import PSFamily
 
+        # rows are coefficients in u = 1 - t: p_empty = 2, then three p = 1
         with pytest.raises(ValueError):
-            PSFamily([QPoly.of(2)])
+            PSFamily(np.array([[2]]))
         with pytest.raises(ValueError):
-            PSFamily([ONE, ONE, ONE])
+            PSFamily(np.array([[1], [1], [1]]))
 
 
 class TestHilbertSeriesJ:

@@ -237,8 +237,9 @@ class TestApproxRank:
             assert approx_rank(rows) == exact
 
     def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(ValueError):
-            approx_rank([[1.0]], rel_tol=0.0)
+        for bad in (0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                approx_rank([[1.0]], rel_tol=bad)
 
 
 class TestIntEchelon:
