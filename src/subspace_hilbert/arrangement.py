@@ -8,8 +8,9 @@ whole function is a table of length 2^m.
 
 The codimension of an intersection is the rank of the stacked linear forms
 vanishing on its members, so ``dimension_function`` needs no subspace
-intersections: it ranks primitive integer forms with one ``IntEchelon``
-that grows and shrinks along a depth-first walk of the masks.  A hand-built
+intersections: it ranks primitive integer forms mod a prime along a
+depth-first walk of the masks, and an exact rank settles every mask whose
+rank mod p falls short of the walk's upper bound.  A hand-built
 ``DimensionFunction`` is checked against the axioms every dimension function
 satisfies (entries in 0..n, proper singletons, monotone, submodular
 codimension), so the closed forms never see a table no arrangement has.
@@ -25,10 +26,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .linalg import (
-    IntEchelon,
+    PRIME,
     QMatrix,
     SubspaceBasis,
     certified_rank,
+    primitive_int_vector,
     rank,
 )
 
@@ -170,43 +172,71 @@ class DimensionFunction:
         return tuple(self.codim_of(1 << i) for i in range(self.num_subspaces))
 
 
+def _stacked_rank(rows: Sequence[Sequence[int]], n: int) -> int:
+    """Exact rank over Q of integer vectors of length n stacked as rows."""
+    return certified_rank(np.array(rows, dtype=object).reshape(len(rows), n))
+
+
 def dimension_function(arr: Arrangement) -> DimensionFunction:
     """Compute the full dimension function of an arrangement.
 
-    codim of an intersection is the rank of the stacked annihilator forms of
-    its subspaces, so every mask's rank is an exact ``IntEchelon`` rank of
-    the primitive integer forms each subspace caches
-    (``SubspaceBasis.annihilator_forms``).  Masks are walked depth first,
-    each child adding an index above its parent's highest one, with one
-    echelon: a child adds its subspace's forms to it, and on return the
-    echelon is truncated back to the parent's rank.  The rank of all the
-    forms together (``certified_rank``) is the largest codim any mask can
-    have, so elimination stops there, and a mask that reaches it (in
-    particular a saturated one, codim n) passes it to every superset without
-    further work.
+    codim of an intersection is the rank over Q of the stacked annihilator
+    forms of its subspaces (``SubspaceBasis.annihilator_forms``).  Masks are
+    walked depth first, each child adding an index i above its parent's
+    highest one: it copies its parent's kept rows mod p = PRIME (Python ints
+    from a leading 1 on, zero at every earlier pivot) and appends the forms
+    of subspace i that stay nonzero after reduction against them.
+
+    The ceiling (rank of all the forms) is at least every codim.  The floor
+    (codim of the sum of all the subspaces) is at most codim(U_S + U_i) for
+    U_S the intersection over a nonempty S, and codim(S + i) = codim(S) +
+    #forms_i - codim(U_S + U_i).
+    So with the parent's codim exact (floor 0 for a child of the empty mask)
+
+        rank_p(child) <= codim(child)
+                      <= min(codim(parent) + #forms_i - floor, ceiling),
+
+    and rank_p is exact where it meets the upper end; every other mask takes
+    ``certified_rank`` of its own stacked forms.  A mask at the ceiling
+    passes it to every superset without further work.
     """
     n = arr.ambient_dim
     m = arr.num_subspaces
+    p = PRIME
     forms = [s.annihilator_forms for s in arr.subspaces]
-    stacked = [f for fs in forms for f in fs]
-    ceiling = certified_rank(np.array(stacked, dtype=object).reshape(len(stacked), n))
+    residues = [[[c % p for c in f] for f in fs] for fs in forms]
+    ceiling = _stacked_rank([f for fs in forms for f in fs], n)
+    vectors = [primitive_int_vector(v) for s in arr.subspaces for v in s.vectors]
+    floor = n - _stacked_rank(vectors, n)
     dims = [n - ceiling] * (1 << m)
     dims[0] = n
-    echelon = IntEchelon(n)
 
-    def visit(mask: int, start: int) -> None:
-        base = echelon.rank
+    def visit(mask: int, start: int, codim: int, kept: list) -> None:
         for i in range(start, m):
-            for f in forms[i]:
-                if echelon.add(f) and echelon.rank == ceiling:
-                    break
-            if echelon.rank < ceiling:
-                child = mask | 1 << i
-                dims[child] = n - echelon.rank
-                visit(child, i + 1)
-            echelon.truncate(base)
+            rows = list(kept)
+            for f in residues[i]:
+                v = list(f)
+                for lead, tail in rows:
+                    c = v[lead]
+                    if c:
+                        v[lead:] = [(x - c * y) % p for x, y in zip(v[lead:], tail)]
+                lead = next((j for j, x in enumerate(v) if x), None)
+                if lead is not None:
+                    scale = pow(v[lead], -1, p)
+                    rows.append((lead, [x * scale % p for x in v[lead:]]))
+                    if len(rows) == ceiling:
+                        break
+            child = mask | 1 << i
+            r = len(rows)
+            if r < min(codim + len(forms[i]) - (floor if mask else 0), ceiling):
+                r = _stacked_rank(
+                    [f for k in range(m) if child >> k & 1 for f in forms[k]], n
+                )
+            if r < ceiling:
+                dims[child] = n - r
+                visit(child, i + 1, r, rows)
 
-    visit(0, 0)
+    visit(0, 0, 0, [])
     return DimensionFunction(n, m, dims)
 
 

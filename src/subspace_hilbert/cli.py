@@ -46,7 +46,7 @@ from .hilbert import (
     transversal_series,
 )
 from .linalg import SubspaceBasis
-from .oracle import _DEFAULT_MONOMIAL_CAP, MonomialCapExceeded, hilbert_table
+from .oracle import _DEFAULT_MONOMIAL_CAP, hilbert_table
 from .ratpoly import QPoly, expand_rational, fit_numerator
 
 EXIT_OK = 0
@@ -637,10 +637,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             file=sys.stderr,
         )
         return EXIT_DATA
-    except (DataError, MonomialCapExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
+    except (DataError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -141,7 +141,8 @@ def estimate_hilbert_value(pc: PointCloud, d: int, tol: float | None = None) -> 
     tolerance-based elimination, defaulting to a relative 1e-8.
 
     Raises MonomialCapExceeded, before any basis is built, when degree d
-    needs more monomials than ``oracle.check_monomial_cap`` allows.
+    needs more monomials than ``oracle.check_monomial_cap`` allows, and
+    ValueError when a float evaluation overflows or is not finite.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
@@ -153,17 +154,23 @@ def estimate_hilbert_value(pc: PointCloud, d: int, tol: float | None = None) -> 
         return total
     if pc.exact and tol is None:
         return total - certified_rank(_evaluation_matrix(pc.rays, basis))
+    not_finite = f"the degree-{d} monomials of these points do not fit a float"
     matrix = []
-    for p in pc.points:
-        coords = [float(x) for x in p]
-        row = []
-        for exps in basis.monomials:
-            v = 1.0
-            for j, e in enumerate(exps):
-                if e:
-                    v *= coords[j] ** e
-            row.append(v)
-        matrix.append(row)
+    try:
+        for p in pc.points:
+            coords = [float(x) for x in p]
+            row = []
+            for exps in basis.monomials:
+                v = 1.0
+                for j, e in enumerate(exps):
+                    if e:
+                        v *= coords[j] ** e
+                row.append(v)
+            matrix.append(row)
+    except OverflowError:
+        raise ValueError(not_finite) from None
+    if not np.isfinite(matrix).all():
+        raise ValueError(not_finite)
     return total - approx_rank(matrix, rel_tol=1e-8 if tol is None else tol)
 
 

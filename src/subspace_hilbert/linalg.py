@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -243,17 +243,19 @@ class IntEchelon:
     Rows are reduced fraction-free: against a kept row r with leading entry
     rl, a row v with entry c in that column becomes (rl/g)*v - (c/g)*r with
     g = gcd(rl, c).  Kept rows are primitive (gcd 1, positive leading entry)
-    and indexed by pivot column.  A row stays an int64 numpy vector while
+    and indexed by pivot column.  Every row is a numpy vector: int64 while
     the proven bound |rl/g|*max|v| + |c/g|*max|r| < 2^62 shows the update
-    cannot overflow; when the bound fails the row's gcd is divided out and
-    the multipliers recomputed before it is tried again, and only a row that
-    still does not fit drops to a list of Python ints.  Exact throughout.
+    cannot overflow.  When the bound fails the row's gcd is divided out and
+    the multipliers recomputed before it is tried again; a row that still
+    does not fit is updated as an object array of Python ints, has its gcd
+    divided out, and narrows back to int64 once its entries fit.  Exact
+    throughout.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self._by_pivot: dict[int, int] = {}
-        self._rows: list[Union[np.ndarray, list[int]]] = []
+        self._rows: list[np.ndarray] = []
         self._max: list[int] = []
 
     @property
@@ -265,53 +267,32 @@ class IntEchelon:
         return len(self._rows) == self.ncols
 
     @property
-    def rows(self) -> tuple[Union[np.ndarray, list[int]], ...]:
+    def rows(self) -> tuple[np.ndarray, ...]:
         """The reduced rows kept so far (same span as everything added).
 
-        Rows whose entries fit int64 are numpy arrays, the others lists of
-        Python ints.  Callers must not mutate the returned rows.
+        A row is int64 when its entries are below 2^62, else an object array
+        of Python ints.  Callers must not mutate the returned rows.
         """
         return tuple(self._rows)
 
     @staticmethod
-    def _first_nonzero(v, start: int) -> int | None:
-        if isinstance(v, np.ndarray):
-            nz = v[start:].nonzero()[0]
-            return start + int(nz[0]) if nz.size else None
-        for i in range(start, len(v)):
-            if v[i]:
-                return i
-        return None
+    def _first_nonzero(v: np.ndarray, start: int) -> int | None:
+        nz = v[start:].nonzero()[0]
+        return start + int(nz[0]) if nz.size else None
 
     @staticmethod
-    def _strip(v) -> tuple[Union[np.ndarray, list[int]], int]:
+    def _strip(v: np.ndarray) -> tuple[np.ndarray, int]:
         """Divide out the gcd; return (vector, exact max abs entry).
 
-        A list comes back as an int64 array when its entries fit.
+        An object vector comes back as int64 when its entries fit.
         """
-        if isinstance(v, np.ndarray):
-            g = int(np.gcd.reduce(v))
-            if g > 1:
-                v = v // g
-            return v, int(np.max(np.abs(v)))
-        g = math.gcd(*v)
+        g = int(np.gcd.reduce(v, initial=0))
         if g > 1:
-            v = [e // g for e in v]
-        m = max(map(abs, v))
-        if m < INT64_SAFE:
-            return np.array(v, dtype=np.int64), m
+            v = v // g
+        m = _max_abs(v)
+        if v.dtype == object and m < INT64_SAFE:
+            v = v.astype(np.int64)
         return v, m
-
-    def truncate(self, rank: int) -> None:
-        """Drop every row kept after the first ``rank``.
-
-        Kept rows are never changed by later additions, so the echelon is
-        then exactly as it was when it had that rank.
-        """
-        if rank < len(self._rows):
-            del self._rows[rank:]
-            del self._max[rank:]
-            self._by_pivot = {p: i for p, i in self._by_pivot.items() if i < rank}
 
     def add(self, row: Sequence[int]) -> bool:
         """Reduce a row against the accumulated echelon; keep it if independent.
@@ -320,24 +301,19 @@ class IntEchelon:
         """
         if len(row) != self.ncols:
             raise ValueError("row length does not match column count")
-        v: Union[np.ndarray, list[int]]
-        if isinstance(row, np.ndarray) and row.dtype == np.int64:
-            v = row
-            vmax = int(np.max(np.abs(v))) if v.size else 0
-        else:
-            v = [int(e) for e in row]
-            vmax = max(map(abs, v), default=0)
-            if vmax < INT64_SAFE:
-                v = np.array(v, dtype=np.int64)
+        if not (isinstance(row, np.ndarray) and row.dtype == np.int64):
+            row = np.array([int(e) for e in row], dtype=object)
+        vmax = _max_abs(row)
+        v = row.astype(np.int64 if vmax < INT64_SAFE else object, copy=False)
         lead = self._first_nonzero(v, 0)
         while lead is not None:
             idx = self._by_pivot.get(lead)
             if idx is None:
                 v, vmax = self._strip(v)
                 if v[lead] < 0:
-                    v = -v if isinstance(v, np.ndarray) else [-e for e in v]
+                    v = -v
                 # own the stored row: the caller may reuse its buffer
-                if isinstance(v, np.ndarray) and (v is row or v.base is not None):
+                if v is row or v.base is not None:
                     v = v.copy()
                 self._by_pivot[lead] = len(self._rows)
                 self._rows.append(v)
@@ -347,23 +323,19 @@ class IntEchelon:
             rl, c = int(r[lead]), int(v[lead])
             g = math.gcd(rl, c)
             a, b = rl // g, c // g
-            if isinstance(v, np.ndarray) and isinstance(r, np.ndarray):
+            bound = a * vmax + abs(b) * rmax
+            if bound >= INT64_SAFE and v.dtype != object:
+                # the multipliers depend on v[lead]: recompute after the strip
+                v, vmax = self._strip(v)
+                c = int(v[lead])
+                g = math.gcd(rl, c)
+                a, b = rl // g, c // g
                 bound = a * vmax + abs(b) * rmax
-                if bound >= INT64_SAFE:
-                    # the multipliers depend on v[lead]: recompute after the strip
-                    v, vmax = self._strip(v)
-                    c = int(v[lead])
-                    g = math.gcd(rl, c)
-                    a, b = rl // g, c // g
-                    bound = a * vmax + abs(b) * rmax
-                if bound < INT64_SAFE:
-                    v = a * v - b * r
-                    vmax = bound
-                    lead = self._first_nonzero(v, lead + 1)
-                    continue
-            vl = v.tolist() if isinstance(v, np.ndarray) else v
-            rlist = r.tolist() if isinstance(r, np.ndarray) else r
-            v, vmax = self._strip([a * x - b * y for x, y in zip(vl, rlist)])
+            if bound < INT64_SAFE:
+                v = a * v - b * r
+                vmax = bound
+            else:
+                v, vmax = self._strip(a * v.astype(object) - b * r.astype(object))
             lead = self._first_nonzero(v, lead + 1)
         return False
 

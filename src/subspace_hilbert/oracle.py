@@ -242,18 +242,6 @@ def dim_intersection_ideal(a: Arrangement, S: SubsetLike, d: int) -> int:
     return total - certified_rank(matrix)
 
 
-def _echelon_rows(ech: IntEchelon) -> np.ndarray:
-    """Current reduced rows as one matrix: int64 when all rows are, else object."""
-    rows = ech.rows
-    if all(isinstance(r, np.ndarray) for r in rows):
-        if rows:
-            return np.vstack(rows)
-        return np.empty((0, ech.ncols), dtype=np.int64)
-    return np.array(
-        [r.tolist() if isinstance(r, np.ndarray) else r for r in rows], dtype=object
-    )
-
-
 def _times_forms(basis: np.ndarray, forms: Sequence[Sequence[int]], n: int, e: int) -> np.ndarray:
     """The products f * b of each linear form f with each row b of basis.
 
@@ -303,7 +291,7 @@ def dim_product_ideal(a: Arrangement, S: SubsetLike, d: int) -> int:
             ech.add(row)
             if ech.full:
                 break
-        matrix = _echelon_rows(ech)
+        matrix = np.vstack(ech.rows)
     return matrix.shape[0]
 
 

@@ -4,7 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
 
+import arrangement_kinds
+from closed_form_reference import reference_dimension_function
+from strategies import arrangements
+from subspace_hilbert import arrangement
 from subspace_hilbert.arrangement import (
     Arrangement,
     DimensionFunction,
@@ -45,6 +50,21 @@ def random_invertible(rng: random.Random, n: int) -> QMatrix:
         )
         if rank(m) == n:
             return m
+
+
+def spy_certified_rank(monkeypatch) -> list:
+    """Record the shape of every matrix ``dimension_function`` hands to
+    ``certified_rank``: two calls for the ceiling and the floor, then one
+    per fallback mask."""
+    calls = []
+    real = arrangement.certified_rank
+
+    def spy(matrix):
+        calls.append(matrix.shape)
+        return real(matrix)
+
+    monkeypatch.setattr(arrangement, "certified_rank", spy)
+    return calls
 
 
 def apply_change(arr: Arrangement, m: QMatrix) -> Arrangement:
@@ -172,6 +192,48 @@ class TestDimensionFunction:
                 if mask >> pos & 1:
                     orig_mask |= 1 << perm[pos]
             assert df_perm.dim_of(mask) == df.dim_of(orig_mask)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_tiny_primes_match_the_reference(self, monkeypatch, p):
+        # mod 2 or 3 many forms collapse, so ranks mod p fall below the bound
+        # and those masks must take the certified fallback
+        monkeypatch.setattr(arrangement, "PRIME", p)
+        calls = spy_certified_rank(monkeypatch)
+        fallbacks = 0
+
+        @settings(max_examples=80, deadline=None)
+        @given(arr=arrangements(max_n=5, max_m=5))
+        # forms x + y and x - 5y agree mod 2 and mod 3
+        @example(arr=Arrangement(2, [SubspaceBasis(2, [v]) for v in ([1, -1], [5, 1])]))
+        def check(arr):
+            nonlocal fallbacks
+            before = len(calls)
+            assert dimension_function(arr) == reference_dimension_function(arr)
+            fallbacks += len(calls) - before - 2
+
+        check()
+        assert fallbacks > 0
+
+    def test_degenerate_twelve_dimensional_arrangement(self, monkeypatch):
+        # one common line inside one common hyperplane: the forms of any two
+        # subspaces share the hyperplane's form, which the floor (codim 1 of
+        # the sum of all subspaces) accounts for, so no mask falls back
+        arr = arrangement_kinds.build("degenerate", 12, 6, 603)
+        calls = spy_certified_rank(monkeypatch)
+        df = dimension_function(arr)
+        assert len(calls) == 2  # the ceiling and the floor
+        assert df == reference_dimension_function(arr)
+
+    def test_dependent_forms_below_the_bound_take_the_fallback(self, monkeypatch):
+        # a sixth subspace outside the common hyperplane drops the floor to
+        # 0, so pairs of the other five fall back even at the real prime
+        degenerate = arrangement_kinds.build("degenerate", 12, 5, 603).subspaces
+        outside = random_arrangement(12, [6], 604).subspaces
+        arr = Arrangement(12, degenerate + outside)
+        calls = spy_certified_rank(monkeypatch)
+        df = dimension_function(arr)
+        assert len(calls) > 2
+        assert df == reference_dimension_function(arr)
 
     def test_table_shape_validated(self):
         with pytest.raises(ValueError):

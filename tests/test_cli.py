@@ -292,6 +292,15 @@ class TestRecoverCommand:
         assert code == EXIT_OK
         assert "dimensions: 1, 1, 1" in capsys.readouterr().out
 
+    def test_float_points_that_overflow(self, tmp_path, capsys):
+        # (1e200)^2 does not fit a float: an error line, not a traceback
+        doc = {"n": 2, "points": [[1e200, 1.0], [1.0, 2.0], [3.0, 1.0]]}
+        path = write_json(tmp_path, "cloud.json", doc)
+        code = main(["recover", "--points", path, "--m", "2", "--tol", "1e-8"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "degree-2" in err
+
     def test_points_past_the_monomial_cap(self, tmp_path, capsys, monkeypatch):
         # degrees 3, 4, 5 in Q^3 need 10, 15, 21 monomials: with a cap of 10
         # the degree-4 value is refused before its basis is built
