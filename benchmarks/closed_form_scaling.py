@@ -1,7 +1,7 @@
 """m-scaling of the closed forms at n = 12: per-layer wall times.
 
 For m = 8, 10, 12, 14, 16 and three arrangement kinds, times four calls on
-one seeded arrangement each, once:
+one seeded arrangement each:
 
 - ``dimension_function(arr)``;
 - ``compute_ps_family(df)`` on that dimension function;
@@ -9,6 +9,12 @@ one seeded arrangement each, once:
   report without the oracle, which recomputes both layers);
 - ``cli.main(["analyze", "--json", FILE])`` end to end, with parsing and
   rendering, stdout captured.
+
+Each time recorded is the median of REPEATS = 5 runs of the call, each on a
+freshly built copy of the arrangement: subspaces cache their annihilator
+forms, so a second call on the same object would skip that work.  A single
+run can swing several-fold on a shared machine; the median of five does
+not.
 
 The kinds are those of ``arrangement_kinds`` (generic, degenerate,
 hyperplanes), each arrangement seeded by m alone, so two source trees can be
@@ -38,6 +44,7 @@ import io
 import json
 import os
 import platform
+import statistics
 import sys
 import tempfile
 import time
@@ -52,13 +59,20 @@ from subspace_hilbert.cli import analyze_document, main as cli_main
 N = 12
 RUNGS = (8, 10, 12, 14, 16)
 SEED = 20261018
+REPEATS = 5
 DEFAULT_OUT = Path(__file__).with_name("BENCH_closed_form.json")
 
 
-def timed(fn, *args):
-    start = time.perf_counter()
-    result = fn(*args)
-    return result, round(time.perf_counter() - start, 4)
+def timed(fn, make_args):
+    """The last result of fn and the median wall time of REPEATS calls, each
+    on arguments freshly built by make_args outside the timed region."""
+    times = []
+    for _ in range(REPEATS):
+        args = make_args()
+        start = time.perf_counter()
+        result = fn(*args)
+        times.append(time.perf_counter() - start)
+    return result, round(statistics.median(times), 4)
 
 
 def run_cli(arr: Arrangement) -> None:
@@ -75,14 +89,16 @@ def run_cli(arr: Arrangement) -> None:
 
 
 def measure(kind: str, m: int) -> dict:
-    arr = arrangement_kinds.build(kind, N, m, SEED + m)
-    df, t_df = timed(dimension_function, arr)
-    _, t_ps = timed(compute_ps_family, df)
-    _, t_an = timed(analyze_document, arr, None, m + 3, False)
-    _, t_cli = timed(run_cli, arr)
+    def fresh():
+        return arrangement_kinds.build(kind, N, m, SEED + m)
+
+    df, t_df = timed(dimension_function, lambda: (fresh(),))
+    _, t_ps = timed(compute_ps_family, lambda: (df,))
+    _, t_an = timed(analyze_document, lambda: (fresh(), None, m + 3, False))
+    _, t_cli = timed(run_cli, lambda: (fresh(),))
     dims = df.dims_by_mask[1:]
     return {
-        "dims": [s.dim for s in arr.subspaces],
+        "dims": [s.dim for s in fresh().subspaces],
         "saturated_frac": round(sum(1 for d in dims if d == 0) / len(dims), 4),
         "ceiling_frac": round(dims.count(min(dims)) / len(dims), 4),
         "dimension_function_s": t_df,

@@ -44,7 +44,6 @@ from .hilbert import (
     hilbert_series_J,
     is_series_difference_polynomial,
     ps_family_satisfies_congruences,
-    shifted_binomial_polynomial,
     transversal_hilbert_function,
     transversal_series,
 )
@@ -74,7 +73,6 @@ from .ratpoly import (
     binom,
     expand_rational,
     fit_numerator,
-    one_minus_t_pow,
 )
 
 __version__ = "0.1.0"
@@ -116,14 +114,12 @@ __all__ = [
     "kernel",
     "monomial_basis",
     "monomial_cap",
-    "one_minus_t_pow",
     "ps_family_satisfies_congruences",
     "random_arrangement",
     "rank",
     "recover_codimensions",
     "rref",
     "sample_points",
-    "shifted_binomial_polynomial",
     "spans_equal",
     "subset_cap",
     "transversal_hilbert_function",

@@ -341,8 +341,8 @@ def render_analysis_text(doc: dict) -> str:
             "transversal closed form: f(t) = "
             + _rational_function_str(doc["transversal_closed_form"])
         )
-    if "hilbert_function" in doc:
-        hf = doc["hilbert_function"]
+    hf = doc.get("hilbert_function")
+    if hf and hf["values"]:
         stop = hf["start"] + len(hf["values"]) - 1
         lines.append(
             f"Hilbert function (d = {hf['start']}..{stop}): "

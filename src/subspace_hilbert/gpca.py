@@ -155,38 +155,34 @@ def estimate_hilbert_value(pc: PointCloud, d: int, tol: float | None = None) -> 
     if pc.exact and tol is None:
         return total - certified_rank(_evaluation_matrix(pc.rays, basis))
     not_finite = f"the degree-{d} monomials of these points do not fit a float"
-    matrix = []
     try:
-        for p in pc.points:
-            coords = [float(x) for x in p]
-            row = []
-            for exps in basis.monomials:
-                v = 1.0
-                for j, e in enumerate(exps):
-                    if e:
-                        v *= coords[j] ** e
-                row.append(v)
-            matrix.append(row)
+        points = np.array(pc.points, dtype=np.float64)
     except OverflowError:
         raise ValueError(not_finite) from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = _evaluation_matrix(points, basis)
     if not np.isfinite(matrix).all():
         raise ValueError(not_finite)
     return total - approx_rank(matrix, rel_tol=1e-8 if tol is None else tol)
 
 
 def _evaluation_matrix(
-    rays: Sequence[Sequence[int]], basis: MonomialBasis
+    rays: Union[Sequence[Sequence[int]], np.ndarray], basis: MonomialBasis
 ) -> np.ndarray:
     """The evaluation matrix: entry (k, j) is monomial j of the basis at ray k.
 
-    Every entry, and every partial product of one, is at most max|x|^d in
-    absolute value, so the matrix is int64 below 2^62 and an object array
-    of Python ints otherwise.  It is multiplied up one variable at a time
-    from each ray's table of powers.
+    A float64 array of points gives a float64 matrix.  For integer rays every
+    entry, every partial product of one and every coordinate is at most
+    max|x|^max(d, 1) in absolute value, so the matrix is int64 below 2^62
+    and an object array of Python ints otherwise.  It is multiplied up one
+    variable at a time from each ray's table of powers.
     """
     d = basis.d
-    top = max(abs(x) for ray in rays for x in ray)
-    dtype = np.int64 if top**d < INT64_SAFE else object
+    if isinstance(rays, np.ndarray) and rays.dtype == np.float64:
+        dtype = np.float64
+    else:
+        top = max(abs(x) for ray in rays for x in ray)
+        dtype = np.int64 if top ** max(d, 1) < INT64_SAFE else object
     exponents = np.array(basis.monomials, dtype=np.intp).reshape(len(basis), basis.n)
     powers = np.array(rays, dtype=dtype)[:, :, None] ** np.arange(d + 1).astype(dtype)
     matrix = powers[:, 0, exponents[:, 0]]

@@ -16,6 +16,12 @@ multiples of them.  ``compute_ps_family`` gives the derivation and the
 overflow bound; a p_S is expanded back to t by p(t) = sum_j a_j (1-t)^j only
 when it is read, so ``hilbert_series_J`` converts only the top polynomial.
 
+Everything else that works mod a power of 1 - t works in u as well:
+``ps_family_satisfies_congruences`` and ``is_series_difference_polynomial``
+reduce by truncating u-coefficients (``poly_mod_one_minus_t_pow``), and the
+Hilbert polynomial of numerator/(1-t)^n is read off the numerator's first n
+u-coefficients, one binomial C(d + r, r) each.
+
 The series of the intersection ideal I is deliberately absent: it is not
 determined by the dimension function alone, so it is only available through
 the degree-by-degree oracle or, for transversal arrangements, through the
@@ -43,11 +49,6 @@ from .ratpoly import (
 )
 
 RationalFunction = tuple[QPoly, int]
-
-
-def _minus_t_pow(k: int) -> QPoly:
-    """(-t)^k as a polynomial."""
-    return QPoly((0,) * k + ((-1) ** k,))
 
 
 def _check_family(size: int, empty: QPoly | None) -> None:
@@ -176,7 +177,9 @@ def ps_family_satisfies_congruences(family: PSFamily, d: DimensionFunction) -> b
         total = ZERO
         sub = mask
         while True:
-            total = total + family.p(sub) * _minus_t_pow(sub.bit_count())
+            k = sub.bit_count()
+            term = family.p(sub).shift(k)  # (-t)^k p_X = (-1)^k t^k p_X
+            total = total - term if k % 2 else total + term
             if sub == 0:
                 break
             sub = (sub - 1) & mask
@@ -374,30 +377,22 @@ class HilbertPolynomial:
         return self.to_str()
 
 
-def shifted_binomial_polynomial(n: int, shift: int) -> QPoly:
-    """The degree-(n-1) polynomial in d whose value is C(d-shift+n-1, n-1).
-
-    The binomial identity holds for all integers d with d - shift >= 0; as
-    polynomials these form a basis (over shifts 0..n-1) of degree < n.
-    """
-    if n < 1:
-        raise ValueError("ambient dimension must be at least 1")
-    poly = ONE
-    for k in range(1, n):
-        poly = poly * QPoly.of(k - shift, 1)
-    return poly * Fraction(1, math.factorial(n - 1))
-
-
 def hilbert_polynomial_from_numerator(numerator: QPoly, n: int) -> HilbertPolynomial:
     """Hilbert polynomial of a series numerator/(1-t)^n.
 
-    Expands the series coefficient at degree d as a sum of shifted binomial
-    polynomials, one per numerator term.
+    With numerator = sum_k b_k u^k in u = 1 - t, the terms k >= n are
+    polynomials in t and the term b_k u^k / u^n has coefficient
+    C(d + n-1-k, n-1-k) at t^d, so the polynomial is the sum over k < n of
+    b_k C(d + r, r), r = n-1-k, built up as C(d + r, r) =
+    C(d + r-1, r-1) (d + r)/r.
     """
     if n < 1:
         raise ValueError("ambient dimension must be at least 1")
+    b = substitute_one_minus_t(numerator)
     total = ZERO
-    for j, coeff in enumerate(numerator.coeffs):
-        if coeff:
-            total = total + shifted_binomial_polynomial(n, j) * coeff
+    binomial = ONE
+    for r in range(n):
+        if r:
+            binomial = binomial * QPoly.of(r, 1) * Fraction(1, r)
+        total = total + binomial * b.coeff(n - 1 - r)
     return HilbertPolynomial(total)

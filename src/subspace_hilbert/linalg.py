@@ -6,7 +6,9 @@ Integer matrices have two exact rank routes: ``certified_rank``, a rank
 mod a prime certified over Q by a lifted reduced echelon form (the one
 exact-rank entry point), and ``IntEchelon``, an incremental fraction-free
 accumulator for callers that add rows one at a time and for the
-certificate's fallback.  ``echelon_mod_p`` is the one GF(p) eliminator.
+certificate's fallback.  ``echelon_mod_p`` is the GF(p) eliminator for
+numpy matrices; ``arrangement.dimension_function`` reduces its own rows of
+Python ints mod ``PRIME``, one subspace's forms at a time, along its walk.
 
 Everything here is immutable after construction and safe to share across
 threads; ``SubspaceBasis.annihilator_forms`` is computed on first use and

@@ -65,11 +65,11 @@ def monomial_cap() -> int:
     return env_cap(_MONOMIAL_CAP_ENV, _DEFAULT_MONOMIAL_CAP)
 
 
-def check_monomial_cap(n: int, d: int, cap: int | None = None) -> None:
+def check_monomial_cap(n: int, d: int) -> None:
     """Raise MonomialCapExceeded when degree d in n variables has more
-    monomials than the cap (argument, else the SUBSPACE_HILBERT_MONOMIAL_CAP
-    environment variable, else 3000)."""
-    limit = monomial_cap() if cap is None else cap
+    monomials than the cap (the SUBSPACE_HILBERT_MONOMIAL_CAP environment
+    variable, else 3000)."""
+    limit = monomial_cap()
     count = binom(d + n - 1, n - 1)
     if count > limit:
         raise MonomialCapExceeded(
@@ -303,9 +303,7 @@ def _rank_mod_p(blocks: list[np.ndarray], p: int) -> int:
     return len(echelon_mod_p(m, p)[0])
 
 
-def hilbert_table(
-    a: Arrangement, d_max: int, cap: int | None = None
-) -> list[GradedPieceResult]:
+def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     """Oracle dimensions of both ideals (full index set) for d = 0..d_max.
 
     Each degree is first bounded by ranks mod PRIME:
@@ -328,7 +326,7 @@ def hilbert_table(
     if d_max < 0:
         raise ValueError("d_max must be nonnegative")
     n = a.ambient_dim
-    check_monomial_cap(n, d_max, cap)
+    check_monomial_cap(n, d_max)
     p = PRIME
     k = a.num_subspaces
     full = (1 << k) - 1

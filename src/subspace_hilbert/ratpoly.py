@@ -4,6 +4,12 @@ A polynomial is a dense list of ``fractions.Fraction`` coefficients indexed by
 degree, kept in canonical form (no trailing zero coefficient, so the zero
 polynomial has an empty coefficient tuple).  A series is a fixed-length prefix
 of a power series: coefficients of t^0 .. t^order.  All arithmetic is exact.
+
+``QPoly`` has no division.  The only divisor the package needs is a power of
+1 - t, and in the basis u = 1 - t (``substitute_one_minus_t``, its own
+inverse) reducing mod (1-t)^k is truncation to the first k coefficients;
+dividing a series by 1 - t is a prefix sum and multiplying by it a backward
+difference.
 """
 
 from __future__ import annotations
@@ -90,33 +96,6 @@ class QPoly:
             k >>= 1
         return result
 
-    def __divmod__(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        quot = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        rem = list(self.coeffs)
-        lead = other.coeffs[-1]
-        for i in range(len(quot) - 1, -1, -1):
-            c = rem[i + other.degree] / lead
-            if c:
-                quot[i] = c
-                for j, d in enumerate(other.coeffs):
-                    rem[i + j] -= c * d
-        return QPoly(quot), QPoly(rem)
-
-    def __mod__(self, other: "QPoly") -> "QPoly":
-        return divmod(self, other)[1]
-
-    def __floordiv__(self, other: "QPoly") -> "QPoly":
-        return divmod(self, other)[0]
-
-    def exact_div(self, other: "QPoly") -> "QPoly":
-        """Divide by an exact factor; raise if a nonzero remainder is left."""
-        quot, rem = divmod(self, other)
-        if rem:
-            raise ValueError(f"{self} is not divisible by {other}")
-        return quot
-
     def shift(self, k: int) -> "QPoly":
         """Multiply by t^k."""
         if not self:
@@ -159,14 +138,6 @@ class QPoly:
 ZERO = QPoly()
 ONE = QPoly.of(1)
 T = QPoly.of(0, 1)
-ONE_MINUS_T = ONE - T
-
-
-def one_minus_t_pow(k: int) -> QPoly:
-    """(1-t)^k."""
-    if k < 0:
-        raise ValueError("negative power")
-    return ONE_MINUS_T**k
 
 
 @dataclass(frozen=True)
@@ -201,14 +172,24 @@ def binom(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
+def substitute_one_minus_t(p: QPoly) -> QPoly:
+    """p(1-t), expanded: the coefficient of t^k is (-1)^k sum_{j>=k} C(j, k) p_j.
+    Applying it twice gives back p, so it also maps t-coefficients to
+    u-coefficients, u = 1 - t, and back."""
+    c = p.coeffs
+    return QPoly(
+        (-1) ** k * sum(math.comb(j, k) * c[j] for j in range(k, len(c)))
+        for k in range(len(c))
+    )
+
+
 def poly_mod_one_minus_t_pow(p: QPoly, k: int) -> QPoly:
     """Remainder of p under division by (1-t)^k; the unique representative of
-    degree < k."""
+    degree < k.  In u = 1 - t the division is by u^k, so the remainder is
+    the first k u-coefficients of p."""
     if k < 0:
         raise ValueError("negative power")
-    if k == 0:
-        return ZERO
-    return p % one_minus_t_pow(k)
+    return substitute_one_minus_t(QPoly(substitute_one_minus_t(p).coeffs[:k]))
 
 
 def expand_rational(numerator: QPoly, denom_power: int, order: int) -> QSeries:
@@ -231,23 +212,20 @@ def expand_rational(numerator: QPoly, denom_power: int, order: int) -> QSeries:
     return QSeries(coeffs)
 
 
-def substitute_one_minus_t(p: QPoly) -> QPoly:
-    """p(1-t), expanded: the coefficient of t^k is (-1)^k sum_{j>=k} C(j, k) p_j.
-    Applying it twice gives back p."""
-    c = p.coeffs
-    return QPoly(
-        (-1) ** k * sum(math.comb(j, k) * c[j] for j in range(k, len(c)))
-        for k in range(len(c))
-    )
-
-
 def fit_numerator(values: Sequence[Scalar], denom_power: int) -> QPoly:
     """Numerator of a rational function with denominator (1-t)^denom_power
     whose series starts with the given coefficients.
 
     Exact only when the true numerator degree is at most len(values)-1; the
     result is the product of the value series with (1-t)^denom_power,
-    truncated at that degree.
+    truncated at that degree.  Multiplying by 1 - t is a backward
+    difference, applied denom_power times, the inverse of
+    ``expand_rational``'s prefix sums.
     """
-    prod = QPoly(values) * one_minus_t_pow(denom_power)
-    return QPoly(prod.coeffs[: len(values)])
+    if denom_power < 0:
+        raise ValueError("negative denominator power")
+    coeffs = [Fraction(v) for v in values]
+    for _ in range(denom_power):
+        for d in range(len(coeffs) - 1, 0, -1):
+            coeffs[d] -= coeffs[d - 1]
+    return QPoly(coeffs)

@@ -9,6 +9,12 @@ transversal binomial formula over all 2^m subsets, and
 interpolation, a change to the shifted binomial basis and truncated series
 division.  The package computes all of them with integer arithmetic; the
 tests compare the two routes.
+
+The package reduces mod (1-t)^k and reads Hilbert polynomials in the basis
+u = 1 - t.  The references here work in t: ``poly_divmod`` is polynomial long
+division, ``reference_poly_mod_one_minus_t_pow`` its remainder by (1-t)^k,
+``reference_hilbert_polynomial`` a sum of shifted binomial polynomials, one
+per numerator term, and ``reference_fit_numerator`` a product with (1-t)^n.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 
 from subspace_hilbert.arrangement import Arrangement, DimensionFunction
 from subspace_hilbert.gpca import InconsistentDataError, RecoveryResult
-from subspace_hilbert.hilbert import PSFamily, shifted_binomial_polynomial
+from subspace_hilbert.hilbert import HilbertPolynomial, PSFamily
 from subspace_hilbert.linalg import (
     QMatrix,
     SubspaceBasis,
@@ -31,14 +37,72 @@ from subspace_hilbert.linalg import (
 )
 from subspace_hilbert.ratpoly import (
     ONE,
-    ONE_MINUS_T,
     ZERO,
     QPoly,
     QSeries,
+    T,
     binom,
-    poly_mod_one_minus_t_pow,
     substitute_one_minus_t,
 )
+
+ONE_MINUS_T = ONE - T
+
+
+def poly_divmod(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly]:
+    """Quotient and remainder of polynomial long division, deg r < deg b."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    quot = [Fraction(0)] * max(len(a.coeffs) - len(b.coeffs) + 1, 0)
+    rem = list(a.coeffs)
+    lead = b.coeffs[-1]
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + b.degree] / lead
+        if c:
+            quot[i] = c
+            for j, d in enumerate(b.coeffs):
+                rem[i + j] -= c * d
+    return QPoly(quot), QPoly(rem)
+
+
+def reference_poly_mod_one_minus_t_pow(p: QPoly, k: int) -> QPoly:
+    """Remainder of p under long division by (1-t)^k."""
+    if k < 0:
+        raise ValueError("negative power")
+    return poly_divmod(p, ONE_MINUS_T**k)[1]
+
+
+def shifted_binomial_polynomial(n: int, shift: int) -> QPoly:
+    """The degree-(n-1) polynomial in d whose value is C(d-shift+n-1, n-1).
+
+    The binomial identity holds for all integers d with d - shift >= 0; as
+    polynomials these form a basis (over shifts 0..n-1) of degree < n.
+    """
+    if n < 1:
+        raise ValueError("ambient dimension must be at least 1")
+    poly = ONE
+    for k in range(1, n):
+        poly = poly * QPoly.of(k - shift, 1)
+    return poly * Fraction(1, math.factorial(n - 1))
+
+
+def reference_hilbert_polynomial(numerator: QPoly, n: int) -> HilbertPolynomial:
+    """Hilbert polynomial of numerator/(1-t)^n: the t^d coefficient is
+    sum_j numerator_j C(d-j+n-1, n-1), one shifted binomial polynomial per
+    numerator term."""
+    if n < 1:
+        raise ValueError("ambient dimension must be at least 1")
+    total = ZERO
+    for j, coeff in enumerate(numerator.coeffs):
+        if coeff:
+            total = total + shifted_binomial_polynomial(n, j) * coeff
+    return HilbertPolynomial(total)
+
+
+def reference_fit_numerator(values: Sequence, denom_power: int) -> QPoly:
+    """The value series times (1-t)^denom_power, truncated to len(values)
+    coefficients."""
+    prod = QPoly(values) * ONE_MINUS_T**denom_power
+    return QPoly(prod.coeffs[: len(values)])
 
 
 def matvec(m: QMatrix, v: Sequence) -> tuple[Fraction, ...]:
@@ -107,7 +171,7 @@ def reference_ps_family(d: DimensionFunction) -> PSFamily:
             sub = (sub - 1) & mask
         size = mask.bit_count()
         signed = q if size % 2 == 0 else -q
-        polys[mask] = poly_mod_one_minus_t_pow(
+        polys[mask] = reference_poly_mod_one_minus_t_pow(
             signed * inverse_of_t_mod(c) ** size, c
         )
     rows = []
@@ -241,7 +305,7 @@ def reference_recover_codimensions(
         raise InconsistentDataError(
             f"binomial-basis coefficients {a.coeffs} are not integers"
         )
-    b = poly_mod_one_minus_t_pow(a, n)
+    b = reference_poly_mod_one_minus_t_pow(a, n)
     product = truncate(substitute_one_minus_t(b), n - 1)
     if product.coeff(0) != 1:
         raise InconsistentDataError("series constant term is not 1")

@@ -147,6 +147,16 @@ class TestAnalyzeCommand:
         assert doc["oracle"]["dim_product"] == ["0", "0", "0", "7", "12", "18"]
         assert doc["oracle"]["agrees"] is True
 
+    def test_max_degree_below_m_lists_no_values(self, capsys):
+        path = str(fixture_path("three-coordinate-axes"))
+        assert main(["analyze", path, "--max-degree", "1"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "Hilbert function" not in out
+        assert "h(d) = -2 + 3/2d + 1/2d^2" in out
+        assert main(["analyze", path, "--max-degree", "1", "--json"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["hilbert_function"] == {"start": 3, "values": []}
+
     def test_json_is_canonical(self, capsys):
         path = str(fixture_path("three-pencil-planes"))
         assert main(["analyze", path, "--oracle", "--json"]) == EXIT_OK

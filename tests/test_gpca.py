@@ -5,10 +5,12 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from subspace_hilbert import gpca
 from subspace_hilbert.arrangement import (
     Arrangement,
     DimensionFunction,
@@ -24,10 +26,7 @@ from subspace_hilbert.gpca import (
     recover_codimensions,
     sample_points,
 )
-from subspace_hilbert.hilbert import (
-    shifted_binomial_polynomial,
-    transversal_hilbert_function,
-)
+from subspace_hilbert.hilbert import transversal_hilbert_function
 from subspace_hilbert.linalg import QMatrix, SubspaceBasis, rank
 from subspace_hilbert.oracle import dim_intersection_ideal, monomial_basis
 from subspace_hilbert.ratpoly import QPoly, binom
@@ -36,6 +35,7 @@ from closed_form_reference import (
     binomial_basis_coefficients,
     interpolate_polynomial,
     reference_recover_codimensions,
+    shifted_binomial_polynomial,
 )
 
 
@@ -167,6 +167,9 @@ class TestEstimateHilbertValue:
     def test_degree_zero(self):
         pc = PointCloud(3, [[1, 2, 3]])
         assert estimate_hilbert_value(pc, 0) == 0
+        # a ray past int64 with no power above 1 still takes Python ints
+        pc = PointCloud(2, [[10**30, 1], [1, 2]])
+        assert estimate_hilbert_value(pc, 0) == 0
 
     def test_empty_cloud_gives_full_space(self):
         pc = PointCloud(3, [])
@@ -198,6 +201,11 @@ class TestEstimateHilbertValue:
         for d, expected in enumerate([0, 1, 3, 6, 10]):
             assert estimate_hilbert_value(pc, d) == expected
             assert reference_hilbert_value(pc, d) == expected
+
+    def test_exact_points_that_do_not_fit_a_float(self):
+        pc = PointCloud(2, [[Fraction(10**400), 1], [1, 2]])
+        with pytest.raises(ValueError, match="degree-1"):
+            estimate_hilbert_value(pc, 1, tol=1e-8)
 
     def test_ten_points_per_line_match_oracle(self):
         arr = coordinate_axes()
@@ -239,6 +247,25 @@ class TestEstimateHilbertValue:
         assert not floaty.exact
         for d in range(1, 5):
             assert estimate_hilbert_value(floaty, d) == estimate_hilbert_value(pc, d)
+
+    def test_float_matrix_matches_python_floats(self):
+        # numpy's vectorised pow may round differently from Python's float
+        # pow in the last bit; products of up to d such factors stay within
+        # a few ulp of the scalar loop.
+        rng = random.Random(507)
+        for _ in range(30):
+            n, d = rng.randint(1, 4), rng.randint(0, 7)
+            points = [
+                [rng.uniform(-50, 50) for _ in range(n)] for _ in range(rng.randint(1, 6))
+            ]
+            basis = monomial_basis(n, d)
+            expected = [
+                [math.prod(x**e for x, e in zip(p, exps)) for exps in basis.monomials]
+                for p in points
+            ]
+            matrix = gpca._evaluation_matrix(np.array(points), basis)
+            assert matrix.dtype == np.float64
+            np.testing.assert_allclose(matrix, expected, rtol=1e-13, atol=0)
 
     def test_explicit_tolerance(self):
         pc = PointCloud(2, [[1.0, 0.0], [1.0, 1e-12]])

@@ -24,7 +24,6 @@ from subspace_hilbert.hilbert import (
     hilbert_series_J,
     is_series_difference_polynomial,
     ps_family_satisfies_congruences,
-    shifted_binomial_polynomial,
     transversal_hilbert_function,
     transversal_series,
 )
@@ -33,16 +32,18 @@ from subspace_hilbert.ratpoly import (
     ONE,
     ZERO,
     QPoly,
+    T,
     binom,
     expand_rational,
-    one_minus_t_pow,
     poly_mod_one_minus_t_pow,
 )
 
 from closed_form_reference import (
     inverse_of_t_mod,
     matvec,
+    reference_hilbert_polynomial,
     reference_transversal_hilbert_function,
+    shifted_binomial_polynomial,
 )
 
 # (n, codims) with n <= 8, m <= 8 and codimension n allowed
@@ -134,7 +135,7 @@ class TestPSFamily:
                 break
             sub = (sub - 1) & mask
         noise = QPoly.of(*[rng.randint(-5, 5) for _ in range(3)])
-        shifted = q + noise * one_minus_t_pow(c)
+        shifted = q + noise * (ONE - T) ** c
         resolved = poly_mod_one_minus_t_pow(
             -shifted * inverse_of_t_mod(c) ** 3, c
         )
@@ -172,7 +173,7 @@ class TestHilbertSeriesJ:
             dim = rng.randint(0, n - 1)
             arr = random_arrangement(n, [dim], rng.randint(0, 10**6))
             hs = hilbert_series_J(dimension_function(arr))
-            assert hs.numerator == ONE - one_minus_t_pow(n - dim)
+            assert hs.numerator == ONE - (ONE - T) ** (n - dim)
 
     def test_combinatorial_invariance_of_fixtures(self):
         assert hilbert_series_J(dimension_function(coordinate_axes())) == (
@@ -261,7 +262,7 @@ class TestBettiNumbers:
 class TestTransversalSeries:
     def test_three_lines_numerator(self):
         numerator, power = transversal_series([2, 2, 2], 3)
-        assert numerator == (ONE - one_minus_t_pow(2)) ** 3
+        assert numerator == (ONE - (ONE - T) ** 2) ** 3
         assert numerator == QPoly.of(0, 0, 0, 8, -12, 6, -1)
         assert power == 3
 
@@ -273,7 +274,7 @@ class TestTransversalSeries:
     def test_polynomial_part_of_three_lines(self):
         numerator, _ = transversal_series([2, 2, 2], 3)
         assert numerator - QPoly.of(-2, 6, -3) == (
-            QPoly.of(2, 0, -3, 1) * one_minus_t_pow(3)
+            QPoly.of(2, 0, -3, 1) * (ONE - T) ** 3
         )
 
     def test_rejects_bad_codims(self):
@@ -288,7 +289,7 @@ class TestTransversalSeries:
         n, codims = case
         expected = ONE
         for c in codims:
-            expected = expected * (ONE - one_minus_t_pow(c))
+            expected = expected * (ONE - (ONE - T) ** c)
         assert transversal_series(codims, n) == (expected, n)
 
 
@@ -312,7 +313,7 @@ class TestSeriesDifference:
         # the gap is (t+3t^2)/(1-t), a non-polynomial with positive
         # coefficients since the intersection contains the product
         assert h_j.numerator - QPoly.of(0, 1, 0, 1, -1) == (
-            -QPoly.of(0, 1, 3) * one_minus_t_pow(3)
+            -QPoly.of(0, 1, 3) * (ONE - T) ** 3
         )
 
     def test_equal_series(self):
@@ -396,6 +397,20 @@ class TestHilbertPolynomial:
     def test_rejects_zero_ambient(self):
         with pytest.raises(ValueError):
             hilbert_polynomial_from_numerator(ONE, 0)
+
+    def test_matches_shifted_binomial_reference(self):
+        rng = random.Random(911)
+        cases = [(ZERO, 1), (ZERO, 4), (ONE, 1), (QPoly.of(0, 0, 0, 7, -9, 3), 1)]
+        for _ in range(300):
+            numerator = QPoly(
+                Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                for _ in range(rng.randint(0, 12))
+            )
+            cases.append((numerator, rng.randint(1, 8)))
+        for numerator, n in cases:
+            assert hilbert_polynomial_from_numerator(numerator, n) == (
+                reference_hilbert_polynomial(numerator, n)
+            )
 
     def test_shifted_binomial_values(self):
         rng = random.Random(909)

@@ -12,12 +12,18 @@ from subspace_hilbert.ratpoly import (
     binom,
     expand_rational,
     fit_numerator,
-    one_minus_t_pow,
     poly_mod_one_minus_t_pow,
     substitute_one_minus_t,
 )
 
-from closed_form_reference import inverse_of_t_mod, series_divide, truncate
+from closed_form_reference import (
+    inverse_of_t_mod,
+    poly_divmod,
+    reference_fit_numerator,
+    reference_poly_mod_one_minus_t_pow,
+    series_divide,
+    truncate,
+)
 
 
 def random_poly(rng, max_degree, max_num=9, max_den=5):
@@ -53,14 +59,9 @@ def test_divmod_property():
         b = random_poly(rng, 4)
         if not b:
             continue
-        q, r = divmod(a, b)
+        q, r = poly_divmod(a, b)
         assert q * b + r == a
         assert r.degree < b.degree
-
-
-def test_exact_div_rejects_remainder():
-    with pytest.raises(ValueError):
-        (T + ONE).exact_div(ONE - T)
 
 
 def test_to_str():
@@ -96,7 +97,7 @@ def test_poly_mod_remainder_property():
         k = rng.randint(0, 6)
         r = poly_mod_one_minus_t_pow(p, k)
         assert r.degree < k
-        assert (p - r) % one_minus_t_pow(k) == ZERO
+        assert poly_divmod(p - r, (ONE - T) ** k)[1] == ZERO
 
 
 def test_inverse_of_t_mod_small():
@@ -114,7 +115,7 @@ def test_inverse_of_t_mod_exhaustive():
     for k in range(1, 65):
         q = inverse_of_t_mod(k)
         assert q.degree < k
-        assert (T * q - ONE) % one_minus_t_pow(k) == ZERO
+        assert poly_divmod(T * q - ONE, (ONE - T) ** k)[1] == ZERO
 
 
 def test_expand_rational_tables():
@@ -149,7 +150,7 @@ def test_expand_rational_cancellation_invariant():
         num = random_poly(rng, 6)
         n = rng.randint(0, 8)
         d_max = rng.randint(0, 20)
-        lhs = expand_rational(num * one_minus_t_pow(1), n + 1, d_max)
+        lhs = expand_rational(num * (ONE - T), n + 1, d_max)
         rhs = expand_rational(num, n, d_max)
         assert lhs == rhs
 
@@ -217,3 +218,31 @@ def test_fit_numerator_recovers_known_series():
     num = QPoly.of(0, 1, 0, 1, -1)
     table = expand_rational(num, 4, 6)
     assert fit_numerator(table.coeffs, 4) == num
+
+
+def test_poly_mod_matches_long_division():
+    rng = random.Random(607)
+    cases = [(ZERO, k) for k in range(4)] + [(QPoly.of(3), 0), (T**9, 1)]
+    for _ in range(300):
+        cases.append((random_poly(rng, 12), rng.randint(0, 8)))
+    for p, k in cases:
+        assert poly_mod_one_minus_t_pow(p, k) == (
+            reference_poly_mod_one_minus_t_pow(p, k)
+        )
+    with pytest.raises(ValueError):
+        poly_mod_one_minus_t_pow(ONE, -1)
+
+
+def test_fit_numerator_matches_product():
+    rng = random.Random(608)
+    cases = [([], 2), ([0, 0, 0], 3), ([5], 0), ([1, 2, 3], 1)]
+    for _ in range(300):
+        values = [
+            Fraction(rng.randint(-20, 20), rng.randint(1, 4))
+            for _ in range(rng.randint(0, 10))
+        ]
+        cases.append((values, rng.randint(0, 9)))
+    for values, n in cases:
+        assert fit_numerator(values, n) == reference_fit_numerator(values, n)
+    with pytest.raises(ValueError):
+        fit_numerator([1, 2], -1)
