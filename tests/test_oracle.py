@@ -404,16 +404,18 @@ class TestHilbertTable:
         for r in results[3:]:
             assert r.dim_I == r.dim_J
 
-    def test_cap_env_override(self, monkeypatch):
-        # degree 5 in Q^3 has 21 monomials
-        monkeypatch.setenv("SUBSPACE_HILBERT_MONOMIAL_CAP", "10")
-        with pytest.raises(MonomialCapExceeded):
-            hilbert_table(coordinate_axes(), 5)
+    def test_cap_enforced(self, monkeypatch):
+        # degree 5 in Q^3 has 21 monomials: a cap of 20 stops, 21 passes
         monkeypatch.setenv("SUBSPACE_HILBERT_MONOMIAL_CAP", "20")
         with pytest.raises(MonomialCapExceeded):
             hilbert_table(coordinate_axes(), 5)
         monkeypatch.setenv("SUBSPACE_HILBERT_MONOMIAL_CAP", "21")
         assert len(hilbert_table(coordinate_axes(), 5)) == 6
+
+    def test_cap_env_override(self, monkeypatch):
+        monkeypatch.setenv("SUBSPACE_HILBERT_MONOMIAL_CAP", "10")
+        with pytest.raises(MonomialCapExceeded):
+            hilbert_table(coordinate_axes(), 5)
 
     @pytest.mark.parametrize("raw", ["abc", "-5", "1e3"])
     def test_bad_cap_env_names_the_variable(self, monkeypatch, raw):
