@@ -10,8 +10,9 @@
   below the rank of all the forms.
 
 An arrangement depends on (kind, n, m, seed) alone and uses only
-``random_arrangement``, ``Arrangement`` and exact rank, so two source trees
-can be measured on the same inputs.
+``random_arrangement``, ``Arrangement`` and ``SubspaceBasis``, which raises
+ValueError on dependent rows, so two source trees can be measured on the
+same inputs.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import random
 
 from subspace_hilbert import Arrangement, SubspaceBasis, random_arrangement
-from subspace_hilbert.linalg import QMatrix, rank
 
 KINDS = ("generic", "degenerate", "hyperplanes")
 
@@ -48,7 +48,9 @@ def build(kind: str, n: int, m: int, seed: int) -> Arrangement:
         k = rng.randint(2, n - 3)
         while True:
             rows = [line] + [in_hyperplane() for _ in range(k - 1)]
-            if rank(QMatrix(rows, ncols=n)) == k:
+            try:
                 subspaces.append(SubspaceBasis(n, rows))
-                break
+            except ValueError:  # dependent rows: draw again
+                continue
+            break
     return Arrangement(n, subspaces)

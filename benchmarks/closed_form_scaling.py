@@ -11,10 +11,12 @@ one seeded arrangement each:
   rendering, stdout captured.
 
 Each time recorded is the median of REPEATS = 5 runs of the call, each on a
-freshly built copy of the arrangement: subspaces cache their annihilator
-forms, so a second call on the same object would skip that work.  A single
-run can swing several-fold on a shared machine; the median of five does
-not.
+freshly built copy of the arrangement, built outside the timed region.  A
+subspace computes its annihilator forms when it is built (0.1-0.5 ms each
+at n = 12), so ``dimension_function`` times leave them out, while labels
+recorded before forms moved to construction include them;
+``cli_analyze_json_s`` parses the file and so includes them.  A single run
+can swing several-fold on a shared machine; the median of five does not.
 
 The kinds are those of ``arrangement_kinds`` (generic, degenerate,
 hyperplanes), each arrangement seeded by m alone, so two source trees can be

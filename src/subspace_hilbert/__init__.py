@@ -1,7 +1,9 @@
 """Exact Hilbert series, Betti numbers, and dimension recovery for unions of
 linear subspaces.
 
-The package computes, entirely over the rationals:
+The package computes exactly, on Python ints wherever the values are
+integers, with ``fractions.Fraction`` kept for rational input and the
+Hilbert polynomial:
 
 - the Hilbert series of the product ideal attached to a subspace arrangement,
   in closed form from the arrangement's dimension function, together with the
@@ -43,20 +45,10 @@ from .hilbert import (
     hilbert_polynomial_from_numerator,
     hilbert_series_J,
     is_series_difference_polynomial,
-    ps_family_satisfies_congruences,
     transversal_hilbert_function,
     transversal_series,
 )
-from .linalg import (
-    QMatrix,
-    SubspaceBasis,
-    annihilator,
-    approx_rank,
-    kernel,
-    rank,
-    rref,
-    spans_equal,
-)
+from .linalg import SubspaceBasis, approx_rank
 from .oracle import (
     GradedPieceResult,
     MonomialBasis,
@@ -69,7 +61,6 @@ from .oracle import (
 )
 from .ratpoly import (
     QPoly,
-    QSeries,
     binom,
     expand_rational,
     fit_numerator,
@@ -89,12 +80,9 @@ __all__ = [
     "MonomialCapExceeded",
     "PSFamily",
     "PointCloud",
-    "QMatrix",
     "QPoly",
-    "QSeries",
     "RecoveryResult",
     "SubspaceBasis",
-    "annihilator",
     "approx_rank",
     "betti_numbers",
     "binom",
@@ -111,16 +99,11 @@ __all__ = [
     "hilbert_table",
     "is_series_difference_polynomial",
     "is_transversal",
-    "kernel",
     "monomial_basis",
     "monomial_cap",
-    "ps_family_satisfies_congruences",
     "random_arrangement",
-    "rank",
     "recover_codimensions",
-    "rref",
     "sample_points",
-    "spans_equal",
     "subset_cap",
     "transversal_hilbert_function",
     "transversal_series",

@@ -25,14 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import (
-    PRIME,
-    QMatrix,
-    SubspaceBasis,
-    certified_rank,
-    primitive_int_vector,
-    rank,
-)
+from .linalg import PRIME, SubspaceBasis, certified_rank
 
 _SUBSET_CAP_ENV = "SUBSPACE_HILBERT_SUBSET_CAP"
 _DEFAULT_SUBSET_CAP = 16
@@ -206,8 +199,7 @@ def dimension_function(arr: Arrangement) -> DimensionFunction:
     forms = [s.annihilator_forms for s in arr.subspaces]
     residues = [[[c % p for c in f] for f in fs] for fs in forms]
     ceiling = _stacked_rank([f for fs in forms for f in fs], n)
-    vectors = [primitive_int_vector(v) for s in arr.subspaces for v in s.vectors]
-    floor = n - _stacked_rank(vectors, n)
+    floor = n - _stacked_rank([v for s in arr.subspaces for v in s.integer_rows], n)
     dims = [n - ceiling] * (1 << m)
     dims[0] = n
 
@@ -267,9 +259,11 @@ def random_arrangement(
             rows = [
                 [rng.randint(-3, 3) for _ in range(ambient_dim)] for _ in range(d)
             ]
-            if rank(QMatrix(rows, ncols=ambient_dim)) == d:
+            try:
                 subspaces.append(SubspaceBasis(ambient_dim, rows))
-                break
+            except ValueError:  # dependent rows: draw again
+                continue
+            break
         else:
             raise RuntimeError("failed to sample an independent basis")
     return Arrangement(ambient_dim, subspaces)

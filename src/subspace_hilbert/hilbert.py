@@ -17,10 +17,15 @@ overflow bound; a p_S is expanded back to t by p(t) = sum_j a_j (1-t)^j only
 when it is read, so ``hilbert_series_J`` converts only the top polynomial.
 
 Everything else that works mod a power of 1 - t works in u as well:
-``ps_family_satisfies_congruences`` and ``is_series_difference_polynomial``
-reduce by truncating u-coefficients (``poly_mod_one_minus_t_pow``), and the
-Hilbert polynomial of numerator/(1-t)^n is read off the numerator's first n
-u-coefficients, one binomial C(d + r, r) each.
+``is_series_difference_polynomial`` reduces by truncating u-coefficients
+(``poly_mod_one_minus_t_pow``), and the Hilbert polynomial of
+numerator/(1-t)^n is read off the numerator's first n u-coefficients, one
+binomial C(d + r, r) each.
+
+Every value here but the Hilbert polynomial is an integer, and ``QPoly``
+stores integral coefficients as ints: p_S, the numerator, the Betti
+numbers, the graded dimensions and the transversal forms never become
+``Fraction``.  Only the Hilbert polynomial's factors 1/r do.
 
 The series of the intersection ideal I is deliberately absent: it is not
 determined by the dimension function alone, so it is only available through
@@ -43,6 +48,7 @@ from .ratpoly import (
     ONE,
     ZERO,
     QPoly,
+    Scalar,
     expand_rational,
     poly_mod_one_minus_t_pow,
     substitute_one_minus_t,
@@ -166,28 +172,6 @@ def compute_ps_family(d: DimensionFunction) -> PSFamily:
     return PSFamily(p)
 
 
-def ps_family_satisfies_congruences(family: PSFamily, d: DimensionFunction) -> bool:
-    """Re-verify every defining congruence and degree bound from scratch."""
-    if family.num_subspaces != d.num_subspaces:
-        return False
-    for mask in range(1 << d.num_subspaces):
-        c = d.codim_of(mask)
-        if mask and family.p(mask).degree >= c:
-            return False
-        total = ZERO
-        sub = mask
-        while True:
-            k = sub.bit_count()
-            term = family.p(sub).shift(k)  # (-t)^k p_X = (-1)^k t^k p_X
-            total = total - term if k % 2 else total + term
-            if sub == 0:
-                break
-            sub = (sub - 1) & mask
-        if poly_mod_one_minus_t_pow(total, c):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class HilbertSeriesJ:
     """Hilbert series of the product ideal: numerator/(1-t)^n.
@@ -213,8 +197,8 @@ class HilbertSeriesJ:
         """The numerator with t^m divided out."""
         return QPoly(self.numerator.coeffs[self.m :])
 
-    def coefficients(self, order: int) -> tuple[Fraction, ...]:
-        return expand_rational(self.numerator, self.n, order).coeffs
+    def coefficients(self, order: int) -> tuple[Scalar, ...]:
+        return expand_rational(self.numerator, self.n, order)
 
     def table(self, max_degree: int) -> tuple[int, ...]:
         """Graded dimensions dim J_d for d = 0..max_degree."""
@@ -367,7 +351,7 @@ class HilbertPolynomial:
     def degree(self) -> int:
         return self.coeffs.degree
 
-    def __call__(self, d: Union[int, Fraction]) -> Fraction:
+    def __call__(self, d: Scalar) -> Scalar:
         return self.coeffs.evaluate(d)
 
     def to_str(self, var: str = "d") -> str:

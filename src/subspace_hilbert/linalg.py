@@ -1,26 +1,28 @@
-"""Exact rational matrix algebra.
+"""Exact integer matrix algebra.
 
-Reduced row echelon form, rank, kernel and annihilators, all over
-``fractions.Fraction``; plus a tolerance-based rank for float matrices.
-Integer matrices have two exact rank routes: ``certified_rank``, a rank
-mod a prime certified over Q by a lifted reduced echelon form (the one
-exact-rank entry point), and ``IntEchelon``, an incremental fraction-free
-accumulator for callers that add rows one at a time and for the
-certificate's fallback.  ``echelon_mod_p`` is the GF(p) eliminator for
-numpy matrices; ``arrangement.dimension_function`` reduces its own rows of
-Python ints mod ``PRIME``, one subspace's forms at a time, along its walk.
+Subspaces arrive as exact rationals and are scaled to primitive integer
+rows at once (``primitive_int_vector``); ``rref``, a fraction-free
+Gauss-Jordan elimination over Python ints, checks their independence and
+gives their annihilator forms (``SubspaceBasis``).  Integer matrices have
+two exact rank routes: ``certified_rank``, a rank mod a prime certified
+over Q by a lifted reduced echelon form (the one exact-rank entry point),
+and ``IntEchelon``, an incremental fraction-free accumulator for callers
+that add rows one at a time and for the certificate's fallback.
+``echelon_mod_p`` is the GF(p) eliminator for numpy matrices;
+``arrangement.dimension_function`` reduces its own rows of Python ints mod
+``PRIME``, one subspace's forms at a time, along its walk.  ``approx_rank``
+is a tolerance-based rank for float matrices.
 
 Everything here is immutable after construction and safe to share across
-threads; ``SubspaceBasis.annihilator_forms`` is computed on first use and
-never changes.
+threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -54,75 +56,61 @@ def _to_vector(entries: Iterable) -> Vector:
     return tuple(Fraction(e) for e in entries)
 
 
-@dataclass(frozen=True)
-class QMatrix:
-    """Dense matrix of rationals, stored as a tuple of row tuples."""
+def rref(
+    rows: Iterable[Sequence[int]], ncols: int
+) -> tuple[list[list[int]], tuple[int, ...], int]:
+    """Reduced row echelon form of an integer matrix, fraction-free.
 
-    entries: tuple[Vector, ...]
-    ncols: int
-
-    def __init__(self, rows: Iterable[Iterable], ncols: int | None = None):
-        rows = tuple(_to_vector(r) for r in rows)
-        if rows:
-            ncols = len(rows[0])
-            if any(len(r) != ncols for r in rows):
-                raise ValueError("ragged matrix rows")
-        elif ncols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "ncols", ncols)
-
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls(
-            [[Fraction(int(i == j)) for j in range(n)] for i in range(n)], ncols=n
-        )
-
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-
-def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns.
-
-    Deterministic: pivots are chosen leftmost-column-first, taking the first
-    row (top-down) with a nonzero entry in that column.
+    Returns its nonzero rows, their pivot columns and d > 0: row i holds d
+    at pivot column i, every pivot column is d times a unit vector, and the
+    rows are d times the rational reduced echelon form.  Bareiss's
+    one-step elimination ("Sylvester's identity and multistep
+    integer-preserving Gaussian elimination", Math. Comp. 1968), run
+    Gauss-Jordan style: with pivot entry a at (r, c) and previous pivot
+    entry b, every other row v becomes (a*v - v[c]*row_r) / b, an exact
+    division whose results are minors of the matrix.  Pivots are chosen as
+    for the rational form: leftmost column first, taking the first row
+    (top-down) with a nonzero entry in that column.
     """
-    rows = [list(r) for r in m.entries]
+    a = [list(r) for r in rows]
     pivots: list[int] = []
-    pr = 0
-    for pc in range(m.ncols):
-        pivot_row = None
-        for i in range(pr, len(rows)):
-            if rows[i][pc] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if i is None:
             continue
-        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        lead = rows[pr][pc]
-        if lead != 1:
-            rows[pr] = [e / lead for e in rows[pr]]
-        for i, row in enumerate(rows):
-            if i != pr and row[pc] != 0:
-                factor = row[pc]
-                rows[i] = [e - factor * p for e, p in zip(row, rows[pr])]
-        pivots.append(pc)
-        pr += 1
-    return QMatrix(rows, ncols=m.ncols), tuple(pivots)
-
-
-def rank(m: QMatrix) -> int:
-    return len(rref(m)[1])
+        a[r], a[i] = a[i], a[r]
+        top = a[r]
+        lead = top[c]
+        for k, row in enumerate(a):
+            if k != r:
+                f = row[c]
+                a[k] = [(lead * x - f * y) // prev for x, y in zip(row, top)]
+        pivots.append(c)
+        prev = lead
+    a = a[: len(pivots)]
+    if prev < 0:
+        a = [[-x for x in row] for row in a]
+    return a, tuple(pivots), abs(prev)
 
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """A linear subspace given by a tuple of independent spanning vectors."""
+    """A linear subspace given by a tuple of independent spanning vectors.
+
+    ``vectors`` are the caller's exact rationals and ``integer_rows`` the
+    same vectors scaled to primitive integers.  One ``rref`` of the rows
+    checks their independence and gives ``annihilator_forms``: primitive
+    integer coefficient vectors of a basis of the linear forms vanishing on
+    the subspace, ambient_dim - dim of them.  The dimension function and
+    the oracle read only the integer rows and forms.
+    """
 
     ambient_dim: int
     vectors: tuple[Vector, ...]
+    integer_rows: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    annihilator_forms: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Iterable] = ()):
         vectors = tuple(_to_vector(v) for v in vectors)
@@ -133,79 +121,36 @@ class SubspaceBasis:
                 raise ValueError(
                     f"vector of length {len(v)} in ambient dimension {ambient_dim}"
                 )
-        if vectors and rank(QMatrix(vectors, ncols=ambient_dim)) != len(vectors):
+        rows = tuple(tuple(primitive_int_vector(v)) for v in vectors)
+        reduced, pivots, d = rref(rows, ambient_dim)
+        if len(pivots) != len(rows):
             raise ValueError("spanning vectors are linearly dependent")
+        # the kernel of the rows: for each free column f, v[f] = d and
+        # v[p_i] = -row_i[f], primitive after the gcd is divided out
+        forms = []
+        for f in [f for f in range(ambient_dim) if f not in pivots]:
+            v = [0] * ambient_dim
+            v[f] = d
+            for row, p in zip(reduced, pivots):
+                v[p] = -row[f]
+            g = math.gcd(*v)
+            forms.append(tuple(x // g for x in v))
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "vectors", vectors)
-
-    @classmethod
-    def span_of(cls, ambient_dim: int, vectors: Iterable[Iterable]) -> "SubspaceBasis":
-        """Canonical basis (nonzero RREF rows) of the span of the vectors."""
-        vectors = tuple(_to_vector(v) for v in vectors)
-        if not vectors:
-            return cls(ambient_dim)
-        reduced, pivots = rref(QMatrix(vectors, ncols=ambient_dim))
-        return cls(ambient_dim, reduced.entries[: len(pivots)])
+        object.__setattr__(self, "integer_rows", rows)
+        object.__setattr__(self, "annihilator_forms", tuple(forms))
 
     @property
     def dim(self) -> int:
         return len(self.vectors)
 
-    @cached_property
-    def annihilator_forms(self) -> tuple[tuple[int, ...], ...]:
-        """Primitive integer coefficient vectors of ``annihilator(self)``.
-
-        Computed once per subspace: the dimension function and the oracle
-        both rank these forms.
-        """
-        return tuple(tuple(primitive_int_vector(f)) for f in annihilator(self))
-
-    def contains(self, v: Sequence) -> bool:
-        vv = _to_vector(v)
-        if all(e == 0 for e in vv):
-            return True
-        stacked = QMatrix(self.vectors + (vv,), ncols=self.ambient_dim)
-        return rank(stacked) == self.dim
-
-
-def kernel(m: QMatrix) -> SubspaceBasis:
-    """Basis of the exact null space {x : m x = 0}."""
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(m.ncols) if c not in pivot_set]
-    vectors = []
-    for f in free_cols:
-        v = [Fraction(0)] * m.ncols
-        v[f] = Fraction(1)
-        for row_idx, p in enumerate(pivots):
-            v[p] = -reduced.entries[row_idx][f]
-        vectors.append(v)
-    return SubspaceBasis(m.ncols, vectors)
-
-
-def annihilator(s: SubspaceBasis) -> tuple[Vector, ...]:
-    """Basis of linear forms vanishing on the subspace.
-
-    A form is its coefficient vector; count is ambient_dim - dim.
-    """
-    if not s.vectors:
-        return kernel(QMatrix((), ncols=s.ambient_dim)).vectors
-    return kernel(QMatrix(s.vectors, ncols=s.ambient_dim)).vectors
-
-
-def spans_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:
-    if a.ambient_dim != b.ambient_dim or a.dim != b.dim:
-        return False
-    stacked = QMatrix(a.vectors + b.vectors, ncols=a.ambient_dim)
-    return rank(stacked) == a.dim
-
 
 def primitive_int_vector(v: Sequence) -> list[int]:
-    """Scale a rational vector to integers and strip the common gcd."""
-    vv = _to_vector(v)
-    den = reduce(math.lcm, (e.denominator for e in vv), 1)
-    ints = [int(e * den) for e in vv]
-    g = reduce(math.gcd, ints, 0)
+    """Scale a vector of ints and Fractions to integers and strip the
+    common gcd; the signs are kept."""
+    den = reduce(math.lcm, (e.denominator for e in v), 1)
+    ints = [e.numerator * (den // e.denominator) for e in v]
+    g = math.gcd(*ints)
     if g > 1:
         ints = [e // g for e in ints]
     return ints

@@ -44,10 +44,8 @@ from .linalg import (
     INT64_SAFE,
     PRIME,
     IntEchelon,
-    SubspaceBasis,
     certified_rank,
     echelon_mod_p,
-    primitive_int_vector,
 )
 from .ratpoly import binom
 
@@ -167,10 +165,6 @@ def _as_indices(S: SubsetLike, m: int) -> tuple[int, ...]:
     return tuple(indices)
 
 
-def _integer_basis(s: SubspaceBasis) -> list[list[int]]:
-    return [primitive_int_vector(v) for v in s.vectors]
-
-
 @lru_cache(maxsize=None)
 def _split_first_variable(n: int, e: int) -> tuple[np.ndarray, np.ndarray]:
     """For each degree-e monomial (e >= 1): its first variable j, and the
@@ -233,7 +227,7 @@ def dim_intersection_ideal(a: Arrangement, S: SubsetLike, d: int) -> int:
     n = a.ambient_dim
     idxs = _as_indices(S, a.num_subspaces)
     total = len(monomial_basis(n, d))
-    blocks = [_restriction_matrix(_integer_basis(a.subspaces[i]), n, d) for i in idxs]
+    blocks = [_restriction_matrix(a.subspaces[i].integer_rows, n, d) for i in idxs]
     # by width, not dim: the zero subspace has a width-1 block at d = 0
     blocks = [b for b in blocks if b.shape[1]]
     if not blocks:
@@ -330,7 +324,7 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     p = PRIME
     k = a.num_subspaces
     full = (1 << k) - 1
-    restrictions = [_restriction_matrices(_integer_basis(s), n) for s in a.subspaces]
+    restrictions = [_restriction_matrices(s.integer_rows, n) for s in a.subspaces]
     # the chain multiplies by the forms of V_1, ..., V_k, then by x_1, ..., x_n
     factors = [s.annihilator_forms for s in a.subspaces]
     coordinates = np.eye(n, dtype=np.int64).tolist()

@@ -1,9 +1,12 @@
 """Exact univariate polynomials and truncated power series over the rationals.
 
-A polynomial is a dense list of ``fractions.Fraction`` coefficients indexed by
-degree, kept in canonical form (no trailing zero coefficient, so the zero
-polynomial has an empty coefficient tuple).  A series is a fixed-length prefix
-of a power series: coefficients of t^0 .. t^order.  All arithmetic is exact.
+A polynomial is a dense tuple of coefficients indexed by degree, kept in
+canonical form: no trailing zero coefficient, so the zero polynomial has an
+empty tuple, and each coefficient an ``int`` when it is integral and a
+``fractions.Fraction`` only otherwise.  Integer polynomials (the p_S, the
+series numerators, the Betti numbers) therefore run on ints alone.  A
+series is a fixed-length prefix of a power series, the tuple of its
+coefficients of t^0 .. t^order.  All arithmetic is exact.
 
 ``QPoly`` has no division.  The only divisor the package needs is a power of
 1 - t, and in the basis u = 1 - t (``substitute_one_minus_t``, its own
@@ -19,13 +22,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
-
 Scalar = Union[int, Fraction]
 
 
-def _canonical(coeffs: Iterable[Scalar]) -> tuple[Fraction, ...]:
-    out = [Fraction(c) for c in coeffs]
+def _exact(c) -> Scalar:
+    """c as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _canonical(coeffs: Iterable) -> tuple[Scalar, ...]:
+    out = [_exact(c) for c in coeffs]
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
@@ -35,7 +45,7 @@ def _canonical(coeffs: Iterable[Scalar]) -> tuple[Fraction, ...]:
 class QPoly:
     """Dense polynomial in one variable with rational coefficients."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Scalar, ...]
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         object.__setattr__(self, "coeffs", _canonical(coeffs))
@@ -52,10 +62,10 @@ class QPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def coeff(self, i: int) -> Fraction:
+    def coeff(self, i: int) -> Scalar:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return Fraction(0)
+        return 0
 
     def __add__(self, other: "QPoly") -> "QPoly":
         a, b = self.coeffs, other.coeffs
@@ -75,7 +85,7 @@ class QPoly:
     def __mul__(self, other: Union["QPoly", Scalar]) -> "QPoly":
         if isinstance(other, (int, Fraction)):
             return QPoly(c * other for c in self.coeffs)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
+        out = [0] * (len(self.coeffs) + len(other.coeffs))
         for i, c in enumerate(self.coeffs):
             if c:
                 for j, d in enumerate(other.coeffs):
@@ -100,13 +110,13 @@ class QPoly:
         """Multiply by t^k."""
         if not self:
             return self
-        return QPoly((Fraction(0),) * k + self.coeffs)
+        return QPoly((0,) * k + self.coeffs)
 
-    def evaluate(self, x: Scalar) -> Fraction:
-        acc = Fraction(0)
+    def evaluate(self, x: Scalar) -> Scalar:
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
+        return _exact(acc)
 
     def to_str(self, var: str = "t") -> str:
         """Render in ascending degree with explicit signs, e.g. ``-2 + 6t - 3t^2``."""
@@ -140,31 +150,6 @@ ONE = QPoly.of(1)
 T = QPoly.of(0, 1)
 
 
-@dataclass(frozen=True)
-class QSeries:
-    """Power series truncated to a fixed order: coefficients of t^0 .. t^order."""
-
-    coeffs: tuple[Fraction, ...]
-
-    def __init__(self, coeffs: Iterable[Scalar]):
-        out = tuple(Fraction(c) for c in coeffs)
-        if not out:
-            raise ValueError("a series needs at least the t^0 coefficient")
-        object.__setattr__(self, "coeffs", out)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, d: int) -> Fraction:
-        if not 0 <= d <= self.order:
-            raise IndexError(f"degree {d} outside truncation order {self.order}")
-        return self.coeffs[d]
-
-    def __str__(self) -> str:
-        return QPoly(self.coeffs).to_str() + f" + O(t^{self.order + 1})"
-
-
 def binom(a: int, b: int) -> int:
     """C(a, b), taken to be 0 when a < 0, b < 0, or a < b."""
     if b < 0 or a < 0 or a < b:
@@ -192,7 +177,9 @@ def poly_mod_one_minus_t_pow(p: QPoly, k: int) -> QPoly:
     return substitute_one_minus_t(QPoly(substitute_one_minus_t(p).coeffs[:k]))
 
 
-def expand_rational(numerator: QPoly, denom_power: int, order: int) -> QSeries:
+def expand_rational(
+    numerator: QPoly, denom_power: int, order: int
+) -> tuple[Scalar, ...]:
     """Series coefficients of numerator(t) / (1-t)^denom_power through t^order.
 
     The coefficient of t^d equals sum_j numerator_j * C(d-j+n-1, n-1) for
@@ -205,11 +192,11 @@ def expand_rational(numerator: QPoly, denom_power: int, order: int) -> QSeries:
         raise ValueError("negative truncation order")
     coeffs = [numerator.coeff(d) for d in range(order + 1)]
     for _ in range(denom_power):
-        acc = Fraction(0)
+        acc = 0
         for d in range(order + 1):
             acc += coeffs[d]
             coeffs[d] = acc
-    return QSeries(coeffs)
+    return tuple(_exact(c) for c in coeffs)
 
 
 def fit_numerator(values: Sequence[Scalar], denom_power: int) -> QPoly:
@@ -224,7 +211,7 @@ def fit_numerator(values: Sequence[Scalar], denom_power: int) -> QPoly:
     """
     if denom_power < 0:
         raise ValueError("negative denominator power")
-    coeffs = [Fraction(v) for v in values]
+    coeffs = [_exact(v) for v in values]
     for _ in range(denom_power):
         for d in range(len(coeffs) - 1, 0, -1):
             coeffs[d] -= coeffs[d - 1]

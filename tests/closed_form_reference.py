@@ -10,6 +10,17 @@ interpolation, a change to the shifted binomial basis and truncated series
 division.  The package computes all of them with integer arithmetic; the
 tests compare the two routes.
 
+The package's linear algebra is integral: ``linalg.rref`` is fraction-free
+and ``SubspaceBasis`` keeps primitive integer rows and forms.  The rational
+originals it is tested against live here: ``QMatrix`` with its
+``Fraction`` ``rational_rref``, ``rank``, ``kernel`` and ``annihilator``, the
+subspace predicates ``span_of``, ``contains`` and ``spans_equal``, and
+``reference_primitive_int_vector``.  ``QSeries`` is a truncated series for
+``series_divide``; ``ps_family_satisfies_congruences`` re-verifies a p_S
+family from its definition.  ``QPoly`` stores integral coefficients as
+ints, and ``int / int`` is a float, so the only divisions of coefficients,
+in ``poly_divmod`` and ``series_divide``, go through ``Fraction``.
+
 The package reduces mod (1-t)^k and reads Hilbert polynomials in the basis
 u = 1 - t.  The references here work in t: ``poly_divmod`` is polynomial long
 division, ``reference_poly_mod_one_minus_t_pow`` its remainder by (1-t)^k,
@@ -20,32 +31,176 @@ per numerator term, and ``reference_fit_numerator`` a product with (1-t)^n.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from functools import reduce
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
 from subspace_hilbert.arrangement import Arrangement, DimensionFunction
 from subspace_hilbert.gpca import InconsistentDataError, RecoveryResult
 from subspace_hilbert.hilbert import HilbertPolynomial, PSFamily
-from subspace_hilbert.linalg import (
-    QMatrix,
-    SubspaceBasis,
-    annihilator,
-    kernel,
-    rref,
-)
+from subspace_hilbert.linalg import SubspaceBasis, Vector
 from subspace_hilbert.ratpoly import (
     ONE,
     ZERO,
     QPoly,
-    QSeries,
+    Scalar,
     T,
     binom,
+    poly_mod_one_minus_t_pow,
     substitute_one_minus_t,
 )
 
 ONE_MINUS_T = ONE - T
+
+
+def _to_vector(entries: Iterable) -> Vector:
+    return tuple(Fraction(e) for e in entries)
+
+
+@dataclass(frozen=True)
+class QMatrix:
+    """Dense matrix of rationals, stored as a tuple of row tuples."""
+
+    entries: tuple[Vector, ...]
+    ncols: int
+
+    def __init__(self, rows: Iterable[Iterable], ncols: int | None = None):
+        rows = tuple(_to_vector(r) for r in rows)
+        if rows:
+            ncols = len(rows[0])
+            if any(len(r) != ncols for r in rows):
+                raise ValueError("ragged matrix rows")
+        elif ncols is None:
+            raise ValueError("empty matrix needs an explicit column count")
+        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "ncols", ncols)
+
+    @classmethod
+    def identity(cls, n: int) -> "QMatrix":
+        return cls(
+            [[Fraction(int(i == j)) for j in range(n)] for i in range(n)], ncols=n
+        )
+
+    @property
+    def nrows(self) -> int:
+        return len(self.entries)
+
+
+def rational_rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
+    """Reduced row echelon form over ``Fraction`` and pivot columns.
+
+    Deterministic: pivots are chosen leftmost-column-first, taking the first
+    row (top-down) with a nonzero entry in that column.
+    """
+    rows = [list(r) for r in m.entries]
+    pivots: list[int] = []
+    pr = 0
+    for pc in range(m.ncols):
+        pivot_row = None
+        for i in range(pr, len(rows)):
+            if rows[i][pc] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
+        lead = rows[pr][pc]
+        if lead != 1:
+            rows[pr] = [e / lead for e in rows[pr]]
+        for i, row in enumerate(rows):
+            if i != pr and row[pc] != 0:
+                factor = row[pc]
+                rows[i] = [e - factor * p for e, p in zip(row, rows[pr])]
+        pivots.append(pc)
+        pr += 1
+    return QMatrix(rows, ncols=m.ncols), tuple(pivots)
+
+
+def rank(m: QMatrix) -> int:
+    return len(rational_rref(m)[1])
+
+
+def kernel(m: QMatrix) -> SubspaceBasis:
+    """Basis of the exact null space {x : m x = 0}, from the rational RREF."""
+    reduced, pivots = rational_rref(m)
+    vectors = []
+    for f in (c for c in range(m.ncols) if c not in pivots):
+        v = [Fraction(0)] * m.ncols
+        v[f] = Fraction(1)
+        for row_idx, p in enumerate(pivots):
+            v[p] = -reduced.entries[row_idx][f]
+        vectors.append(v)
+    return SubspaceBasis(m.ncols, vectors)
+
+
+def annihilator(s: SubspaceBasis) -> tuple[Vector, ...]:
+    """Basis of linear forms vanishing on the subspace, over ``Fraction``.
+
+    A form is its coefficient vector; count is ambient_dim - dim.
+    """
+    return kernel(QMatrix(s.vectors, ncols=s.ambient_dim)).vectors
+
+
+def span_of(ambient_dim: int, vectors: Iterable[Iterable]) -> SubspaceBasis:
+    """Canonical basis (nonzero rational RREF rows) of the span of the vectors."""
+    vectors = tuple(_to_vector(v) for v in vectors)
+    if not vectors:
+        return SubspaceBasis(ambient_dim)
+    reduced, pivots = rational_rref(QMatrix(vectors, ncols=ambient_dim))
+    return SubspaceBasis(ambient_dim, reduced.entries[: len(pivots)])
+
+
+def contains(s: SubspaceBasis, v: Sequence) -> bool:
+    vv = _to_vector(v)
+    if all(e == 0 for e in vv):
+        return True
+    return rank(QMatrix(s.vectors + (vv,), ncols=s.ambient_dim)) == s.dim
+
+
+def spans_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:
+    if a.ambient_dim != b.ambient_dim or a.dim != b.dim:
+        return False
+    return rank(QMatrix(a.vectors + b.vectors, ncols=a.ambient_dim)) == a.dim
+
+
+def reference_primitive_int_vector(v: Sequence) -> list[int]:
+    """Scale a rational vector to integers by ``Fraction`` products and strip
+    the common gcd."""
+    vv = _to_vector(v)
+    den = reduce(math.lcm, (e.denominator for e in vv), 1)
+    ints = [int(e * den) for e in vv]
+    g = reduce(math.gcd, ints, 0)
+    if g > 1:
+        ints = [e // g for e in ints]
+    return ints
+
+
+@dataclass(frozen=True)
+class QSeries:
+    """Power series truncated to a fixed order: coefficients of t^0 .. t^order."""
+
+    coeffs: tuple[Fraction, ...]
+
+    def __init__(self, coeffs: Iterable[Scalar]):
+        out = tuple(Fraction(c) for c in coeffs)
+        if not out:
+            raise ValueError("a series needs at least the t^0 coefficient")
+        object.__setattr__(self, "coeffs", out)
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
+
+    def coeff(self, d: int) -> Fraction:
+        if not 0 <= d <= self.order:
+            raise IndexError(f"degree {d} outside truncation order {self.order}")
+        return self.coeffs[d]
+
+    def __str__(self) -> str:
+        return QPoly(self.coeffs).to_str() + f" + O(t^{self.order + 1})"
 
 
 def poly_divmod(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly]:
@@ -56,7 +211,7 @@ def poly_divmod(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly]:
     rem = list(a.coeffs)
     lead = b.coeffs[-1]
     for i in range(len(quot) - 1, -1, -1):
-        c = rem[i + b.degree] / lead
+        c = Fraction(rem[i + b.degree]) / lead
         if c:
             quot[i] = c
             for j, d in enumerate(b.coeffs):
@@ -118,7 +273,7 @@ def matvec(m: QMatrix, v: Sequence) -> tuple[Fraction, ...]:
 def sum_subspaces(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return SubspaceBasis.span_of(a.ambient_dim, a.vectors + b.vectors)
+    return span_of(a.ambient_dim, a.vectors + b.vectors)
 
 
 def intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
@@ -183,12 +338,34 @@ def reference_ps_family(d: DimensionFunction) -> PSFamily:
     return PSFamily(np.array(rows, dtype=object))
 
 
+def ps_family_satisfies_congruences(family: PSFamily, d: DimensionFunction) -> bool:
+    """Re-verify every defining congruence and degree bound from scratch."""
+    if family.num_subspaces != d.num_subspaces:
+        return False
+    for mask in range(1 << d.num_subspaces):
+        c = d.codim_of(mask)
+        if mask and family.p(mask).degree >= c:
+            return False
+        total = ZERO
+        sub = mask
+        while True:
+            k = sub.bit_count()
+            term = family.p(sub).shift(k)  # (-t)^k p_X = (-1)^k t^k p_X
+            total = total - term if k % 2 else total + term
+            if sub == 0:
+                break
+            sub = (sub - 1) & mask
+        if poly_mod_one_minus_t_pow(total, c):
+            return False
+    return True
+
+
 def reference_dimension_function(arr: Arrangement) -> DimensionFunction:
     """Intersections built mask by mask, each reusing the intersection for
     the mask with its lowest bit cleared."""
     n = arr.ambient_dim
     m = arr.num_subspaces
-    full = SubspaceBasis.span_of(n, QMatrix.identity(n).entries)
+    full = span_of(n, QMatrix.identity(n).entries)
     spaces: list[SubspaceBasis] = [full] * (1 << m)
     dims = [n] * (1 << m)
     for mask in range(1, 1 << m):
@@ -257,7 +434,7 @@ def binomial_basis_coefficients(h: QPoly, n: int) -> QPoly:
         ],
         ncols=n + 1,
     )
-    reduced, pivots = rref(augmented)
+    reduced, pivots = rational_rref(augmented)
     if pivots != tuple(range(n)):
         raise ArithmeticError("shifted binomial polynomials failed to form a basis")
     return QPoly([reduced.entries[j][n] for j in range(n)])
@@ -279,7 +456,7 @@ def series_divide(a: QSeries, b: QSeries) -> QSeries:
         acc = a.coeffs[d]
         for j in range(d):
             acc -= out[j] * b.coeffs[d - j]
-        out[d] = acc / b.coeffs[0]
+        out[d] = Fraction(acc) / b.coeffs[0]
     return QSeries(out)
 
 

@@ -6,6 +6,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from subspace_hilbert.arrangement import Arrangement
+from closed_form_reference import span_of
 from subspace_hilbert.linalg import SubspaceBasis
 
 _rationals = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
@@ -26,9 +27,9 @@ def arrangements(draw, max_n: int = 4, max_m: int = 3):
         elif kind == "repeat" and subspaces:
             s = draw(st.sampled_from(subspaces))
         elif kind == "pencil":
-            s = SubspaceBasis.span_of(n, core + [draw(vector)])
+            s = span_of(n, core + [draw(vector)])
         else:
-            s = SubspaceBasis.span_of(n, draw(st.lists(vector, max_size=n - 1)))
+            s = span_of(n, draw(st.lists(vector, max_size=n - 1)))
         assume(s.dim < n)
         subspaces.append(s)
     return Arrangement(n, subspaces)

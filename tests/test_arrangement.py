@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 
 import arrangement_kinds
-from closed_form_reference import reference_dimension_function
+from closed_form_reference import QMatrix, rank, reference_dimension_function, span_of
 from strategies import arrangements
 from subspace_hilbert import arrangement
 from subspace_hilbert.arrangement import (
@@ -18,7 +18,7 @@ from subspace_hilbert.arrangement import (
     random_arrangement,
     subset_cap,
 )
-from subspace_hilbert.linalg import QMatrix, SubspaceBasis, rank
+from subspace_hilbert.linalg import SubspaceBasis
 
 
 def coordinate_axes() -> Arrangement:
@@ -81,7 +81,7 @@ def apply_change(arr: Arrangement, m: QMatrix) -> Arrangement:
 class TestArrangement:
     def test_rejects_improper_subspace(self):
         with pytest.raises(ValueError):
-            Arrangement(2, [SubspaceBasis.span_of(2, [[1, 0], [0, 1]])])
+            Arrangement(2, [span_of(2, [[1, 0], [0, 1]])])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

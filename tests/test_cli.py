@@ -1,8 +1,12 @@
 """Tests for the command-line interface and its file formats."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -403,3 +407,36 @@ class TestSubsetCapCost:
         report = self._analyze(tmp_path, capsys, arrangement_kinds.build("degenerate", 12, 12, 1201))
         assert report["m"] == 12 and not report["transversal"]
         assert all(1 <= row["dim"] for row in report["dimension_function"])
+
+
+class TestParserBuiltOnce:
+    """The argparse parser is built once per process and reused by every
+    ``main`` call; a reused parser must behave like a fresh one."""
+
+    ARGVS = [
+        ["analyze", str(fixture_path("three-coordinate-axes")), "--json"],
+        ["recover", "--values", "7", "12", "18", "--m", "3", "--n", "3"],
+        ["analyze", "x.json", "--max-degree", "-1"],  # usage error, exit 2
+        ["selftest"],
+    ]
+
+    def test_one_parser_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_sequence_in_one_process_matches_fresh_calls(self, capsys):
+        in_process = []
+        for argv in self.ARGVS:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        assert [code for code, _, _ in in_process] == [EXIT_OK, EXIT_OK, 2, EXIT_OK]
+        for argv, got in zip(self.ARGVS, in_process):
+            fresh = subprocess.run(
+                [sys.executable, "-m", "subspace_hilbert", *argv],
+                capture_output=True, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+            )
+            assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv

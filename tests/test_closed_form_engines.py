@@ -13,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from closed_form_reference import (
+    ps_family_satisfies_congruences,
     reference_dimension_function,
     reference_ps_family,
+    span_of,
 )
 from strategies import arrangements
 from subspace_hilbert import hilbert
@@ -28,10 +30,8 @@ from subspace_hilbert.hilbert import (
     compute_ps_family,
     hilbert_series_J,
     is_series_difference_polynomial,
-    ps_family_satisfies_congruences,
     transversal_series,
 )
-from subspace_hilbert.linalg import SubspaceBasis
 
 
 @st.composite
@@ -59,7 +59,7 @@ class TestDimensionFunction:
         # every subspace holds the same line, so no mask reaches codim n
         line = [1, 2, 0, -1, 3]
         subspaces = [
-            SubspaceBasis.span_of(5, [line, *s.vectors])
+            span_of(5, [line, *s.vectors])
             for s in random_arrangement(5, [1, 2, 1, 2, 1, 1], 17).subspaces
         ]
         arr = Arrangement(5, subspaces)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strategies import arrangements
 from subspace_hilbert.arrangement import (
     Arrangement,
     DimensionFunction,
@@ -15,6 +16,7 @@ from subspace_hilbert.arrangement import (
     is_transversal,
     random_arrangement,
 )
+from subspace_hilbert.fixtures import fixture_arrangement, fixture_names
 from subspace_hilbert.hilbert import (
     BettiTable,
     HilbertSeriesJ,
@@ -23,11 +25,10 @@ from subspace_hilbert.hilbert import (
     hilbert_polynomial_from_numerator,
     hilbert_series_J,
     is_series_difference_polynomial,
-    ps_family_satisfies_congruences,
     transversal_hilbert_function,
     transversal_series,
 )
-from subspace_hilbert.linalg import QMatrix, SubspaceBasis, rank
+from subspace_hilbert.linalg import SubspaceBasis
 from subspace_hilbert.ratpoly import (
     ONE,
     ZERO,
@@ -39,8 +40,11 @@ from subspace_hilbert.ratpoly import (
 )
 
 from closed_form_reference import (
+    QMatrix,
     inverse_of_t_mod,
     matvec,
+    ps_family_satisfies_congruences,
+    rank,
     reference_hilbert_polynomial,
     reference_transversal_hilbert_function,
     shifted_binomial_polynomial,
@@ -444,3 +448,42 @@ class TestHilbertPolynomial:
             hp = hs.hilbert_polynomial()
             for d in range(hs.m, hs.m + 10):
                 assert hp(d).denominator == 1
+
+
+def assert_integral_invariants_are_ints(arr: Arrangement) -> None:
+    """Every integer invariant is a Python int, never a Fraction; the Hilbert
+    polynomial alone keeps a Fraction where a coefficient is not integral."""
+    df = dimension_function(arr)
+    family = compute_ps_family(df)
+    hs = hilbert_series_J(df)
+    for mask in range(1 << df.num_subspaces):
+        assert all(type(c) is int for c in family.p(mask).coeffs), mask
+    assert all(type(c) is int for c in hs.numerator.coeffs)
+    assert all(type(c) is int for c in hs.table(hs.m + 4))
+    assert all(type(b) is int for b in betti_numbers(hs).betti)
+    for s in arr.subspaces:
+        assert all(type(c) is int for f in s.annihilator_forms for c in f)
+        assert all(type(c) is int for row in s.integer_rows for c in row)
+    hp = hs.hilbert_polynomial()
+    for c in hp.coeffs.coeffs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+    values = hs.coefficients(hs.m + hs.n + 3)
+    for d in range(hs.m + hs.n, hs.m + hs.n + 4):
+        assert hp(d) == values[d]
+
+
+class TestIntegerTypes:
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_fixtures(self, name):
+        assert_integral_invariants_are_ints(fixture_arrangement(name))
+
+    @settings(max_examples=60, deadline=None)
+    @given(arr=arrangements(max_n=5, max_m=4))
+    def test_arrangements(self, arr):
+        assert_integral_invariants_are_ints(arr)
+
+    def test_hilbert_polynomial_keeps_fractions(self):
+        hp = hilbert_series_J(dimension_function(coordinate_axes())).hilbert_polynomial()
+        assert [type(c) for c in hp.coeffs.coeffs] == [int, Fraction, Fraction]
+        assert hp.coeffs.coeffs == (-2, Fraction(3, 2), Fraction(1, 2))
+        assert [type(hp(d)) for d in (3, 4, Fraction(1, 3))] == [int, int, Fraction]

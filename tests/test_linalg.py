@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subspace_hilbert import linalg
@@ -15,30 +15,37 @@ from subspace_hilbert.linalg import (
     CHECK_PRIMES,
     LIFT_PRIMES,
     IntEchelon,
-    QMatrix,
     SubspaceBasis,
-    annihilator,
     approx_rank,
     certified_rank,
     echelon_mod_p,
-    kernel,
     primitive_int_vector,
-    rank,
     rref,
-    spans_equal,
 )
 
-from closed_form_reference import intersect, matvec, sum_subspaces
+from closed_form_reference import (
+    QMatrix,
+    annihilator,
+    contains,
+    intersect,
+    kernel,
+    matvec,
+    rank,
+    rational_rref,
+    reference_primitive_int_vector,
+    span_of,
+    spans_equal,
+    sum_subspaces,
+)
 
 
-def random_matrix(rng: random.Random, nrows: int, ncols: int) -> QMatrix:
-    return QMatrix(
-        [
-            [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ncols)]
-            for _ in range(nrows)
-        ],
-        ncols=ncols,
-    )
+def random_matrix(rng: random.Random, nrows: int, ncols: int) -> list[list[int]]:
+    """Integer rows, with zero rows and dependent rows now and then."""
+    rows = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 1 and rng.random() < 0.3:
+        k = rng.randint(-2, 2)
+        rows[-1] = [x + k * y for x, y in zip(rows[0], rows[1])]
+    return rows
 
 
 def random_subspace(rng: random.Random, ambient: int, max_vectors: int) -> SubspaceBasis:
@@ -46,7 +53,22 @@ def random_subspace(rng: random.Random, ambient: int, max_vectors: int) -> Subsp
         [Fraction(rng.randint(-3, 3)) for _ in range(ambient)]
         for _ in range(rng.randint(0, max_vectors))
     ]
-    return SubspaceBasis.span_of(ambient, vectors)
+    return span_of(ambient, vectors)
+
+
+def assert_rref_matches_rational(rows: list[list[int]], ncols: int) -> None:
+    """The integer rref is d > 0 times the rational one: pivot entries d,
+    pivot columns d times unit vectors, and the same pivots."""
+    reduced, pivots, d = rref(rows, ncols)
+    expected, expected_pivots = rational_rref(QMatrix(rows, ncols=ncols))
+    assert pivots == expected_pivots
+    assert d > 0
+    assert all(type(x) is int for row in reduced for x in row)
+    assert [[Fraction(x, d) for x in row] for row in reduced] == [
+        list(row) for row in expected.entries[: len(pivots)]
+    ]
+    for i, p in enumerate(pivots):
+        assert [row[p] for row in reduced] == [d * (k == i) for k in range(len(pivots))]
 
 
 class TestQMatrix:
@@ -67,49 +89,78 @@ class TestQMatrix:
 
 class TestRref:
     def test_known_form(self):
-        m = QMatrix([[2, 4], [1, 3]])
-        reduced, pivots = rref(m)
+        reduced, pivots, d = rref([[2, 4], [1, 3]], 2)
         assert pivots == (0, 1)
-        assert reduced.entries == (
-            (Fraction(1), Fraction(0)),
-            (Fraction(0), Fraction(1)),
-        )
+        assert d == 2  # the determinant
+        assert reduced == [[2, 0], [0, 2]]
+        assert_rref_matches_rational([[2, 4], [1, 3]], 2)
 
     def test_dependent_rows(self):
-        m = QMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-        reduced, pivots = rref(m)
+        rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+        reduced, pivots, d = rref(rows, 3)
         assert pivots == (0, 1)
-        assert reduced.entries[2] == (Fraction(0),) * 3
+        assert len(reduced) == 2  # the zero row is dropped
+        assert_rref_matches_rational(rows, 3)
 
     def test_idempotent(self):
         rng = random.Random(701)
         for _ in range(50):
-            m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-            reduced, pivots = rref(m)
-            again, pivots2 = rref(reduced)
-            assert again.entries == reduced.entries
+            rows = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+            ncols = len(rows[0])
+            reduced, pivots, d = rref(rows, ncols)
+            again, pivots2, d2 = rref(reduced, ncols)
             assert pivots2 == pivots
+            # the same rational form: d2 * reduced == d * again
+            assert [[d2 * x for x in row] for row in reduced] == [
+                [d * x for x in row] for row in again
+            ]
+            assert_rref_matches_rational(rows, ncols)
 
     def test_rank_nullity(self):
         rng = random.Random(702)
         for _ in range(60):
-            m = random_matrix(rng, rng.randint(1, 12), rng.randint(1, 12))
-            assert rank(m) + kernel(m).dim == m.ncols
+            rows = random_matrix(rng, rng.randint(1, 12), rng.randint(1, 12))
+            ncols = len(rows[0])
+            reduced, pivots, _ = rref(rows, ncols)
+            assert len(pivots) == rank(QMatrix(rows))
+            forms = SubspaceBasis(ncols, reduced).annihilator_forms
+            assert len(pivots) + len(forms) == ncols
+            assert len(forms) == kernel(QMatrix(rows)).dim
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_rational_rref(self, data):
+        ncols, rows = data.draw(integer_matrices())
+        assert_rref_matches_rational(rows, ncols)
+
+    def test_empty_and_zero_matrices(self):
+        assert rref([], 3) == ([], (), 1)
+        assert rref([[0, 0], [0, 0]], 2) == ([], (), 1)
+        assert rref([[5, 0], [0, -3]], 2) == ([[15, 0], [0, 15]], (0, 1), 15)
 
 
 class TestKernel:
+    """``annihilator_forms``: the integer kernel of a subspace's rows."""
+
     def test_vectors_annihilated(self):
         rng = random.Random(703)
         for _ in range(40):
-            m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-            ker = kernel(m)
-            for v in ker.vectors:
-                assert matvec(m, v) == (Fraction(0),) * m.nrows
+            rows = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+            ncols = len(rows[0])
+            s = SubspaceBasis(ncols, rref(rows, ncols)[0])
+            forms = s.annihilator_forms
+            for f in forms:
+                assert matvec(QMatrix(rows), f) == (Fraction(0),) * len(rows)
+            assert spans_equal(
+                SubspaceBasis(ncols, forms), kernel(QMatrix(rows, ncols=ncols))
+            )
 
     def test_full_rank_kernel_trivial(self):
+        assert SubspaceBasis(4, QMatrix.identity(4).entries).annihilator_forms == ()
         assert kernel(QMatrix.identity(4)).dim == 0
 
     def test_zero_rows_kernel_full(self):
+        assert SubspaceBasis(3).annihilator_forms == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         assert kernel(QMatrix([], ncols=3)).dim == 3
 
 
@@ -123,19 +174,27 @@ class TestSubspaceBasis:
             SubspaceBasis(3, [[1, 0]])
 
     def test_span_of_reduces(self):
-        s = SubspaceBasis.span_of(3, [[1, 0, 0], [2, 0, 0], [0, 1, 0]])
+        s = span_of(3, [[1, 0, 0], [2, 0, 0], [0, 1, 0]])
         assert s.dim == 2
 
     def test_zero_subspace(self):
         s = SubspaceBasis(5)
         assert s.dim == 0
-        assert s.contains([0, 0, 0, 0, 0])
-        assert not s.contains([1, 0, 0, 0, 0])
+        assert s.integer_rows == ()
+        assert contains(s, [0, 0, 0, 0, 0])
+        assert not contains(s, [1, 0, 0, 0, 0])
 
     def test_contains(self):
         s = SubspaceBasis(3, [[1, 0, 0], [0, 1, 0]])
-        assert s.contains([3, -2, 0])
-        assert not s.contains([0, 0, 1])
+        assert contains(s, [3, -2, 0])
+        assert not contains(s, [0, 0, 1])
+
+    def test_keeps_vectors_and_primitive_rows(self):
+        vectors = [[Fraction(1, 2), Fraction(-3, 4), 0], [6, 0, -9]]
+        s = SubspaceBasis(3, vectors)
+        assert s.vectors == ((Fraction(1, 2), Fraction(-3, 4), 0), (6, 0, -9))
+        assert s.integer_rows == ((2, -3, 0), (2, 0, -3))
+        assert s == SubspaceBasis(3, s.vectors)
 
 
 class TestAnnihilatorForms:
@@ -144,8 +203,27 @@ class TestAnnihilatorForms:
         for _ in range(20):
             s = random_subspace(rng, rng.randint(1, 5), 3)
             forms = s.annihilator_forms
-            assert forms == tuple(tuple(primitive_int_vector(f)) for f in annihilator(s))
+            assert forms == tuple(
+                tuple(reference_primitive_int_vector(f)) for f in annihilator(s)
+            )
             assert s.annihilator_forms is forms
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_forms_match_the_rational_kernel(self, data):
+        # sign for sign: the primitive multiple of each Fraction kernel vector,
+        # from the zero subspace up to the whole space
+        n = data.draw(st.integers(1, 7))
+        small = st.fractions(-5, 5, max_denominator=4)
+        vectors = data.draw(st.lists(st.lists(small, min_size=n, max_size=n), max_size=n))
+        s = span_of(n, vectors)
+        assert s.annihilator_forms == tuple(
+            tuple(reference_primitive_int_vector(f)) for f in annihilator(s)
+        )
+        assert len(s.annihilator_forms) == n - s.dim
+        for f in s.annihilator_forms:
+            assert all(type(c) is int for c in f)
+            assert all(sum(a * b for a, b in zip(f, v)) == 0 for v in s.vectors)
 
 
 class TestSubspaceOps:
@@ -192,7 +270,7 @@ class TestSubspaceOps:
             assert spans_equal(intersect(a, b), intersect(b, a))
 
     def test_intersect_with_full_space(self):
-        full = SubspaceBasis.span_of(3, QMatrix.identity(3).entries)
+        full = span_of(3, QMatrix.identity(3).entries)
         s = SubspaceBasis(3, [[1, 2, 3]])
         assert spans_equal(intersect(full, s), s)
 
@@ -203,7 +281,7 @@ class TestSubspaceOps:
             a = random_subspace(rng, ambient, 3)
             b = random_subspace(rng, ambient, 3)
             for v in intersect(a, b).vectors:
-                assert a.contains(v) and b.contains(v)
+                assert contains(a, v) and contains(b, v)
 
 
 class TestPrimitiveIntVector:
@@ -215,6 +293,19 @@ class TestPrimitiveIntVector:
 
     def test_zero_vector(self):
         assert primitive_int_vector([0, 0]) == [0, 0]
+
+    @settings(max_examples=200, deadline=None)
+    @example([0, 0, 0])
+    @example([Fraction(-3, 4), 0, 6])
+    @given(st.lists(st.one_of(
+        st.integers(-(1 << 70), 1 << 70),
+        st.fractions(max_denominator=10**6),
+        st.just(0),
+    ), max_size=8))
+    def test_matches_fraction_formula(self, v):
+        got = primitive_int_vector(v)
+        assert got == reference_primitive_int_vector(v)
+        assert all(type(x) is int for x in got)
 
 
 class TestApproxRank:
@@ -536,7 +627,7 @@ class TestCertificate:
             [[sum(c * b[j] for c, b in zip(cs, basis)) for j in range(7)] for cs in combos],
             dtype=np.int64,
         )
-        reduced, pivots = rref(QMatrix(self.m.tolist()))
+        reduced, pivots = rational_rref(QMatrix(self.m.tolist()))
         self.pivots = np.array(pivots)
         entries = reduced.entries[: len(pivots)]
         self.d = math.lcm(*(e.denominator for row in entries for e in row))
