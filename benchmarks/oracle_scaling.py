@@ -5,16 +5,25 @@ source trees can be measured on the same inputs:
 
 - **Per degree.**  For ``INSTANCES`` arrangements in Q^5 for each m = 2, 3,
   4 (dimensions drawn from 0..4), and every d <= 8: the time of
-  ``hilbert_table(arr, d)``, best of ``--repeat`` runs, and for each degree
+  ``hilbert_table(arr, d)``, best of ``--repeat`` runs; for each degree
   whether dim I_d and dim J_d closed by the GF(p) bracket or fell back to
-  the exact ``dim_intersection_ideal`` / ``dim_product_ideal``.  The
-  fallbacks come from wrapping those two functions around one extra,
-  untimed call.
+  the exact ``dim_intersection_ideal`` / ``dim_product_ideal``, and whether
+  the GF(p) product span of degree d >= 1 ("J step") was closed by counting
+  leading terms or took an ``echelon_mod_p`` elimination; and the sha256 of
+  the table to d = 8.  These come from one extra, untimed call with those
+  three functions wrapped here; an ``echelon_mod_p`` call made inside
+  ``_rank_mod_p`` is the I rank and is not a J step.
 - **Near the monomial cap.**  Four larger cases (Q^6 dims [1,1,1] to d = 9,
   Q^7 [2,3] to d = 7, Q^4 [1,1,2,1] to d = 16, Q^5 [1,2] to d = 10), each
   run ``--repeat`` times in a fresh interpreter: the best ``hilbert_table``
-  time and the largest peak RSS (``ru_maxrss``), next to the peak RSS of a
-  fresh interpreter that only builds the arrangement.
+  time, the largest peak RSS and the sha256 of the table, next to the peak
+  RSS of a fresh interpreter that only builds the arrangement.  Peak RSS is
+  ``VmHWM`` of /proc/self/status where it exists: on Linux ``ru_maxrss``
+  of a child carries the peak of the process that spawned it across exec,
+  so it would read at least this script's own peak.
+
+A table's sha256 is taken over the JSON text of its [dim_I, dim_J] pairs,
+so equal digests on two trees mean equal tables.
 
 Usage, from the repository root::
 
@@ -30,6 +39,7 @@ call at a time.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -59,7 +69,8 @@ NEAR_CAP = (
 DEFAULT_OUT = Path(__file__).with_name("BENCH_oracle.json")
 
 # One near-cap case in a fresh interpreter: argv is n, dims, d, seed, and
-# d = -1 builds the arrangement only.  Prints seconds and peak RSS in KiB.
+# d = -1 builds the arrangement only.  Prints seconds, peak RSS in KiB and
+# the table's [dim_I, dim_J] pairs.
 CHILD = """
 import json, resource, sys, time
 from subspace_hilbert.arrangement import random_arrangement
@@ -67,11 +78,20 @@ from subspace_hilbert.oracle import hilbert_table
 n, dims, d, seed = int(sys.argv[1]), json.loads(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
 arr = random_arrangement(n, dims, seed)
 start = time.perf_counter()
-if d >= 0:
-    hilbert_table(arr, d)
+table = hilbert_table(arr, d) if d >= 0 else []
 elapsed = time.perf_counter() - start
-print(json.dumps([elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))
+pairs = [[r.dim_I, r.dim_J] for r in table]
+try:
+    with open("/proc/self/status") as fh:
+        peak = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+except (OSError, StopIteration):
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps([elapsed, peak, pairs]))
 """
+
+
+def digest(pairs) -> str:
+    return hashlib.sha256(json.dumps(pairs).encode()).hexdigest()
 
 
 def best_of(repeat: int, fn, *args) -> float:
@@ -83,9 +103,13 @@ def best_of(repeat: int, fn, *args) -> float:
     return min(times)
 
 
-def closing(arr) -> tuple[list[str], list[str]]:
-    """Per degree, "bracket" or "exact" for I and for J."""
+def closing(arr) -> tuple[list[str], list[str], list[str], str]:
+    """Per degree, "bracket" or "exact" for I and for J, and "count" or
+    "eliminate" for the J step ("none" at d = 0); and the table's sha256."""
     exact = {"I": set(), "J": set()}
+    eliminated = set()
+    in_rank = [False]
+    degree_of = {len(oracle.monomial_basis(N, d)): d for d in range(D_MAX + 1)}
 
     def spy(key, fn):
         def wrapper(a, S, d):
@@ -94,17 +118,36 @@ def closing(arr) -> tuple[list[str], list[str]]:
 
         return wrapper
 
-    saved = oracle.dim_intersection_ideal, oracle.dim_product_ideal
-    oracle.dim_intersection_ideal = spy("I", saved[0])
-    oracle.dim_product_ideal = spy("J", saved[1])
+    def rank_spy(blocks, p):
+        in_rank[0] = True
+        try:
+            return saved[2](blocks, p)
+        finally:
+            in_rank[0] = False
+
+    def elimination_spy(matrix, p):
+        if not in_rank[0]:
+            eliminated.add(degree_of[matrix.shape[1]])
+        return saved[3](matrix, p)
+
+    names = ("dim_intersection_ideal", "dim_product_ideal", "_rank_mod_p", "echelon_mod_p")
+    saved = [getattr(oracle, name) for name in names]
+    spies = (spy("I", saved[0]), spy("J", saved[1]), rank_spy, elimination_spy)
+    for name, wrapper in zip(names, spies):
+        setattr(oracle, name, wrapper)
     try:
-        oracle.hilbert_table(arr, D_MAX)
+        table = oracle.hilbert_table(arr, D_MAX)
     finally:
-        oracle.dim_intersection_ideal, oracle.dim_product_ideal = saved
-    return tuple(
+        for name, fn in zip(names, saved):
+            setattr(oracle, name, fn)
+    I, J = (
         ["exact" if d in exact[key] else "bracket" for d in range(D_MAX + 1)]
         for key in ("I", "J")
     )
+    steps = ["none"] + [
+        "eliminate" if d in eliminated else "count" for d in range(1, D_MAX + 1)
+    ]
+    return I, J, steps, digest([[r.dim_I, r.dim_J] for r in table])
 
 
 def per_degree(repeat: int) -> dict:
@@ -115,7 +158,7 @@ def per_degree(repeat: int) -> dict:
             dims = [rng.randint(0, N - 1) for _ in range(m)]
             seed = rng.randrange(1 << 30)
             arr = random_arrangement(N, dims, seed)
-            I, J = closing(arr)
+            I, J, steps, table_sha256 = closing(arr)
             cases[f"m={m} #{k}"] = {
                 "dims": dims,
                 "seed": seed,
@@ -125,28 +168,34 @@ def per_degree(repeat: int) -> dict:
                 ],
                 "I": I,
                 "J": J,
+                "J_step": steps,
+                "table_sha256": table_sha256,
             }
             print(f"m={m} #{k}", json.dumps(cases[f"m={m} #{k}"]), file=sys.stderr, flush=True)
     return cases
 
 
-def fresh(n: int, dims, d: int, seed: int) -> tuple[float, float]:
+def fresh(n: int, dims, d: int, seed: int) -> tuple[float, float, str]:
     env = dict(os.environ, PYTHONPATH=str(Path(subspace_hilbert.__file__).parents[1]))
     argv = [sys.executable, "-c", CHILD, str(n), json.dumps(list(dims)), str(d), str(seed)]
     out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
-    seconds, rss_kb = json.loads(out)
-    return seconds, rss_kb / 1024
+    seconds, rss_kb, pairs = json.loads(out)
+    return seconds, rss_kb / 1024, digest(pairs)
 
 
 def near_cap(repeat: int) -> dict:
     cases = {}
     for n, dims, d in NEAR_CAP:
         runs = [fresh(n, dims, d, SEED) for _ in range(repeat)]
+        digests = {h for _, _, h in runs}
+        if len(digests) != 1:
+            raise RuntimeError(f"n={n} dims={list(dims)} d={d}: tables differ between runs")
         cases[f"n={n} dims={list(dims)} d={d}"] = {
             "monomials": len(oracle.monomial_basis(n, d)),
-            "hilbert_table_s": round(min(t for t, _ in runs), 4),
-            "peak_rss_mb": round(max(r for _, r in runs), 1),
+            "hilbert_table_s": round(min(t for t, _, _ in runs), 4),
+            "peak_rss_mb": round(max(r for _, r, _ in runs), 1),
             "arrangement_only_rss_mb": round(fresh(n, dims, -1, SEED)[1], 1),
+            "table_sha256": digests.pop(),
         }
         print(n, dims, d, json.dumps(cases[f"n={n} dims={list(dims)} d={d}"]), file=sys.stderr, flush=True)
     return cases

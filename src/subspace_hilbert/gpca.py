@@ -65,7 +65,8 @@ class PointCloud:
             if all(x == 0 for x in p):
                 raise ValueError("zero vectors span no ray; drop them from the cloud")
             if exact:
-                out.append(tuple(Fraction(x) for x in p))
+                # parsed entries are Fractions already; convert the rest
+                out.append(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in p))
             else:
                 coords = tuple(float(x) for x in p)
                 if not all(map(math.isfinite, coords)):

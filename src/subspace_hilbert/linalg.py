@@ -295,6 +295,10 @@ def echelon_mod_p(m: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     back in echelon form with leading entries 1, spanning the row space of
     m.  ``sources[i]`` is the index in m of the row that echelon row i was
     reduced from, so those rows of m are independent mod p.
+
+    Column c is scanned once: the rows below the pivot row with a nonzero
+    entry there are the scan's later hits, also after a swap, since the row
+    swapped down was zero in column c.
     """
     rows, cols = m.shape
     sources = np.arange(rows)
@@ -309,11 +313,16 @@ def echelon_mod_p(m: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
             i = r + nz[0]
             m[[r, i]] = m[[i, r]]
             sources[[r, i]] = sources[[i, r]]
-        if m[r, c] != 1:
-            m[r, c:] = m[r, c:] * pow(int(m[r, c]), -1, p) % p
-        below = r + 1 + m[r + 1 :, c].nonzero()[0]
+        pivot = m[r, c:]
+        if pivot[0] != 1:
+            pivot *= pow(int(pivot[0]), -1, p)
+            pivot %= p
+        below = r + nz[1:]
         if below.size:
-            m[below, c:] = (m[below, c:] - np.outer(m[below, c], m[r, c:])) % p
+            block = m[below, c:]
+            block -= block[:, :1] * pivot
+            block %= p
+            m[below, c:] = block
         r += 1
     return m[:r], sources[:r]
 

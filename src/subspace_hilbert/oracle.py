@@ -16,14 +16,21 @@ For an arrangement V_1, ..., V_m in K^n and a subset S of indices:
   exact route alike.
 
 ``hilbert_table`` certifies both values of a degree with one pair of ranks
-over GF(p), p = ``PRIME`` (``linalg.echelon_mod_p``).  Reducing an integer
-matrix mod p never raises its rank, and J is contained in I, so
+over GF(p), p = ``PRIME``.  Reducing an integer matrix mod p never raises
+its rank, and J is contained in I, so
 
     rank_p(product matrix) <= dim J_d <= dim I_d <= total - rank_p(restriction matrix),
 
-and where the two ends meet both values are exact.  Only the other degrees
-(mostly those below m, where I and J differ) run the exact per-degree
-functions ``dim_intersection_ideal`` (``linalg.certified_rank``) and
+and where the two ends meet both values are exact.  The restriction rank
+takes an elimination (``linalg.echelon_mod_p``).  The product rank mostly
+closes by counting leading terms, as in the symbolic preprocessing of
+Faugere's F4: products with pairwise distinct leading monomials are
+independent, so their count is a lower bound on rank_p, and when it
+meets the number of products, or the upper end U_I, it is rank_p.  Only
+the products chosen by the count are built; the other degrees eliminate.
+Only the degrees whose bracket stays open (mostly those below m, where I
+and J differ) run the exact per-degree functions
+``dim_intersection_ideal`` (``linalg.certified_rank``) and
 ``dim_product_ideal`` (``IntEchelon``, one factor at a time).
 
 Cost grows roughly with the cube of C(d+n-1, n-1), so calls are guarded by a
@@ -46,6 +53,8 @@ from .linalg import (
     IntEchelon,
     certified_rank,
     echelon_mod_p,
+    primitive_int_vector,
+    rref,
 )
 from .ratpoly import binom
 
@@ -236,26 +245,38 @@ def dim_intersection_ideal(a: Arrangement, S: SubsetLike, d: int) -> int:
     return total - certified_rank(matrix)
 
 
-def _times_forms(basis: np.ndarray, forms: Sequence[Sequence[int]], n: int, e: int) -> np.ndarray:
-    """The products f * b of each linear form f with each row b of basis.
+def _times_forms(
+    basis: np.ndarray,
+    forms: Sequence[Sequence[int]],
+    n: int,
+    e: int,
+    picks: Sequence[np.ndarray] | None = None,
+) -> np.ndarray:
+    """The products f * b of each linear form f with rows b of basis.
 
     basis holds degree-e forms over the degree-e monomials.  The result has
-    one block of len(basis) rows per form, in the order of forms, over the
-    degree-(e+1) monomials.  An entry sums at most n terms c * v, so the
-    matrix is int64 while n * max|basis| * max|c| < 2^62 and an object array
-    of Python ints from there on.
+    one block of rows per form, in the order of forms, over the degree-(e+1)
+    monomials: the products with every row of basis, or, with picks, those
+    with the rows ``picks[t]`` for form t.  An entry sums at most n terms
+    c * v, so the matrix is int64 while n * max|basis| * max|c| < 2^62 and
+    an object array of Python ints from there on.
     """
     maps = _raise_degree_maps(n, e)
     row_max = int(np.abs(basis).max(initial=0))
     coeff_max = max(abs(c) for f in forms for c in f)
     dtype = np.int64 if n * row_max * coeff_max < INT64_SAFE else object
     basis = basis.astype(dtype, copy=False)
-    out = np.zeros((len(forms), len(basis), len(monomial_basis(n, e + 1))), dtype=dtype)
-    for block, f in zip(out, forms):
+    sizes = [len(basis)] * len(forms) if picks is None else [len(pick) for pick in picks]
+    out = np.zeros((sum(sizes), len(monomial_basis(n, e + 1))), dtype=dtype)
+    start = 0
+    for t, f in enumerate(forms):
+        rows = basis if picks is None else basis[picks[t]]
+        block = out[start : start + sizes[t]]
         for j, c in enumerate(f):
             if c:
-                block[:, maps[:, j]] += c * basis
-    return out.reshape(-1, out.shape[2])
+                block[:, maps[:, j]] += c * rows
+        start += sizes[t]
+    return out
 
 
 def dim_product_ideal(a: Arrangement, S: SubsetLike, d: int) -> int:
@@ -297,6 +318,52 @@ def _rank_mod_p(blocks: list[np.ndarray], p: int) -> int:
     return len(echelon_mod_p(m, p)[0])
 
 
+def _leading_forms(forms: Sequence[Sequence[int]], n: int, p: int) -> Sequence[Sequence[int]]:
+    """Integer forms spanning the same space mod p as forms, with distinct
+    leading variables where ``rref`` allows it.
+
+    The rows of ``rref`` are +-adj(F_P) F for the forms F and the square block
+    F_P on the pivot columns, with det adj(F_P) = +-d^(k-1); when p does not
+    divide d that change of basis, and the division of each row by a gcd
+    dividing d, are invertible mod p, so the span mod p is that of forms.
+    Otherwise forms come back unchanged.
+    """
+    reduced, _, d = rref(forms, n)
+    if d % p == 0:
+        return forms
+    return [primitive_int_vector(row) for row in reduced]
+
+
+def _leading_products(
+    residues: np.ndarray, forms: Sequence[Sequence[int]], n: int, e: int, p: int
+) -> tuple[list[np.ndarray], int]:
+    """One product per leading column among the products f * b mod p of
+    ``_times_forms``, found from leading terms without building them.
+
+    b runs over the rows of a degree-e residue matrix mod p and f over
+    forms; a row's leading column is its first nonzero entry.  The columns
+    run through the monomials in decreasing lex order, a monomial order,
+    and GF(p)[x] has no zero divisors, so the leading monomial of f * b mod
+    p is that of b times the leading variable of f mod p.  A zero row or a
+    form that vanishes mod p gives zero products, which have none.  Returns
+    the chosen products as ``_times_forms`` picks (for each form, the rows
+    it multiplies) and the number of nonzero products.  Rows with pairwise
+    distinct leading columns are independent, so the number chosen is a
+    lower bound on the rank of the products.
+    """
+    nonzero = residues != 0
+    leads = nonzero.argmax(axis=1)
+    variables = [next((j for j, c in enumerate(f) if c % p), -1) for f in forms]
+    columns = _raise_degree_maps(n, e)[leads][:, variables].T
+    columns[:, ~nonzero[np.arange(len(residues)), leads]] = -1
+    columns[np.array(variables) < 0] = -1
+    columns = columns.ravel()
+    live = np.flatnonzero(columns >= 0)
+    _, first = np.unique(columns[live], return_index=True)
+    form, row = np.divmod(live[first], len(residues))
+    return [row[form == t] for t in range(len(forms))], len(live)
+
+
 def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     """Oracle dimensions of both ideals (full index set) for d = 0..d_max.
 
@@ -310,9 +377,20 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
 
     The product span mod p is carried from degree to degree: J_d mod p is
     J_{d-1} mod p times the forms of V_d while d <= m, and times x_1, ...,
-    x_n after that, since J is generated in degree m.  Each degree stacks
-    the products of the carried span with all of its forms
-    (``_times_forms``), reduces them mod p and takes one elimination.
+    x_n after that, since J is generated in degree m.  Each degree finds
+    one product of the carried span with its forms per leading monomial
+    (``_leading_products``); each factor's forms are first given distinct
+    leading variables (``_leading_forms``), which keeps their span mod p
+    and spreads the leading monomials.  That count c is a lower bound on
+    rank_p of the products, and it is rank_p in two cases: when every
+    nonzero product has its own leading monomial, and, for d >= m, when
+    c = U_I, since then c <= rank_p = L_J <= U_I = c.  Either way the c
+    chosen products, built alone (``_times_forms`` with picks) and reduced
+    mod p, are independent and as many as rank_p, so they span what all
+    the products span, and they are carried as the next span.  Any other
+    degree builds all the products, reduces them mod p and eliminates.
+    So L_J, and with it every fallback and every value, is that of an
+    elimination in every degree.
 
     Refuses degrees whose monomial count exceeds the cap
     (``check_monomial_cap``).
@@ -326,7 +404,7 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     full = (1 << k) - 1
     restrictions = [_restriction_matrices(s.integer_rows, n) for s in a.subspaces]
     # the chain multiplies by the forms of V_1, ..., V_k, then by x_1, ..., x_n
-    factors = [s.annihilator_forms for s in a.subspaces]
+    factors = [_leading_forms(s.annihilator_forms, n, p) for s in a.subspaces]
     coordinates = np.eye(n, dtype=np.int64).tolist()
     span = np.ones((1, 1), dtype=np.int64)
     results = []
@@ -338,9 +416,14 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
         upper_I = total - rank_I
         if d:
             forms = factors[d - 1] if d <= k else coordinates
-            products = _times_forms(span, forms, n, d - 1)
+            picks, nonzero = _leading_products(span, forms, n, d - 1, p)
+            count = sum(map(len, picks))
+            counted = count == nonzero or (d >= k and count == upper_I)
+            products = _times_forms(span, forms, n, d - 1, picks if counted else None)
             products %= p
-            span = echelon_mod_p(products.astype(np.int64, copy=False), p)[0]
+            span = products.astype(np.int64, copy=False)
+            if not counted:
+                span = echelon_mod_p(span, p)[0]
         lower_J = len(span) if d >= k else 0
         if lower_J == upper_I:
             dim_I = dim_J = lower_J

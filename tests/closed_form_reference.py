@@ -26,6 +26,10 @@ u = 1 - t.  The references here work in t: ``poly_divmod`` is polynomial long
 division, ``reference_poly_mod_one_minus_t_pow`` its remainder by (1-t)^k,
 ``reference_hilbert_polynomial`` a sum of shifted binomial polynomials, one
 per numerator term, and ``reference_fit_numerator`` a product with (1-t)^n.
+
+``reference_echelon_mod_p`` is the plain GF(p) elimination loop that
+``linalg.echelon_mod_p`` trims: two column scans per pivot, an outer
+product per update and a scaled copy of the pivot row.
 """
 
 from __future__ import annotations
@@ -58,6 +62,32 @@ ONE_MINUS_T = ONE - T
 
 def _to_vector(entries: Iterable) -> Vector:
     return tuple(Fraction(e) for e in entries)
+
+
+def reference_echelon_mod_p(m: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-reduce the int64 residues m over GF(p) in place; its nonzero rows
+    in echelon form with leading entries 1, and the rows of m they came from.
+    """
+    rows, cols = m.shape
+    sources = np.arange(rows)
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = m[r:, c].nonzero()[0]
+        if not nz.size:
+            continue
+        if nz[0]:
+            i = r + nz[0]
+            m[[r, i]] = m[[i, r]]
+            sources[[r, i]] = sources[[i, r]]
+        if m[r, c] != 1:
+            m[r, c:] = m[r, c:] * pow(int(m[r, c]), -1, p) % p
+        below = r + 1 + m[r + 1 :, c].nonzero()[0]
+        if below.size:
+            m[below, c:] = (m[below, c:] - np.outer(m[below, c], m[r, c:])) % p
+        r += 1
+    return m[:r], sources[:r]
 
 
 @dataclass(frozen=True)

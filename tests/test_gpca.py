@@ -124,6 +124,13 @@ class TestPointCloud:
         assert not floaty.exact
         assert all(isinstance(x, float) for p in floaty.points for x in p)
 
+    def test_fractions_kept_and_the_rest_converted(self):
+        third = Fraction(1, 3)
+        pc = PointCloud(2, [[third, 2], [True, third]])
+        assert pc.points[0][0] is third and pc.points[1][1] is third
+        assert [type(x) for p in pc.points for x in p] == [Fraction] * 4
+        assert pc.points == ((third, Fraction(2)), (Fraction(1), third))
+
     def test_rejects_zero_vector(self):
         with pytest.raises(ValueError):
             PointCloud(3, [[0, 0, 0]])

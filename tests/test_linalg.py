@@ -32,6 +32,7 @@ from closed_form_reference import (
     matvec,
     rank,
     rational_rref,
+    reference_echelon_mod_p,
     reference_primitive_int_vector,
     span_of,
     spans_equal,
@@ -650,7 +651,44 @@ class TestCertificate:
         assert not linalg._certify(self.m, self.pivots, self.n, self.d + 1)
 
 
+@st.composite
+def residue_matrices(draw):
+    """A prime p and an int64 matrix of residues mod p, up to 8 x 8 and
+    possibly empty: many zero entries, so pivots often need a swap, small
+    and full-range residues, and some columns zeroed outright."""
+    p = draw(st.sampled_from([2, 3, 7, linalg.PRIME]))
+    nrows, ncols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    entry = st.one_of(st.just(0), st.integers(1, 3), st.integers(0, p - 1))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    m = np.array(rows, dtype=np.int64).reshape(nrows, ncols) % p
+    m[:, sorted(draw(st.sets(st.integers(0, 7))) & set(range(ncols)))] = 0
+    return m, p
+
+
+FORCED_SWAPS = np.array([[0, 0, 1], [0, 2, 1], [5, 0, 0]], dtype=np.int64)
+
+
 class TestEchelonModP:
+    @settings(max_examples=200, deadline=None)
+    @given(residue_matrices())
+    @example((np.zeros((0, 0), dtype=np.int64), 2))
+    @example((np.zeros((0, 4), dtype=np.int64), 3))
+    @example((np.zeros((3, 0), dtype=np.int64), 7))
+    @example((np.zeros((3, 4), dtype=np.int64), linalg.PRIME))
+    @example((FORCED_SWAPS, 7))
+    def test_matches_the_reference_loop(self, case):
+        m, p = case
+        want, want_sources = reference_echelon_mod_p(m.copy(), p)
+        got, sources = echelon_mod_p(m.copy(), p)
+        assert got.shape == want.shape and got.tolist() == want.tolist()
+        assert sources.tolist() == want_sources.tolist()
+
+    def test_forced_swaps(self):
+        got, sources = echelon_mod_p(FORCED_SWAPS.copy(), 7)
+        assert sources.tolist() == [2, 1, 0]
+        assert got.tolist() == [[1, 0, 0], [0, 1, 4], [0, 0, 1]]
+
     @settings(max_examples=60, deadline=None)
     @given(integer_matrices(), st.sampled_from([2, 7, linalg.PRIME]))
     def test_sources_are_independent_and_span(self, case, p):

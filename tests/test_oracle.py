@@ -27,6 +27,8 @@ from subspace_hilbert.oracle import (
     GradedPieceResult,
     MonomialBasis,
     MonomialCapExceeded,
+    _leading_forms,
+    _leading_products,
     _restriction_matrix,
     _times_forms,
     dim_intersection_ideal,
@@ -513,6 +515,141 @@ class TestCertifiedTable:
         table = hilbert_table(arr, 5)
         assert [(r.dim_I, r.dim_J) for r in table] == expected
         assert calls == {"I": exact_I, "J": exact_J}
+
+
+def _rank_p(m: np.ndarray, p: int) -> int:
+    return len(echelon_mod_p((m % p).astype(np.int64), p)[0])
+
+
+def _first_nonzero(m: np.ndarray) -> list[int]:
+    return (m != 0).argmax(axis=1).tolist()
+
+
+@st.composite
+def spans_and_forms(draw):
+    """A prime p, a degree-e residue matrix mod p over the monomials in n
+    variables, some rows zero, and integer forms, some of them p times a
+    form (so they vanish mod p) and some zero."""
+    p = draw(st.sampled_from([2, 3, 7, 2**31 - 1]))
+    n, e = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    width = len(monomial_basis(n, e))
+    entry = st.one_of(st.just(0), st.integers(1, 3), st.integers(0, p - 1))
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width), max_size=6))
+    span = np.array(rows, dtype=np.int64).reshape(len(rows), width) % p
+    forms = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                          min_size=1, max_size=3))
+    scales = draw(st.lists(st.sampled_from([1, p]), min_size=len(forms), max_size=len(forms)))
+    return p, n, e, span, [[c * s for c in f] for f, s in zip(forms, scales)]
+
+
+class TestLeadingTerms:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_products_vanishing_mod_p_are_never_counted(self, p):
+        # the first form is p times an integer form: all its products vanish
+        # mod p, and a zero row counted at column 0 would come first
+        n, e = 3, 2
+        span = np.eye(len(monomial_basis(n, e)), dtype=np.int64)
+        forms = [[p, 2 * p, -p], [0, 1, p + 1]]
+        picks, nonzero = _leading_products(span, forms, n, e, p)
+        assert [pick.tolist() for pick in picks] == [[], list(range(len(span)))]
+        assert nonzero == len(span)
+        picks, nonzero = _leading_products(span, forms[:1], n, e, p)
+        assert [pick.tolist() for pick in picks] == [[]] and nonzero == 0
+        # zero rows of the span give zero products too
+        picks, nonzero = _leading_products(0 * span, forms, n, e, p)
+        assert [pick.tolist() for pick in picks] == [[], []] and nonzero == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(spans_and_forms())
+    def test_count_matches_the_products_and_bounds_their_rank(self, case):
+        p, n, e, span, forms = case
+        picks, nonzero = _leading_products(span, forms, n, e, p)
+        chosen = np.array(
+            [t * len(span) + i for t, pick in enumerate(picks) for i in pick], dtype=np.intp
+        )
+        products = (_times_forms(span, forms, n, e) % p).astype(np.int64)
+        live = products.any(axis=1)
+        assert nonzero == live.sum() and live[chosen].all()
+        heads = _first_nonzero(products[chosen])
+        assert len(set(heads)) == len(heads)
+        assert set(heads) == set(_first_nonzero(products[live]))
+        assert _rank_p(products[chosen], p) == len(chosen) <= _rank_p(products, p)
+        picked = _times_forms(span, forms, n, e, picks)
+        assert picked.tolist() == _times_forms(span, forms, n, e)[chosen].tolist()
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 2**31 - 1])
+    @settings(max_examples=30, deadline=None)
+    @given(arr=arrangements())
+    def test_fallbacks_as_with_an_elimination_every_degree(self, p, arr):
+        # a count that closes a degree has found rank_p, so every lower_J,
+        # and with it every exact fallback, is what eliminations give
+        def table_and_fallbacks(mp):
+            calls = []
+
+            def spy(key, fn):
+                def wrapper(a, S, d):
+                    calls.append((key, d))
+                    return fn(a, S, d)
+
+                return wrapper
+
+            mp.setattr(oracle, "PRIME", p)
+            mp.setattr(oracle, "dim_intersection_ideal", spy("I", dim_intersection_ideal))
+            mp.setattr(oracle, "dim_product_ideal", spy("J", dim_product_ideal))
+            return hilbert_table(arr, arr.num_subspaces + 2), calls
+
+        with pytest.MonkeyPatch.context() as mp:
+            counted = table_and_fallbacks(mp)
+        with pytest.MonkeyPatch.context() as mp:
+            # nothing counted: every degree eliminates, apart from those
+            # with U_I = 0, where the rank is 0 either way
+            mp.setattr(oracle, "_leading_products",
+                       lambda span, forms, *args: ([np.arange(0)] * len(forms), 1))
+            eliminated = table_and_fallbacks(mp)
+        assert counted == eliminated
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 2**31 - 1])
+    @settings(max_examples=40, deadline=None)
+    @given(arr=arrangements())
+    def test_leading_forms_keep_the_span_mod_p(self, p, arr):
+        n = arr.ambient_dim
+        for s in arr.subspaces:
+            forms = np.array(s.annihilator_forms, dtype=object).reshape(-1, n)
+            lead = np.array(_leading_forms(s.annihilator_forms, n, p), dtype=object).reshape(-1, n)
+            assert _rank_p(lead, p) == _rank_p(forms, p) == _rank_p(np.vstack([forms, lead]), p)
+
+    def test_leading_forms_have_distinct_leading_variables(self):
+        forms = [(1, 1, 0, 2), (1, -1, 3, 0), (2, 0, 1, 1)]
+        lead = _leading_forms(forms, 4, oracle.PRIME)
+        assert [next(j for j, c in enumerate(f) if c) for f in lead] == [0, 1, 2]
+
+    @pytest.mark.parametrize("name", ["three-coordinate-axes", "three-coplanar-lines"])
+    def test_transversal_degrees_above_m_close_by_count(self, monkeypatch, name):
+        arr = fixture_arrangement(name)
+        n, m, d_max = arr.ambient_dim, arr.num_subspaces, 7
+        degree_of = {len(monomial_basis(n, d)): d for d in range(d_max + 1)}
+        rank_mod_p, eliminate = oracle._rank_mod_p, oracle.echelon_mod_p
+        in_rank, j_steps = [False], []
+
+        def rank_spy(blocks, p):
+            in_rank[0] = True
+            try:
+                return rank_mod_p(blocks, p)
+            finally:
+                in_rank[0] = False
+
+        def spy(matrix, p):
+            if not in_rank[0]:
+                j_steps.append(degree_of[matrix.shape[1]])
+            return eliminate(matrix, p)
+
+        monkeypatch.setattr(oracle, "_rank_mod_p", rank_spy)
+        monkeypatch.setattr(oracle, "echelon_mod_p", spy)
+        table = hilbert_table(arr, d_max)
+        assert [r.dim_J for r in table[m:]] == [
+            transversal_hilbert_function([2, 2, 2], n, d) for d in range(m, d_max + 1)
+        ]
+        assert [d for d in j_steps if d > m] == []
 
 
 def _package_dependencies(module: str) -> set[str]:
