@@ -9,7 +9,12 @@
   holds n of them, so with m = 16 and n = 12 about 96 % of the masks stay
   below the rank of all the forms.
 
-An arrangement depends on (kind, n, m, seed) alone and uses only
+``pencil`` builds subspaces of given dimensions through one common line,
+the arrangements whose product and intersection ideals differ in every
+degree.
+
+An arrangement depends on (kind, n, m, seed), or (n, dims, seed), alone and
+uses only
 ``random_arrangement``, ``Arrangement`` and ``SubspaceBasis``, which raises
 ValueError on dependent rows, so two source trees can be measured on the
 same inputs.
@@ -50,6 +55,28 @@ def build(kind: str, n: int, m: int, seed: int) -> Arrangement:
             rows = [line] + [in_hyperplane() for _ in range(k - 1)]
             try:
                 subspaces.append(SubspaceBasis(n, rows))
+            except ValueError:  # dependent rows: draw again
+                continue
+            break
+    return Arrangement(n, subspaces)
+
+
+def pencil(n: int, dims: list[int], seed: int) -> Arrangement:
+    """Seeded subspaces of Q^n of dimensions dims (each 1 .. n-1) through one
+    common line, entries in -3..3."""
+    rng = random.Random(seed)
+
+    def vector() -> list[int]:
+        return [rng.randint(-3, 3) for _ in range(n)]
+
+    line = vector()
+    while not any(line):
+        line = vector()
+    subspaces = []
+    for k in dims:
+        while True:
+            try:
+                subspaces.append(SubspaceBasis(n, [line] + [vector() for _ in range(k - 1)]))
             except ValueError:  # dependent rows: draw again
                 continue
             break

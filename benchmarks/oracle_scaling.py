@@ -1,26 +1,34 @@
 """Per-degree cost of the oracle table: hilbert_table times and fallbacks.
 
-Two parts, both on seeded arrangements (``random_arrangement``), so two
-source trees can be measured on the same inputs:
+Two parts, both on seeded arrangements, so two source trees can be measured
+on the same inputs.  An arrangement is either ``random_arrangement`` or
+``arrangement_kinds.pencil``: subspaces of the given dimensions through one
+common line.
 
-- **Per degree.**  For ``INSTANCES`` arrangements in Q^5 for each m = 2, 3,
-  4 (dimensions drawn from 0..4), and every d <= 8: the time of
-  ``hilbert_table(arr, d)``, best of ``--repeat`` runs; for each degree
-  whether dim I_d and dim J_d closed by the GF(p) bracket or fell back to
-  the exact ``dim_intersection_ideal`` / ``dim_product_ideal``, and whether
-  the GF(p) product span of degree d >= 1 ("J step") was closed by counting
-  leading terms or took an ``echelon_mod_p`` elimination; and the sha256 of
-  the table to d = 8.  These come from one extra, untimed call with those
-  three functions wrapped here; an ``echelon_mod_p`` call made inside
-  ``_rank_mod_p`` is the I rank and is not a J step.
-- **Near the monomial cap.**  Four larger cases (Q^6 dims [1,1,1] to d = 9,
-  Q^7 [2,3] to d = 7, Q^4 [1,1,2,1] to d = 16, Q^5 [1,2] to d = 10), each
-  run ``--repeat`` times in a fresh interpreter: the best ``hilbert_table``
-  time, the largest peak RSS and the sha256 of the table, next to the peak
-  RSS of a fresh interpreter that only builds the arrangement.  Peak RSS is
-  ``VmHWM`` of /proc/self/status where it exists: on Linux ``ru_maxrss``
-  of a child carries the peak of the process that spawned it across exec,
-  so it would read at least this script's own peak.
+- **Per degree.**  For ``INSTANCES`` random arrangements in Q^5 for each
+  m = 2, 3, 4 (dimensions drawn from 0..4) and one pencil per m
+  (``PENCILS``), and every d <= 8: the time of ``hilbert_table(arr, d)``,
+  best of ``--repeat`` runs; for each degree how dim I_d closed ("bracket",
+  or "exact" by ``dim_intersection_ideal``) and how dim J_d closed:
+  "bracket" (L_J met dim I_d), "degree" (below m, where J_d = 0), "jets"
+  (L_J met the product bound ``_product_bound``) or "exact"
+  (``dim_product_ideal``); whether the GF(p) product span of degree d >= 1
+  ("J step") was closed by counting leading terms or took an
+  ``echelon_mod_p`` elimination; and the sha256 of the table to d = 8.
+  These come from one extra, untimed call with those functions wrapped
+  here; an ``echelon_mod_p`` call made inside ``_rank_mod_p`` ranks a bound
+  and is not a J step.  On a tree without ``_product_bound`` a degree
+  below m that the bracket leaves open reads "exact": there
+  ``dim_product_ideal`` answered it.
+- **Near the monomial cap.**  Five larger cases (Q^6 dims [1,1,1] to d = 9,
+  Q^7 [2,3] to d = 7, Q^4 [1,1,2,1] to d = 16, Q^5 [1,2] to d = 10, and the
+  Q^5 pencil [3,1,2,3] to d = 10), each run ``--repeat`` times in a fresh
+  interpreter: the best ``hilbert_table`` time, the largest peak RSS and
+  the sha256 of the table, next to the peak RSS of a fresh interpreter that
+  only builds the arrangement.  Peak RSS is ``VmHWM`` of /proc/self/status
+  where it exists: on Linux ``ru_maxrss`` of a child carries the peak of
+  the process that spawned it across exec, so it would read at least this
+  script's own peak.
 
 A table's sha256 is taken over the JSON text of its [dim_I, dim_J] pairs,
 so equal digests on two trees mean equal tables.
@@ -55,28 +63,36 @@ import subspace_hilbert
 from subspace_hilbert import oracle
 from subspace_hilbert.arrangement import random_arrangement
 
+from arrangement_kinds import pencil
+
 N = 5
 D_MAX = 8
 MS = (2, 3, 4)
 INSTANCES = 4
+PENCILS = ((3, 2), (2, 3, 1), (3, 1, 2, 3))
 SEED = 20261018
+# (n, dims, d, kind)
 NEAR_CAP = (
-    (6, (1, 1, 1), 9),
-    (7, (2, 3), 7),
-    (4, (1, 1, 2, 1), 16),
-    (5, (1, 2), 10),
+    (6, (1, 1, 1), 9, "random"),
+    (7, (2, 3), 7, "random"),
+    (4, (1, 1, 2, 1), 16, "random"),
+    (5, (1, 2), 10, "random"),
+    (5, (3, 1, 2, 3), 10, "pencil"),
 )
 DEFAULT_OUT = Path(__file__).with_name("BENCH_oracle.json")
+BUILDERS = {"random": random_arrangement, "pencil": pencil}
 
-# One near-cap case in a fresh interpreter: argv is n, dims, d, seed, and
-# d = -1 builds the arrangement only.  Prints seconds, peak RSS in KiB and
-# the table's [dim_I, dim_J] pairs.
+# One near-cap case in a fresh interpreter: argv is n, dims, d, seed, kind
+# and this script's directory (for ``BUILDERS``); d = -1 builds the
+# arrangement only.  Prints seconds, peak RSS in KiB and the table's
+# [dim_I, dim_J] pairs.
 CHILD = """
 import json, resource, sys, time
-from subspace_hilbert.arrangement import random_arrangement
+sys.path.insert(0, sys.argv[6])
+from oracle_scaling import BUILDERS
 from subspace_hilbert.oracle import hilbert_table
 n, dims, d, seed = int(sys.argv[1]), json.loads(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
-arr = random_arrangement(n, dims, seed)
+arr = BUILDERS[sys.argv[5]](n, dims, seed)
 start = time.perf_counter()
 table = hilbert_table(arr, d) if d >= 0 else []
 elapsed = time.perf_counter() - start
@@ -104,46 +120,57 @@ def best_of(repeat: int, fn, *args) -> float:
 
 
 def closing(arr) -> tuple[list[str], list[str], list[str], str]:
-    """Per degree, "bracket" or "exact" for I and for J, and "count" or
-    "eliminate" for the J step ("none" at d = 0); and the table's sha256."""
-    exact = {"I": set(), "J": set()}
+    """Per degree, how I and J closed (see the module docstring), and
+    "count" or "eliminate" for the J step ("none" at d = 0); and the
+    table's sha256."""
+    called = {key: set() for key in ("I", "J", "bound")}
     eliminated = set()
     in_rank = [False]
     degree_of = {len(oracle.monomial_basis(N, d)): d for d in range(D_MAX + 1)}
 
     def spy(key, fn):
-        def wrapper(a, S, d):
-            exact[key].add(d)
-            return fn(a, S, d)
+        def wrapper(*args):
+            called[key].add(args[0] if key == "bound" else args[2])
+            return fn(*args)
 
         return wrapper
 
     def rank_spy(blocks, p):
         in_rank[0] = True
         try:
-            return saved[2](blocks, p)
+            return saved["_rank_mod_p"](blocks, p)
         finally:
             in_rank[0] = False
 
     def elimination_spy(matrix, p):
         if not in_rank[0]:
             eliminated.add(degree_of[matrix.shape[1]])
-        return saved[3](matrix, p)
+        return saved["echelon_mod_p"](matrix, p)
 
-    names = ("dim_intersection_ideal", "dim_product_ideal", "_rank_mod_p", "echelon_mod_p")
-    saved = [getattr(oracle, name) for name in names]
-    spies = (spy("I", saved[0]), spy("J", saved[1]), rank_spy, elimination_spy)
-    for name, wrapper in zip(names, spies):
-        setattr(oracle, name, wrapper)
+    spies = {
+        "dim_intersection_ideal": lambda fn: spy("I", fn),
+        "dim_product_ideal": lambda fn: spy("J", fn),
+        "_product_bound": lambda fn: spy("bound", fn),
+        "_rank_mod_p": lambda fn: rank_spy,
+        "echelon_mod_p": lambda fn: elimination_spy,
+    }
+    saved = {name: getattr(oracle, name) for name in spies if hasattr(oracle, name)}
+    for name, fn in saved.items():
+        setattr(oracle, name, spies[name](fn))
     try:
         table = oracle.hilbert_table(arr, D_MAX)
     finally:
-        for name, fn in zip(names, saved):
+        for name, fn in saved.items():
             setattr(oracle, name, fn)
-    I, J = (
-        ["exact" if d in exact[key] else "bracket" for d in range(D_MAX + 1)]
-        for key in ("I", "J")
-    )
+    m = arr.num_subspaces
+    I = ["exact" if d in called["I"] else "bracket" for d in range(D_MAX + 1)]
+    J = [
+        "exact" if d in called["J"]
+        else "bracket" if d not in called["bound"]
+        else "degree" if d < m
+        else "jets"
+        for d in range(D_MAX + 1)
+    ]
     steps = ["none"] + [
         "eliminate" if d in eliminated else "count" for d in range(1, D_MAX + 1)
     ]
@@ -152,32 +179,39 @@ def closing(arr) -> tuple[list[str], list[str], list[str], str]:
 
 def per_degree(repeat: int) -> dict:
     rng = random.Random(SEED)
-    cases = {}
+    shapes = []
     for m in MS:
         for k in range(INSTANCES):
             dims = [rng.randint(0, N - 1) for _ in range(m)]
-            seed = rng.randrange(1 << 30)
-            arr = random_arrangement(N, dims, seed)
-            I, J, steps, table_sha256 = closing(arr)
-            cases[f"m={m} #{k}"] = {
-                "dims": dims,
-                "seed": seed,
-                "hilbert_table_s": [
-                    round(best_of(repeat, oracle.hilbert_table, arr, d), 5)
-                    for d in range(D_MAX + 1)
-                ],
-                "I": I,
-                "J": J,
-                "J_step": steps,
-                "table_sha256": table_sha256,
-            }
-            print(f"m={m} #{k}", json.dumps(cases[f"m={m} #{k}"]), file=sys.stderr, flush=True)
+            shapes.append((f"m={m} #{k}", "random", dims, rng.randrange(1 << 30)))
+    for dims in PENCILS:
+        shapes.append((f"m={len(dims)} pencil", "pencil", list(dims), SEED))
+    cases = {}
+    for name, kind, dims, seed in shapes:
+        arr = BUILDERS[kind](N, dims, seed)
+        I, J, steps, table_sha256 = closing(arr)
+        cases[name] = {
+            "dims": dims,
+            "seed": seed,
+            "hilbert_table_s": [
+                round(best_of(repeat, oracle.hilbert_table, arr, d), 5)
+                for d in range(D_MAX + 1)
+            ],
+            "I": I,
+            "J": J,
+            "J_step": steps,
+            "table_sha256": table_sha256,
+        }
+        print(name, json.dumps(cases[name]), file=sys.stderr, flush=True)
     return cases
 
 
-def fresh(n: int, dims, d: int, seed: int) -> tuple[float, float, str]:
+def fresh(n: int, dims, d: int, seed: int, kind: str) -> tuple[float, float, str]:
     env = dict(os.environ, PYTHONPATH=str(Path(subspace_hilbert.__file__).parents[1]))
-    argv = [sys.executable, "-c", CHILD, str(n), json.dumps(list(dims)), str(d), str(seed)]
+    argv = [
+        sys.executable, "-c", CHILD, str(n), json.dumps(list(dims)), str(d), str(seed),
+        kind, str(Path(__file__).resolve().parent),
+    ]
     out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
     seconds, rss_kb, pairs = json.loads(out)
     return seconds, rss_kb / 1024, digest(pairs)
@@ -185,19 +219,20 @@ def fresh(n: int, dims, d: int, seed: int) -> tuple[float, float, str]:
 
 def near_cap(repeat: int) -> dict:
     cases = {}
-    for n, dims, d in NEAR_CAP:
-        runs = [fresh(n, dims, d, SEED) for _ in range(repeat)]
+    for n, dims, d, kind in NEAR_CAP:
+        name = f"n={n} dims={list(dims)} d={d}" + (f" {kind}" if kind != "random" else "")
+        runs = [fresh(n, dims, d, SEED, kind) for _ in range(repeat)]
         digests = {h for _, _, h in runs}
         if len(digests) != 1:
-            raise RuntimeError(f"n={n} dims={list(dims)} d={d}: tables differ between runs")
-        cases[f"n={n} dims={list(dims)} d={d}"] = {
+            raise RuntimeError(f"{name}: tables differ between runs")
+        cases[name] = {
             "monomials": len(oracle.monomial_basis(n, d)),
             "hilbert_table_s": round(min(t for t, _, _ in runs), 4),
             "peak_rss_mb": round(max(r for _, r, _ in runs), 1),
-            "arrangement_only_rss_mb": round(fresh(n, dims, -1, SEED)[1], 1),
+            "arrangement_only_rss_mb": round(fresh(n, dims, -1, SEED, kind)[1], 1),
             "table_sha256": digests.pop(),
         }
-        print(n, dims, d, json.dumps(cases[f"n={n} dims={list(dims)} d={d}"]), file=sys.stderr, flush=True)
+        print(name, json.dumps(cases[name]), file=sys.stderr, flush=True)
     return cases
 
 

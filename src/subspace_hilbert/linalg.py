@@ -3,11 +3,12 @@
 Subspaces arrive as exact rationals and are scaled to primitive integer
 rows at once (``primitive_int_vector``); ``rref``, a fraction-free
 Gauss-Jordan elimination over Python ints, checks their independence and
-gives their annihilator forms (``SubspaceBasis``).  Integer matrices have
-two exact rank routes: ``certified_rank``, a rank mod a prime certified
-over Q by a lifted reduced echelon form (the one exact-rank entry point),
-and ``IntEchelon``, an incremental fraction-free accumulator for callers
-that add rows one at a time and for the certificate's fallback.
+gives their annihilator forms (``SubspaceBasis``, by ``kernel_basis``).
+Integer matrices have two exact rank routes: ``certified_rank``, a rank mod
+a prime certified over Q by a lifted reduced echelon form (the one
+exact-rank entry point), and ``IntEchelon``, an incremental fraction-free
+accumulator for callers that add rows one at a time and for the
+certificate's fallback.
 ``echelon_mod_p`` is the GF(p) eliminator for numpy matrices;
 ``arrangement.dimension_function`` reduces its own rows of Python ints mod
 ``PRIME``, one subspace's forms at a time, along its walk.  ``approx_rank``
@@ -95,6 +96,25 @@ def rref(
     return a, tuple(pivots), abs(prev)
 
 
+def kernel_basis(
+    reduced: Sequence[Sequence[int]], pivots: Sequence[int], d: int, ncols: int
+) -> tuple[tuple[int, ...], ...]:
+    """Primitive integer basis of the kernel of an ``rref`` result.
+
+    For each free column f, in increasing order: v[f] = d and
+    v[p_i] = -row_i[f] at the pivot columns, with the gcd divided out.
+    """
+    basis = []
+    for f in [f for f in range(ncols) if f not in pivots]:
+        v = [0] * ncols
+        v[f] = d
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
+        g = math.gcd(*v)
+        basis.append(tuple(x // g for x in v))
+    return tuple(basis)
+
+
 @dataclass(frozen=True)
 class SubspaceBasis:
     """A linear subspace given by a tuple of independent spanning vectors.
@@ -125,20 +145,12 @@ class SubspaceBasis:
         reduced, pivots, d = rref(rows, ambient_dim)
         if len(pivots) != len(rows):
             raise ValueError("spanning vectors are linearly dependent")
-        # the kernel of the rows: for each free column f, v[f] = d and
-        # v[p_i] = -row_i[f], primitive after the gcd is divided out
-        forms = []
-        for f in [f for f in range(ambient_dim) if f not in pivots]:
-            v = [0] * ambient_dim
-            v[f] = d
-            for row, p in zip(reduced, pivots):
-                v[p] = -row[f]
-            g = math.gcd(*v)
-            forms.append(tuple(x // g for x in v))
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "integer_rows", rows)
-        object.__setattr__(self, "annihilator_forms", tuple(forms))
+        object.__setattr__(
+            self, "annihilator_forms", kernel_basis(reduced, pivots, d, ambient_dim)
+        )
 
     @property
     def dim(self) -> int:

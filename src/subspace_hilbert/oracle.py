@@ -26,10 +26,23 @@ takes an elimination (``linalg.echelon_mod_p``).  The product rank mostly
 closes by counting leading terms, as in the symbolic preprocessing of
 Faugere's F4: products with pairwise distinct leading monomials are
 independent, so their count is a lower bound on rank_p, and when it
-meets the number of products, or the upper end U_I, it is rank_p.  Only
-the products chosen by the count are built; the other degrees eliminate.
-Only the degrees whose bracket stays open (mostly those below m, where I
-and J differ) run the exact per-degree functions
+meets the number of products, or an upper end, it is rank_p.  Only the
+products chosen by the count are built; the other degrees eliminate.
+
+Where J and I differ in a degree d >= m (a pencil, say), J is closed from
+above by the lattice of flats F = V_A, as in the paper, where the series
+of J depends only on that lattice.  Each F lies in k_F of the V_i, so J
+lies in P_F^{k_F}, P_F the ideal of F, and
+
+    dim J_d <= U_J = total - rank_p(restriction matrix | jets along every F),
+
+a jet block of F holding the terms of w-degree below k_F of each monomial
+in coordinates (u, w) with F = {w = 0} (``_jets``).  The bound is sound for
+every p, and over Q it is tight: a product of ideals of linear subspaces
+is the intersection of the powers (sum of I_i over A)^|A| (Conca and
+Herzog, "Castelnuovo-Mumford regularity of products of ideals", Collect.
+Math. 2003), each of which contains P_F^{k_F} for F = V_A.  Only the
+degrees whose bracket stays open run the exact per-degree functions
 ``dim_intersection_ideal`` (``linalg.certified_rank``) and
 ``dim_product_ideal`` (``IntEchelon``, one factor at a time).
 
@@ -53,6 +66,7 @@ from .linalg import (
     IntEchelon,
     certified_rank,
     echelon_mod_p,
+    kernel_basis,
     primitive_int_vector,
     rref,
 )
@@ -364,6 +378,145 @@ def _leading_products(
     return [row[form == t] for t in range(len(forms))], len(live)
 
 
+def _flat_key(forms: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
+    """The primitive rows of the integer ``rref`` of forms: equal keys, equal
+    spans, so one key per subspace cut out by the forms."""
+    return tuple(tuple(primitive_int_vector(row)) for row in rref(forms, n)[0])
+
+
+def _flats(a: Arrangement) -> dict[tuple[tuple[int, ...], ...], int]:
+    """The flats V_A = intersection of V_i over i in A (A nonempty) with
+    multiplicity k_F = #{i : F inside V_i} >= 2, keyed by ``_flat_key`` of
+    their annihilating forms.
+
+    The flats are the closure of the V_i under intersection, and the forms
+    of an intersection are the forms of its members stacked.  F lies in V_i
+    exactly when the forms of V_i add nothing to those of F, so k_F counts
+    the i with key(F + V_i) = key(F); it is also the largest |A| with
+    V_A = F.
+    """
+    n = a.ambient_dim
+    singles = list(dict.fromkeys(_flat_key(s.annihilator_forms, n) for s in a.subspaces))
+    flats = dict.fromkeys(singles)
+    todo = list(singles)
+    while todo:
+        flat = todo.pop()
+        for single in singles:
+            key = _flat_key(flat + single, n)
+            if key not in flats:
+                flats[key] = None
+                todo.append(key)
+    forms = [s.annihilator_forms for s in a.subspaces]
+    counts = {
+        flat: sum(_flat_key(flat + f, n) == flat for f in forms) for flat in flats
+    }
+    return {flat: k for flat, k in counts.items() if k >= 2}
+
+
+@lru_cache(maxsize=None)
+def _w_degrees(n: int, e: int, f: int) -> np.ndarray:
+    """For each degree-e monomial in n variables, its degree in the last n - f."""
+    out = np.array([sum(exps[f:]) for exps in monomial_basis(n, e).monomials], dtype=np.intp)
+    out.flags.writeable = False
+    return out
+
+
+def _flat_coordinates(forms: Sequence[Sequence[int]], n: int) -> tuple[list[list[int]], int]:
+    """Coordinates (u, w) adapted to the flat F cut out by forms.
+
+    Returns the rows of B, a basis of F (``kernel_basis`` of the forms),
+    then those of C, the unit vectors at the forms' pivot columns, which
+    complete B to a basis of K^n; and f = dim F.  Under x = B^T u + C^T w the
+    forms vanishing on F are the linear forms in w.
+    """
+    reduced, pivots, scale = rref(forms, n)
+    rows = [list(v) for v in kernel_basis(reduced, pivots, scale, n)]
+    f = len(rows)
+    return rows + [[int(j == c) for j in range(n)] for c in pivots], f
+
+
+def _jets(rows: Sequence[Sequence[int]], f: int, k: int, p: int) -> Iterator[np.ndarray]:
+    """Order-k jets mod p in degrees d = 0, 1, 2, ... along the span F of the
+    first f of the n integer rows, which form a basis (``_flat_coordinates``).
+
+    Write x = B^T u + C^T w with B the first f rows and C the others.  A
+    form g lies in P_F^k, P_F the ideal of F, exactly when g(B^T u + C^T w)
+    has no term of w-degree below k.  Row r of the degree-d matrix holds
+    that image of monomial r of R_d, mod p, at the (u, w)-monomials of
+    w-degree below k, in ``monomial_basis`` order.  It is built from degree
+    d-1 as in ``_restriction_matrices``; multiplying by u_j or w_j never
+    lowers the w-degree, so the kept columns need only the kept columns of
+    degree d-1.  Reduced mod p after each variable, every entry stays below
+    p + p^2 < 2^63: int64 throughout, however large the rows.
+    """
+    n = len(rows)
+    M = np.array([[x % p for x in row] for row in rows], dtype=np.int64).reshape(n, n)
+    s = np.ones((1, 1), dtype=np.int64)
+    kept = np.zeros(1, dtype=np.intp)
+    e = 0
+    while True:
+        yield s
+        e += 1
+        first, parents = _split_first_variable(n, e)
+        coeffs = M[:, first]
+        prev = s[parents]
+        low = _w_degrees(n, e, f) < k
+        column = np.cumsum(low) - 1
+        column[~low] = -1
+        maps = _raise_degree_maps(n, e - 1)[kept]
+        s = np.zeros((len(first), int(low.sum())), dtype=np.int64)
+        for j in range(n):
+            target = column[maps[:, j]]
+            live = target >= 0
+            s[:, target[live]] += coeffs[j][:, None] * prev[:, live]
+            s %= p
+        kept = np.flatnonzero(low)
+
+
+class _FlatJets:
+    """The degree-d jet blocks (``_jets``) of every flat with k_F >= 2
+    (``_flats``), for nondecreasing d.  Nothing is built before the first
+    call, so a table that never asks pays nothing."""
+
+    def __init__(self, a: Arrangement, p: int):
+        self._a, self._p = a, p
+        self._gens: list[Iterator[np.ndarray]] | None = None
+        self._degree = -1
+        self._blocks: list[np.ndarray] = []
+
+    @property
+    def started(self) -> bool:
+        return self._gens is not None
+
+    def __call__(self, d: int) -> list[np.ndarray]:
+        if self._gens is None:
+            n = self._a.ambient_dim
+            self._gens = [
+                _jets(*_flat_coordinates(forms, n), k, self._p)
+                for forms, k in _flats(self._a).items()
+            ]
+        for _ in range(d - self._degree):
+            self._blocks = [next(g) for g in self._gens]
+        self._degree = d
+        return self._blocks
+
+
+def _product_bound(
+    d: int, m: int, total: int, blocks: list[np.ndarray], jets: _FlatJets, p: int
+) -> int:
+    """U_J >= dim J_d for the product J of m linear ideals.
+
+    Below m it is 0: J is generated in degree m.  From m on it is total -
+    rank_p of the restriction blocks beside the jet blocks of every flat
+    with k_F >= 2: J lies in each I_i and in each P_F^{k_F}, so J_d lies in
+    the kernel over Q, and reducing mod p never raises a rank.
+    """
+    if d < m:
+        return 0
+    stacked = blocks + [b for b in jets(d) if b.shape[1]]
+    return total - (_rank_mod_p(stacked, p) if stacked else 0)
+
+
 def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     """Oracle dimensions of both ideals (full index set) for d = 0..d_max.
 
@@ -372,8 +525,21 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     rank_p(restriction matrix).  When L_J = U_I both values are exact.
     Otherwise dim I_d is U_I when the restriction matrix has full column
     rank mod p and ``dim_intersection_ideal`` else, and dim J_d is L_J when
-    it reaches that exact dim I_d and ``dim_product_ideal`` else.  Every
-    value returned is exact.
+    it reaches that exact dim I_d or the product bound U_J
+    (``_product_bound``), and ``dim_product_ideal`` else.  Every value
+    returned is exact.
+
+    U_J is 0 below m, where J has no forms.  From m on it is total - rank_p
+    of the restriction blocks beside the jet blocks of the flats with
+    k_F >= 2 (``_flats``, ``_jets``).  Over Q the kernel of those blocks is
+    the degree-d part of I and of every P_F^{k_F}, which contains J_d; and
+    reduction mod p never raises a rank, so U_J >= dim J_d for every p.
+    The kernel is J_d itself (Conca and Herzog: J is the intersection of
+    the (sum of I_i over A)^|A| over the nonempty index sets A, and for
+    F = V_A that power contains P_F^{k_F}), so at PRIME the bound is met
+    wherever rank_p is the rank over Q.  The jets are built only from the
+    first degree whose bracket stays open, so a table that never asks pays
+    nothing.
 
     The product span mod p is carried from degree to degree: J_d mod p is
     J_{d-1} mod p times the forms of V_d while d <= m, and times x_1, ...,
@@ -383,14 +549,15 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     leading variables (``_leading_forms``), which keeps their span mod p
     and spreads the leading monomials.  That count c is a lower bound on
     rank_p of the products, and it is rank_p in two cases: when every
-    nonzero product has its own leading monomial, and, for d >= m, when
-    c = U_I, since then c <= rank_p = L_J <= U_I = c.  Either way the c
-    chosen products, built alone (``_times_forms`` with picks) and reduced
-    mod p, are independent and as many as rank_p, so they span what all
-    the products span, and they are carried as the next span.  Any other
-    degree builds all the products, reduces them mod p and eliminates.
-    So L_J, and with it every fallback and every value, is that of an
-    elimination in every degree.
+    nonzero product has its own leading monomial, and, for d >= m, when c
+    meets an upper bound U on dim J_d, since then c <= rank_p = L_J <= U
+    = c.  U is U_I, or U_J <= U_I once an earlier degree has started the
+    jets.  Either way the c chosen products, built alone (``_times_forms``
+    with picks) and reduced mod p, are independent and as many as rank_p,
+    so they span what all the products span, and they are carried as the
+    next span.  Any other degree builds all the products, reduces them mod
+    p and eliminates.  So L_J, and with it every fallback and every value,
+    is that of an elimination in every degree.
 
     Refuses degrees whose monomial count exceeds the cap
     (``check_monomial_cap``).
@@ -407,6 +574,7 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     factors = [_leading_forms(s.annihilator_forms, n, p) for s in a.subspaces]
     coordinates = np.eye(n, dtype=np.int64).tolist()
     span = np.ones((1, 1), dtype=np.int64)
+    jets = _FlatJets(a, p)
     results = []
     for d in range(d_max + 1):
         total = len(monomial_basis(n, d))
@@ -414,11 +582,14 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
         ncols = sum(b.shape[1] for b in blocks)
         rank_I = _rank_mod_p(blocks, p) if blocks else 0
         upper_I = total - rank_I
+        # U_J <= U_I; taken before the J step once an earlier degree needed it
+        bounded = d >= k and jets.started
+        upper_J = _product_bound(d, k, total, blocks, jets, p) if bounded else upper_I
         if d:
             forms = factors[d - 1] if d <= k else coordinates
             picks, nonzero = _leading_products(span, forms, n, d - 1, p)
             count = sum(map(len, picks))
-            counted = count == nonzero or (d >= k and count == upper_I)
+            counted = count == nonzero or (d >= k and count == upper_J)
             products = _times_forms(span, forms, n, d - 1, picks if counted else None)
             products %= p
             span = products.astype(np.int64, copy=False)
@@ -429,6 +600,11 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
             dim_I = dim_J = lower_J
         else:
             dim_I = upper_I if rank_I == ncols else dim_intersection_ideal(a, full, d)
-            dim_J = lower_J if lower_J == dim_I else dim_product_ideal(a, full, d)
+            dim_J = lower_J
+            if lower_J < dim_I:
+                if not bounded:
+                    upper_J = _product_bound(d, k, total, blocks, jets, p)
+                if upper_J > lower_J:
+                    dim_J = dim_product_ideal(a, full, d)
         results.append(GradedPieceResult(degree=d, dim_I=dim_I, dim_J=dim_J))
     return results

@@ -161,6 +161,24 @@ class TestAnalyzeCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["hilbert_function"] == {"start": 3, "values": []}
 
+    def test_max_degree_limit_without_oracle(self, capsys):
+        path = str(fixture_path("three-coordinate-axes"))
+        assert main(["analyze", path, "--max-degree", str(cli.MAX_DEGREE), "--json"]) == EXIT_OK
+        values = json.loads(capsys.readouterr().out)["hilbert_function"]["values"]
+        assert len(values) == cli.MAX_DEGREE - 2
+        with pytest.raises(SystemExit) as info:
+            main(["analyze", path, "--max-degree", str(cli.MAX_DEGREE + 1)])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--max-degree must be at most {cli.MAX_DEGREE} without --oracle" in captured.err
+
+    def test_max_degree_limit_is_in_the_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["analyze", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"at most {cli.MAX_DEGREE} without --oracle" in help_text
+
     def test_json_is_canonical(self, capsys):
         path = str(fixture_path("three-pencil-planes"))
         assert main(["analyze", path, "--oracle", "--json"]) == EXIT_OK

@@ -9,10 +9,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from closed_form_reference import QMatrix, annihilator, rank
+import arrangement_kinds
+from closed_form_reference import (
+    QMatrix,
+    annihilator,
+    rank,
+    rational_rref,
+    reference_primitive_int_vector,
+    span_of,
+)
 from strategies import arrangements
 from subspace_hilbert import oracle
 from subspace_hilbert.arrangement import (
@@ -20,15 +28,20 @@ from subspace_hilbert.arrangement import (
     dimension_function,
     random_arrangement,
 )
-from subspace_hilbert.fixtures import fixture_arrangement
+from subspace_hilbert.fixtures import fixture_arrangement, fixture_names
 from subspace_hilbert.hilbert import hilbert_series_J, transversal_hilbert_function
 from subspace_hilbert.linalg import SubspaceBasis, echelon_mod_p
 from subspace_hilbert.oracle import (
     GradedPieceResult,
     MonomialBasis,
     MonomialCapExceeded,
+    _flat_coordinates,
+    _FlatJets,
+    _flats,
+    _jets,
     _leading_forms,
     _leading_products,
+    _product_bound,
     _restriction_matrix,
     _times_forms,
     dim_intersection_ideal,
@@ -485,16 +498,8 @@ class TestCertifiedTable:
         assert got.dtype == object
         assert got.tolist() == python_products(basis, forms, n, e)
 
-    @pytest.mark.parametrize(
-        "name, exact_I, exact_J",
-        [
-            # I and J differ in every positive degree: both fall back
-            ("three-pencil-planes", [1, 2, 3, 4, 5], [1, 2, 3, 4, 5]),
-            # full column rank certifies I below m; J is 0 there but not 0 = dim I_2
-            ("three-coordinate-axes", [], [2]),
-        ],
-    )
-    def test_fallback_degrees(self, monkeypatch, name, exact_I, exact_J):
+    @staticmethod
+    def _table_and_fallbacks(monkeypatch, name):
         arr = fixture_arrangement(name)
         full = (1 << arr.num_subspaces) - 1
         expected = [
@@ -514,7 +519,233 @@ class TestCertifiedTable:
         monkeypatch.setattr(oracle, "dim_product_ideal", spy("J", dim_product_ideal))
         table = hilbert_table(arr, 5)
         assert [(r.dim_I, r.dim_J) for r in table] == expected
+        return calls
+
+    @pytest.mark.parametrize(
+        "name, exact_I, exact_J",
+        [
+            # I and J differ in every positive degree: I falls back, J closes
+            # by the jet bound from m on and is 0 below
+            ("three-pencil-planes", [1, 2, 3, 4, 5], []),
+            # full column rank certifies I below m, where J is 0
+            ("three-coordinate-axes", [], []),
+        ],
+    )
+    def test_fallback_degrees(self, monkeypatch, name, exact_I, exact_J):
+        calls = self._table_and_fallbacks(monkeypatch, name)
         assert calls == {"I": exact_I, "J": exact_J}
+
+    @pytest.mark.parametrize(
+        "name, exact_I, exact_J",
+        [
+            ("three-pencil-planes", [1, 2, 3, 4, 5], [1, 2, 3, 4, 5]),
+            ("three-coordinate-axes", [], [2]),
+        ],
+    )
+    def test_fallback_degrees_with_the_bound_open(self, monkeypatch, name, exact_I, exact_J):
+        # a product bound that never closes sends J back to the exact route
+        # wherever L_J < dim I_d, as before the bound, with the same table
+        monkeypatch.setattr(oracle, "_product_bound", lambda d, m, total, *rest: total)
+        calls = self._table_and_fallbacks(monkeypatch, name)
+        assert calls == {"I": exact_I, "J": exact_J}
+
+
+def product_bound(arr: Arrangement, d: int, p: int) -> int:
+    """U_J of degree d mod p as ``hilbert_table`` forms it."""
+    n = arr.ambient_dim
+    blocks = [_restriction_matrix(s.integer_rows, n, d) for s in arr.subspaces]
+    blocks = [b for b in blocks if b.shape[1]]
+    total = len(monomial_basis(n, d))
+    return _product_bound(d, arr.num_subspaces, total, blocks, _FlatJets(arr, p), p)
+
+
+@st.composite
+def pencils(draw, max_n: int = 4, max_m: int = 4):
+    """m >= 2 subspaces through one common line, small integer entries."""
+    n = draw(st.integers(2, max_n))
+    vector = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    line = draw(vector.filter(any))
+    subspaces = []
+    for _ in range(draw(st.integers(2, max_m))):
+        s = span_of(n, [line] + draw(st.lists(vector, max_size=n - 2)))
+        assume(s.dim < n)
+        subspaces.append(s)
+    return Arrangement(n, subspaces)
+
+
+def reference_flats(arr: Arrangement) -> dict:
+    """V_A for every nonempty mask A, by rational RREF of the stacked forms,
+    keyed by its primitive rows, with the largest |A| giving it; k >= 2 kept."""
+    m, n = arr.num_subspaces, arr.ambient_dim
+    best: dict = {}
+    for mask in range(1, 1 << m):
+        forms = [f for i in range(m) if mask >> i & 1 for f in annihilator(arr.subspaces[i])]
+        reduced, pivots = rational_rref(QMatrix(forms, ncols=n))
+        key = tuple(
+            tuple(reference_primitive_int_vector(row))
+            for row in reduced.entries[: len(pivots)]
+        )
+        best[key] = max(best.get(key, 0), bin(mask).count("1"))
+    return {key: k for key, k in best.items() if k >= 2}
+
+
+def w_degree_columns(n: int, f: int, d: int, k: int) -> list[int]:
+    return [
+        c for c, exps in enumerate(monomial_basis(n, d).monomials) if sum(exps[f:]) < k
+    ]
+
+
+class TestProductBound:
+    @pytest.mark.parametrize("p", [2, 3, 7, 2**31 - 1])
+    @settings(max_examples=30, deadline=None)
+    @given(arr=arrangements())
+    def test_bounds_dim_J_on_arrangements(self, p, arr):
+        full = (1 << arr.num_subspaces) - 1
+        for d in range(arr.num_subspaces + 3):
+            assert product_bound(arr, d, p) >= dim_product_ideal(arr, full, d)
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 2**31 - 1])
+    @settings(max_examples=25, deadline=None)
+    @given(arr=pencils())
+    def test_bounds_dim_J_on_pencils(self, p, arr):
+        full = (1 << arr.num_subspaces) - 1
+        for d in range(arr.num_subspaces, arr.num_subspaces + 3):
+            assert product_bound(arr, d, p) >= dim_product_ideal(arr, full, d)
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_equal_at_prime_on_the_fixtures(self, name):
+        arr = fixture_arrangement(name)
+        full = (1 << arr.num_subspaces) - 1
+        for d in range(arr.num_subspaces + 4):
+            assert product_bound(arr, d, oracle.PRIME) == dim_product_ideal(arr, full, d)
+
+    @pytest.mark.parametrize(
+        "n, dims, seed",
+        [(3, [1, 2, 1], 11), (4, [2, 1, 3], 12), (4, [3, 3, 2, 1], 13), (5, [3, 1, 2, 3], 14)],
+    )
+    def test_equal_at_prime_on_pencils(self, n, dims, seed):
+        arr = arrangement_kinds.pencil(n, dims, seed)
+        full = (1 << arr.num_subspaces) - 1
+        for d in range(arr.num_subspaces + 3):
+            assert product_bound(arr, d, oracle.PRIME) == dim_product_ideal(arr, full, d)
+
+    @pytest.mark.parametrize(
+        "name, built",
+        [
+            # I = J from m on: below m J is 0 without any jets
+            ("three-coordinate-axes", 0),
+            ("three-coplanar-lines", 0),
+            # I and J differ from m on: the flats are found once
+            ("three-axis-planes", 1),
+            ("three-pencil-planes", 1),
+        ],
+    )
+    def test_jets_are_built_only_where_needed(self, monkeypatch, name, built):
+        calls = []
+
+        def spy(a):
+            calls.append(a)
+            return _flats(a)
+
+        monkeypatch.setattr(oracle, "_flats", spy)
+        hilbert_table(fixture_arrangement(name), 7)
+        assert len(calls) == built
+
+    def test_a_small_prime_leaves_it_open_and_the_table_falls_back(self, monkeypatch):
+        # three copies of the line through (1, 2): the flat coordinates
+        # (1, 2), (1, 0) have determinant -2, singular mod 2
+        line = SubspaceBasis(2, [[1, 2]])
+        arr = Arrangement(2, [line, line, line])
+        assert product_bound(arr, 3, 2) > dim_product_ideal(arr, 0b111, 3) == 1
+        calls = []
+
+        def spy(a, S, d):
+            calls.append(d)
+            return dim_product_ideal(a, S, d)
+
+        monkeypatch.setattr(oracle, "PRIME", 2)
+        monkeypatch.setattr(oracle, "dim_product_ideal", spy)
+        table = hilbert_table(arr, 5)
+        assert [r.dim_J for r in table] == [dim_product_ideal(arr, 0b111, d) for d in range(6)]
+        assert 3 in calls
+
+
+class TestFlats:
+    @settings(max_examples=80, deadline=None)
+    @given(arr=arrangements(max_m=4))
+    def test_match_every_mask(self, arr):
+        assert _flats(arr) == reference_flats(arr)
+
+    @pytest.mark.parametrize(
+        "vectors, expected",
+        [
+            # the zero subspace lies in every member
+            ([[[1, 0, 0]], [], [[0, 1, 0]]], {((1, 0, 0), (0, 1, 0), (0, 0, 1)): 3}),
+            # a repeated line is one flat of multiplicity 2
+            ([[[1, 2, 0]], [[1, 2, 0]]], {((2, -1, 0), (0, 0, 1)): 2}),
+            # a line inside a plane, both inside a second plane
+            (
+                [[[1, 0, 0]], [[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 0, 1]]],
+                {((0, 1, 0), (0, 0, 1)): 3},
+            ),
+        ],
+    )
+    def test_zero_repeated_and_nested(self, vectors, expected):
+        arr = Arrangement(3, [SubspaceBasis(3, v) for v in vectors])
+        assert _flats(arr) == expected == reference_flats(arr)
+
+
+@st.composite
+def coordinate_rows(draw):
+    """(rows, f, k, d): n integer rows of length n, not necessarily a basis,
+    some entries past 2^31, with 0 <= f <= n, k >= 1 and a degree d."""
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(st.integers(-9, 9), st.integers(-(2**40), 2**40))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    return rows, draw(st.integers(0, n)), draw(st.integers(1, 3)), draw(st.integers(0, 4))
+
+
+class TestJets:
+    @settings(max_examples=60, deadline=None)
+    @given(arr=arrangements())
+    def test_flat_coordinates(self, arr):
+        n = arr.ambient_dim
+        for s in arr.subspaces:
+            rows, f = _flat_coordinates(s.annihilator_forms, n)
+            assert f == s.dim and rank(QMatrix(rows, ncols=n)) == n
+            assert all(sum(a * b for a, b in zip(form, v)) == 0
+                       for form in s.annihilator_forms for v in rows[:f])
+
+    @settings(max_examples=60, deadline=None)
+    @given(arr=arrangements(), d=st.integers(0, 4))
+    def test_order_one_jets_have_the_restriction_kernel(self, arr, d):
+        p, n = oracle.PRIME, arr.ambient_dim
+        for s in arr.subspaces:
+            rows, f = _flat_coordinates(s.annihilator_forms, n)
+            jet = next(itertools.islice(_jets(rows, f, 1, p), d, None))
+            restriction = _restriction_matrix(s.integer_rows, n, d) % p
+            both = np.hstack([jet, restriction]).astype(np.int64)
+            assert _rank_p(jet, p) == _rank_p(restriction, p) == _rank_p(both, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=coordinate_rows(), p=st.sampled_from([2, 3, 7, 2**31 - 1]))
+    def test_truncated_jets_are_the_low_columns_of_the_substitution(self, case, p):
+        rows, f, k, d = case
+        n = len(rows)
+        jet = next(itertools.islice(_jets(rows, f, k, p), d, None))
+        full = reference_restriction_rows(rows, n, d)
+        columns = w_degree_columns(n, f, d, k)
+        assert jet.dtype == np.int64
+        assert jet.tolist() == [[row[c] % p for c in columns] for row in full]
+
+    def test_entries_past_int64(self):
+        rows = [[2**40 + 3, -(2**41), 5], [7, 2**40 - 1, -3], [1, 1, 2**39]]
+        full = reference_restriction_rows(rows, 3, 3)
+        assert max(abs(x) for row in full for x in row) > 2**63
+        p = oracle.PRIME
+        jet = next(itertools.islice(_jets(rows, 1, 2, p), 3, None))
+        columns = w_degree_columns(3, 1, 3, 2)
+        assert jet.tolist() == [[row[c] % p for c in columns] for row in full]
 
 
 def _rank_p(m: np.ndarray, p: int) -> int:
