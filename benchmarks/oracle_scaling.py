@@ -9,7 +9,9 @@ common line.
   m = 2, 3, 4 (dimensions drawn from 0..4) and one pencil per m
   (``PENCILS``), and every d <= 8: the time of ``hilbert_table(arr, d)``,
   best of ``--repeat`` runs; for each degree how dim I_d closed ("bracket",
-  or "exact" by ``dim_intersection_ideal``) and how dim J_d closed:
+  or "exact" by ``_kernel_dim``, the exact rank of the restriction blocks
+  in the adapted coordinates; on a tree without it, by
+  ``dim_intersection_ideal``) and how dim J_d closed:
   "bracket" (L_J met dim I_d), "degree" (below m, where J_d = 0), "jets"
   (L_J met the product bound ``_product_bound``) or "exact"
   (``dim_product_ideal``); whether the GF(p) product span of degree d >= 1
@@ -135,6 +137,21 @@ def closing(arr) -> tuple[list[str], list[str], list[str], str]:
 
         return wrapper
 
+    def kernel_spy(fn):
+        # _kernel_dim(rows, blocks) ranks the monomials of positive w-degree,
+        # w the coordinates off the largest subspace: their count gives d
+        k = oracle._adapted_coordinates(arr)[1]
+        degree_of_rows = {
+            len(oracle.monomial_basis(N, d)) - len(oracle.monomial_basis(k, d)): d
+            for d in range(D_MAX + 1)
+        }
+
+        def wrapper(rows, blocks):
+            called["I"].add(degree_of_rows[rows])
+            return fn(rows, blocks)
+
+        return wrapper
+
     def rank_spy(blocks, p):
         in_rank[0] = True
         try:
@@ -149,6 +166,7 @@ def closing(arr) -> tuple[list[str], list[str], list[str], str]:
 
     spies = {
         "dim_intersection_ideal": lambda fn: spy("I", fn),
+        "_kernel_dim": kernel_spy,
         "dim_product_ideal": lambda fn: spy("J", fn),
         "_product_bound": lambda fn: spy("bound", fn),
         "_rank_mod_p": lambda fn: rank_spy,

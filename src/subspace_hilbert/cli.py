@@ -55,11 +55,13 @@ EXIT_DATA = 1
 EXIT_USAGE = 2
 EXIT_DISAGREEMENT = 3
 
-# Top degree of ``analyze --max-degree`` without --oracle, which lists one
-# Hilbert-function value per degree m..D.  At D = 10000 that listing adds
-# about 0.03 s and 0.2 MB for three lines in Q^3, and 0.1-0.2 s and 0.4 MB
-# for 16 hyperplanes in Q^12; at D = 100000 it adds 0.25 s and 1.1-1.9 MB
-# and 1.2 s and 4.5-4.9 MB.  With --oracle the monomial cap bounds D.
+# Top degree of ``analyze --max-degree``, with or without --oracle.  The
+# report lists one Hilbert-function value per degree m..D.  At D = 10000 that
+# listing adds about 0.03 s and 0.2 MB for three lines in Q^3, and 0.1-0.2 s
+# and 0.4 MB for 16 hyperplanes in Q^12; at D = 100000 it adds 0.25 s and
+# 1.1-1.9 MB and 1.2 s and 4.5-4.9 MB.  The oracle's monomial cap bounds D
+# further wherever n >= 2; in Q^1 every degree has one monomial, so there
+# this limit alone keeps a table finite.
 MAX_DEGREE = 10_000
 
 
@@ -395,8 +397,8 @@ def _emit(doc: dict, as_json: bool, render_text: Callable[[dict], str]) -> None:
 def _cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.max_degree is not None and args.max_degree < 0:
         parser.error("--max-degree must be nonnegative")
-    if not args.oracle and args.max_degree is not None and args.max_degree > MAX_DEGREE:
-        parser.error(f"--max-degree must be at most {MAX_DEGREE} without --oracle")
+    if args.max_degree is not None and args.max_degree > MAX_DEGREE:
+        parser.error(f"--max-degree must be at most {MAX_DEGREE}")
     arr, name = parse_arrangement_document(_load_json(args.file))
     max_degree = (
         arr.num_subspaces + 3 if args.max_degree is None else args.max_degree
@@ -589,8 +591,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="D",
         help=(
-            f"top degree for tables (default: m + 3; at most {MAX_DEGREE} "
-            "without --oracle, whose monomial cap bounds it otherwise)"
+            f"top degree for tables (default: m + 3; at most {MAX_DEGREE}, "
+            "and with --oracle within the monomial cap)"
         ),
     )
     pa.add_argument(

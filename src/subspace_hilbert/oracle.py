@@ -21,13 +21,19 @@ its rank, and J is contained in I, so
 
     rank_p(product matrix) <= dim J_d <= dim I_d <= total - rank_p(restriction matrix),
 
-and where the two ends meet both values are exact.  The restriction rank
-takes an elimination (``linalg.echelon_mod_p``).  The product rank mostly
-closes by counting leading terms, as in the symbolic preprocessing of
-Faugere's F4: products with pairwise distinct leading monomials are
-independent, so their count is a lower bound on rank_p, and when it
-meets the number of products, or an upper end, it is rank_p.  Only the
-products chosen by the count are built; the other degrees eliminate.
+and where the two ends meet both values are exact.  The table works in
+coordinates (u, w) in which the largest subspace V_s is {w = 0}
+(``_adapted_coordinates``); graded dimensions do not change under a linear
+change of coordinates.  There the restriction block of V_s selects the c_s
+monomials of w-degree 0, so it adds exactly c_s to the rank, over Q and
+over every GF(p), and the bracket stays sound for every p.  Only the other
+blocks, on the rows of positive w-degree, take an elimination
+(``linalg.echelon_mod_p``).  The product rank mostly closes by counting
+leading terms, as in the symbolic preprocessing of Faugere's F4: products
+with pairwise distinct leading monomials are independent, so their count
+is a lower bound on rank_p, and when it meets the number of products, or
+an upper end, it is rank_p.  Only the products chosen by the count are
+built; the other degrees eliminate.
 
 Where J and I differ in a degree d >= m (a pencil, say), J is closed from
 above by the lattice of flats F = V_A, as in the paper, where the series
@@ -41,10 +47,13 @@ in coordinates (u, w) with F = {w = 0} (``_jets``).  The bound is sound for
 every p, and over Q it is tight: a product of ideals of linear subspaces
 is the intersection of the powers (sum of I_i over A)^|A| (Conca and
 Herzog, "Castelnuovo-Mumford regularity of products of ideals", Collect.
-Math. 2003), each of which contains P_F^{k_F} for F = V_A.  Only the
-degrees whose bracket stays open run the exact per-degree functions
-``dim_intersection_ideal`` (``linalg.certified_rank``) and
-``dim_product_ideal`` (``IntEchelon``, one factor at a time).
+Math. 2003), each of which contains P_F^{k_F} for F = V_A.  U_J is ranked
+on the same rows as U_I, beside the same c_s.  Only the degrees whose
+bracket stays open take an exact rank: of the restriction blocks already
+built (``linalg.certified_rank``) for I, and ``dim_product_ideal``
+(``IntEchelon``, one factor at a time) for J.  The public per-degree
+functions ``dim_intersection_ideal`` and ``dim_product_ideal`` work in the
+given coordinates and are the references the table is tested against.
 
 Cost grows roughly with the cube of C(d+n-1, n-1), so calls are guarded by a
 configurable monomial cap.
@@ -252,11 +261,13 @@ def dim_intersection_ideal(a: Arrangement, S: SubsetLike, d: int) -> int:
     total = len(monomial_basis(n, d))
     blocks = [_restriction_matrix(a.subspaces[i].integer_rows, n, d) for i in idxs]
     # by width, not dim: the zero subspace has a width-1 block at d = 0
-    blocks = [b for b in blocks if b.shape[1]]
-    if not blocks:
-        return total
-    matrix = np.hstack(blocks)
-    return total - certified_rank(matrix)
+    return _kernel_dim(total, [b for b in blocks if b.shape[1]])
+
+
+def _kernel_dim(rows: int, blocks: list[np.ndarray]) -> int:
+    """rows minus the rank over Q of the integer blocks, with that many
+    rows, placed side by side (``certified_rank``)."""
+    return rows - (certified_rank(np.hstack(blocks)) if blocks else 0)
 
 
 def _times_forms(
@@ -384,10 +395,12 @@ def _flat_key(forms: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], 
     return tuple(tuple(primitive_int_vector(row)) for row in rref(forms, n)[0])
 
 
-def _flats(a: Arrangement) -> dict[tuple[tuple[int, ...], ...], int]:
+def _flats(
+    forms: Sequence[Sequence[Sequence[int]]], n: int
+) -> dict[tuple[tuple[int, ...], ...], int]:
     """The flats V_A = intersection of V_i over i in A (A nonempty) with
     multiplicity k_F = #{i : F inside V_i} >= 2, keyed by ``_flat_key`` of
-    their annihilating forms.
+    their annihilating forms; forms[i] are those of V_i in K^n.
 
     The flats are the closure of the V_i under intersection, and the forms
     of an intersection are the forms of its members stacked.  F lies in V_i
@@ -395,8 +408,7 @@ def _flats(a: Arrangement) -> dict[tuple[tuple[int, ...], ...], int]:
     the i with key(F + V_i) = key(F); it is also the largest |A| with
     V_A = F.
     """
-    n = a.ambient_dim
-    singles = list(dict.fromkeys(_flat_key(s.annihilator_forms, n) for s in a.subspaces))
+    singles = list(dict.fromkeys(_flat_key(f, n) for f in forms))
     flats = dict.fromkeys(singles)
     todo = list(singles)
     while todo:
@@ -406,7 +418,6 @@ def _flats(a: Arrangement) -> dict[tuple[tuple[int, ...], ...], int]:
             if key not in flats:
                 flats[key] = None
                 todo.append(key)
-    forms = [s.annihilator_forms for s in a.subspaces]
     counts = {
         flat: sum(_flat_key(flat + f, n) == flat for f in forms) for flat in flats
     }
@@ -433,6 +444,50 @@ def _flat_coordinates(forms: Sequence[Sequence[int]], n: int) -> tuple[list[list
     rows = [list(v) for v in kernel_basis(reduced, pivots, scale, n)]
     f = len(rows)
     return rows + [[int(j == c) for j in range(n)] for c in pivots], f
+
+
+def _adapted_coordinates(
+    a: Arrangement,
+) -> tuple[int, int, list[list[list[int]]], list[tuple[tuple[int, ...], ...]]]:
+    """The arrangement in coordinates (u, w) with its largest subspace {w = 0}.
+
+    s is the first index of largest dimension and k = dim V_s.  With
+    (F, P, D) the ``rref`` of the forms of V_s, Q its free columns and K the
+    ``kernel_basis`` rows, row q of K holds D / g_q at column q, and
+
+        A v = (g_q v[q] for q in Q) ++ F v
+
+    is D times the coordinates of v in the basis of ``_flat_coordinates``
+    (the rows of K, then the unit vectors at P).  So A is invertible over Q
+    and maps V_s onto the span of e_1, ..., e_k.  A form f becomes f A^-1,
+    1/D times (K_q . f for q in Q) ++ (f[p] for p in P).  Returns s, k and
+    the integer rows and annihilator forms of every subspace so mapped, as
+    primitive integer rows; V_s gets e_1, ..., e_k.  Integers throughout.
+    """
+    n = a.ambient_dim
+    dims = [sub.dim for sub in a.subspaces]
+    s = dims.index(max(dims))
+    reduced, pivots, scale = rref(a.subspaces[s].annihilator_forms, n)
+    kernel = kernel_basis(reduced, pivots, scale, n)
+    free = [q for q in range(n) if q not in pivots]
+    gains = [(q, scale // row[q]) for row, q in zip(kernel, free)]
+
+    def point(v: Sequence[int]) -> list[int]:
+        image = [v[q] * g for q, g in gains] + [_dot(row, v) for row in reduced]
+        return primitive_int_vector(image)
+
+    def form(f: Sequence[int]) -> tuple[int, ...]:
+        image = [_dot(row, f) for row in kernel] + [f[c] for c in pivots]
+        return tuple(primitive_int_vector(image))
+
+    rows = [[point(v) for v in sub.integer_rows] for sub in a.subspaces]
+    rows[s] = [[int(j == i) for j in range(n)] for i in range(len(free))]
+    forms = [tuple(form(f) for f in sub.annihilator_forms) for sub in a.subspaces]
+    return s, len(free), rows, forms
+
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(u, v))
 
 
 def _jets(rows: Sequence[Sequence[int]], f: int, k: int, p: int) -> Iterator[np.ndarray]:
@@ -475,11 +530,12 @@ def _jets(rows: Sequence[Sequence[int]], f: int, k: int, p: int) -> Iterator[np.
 
 class _FlatJets:
     """The degree-d jet blocks (``_jets``) of every flat with k_F >= 2
-    (``_flats``), for nondecreasing d.  Nothing is built before the first
-    call, so a table that never asks pays nothing."""
+    (``_flats`` of forms in K^n), for nondecreasing d, on the rows of the
+    monomials of degree at least 1 in the last n - k variables.  Nothing is
+    built before the first call, so a table that never asks pays nothing."""
 
-    def __init__(self, a: Arrangement, p: int):
-        self._a, self._p = a, p
+    def __init__(self, forms: Sequence[Sequence[Sequence[int]]], n: int, k: int, p: int):
+        self._forms, self._n, self._k, self._p = forms, n, k, p
         self._gens: list[Iterator[np.ndarray]] | None = None
         self._degree = -1
         self._blocks: list[np.ndarray] = []
@@ -490,50 +546,71 @@ class _FlatJets:
 
     def __call__(self, d: int) -> list[np.ndarray]:
         if self._gens is None:
-            n = self._a.ambient_dim
+            n = self._n
             self._gens = [
                 _jets(*_flat_coordinates(forms, n), k, self._p)
-                for forms, k in _flats(self._a).items()
+                for forms, k in _flats(self._forms, n).items()
             ]
-        for _ in range(d - self._degree):
-            self._blocks = [next(g) for g in self._gens]
-        self._degree = d
+        if d != self._degree:
+            for _ in range(d - self._degree):
+                blocks = [next(g) for g in self._gens]
+            kept = _w_degrees(self._n, d, self._k) >= 1
+            self._blocks = [b[kept] for b in blocks]
+            self._degree = d
         return self._blocks
 
 
 def _product_bound(
-    d: int, m: int, total: int, blocks: list[np.ndarray], jets: _FlatJets, p: int
+    d: int, m: int, rows: int, blocks: list[np.ndarray], jets: _FlatJets, p: int
 ) -> int:
     """U_J >= dim J_d for the product J of m linear ideals.
 
-    Below m it is 0: J is generated in degree m.  From m on it is total -
+    Below m it is 0: J is generated in degree m.  From m on it is rows -
     rank_p of the restriction blocks beside the jet blocks of every flat
-    with k_F >= 2: J lies in each I_i and in each P_F^{k_F}, so J_d lies in
-    the kernel over Q, and reducing mod p never raises a rank.
+    with k_F >= 2, all on the same rows of the adapted coordinates (see
+    ``hilbert_table``): J lies in each I_i and in each P_F^{k_F}, so J_d
+    lies in the kernel over Q, and reducing mod p never raises a rank.
     """
     if d < m:
         return 0
     stacked = blocks + [b for b in jets(d) if b.shape[1]]
-    return total - (_rank_mod_p(stacked, p) if stacked else 0)
+    return rows - (_rank_mod_p(stacked, p) if stacked else 0)
 
 
 def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     """Oracle dimensions of both ideals (full index set) for d = 0..d_max.
 
+    The table works on the arrangement written in coordinates (u, w) with
+    the largest subspace V_s = {w = 0}, s the first index of largest
+    dimension k (``_adapted_coordinates``): an invertible linear change of
+    coordinates maps I_d and J_d onto those of the image arrangement, so
+    their dimensions stay.  There the restriction of x^beta to V_s is u^beta
+    when beta has w-degree 0 and 0 otherwise: the block of V_s is the
+    identity on the c_s = C(d+k-1, k-1) rows of w-degree 0 and zero on the
+    others.  Column operations with it clear those rows of every other
+    block, so the rank of all the blocks is c_s plus the rank of the other
+    blocks on the rows of w-degree >= 1, exactly, over Q and over every
+    GF(p).  Let h = total - c_s be the number of those rows.
+
     Each degree is first bounded by ranks mod PRIME:
-    L_J = rank_p(product matrix) <= dim J_d <= dim I_d <= U_I = total -
-    rank_p(restriction matrix).  When L_J = U_I both values are exact.
-    Otherwise dim I_d is U_I when the restriction matrix has full column
-    rank mod p and ``dim_intersection_ideal`` else, and dim J_d is L_J when
-    it reaches that exact dim I_d or the product bound U_J
-    (``_product_bound``), and ``dim_product_ideal`` else.  Every value
+    L_J = rank_p(product matrix) <= dim J_d <= dim I_d <= U_I = h -
+    rank_p(other restriction blocks on the h rows).  U_I >= dim I_d for
+    every p, since c_s is exact and reducing an integer matrix mod p never
+    raises its rank.  When L_J = U_I both values are exact.  Otherwise
+    dim I_d is U_I when those blocks have full column rank mod p (then
+    rank_p is their rank over Q), and h - ``certified_rank`` of the same
+    blocks else (``_kernel_dim``); dim J_d is L_J when it reaches that
+    exact dim I_d or the product bound U_J (``_product_bound``), and
+    ``dim_product_ideal`` (on the arrangement as given) else.  Every value
     returned is exact.
 
-    U_J is 0 below m, where J has no forms.  From m on it is total - rank_p
+    U_J is 0 below m, where J has no forms.  From m on it is h - rank_p
     of the restriction blocks beside the jet blocks of the flats with
-    k_F >= 2 (``_flats``, ``_jets``).  Over Q the kernel of those blocks is
-    the degree-d part of I and of every P_F^{k_F}, which contains J_d; and
-    reduction mod p never raises a rank, so U_J >= dim J_d for every p.
+    k_F >= 2 (``_flats``, ``_jets``), all in the adapted coordinates and on
+    the h rows, beside which the block of V_s again adds exactly c_s.  Over
+    Q the kernel of all those blocks is the degree-d part of I and of every
+    P_F^{k_F}, which contains J_d; and reduction mod p never raises a rank,
+    so U_J >= dim J_d for every p.
     The kernel is J_d itself (Conca and Herzog: J is the intersection of
     the (sum of I_i over A)^|A| over the nonempty index sets A, and for
     F = V_A that power contains P_F^{k_F}), so at PRIME the bound is met
@@ -541,9 +618,10 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     first degree whose bracket stays open, so a table that never asks pays
     nothing.
 
-    The product span mod p is carried from degree to degree: J_d mod p is
-    J_{d-1} mod p times the forms of V_d while d <= m, and times x_1, ...,
-    x_n after that, since J is generated in degree m.  Each degree finds
+    The product span mod p, in the adapted coordinates too, is carried
+    from degree to degree: J_d mod p is J_{d-1} mod p times the forms of
+    V_d while d <= m, and times x_1, ..., x_n after that, since J is
+    generated in degree m.  Each degree finds
     one product of the carried span with its forms per leading monomial
     (``_leading_products``); each factor's forms are first given distinct
     leading variables (``_leading_forms``), which keeps their span mod p
@@ -567,43 +645,45 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     n = a.ambient_dim
     check_monomial_cap(n, d_max)
     p = PRIME
-    k = a.num_subspaces
-    full = (1 << k) - 1
-    restrictions = [_restriction_matrices(s.integer_rows, n) for s in a.subspaces]
-    # the chain multiplies by the forms of V_1, ..., V_k, then by x_1, ..., x_n
-    factors = [_leading_forms(s.annihilator_forms, n, p) for s in a.subspaces]
+    m = a.num_subspaces
+    full = (1 << m) - 1
+    s, k, rows, forms = _adapted_coordinates(a)
+    restrictions = [_restriction_matrices(r, n) for i, r in enumerate(rows) if i != s]
+    # the chain multiplies by the forms of V_1, ..., V_m, then by x_1, ..., x_n
+    factors = [_leading_forms(f, n, p) for f in forms]
     coordinates = np.eye(n, dtype=np.int64).tolist()
     span = np.ones((1, 1), dtype=np.int64)
-    jets = _FlatJets(a, p)
+    jets = _FlatJets(forms, n, k, p)
     results = []
     for d in range(d_max + 1):
-        total = len(monomial_basis(n, d))
-        blocks = [b for b in map(next, restrictions) if b.shape[1]]
+        kept = _w_degrees(n, d, k) >= 1
+        h = int(kept.sum())
+        blocks = [b[kept] for b in map(next, restrictions) if b.shape[1]]
         ncols = sum(b.shape[1] for b in blocks)
         rank_I = _rank_mod_p(blocks, p) if blocks else 0
-        upper_I = total - rank_I
+        upper_I = h - rank_I
         # U_J <= U_I; taken before the J step once an earlier degree needed it
-        bounded = d >= k and jets.started
-        upper_J = _product_bound(d, k, total, blocks, jets, p) if bounded else upper_I
+        bounded = d >= m and jets.started
+        upper_J = _product_bound(d, m, h, blocks, jets, p) if bounded else upper_I
         if d:
-            forms = factors[d - 1] if d <= k else coordinates
-            picks, nonzero = _leading_products(span, forms, n, d - 1, p)
+            factor = factors[d - 1] if d <= m else coordinates
+            picks, nonzero = _leading_products(span, factor, n, d - 1, p)
             count = sum(map(len, picks))
-            counted = count == nonzero or (d >= k and count == upper_J)
-            products = _times_forms(span, forms, n, d - 1, picks if counted else None)
+            counted = count == nonzero or (d >= m and count == upper_J)
+            products = _times_forms(span, factor, n, d - 1, picks if counted else None)
             products %= p
             span = products.astype(np.int64, copy=False)
             if not counted:
                 span = echelon_mod_p(span, p)[0]
-        lower_J = len(span) if d >= k else 0
+        lower_J = len(span) if d >= m else 0
         if lower_J == upper_I:
             dim_I = dim_J = lower_J
         else:
-            dim_I = upper_I if rank_I == ncols else dim_intersection_ideal(a, full, d)
+            dim_I = upper_I if rank_I == ncols else _kernel_dim(h, blocks)
             dim_J = lower_J
             if lower_J < dim_I:
                 if not bounded:
-                    upper_J = _product_bound(d, k, total, blocks, jets, p)
+                    upper_J = _product_bound(d, m, h, blocks, jets, p)
                 if upper_J > lower_J:
                     dim_J = dim_product_ideal(a, full, d)
         results.append(GradedPieceResult(degree=d, dim_I=dim_I, dim_J=dim_J))

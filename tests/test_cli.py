@@ -171,13 +171,24 @@ class TestAnalyzeCommand:
         assert info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"--max-degree must be at most {cli.MAX_DEGREE} without --oracle" in captured.err
+        assert f"error: --max-degree must be at most {cli.MAX_DEGREE}\n" in captured.err
+
+    def test_max_degree_limit_with_oracle_in_one_variable(self, tmp_path, capsys):
+        # in Q^1 every degree has one monomial, so the monomial cap never
+        # binds: the same limit and message as without --oracle keep D finite
+        path = write_json(tmp_path, "origin.json", {"n": 1, "subspaces": [[]]})
+        with pytest.raises(SystemExit) as info:
+            main(["analyze", path, "--max-degree", str(cli.MAX_DEGREE + 1), "--oracle"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: --max-degree must be at most {cli.MAX_DEGREE}\n" in captured.err
 
     def test_max_degree_limit_is_in_the_help(self, capsys):
         with pytest.raises(SystemExit):
             main(["analyze", "--help"])
         help_text = " ".join(capsys.readouterr().out.split())
-        assert f"at most {cli.MAX_DEGREE} without --oracle" in help_text
+        assert f"at most {cli.MAX_DEGREE}, and with --oracle within the monomial cap" in help_text
 
     def test_json_is_canonical(self, capsys):
         path = str(fixture_path("three-pencil-planes"))
@@ -240,7 +251,7 @@ class TestAnalyzeCommand:
 
         monkeypatch.setattr(cli, "transversal_hilbert_function", spy)
         path = str(fixture_path("three-coordinate-axes"))
-        argv = ["analyze", path, "--max-degree", str(10**9), "--oracle"]
+        argv = ["analyze", path, "--max-degree", str(cli.MAX_DEGREE), "--oracle"]
         assert main(argv) == EXIT_DATA
         assert "above the cap" in capsys.readouterr().err
 

@@ -16,6 +16,7 @@ import arrangement_kinds
 from closed_form_reference import (
     QMatrix,
     annihilator,
+    matvec,
     rank,
     rational_rref,
     reference_primitive_int_vector,
@@ -35,6 +36,7 @@ from subspace_hilbert.oracle import (
     GradedPieceResult,
     MonomialBasis,
     MonomialCapExceeded,
+    _adapted_coordinates,
     _flat_coordinates,
     _FlatJets,
     _flats,
@@ -42,8 +44,10 @@ from subspace_hilbert.oracle import (
     _leading_forms,
     _leading_products,
     _product_bound,
+    _rank_mod_p,
     _restriction_matrix,
     _times_forms,
+    _w_degrees,
     dim_intersection_ideal,
     dim_product_ideal,
     hilbert_table,
@@ -195,6 +199,43 @@ def integer_bases(draw):
     n = draw(st.integers(1, 4))
     vector = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
     return n, draw(st.lists(vector, max_size=3))
+
+
+def map_arrangement(arr: Arrangement, matrix: list[list[int]]) -> Arrangement:
+    """The image of every subspace under x -> matrix x."""
+    n = arr.ambient_dim
+    m = QMatrix(matrix, ncols=n)
+    subspaces = [SubspaceBasis(n, [matvec(m, v) for v in s.vectors]) for s in arr.subspaces]
+    return Arrangement(n, subspaces)
+
+
+@st.composite
+def arrangements_with_ties(draw):
+    """Arrangements in Q^1..Q^4 drawn from zero subspaces, hyperplanes,
+    random spans and ties: another subspace of the largest dimension so far."""
+    n = draw(st.integers(1, 4))
+    vector = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    subspaces: list[SubspaceBasis] = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["zero", "hyperplane", "span", "tie"]))
+        count = {
+            "zero": 0,
+            "hyperplane": n - 1,
+            "span": draw(st.integers(0, n - 1)),
+            "tie": max((t.dim for t in subspaces), default=0),
+        }[kind]
+        sub = span_of(n, draw(st.lists(vector, min_size=count, max_size=count)))
+        assume(sub.dim == count)
+        subspaces.append(sub)
+    return Arrangement(n, subspaces)
+
+
+@st.composite
+def invertible_matrices(draw, n: int):
+    entry = st.integers(-3, 3)
+    matrix = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    assume(rank(QMatrix(matrix, ncols=n)) == n)
+    return matrix
 
 
 class TestMonomialBasis:
@@ -450,18 +491,23 @@ class TestHilbertTable:
 
 class TestCertifiedTable:
     @pytest.mark.parametrize("p", [2, 3, 7, 2**31 - 1])
-    @settings(max_examples=30, deadline=None)
-    @given(arr=arrangements())
+    @settings(max_examples=40, deadline=None)
+    @given(arr=st.one_of(arrangements(), arrangements_with_ties()))
     def test_matches_exact_functions(self, p, arr):
         d_max = arr.num_subspaces + 2
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "PRIME", p)
             table = hilbert_table(arr, d_max)
         full = (1 << arr.num_subspaces) - 1
-        assert [(r.dim_I, r.dim_J) for r in table] == [
+        exact = [
             (dim_intersection_ideal(arr, full, d), dim_product_ideal(arr, full, d))
             for d in range(d_max + 1)
         ]
+        assert [(r.dim_I, r.dim_J) for r in table] == exact
+        # the bracket in the adapted coordinates is sound at every prime
+        for d, (dim_I, dim_J) in enumerate(exact):
+            upper_I, upper_J = adapted_bounds(arr, d, p)
+            assert upper_I >= dim_I and upper_J >= dim_J
 
     def test_large_entries(self):
         # restriction matrices on object arrays, reduced mod p before the rank
@@ -507,16 +553,19 @@ class TestCertifiedTable:
             for d in range(6)
         ]
         calls: dict[str, list[int]] = {"I": [], "J": []}
+        degree_of = degrees_by_kept_rows(arr, 5)
 
-        def spy(key, fn):
-            def wrapper(a, S, d):
-                calls[key].append(d)
-                return fn(a, S, d)
+        def spy_I(rows, blocks):
+            calls["I"].append(degree_of[rows])
+            return kernel_dim(rows, blocks)
 
-            return wrapper
+        def spy_J(a, S, d):
+            calls["J"].append(d)
+            return dim_product_ideal(a, S, d)
 
-        monkeypatch.setattr(oracle, "dim_intersection_ideal", spy("I", dim_intersection_ideal))
-        monkeypatch.setattr(oracle, "dim_product_ideal", spy("J", dim_product_ideal))
+        kernel_dim = oracle._kernel_dim
+        monkeypatch.setattr(oracle, "_kernel_dim", spy_I)
+        monkeypatch.setattr(oracle, "dim_product_ideal", spy_J)
         table = hilbert_table(arr, 5)
         assert [(r.dim_I, r.dim_J) for r in table] == expected
         return calls
@@ -545,18 +594,43 @@ class TestCertifiedTable:
     def test_fallback_degrees_with_the_bound_open(self, monkeypatch, name, exact_I, exact_J):
         # a product bound that never closes sends J back to the exact route
         # wherever L_J < dim I_d, as before the bound, with the same table
-        monkeypatch.setattr(oracle, "_product_bound", lambda d, m, total, *rest: total)
+        monkeypatch.setattr(oracle, "_product_bound", lambda d, m, rows, *rest: rows)
         calls = self._table_and_fallbacks(monkeypatch, name)
         assert calls == {"I": exact_I, "J": exact_J}
 
 
+def adapted_bounds(arr: Arrangement, d: int, p: int) -> tuple[int, int]:
+    """U_I and U_J of degree d mod p as ``hilbert_table`` forms them: in
+    the adapted coordinates, on the rows of positive w-degree."""
+    n = arr.ambient_dim
+    s, k, rows, forms = _adapted_coordinates(arr)
+    kept = _w_degrees(n, d, k) >= 1
+    blocks = [_restriction_matrix(r, n, d)[kept] for i, r in enumerate(rows) if i != s]
+    blocks = [b for b in blocks if b.shape[1]]
+    height = int(kept.sum())
+    upper_I = height - (_rank_mod_p(blocks, p) if blocks else 0)
+    jets = _FlatJets(forms, n, k, p)
+    return upper_I, _product_bound(d, arr.num_subspaces, height, blocks, jets, p)
+
+
 def product_bound(arr: Arrangement, d: int, p: int) -> int:
     """U_J of degree d mod p as ``hilbert_table`` forms it."""
-    n = arr.ambient_dim
-    blocks = [_restriction_matrix(s.integer_rows, n, d) for s in arr.subspaces]
-    blocks = [b for b in blocks if b.shape[1]]
-    total = len(monomial_basis(n, d))
-    return _product_bound(d, arr.num_subspaces, total, blocks, _FlatJets(arr, p), p)
+    return adapted_bounds(arr, d, p)[1]
+
+
+def degrees_by_kept_rows(arr: Arrangement, d_max: int) -> dict[int, int]:
+    """Degree d <= d_max by the number of rows ``hilbert_table`` ranks in it,
+    the monomials of positive w-degree; one-to-one for degrees d >= 1 when
+    the largest subspace is proper."""
+    n, k = arr.ambient_dim, _adapted_coordinates(arr)[1]
+    return {
+        len(monomial_basis(n, d)) - len(monomial_basis(k, d)): d
+        for d in range(d_max + 1)
+    }
+
+
+def forms_of(arr: Arrangement) -> list:
+    return [s.annihilator_forms for s in arr.subspaces]
 
 
 @st.composite
@@ -643,19 +717,23 @@ class TestProductBound:
     def test_jets_are_built_only_where_needed(self, monkeypatch, name, built):
         calls = []
 
-        def spy(a):
-            calls.append(a)
-            return _flats(a)
+        def spy(forms, n):
+            calls.append(forms)
+            return _flats(forms, n)
 
         monkeypatch.setattr(oracle, "_flats", spy)
         hilbert_table(fixture_arrangement(name), 7)
         assert len(calls) == built
 
     def test_a_small_prime_leaves_it_open_and_the_table_falls_back(self, monkeypatch):
-        # three copies of the line through (1, 2): the flat coordinates
-        # (1, 2), (1, 0) have determinant -2, singular mod 2
+        # three copies of the line through (1, 2) become three copies of the
+        # first axis in the adapted coordinates, which close mod 2 ...
         line = SubspaceBasis(2, [[1, 2]])
-        arr = Arrangement(2, [line, line, line])
+        assert product_bound(Arrangement(2, [line] * 3), 3, 2) == 1
+        # ... but beside the first axis, kept as it is, the flat of the two
+        # lines has coordinates (1, 2), (1, 0) of determinant -2, singular mod 2
+        arr = Arrangement(2, [SubspaceBasis(2, [[1, 0]]), line, line])
+        assert _adapted_coordinates(arr)[2] == [[[1, 0]], [[1, 2]], [[1, 2]]]
         assert product_bound(arr, 3, 2) > dim_product_ideal(arr, 0b111, 3) == 1
         calls = []
 
@@ -674,7 +752,7 @@ class TestFlats:
     @settings(max_examples=80, deadline=None)
     @given(arr=arrangements(max_m=4))
     def test_match_every_mask(self, arr):
-        assert _flats(arr) == reference_flats(arr)
+        assert _flats(forms_of(arr), arr.ambient_dim) == reference_flats(arr)
 
     @pytest.mark.parametrize(
         "vectors, expected",
@@ -692,7 +770,7 @@ class TestFlats:
     )
     def test_zero_repeated_and_nested(self, vectors, expected):
         arr = Arrangement(3, [SubspaceBasis(3, v) for v in vectors])
-        assert _flats(arr) == expected == reference_flats(arr)
+        assert _flats(forms_of(arr), 3) == expected == reference_flats(arr)
 
 
 @st.composite
@@ -746,6 +824,74 @@ class TestJets:
         jet = next(itertools.islice(_jets(rows, 1, 2, p), 3, None))
         columns = w_degree_columns(3, 1, 3, 2)
         assert jet.tolist() == [[row[c] % p for c in columns] for row in full]
+
+
+class TestAdaptedCoordinates:
+    @settings(max_examples=80, deadline=None)
+    @given(arr=arrangements_with_ties())
+    def test_the_largest_subspace_becomes_the_first_axes(self, arr):
+        n = arr.ambient_dim
+        s, k, rows, forms = _adapted_coordinates(arr)
+        dims = [sub.dim for sub in arr.subspaces]
+        assert dims[s] == k == max(dims) and k not in dims[:s]
+        assert rows[s] == np.eye(n, dtype=int)[:k].tolist()
+        assert all(f[:k] == (0,) * k for f in forms[s])
+        # with M the basis of _flat_coordinates, x = M^T y takes adapted
+        # coordinates y back, up to a scale: the rows to V_i, and a form f of
+        # V_i to the adapted form M f
+        basis, _ = _flat_coordinates(arr.subspaces[s].annihilator_forms, n)
+        back = QMatrix(list(zip(*basis)), ncols=n)
+        for sub, r, fs in zip(arr.subspaces, rows, forms):
+            assert len(r) == sub.dim and len(fs) == n - sub.dim
+            assert all(list(v) == reference_primitive_int_vector(v) for v in [*r, *fs])
+            assert all(sum(a * b for a, b in zip(g, v)) == 0 for g in fs for v in r)
+            mapped = [matvec(back, v) for v in r]
+            assert rank(QMatrix([*mapped, *sub.integer_rows], ncols=n)) == sub.dim
+            pulled = [matvec(QMatrix(basis, ncols=n), g) for g in sub.annihilator_forms]
+            assert rank(QMatrix([*pulled, *fs], ncols=n)) == n - sub.dim
+
+    def test_ties_take_the_first_largest(self):
+        vectors = [[[1, 1, 1]], [[1, 0, 2], [0, 1, 3]], [[1, 0, 0], [0, 1, 0]]]
+        arr = Arrangement(3, [SubspaceBasis(3, v) for v in vectors])
+        s, k, rows, forms = _adapted_coordinates(arr)
+        assert (s, k) == (1, 2)
+        assert rows[1] == [[1, 0, 0], [0, 1, 0]] and forms[1] == ((0, 0, -1),)
+
+
+class TestAdaptedTable:
+    # hypothesis arrangements with ties, hyperplanes and zero subspaces run
+    # through TestCertifiedTable.test_matches_exact_functions
+
+    @pytest.mark.parametrize(
+        "n, vectors",
+        [
+            # Q^1: only the zero subspace, once and twice
+            (1, [[]]),
+            (1, [[], []]),
+            # a zero subspace beside lines
+            (3, [[], [[1, 2, 3]], [[0, 1, -1]]]),
+            # hyperplanes, two of them equal
+            (3, [[[1, 0, 0], [0, 1, 1]], [[1, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 1]]]),
+            # ties for the largest dimension, in front of and after a line
+            (4, [[[1, 0, 2, 0], [0, 1, 0, 3]], [[1, 1, 1, 1]], [[2, 1, 0, 0], [0, 0, 1, 5]]]),
+        ],
+    )
+    def test_matches_exact_functions_on_edge_cases(self, n, vectors):
+        arr = Arrangement(n, [SubspaceBasis(n, v) for v in vectors])
+        d_max = arr.num_subspaces + 3
+        full = (1 << arr.num_subspaces) - 1
+        assert [(r.dim_I, r.dim_J) for r in hilbert_table(arr, d_max)] == [
+            (dim_intersection_ideal(arr, full, d), dim_product_ideal(arr, full, d))
+            for d in range(d_max + 1)
+        ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_invariant_under_a_change_of_coordinates(self, data):
+        arr = data.draw(arrangements_with_ties())
+        moved = map_arrangement(arr, data.draw(invertible_matrices(arr.ambient_dim)))
+        d_max = arr.num_subspaces + 2
+        assert hilbert_table(moved, d_max) == hilbert_table(arr, d_max)
 
 
 def _rank_p(m: np.ndarray, p: int) -> int:
@@ -818,14 +964,15 @@ class TestLeadingTerms:
             calls = []
 
             def spy(key, fn):
-                def wrapper(a, S, d):
-                    calls.append((key, d))
-                    return fn(a, S, d)
+                # the degree of a J fallback; the kept rows of an I fallback
+                def wrapper(*args):
+                    calls.append((key, args[-1] if key == "J" else args[0]))
+                    return fn(*args)
 
                 return wrapper
 
             mp.setattr(oracle, "PRIME", p)
-            mp.setattr(oracle, "dim_intersection_ideal", spy("I", dim_intersection_ideal))
+            mp.setattr(oracle, "_kernel_dim", spy("I", oracle._kernel_dim))
             mp.setattr(oracle, "dim_product_ideal", spy("J", dim_product_ideal))
             return hilbert_table(arr, arr.num_subspaces + 2), calls
 
