@@ -10,18 +10,19 @@ common line.
   (``PENCILS``), and every d <= 8: the time of ``hilbert_table(arr, d)``,
   best of ``--repeat`` runs; for each degree how dim I_d closed ("bracket",
   or "exact" by ``_kernel_dim``, the exact rank of the restriction blocks
-  in the adapted coordinates; on a tree without it, by
-  ``dim_intersection_ideal``) and how dim J_d closed:
-  "bracket" (L_J met dim I_d), "degree" (below m, where J_d = 0), "jets"
-  (L_J met the product bound ``_product_bound``) or "exact"
-  (``dim_product_ideal``); whether the GF(p) product span of degree d >= 1
-  ("J step") was closed by counting leading terms or took an
+  in the adapted coordinates) and how dim J_d closed: "bracket" (L_J met
+  dim I_d), "degree" (below m, where J_d = 0 < dim I_d), "jets" (from the
+  first degree d >= m whose bracket stays open, where the jets along the
+  flats start, on: L_J met U_J, ranked beside them by ``_ranks_mod_p``) or
+  "exact" (``dim_product_ideal``); whether the GF(p) product span of
+  degree d >= 1 ("J step") was closed by counting leading terms or took an
   ``echelon_mod_p`` elimination; and the sha256 of the table to d = 8.
   These come from one extra, untimed call with those functions wrapped
-  here; an ``echelon_mod_p`` call made inside ``_rank_mod_p`` ranks a bound
-  and is not a J step.  On a tree without ``_product_bound`` a degree
-  below m that the bracket leaves open reads "exact": there
-  ``dim_product_ideal`` answered it.
+  here (``closing``); an ``echelon_mod_p`` call made inside
+  ``_ranks_mod_p`` ranks the bracket and is not a J step.  On a tree from
+  before ``_ranks_mod_p`` the jets are seen through ``_product_bound`` and
+  the blocks' rank through ``_rank_mod_p``, so both trees get the same
+  labels.
 - **Near the monomial cap.**  Five larger cases (Q^6 dims [1,1,1] to d = 9,
   Q^7 [2,3] to d = 7, Q^4 [1,1,2,1] to d = 16, Q^5 [1,2] to d = 10, and the
   Q^5 pencil [3,1,2,3] to d = 10), each run ``--repeat`` times in a fresh
@@ -122,55 +123,74 @@ def best_of(repeat: int, fn, *args) -> float:
 
 
 def closing(arr) -> tuple[list[str], list[str], list[str], str]:
-    """Per degree, how I and J closed (see the module docstring), and
-    "count" or "eliminate" for the J step ("none" at d = 0); and the
+    """Per degree d <= D_MAX, how I and J closed (see the module docstring),
+    and "count" or "eliminate" for the J step ("none" at d = 0); and the
     table's sha256."""
-    called = {key: set() for key in ("I", "J", "bound")}
+    n, m = arr.ambient_dim, arr.num_subspaces
+    k = max(s.dim for s in arr.subspaces)
+    # the rank helpers see the rows of positive w-degree, w the coordinates
+    # off the largest subspace, and a J step the monomials of its degree
+    degree_of_rows = {
+        len(oracle.monomial_basis(n, d)) - len(oracle.monomial_basis(k, d)): d
+        for d in range(D_MAX + 1)
+    }
+    degree_of_columns = {len(oracle.monomial_basis(n, d)): d for d in range(D_MAX + 1)}
+    called = {key: set() for key in ("I", "J", "jets")}
     eliminated = set()
     in_rank = [False]
-    degree_of = {len(oracle.monomial_basis(N, d)): d for d in range(D_MAX + 1)}
 
-    def spy(key, fn):
-        def wrapper(*args):
-            called[key].add(args[0] if key == "bound" else args[2])
-            return fn(*args)
+    def product_spy(fn):
+        def wrapper(a, S, d):
+            called["J"].add(d)
+            return fn(a, S, d)
 
         return wrapper
 
     def kernel_spy(fn):
-        # _kernel_dim(rows, blocks) ranks the monomials of positive w-degree,
-        # w the coordinates off the largest subspace: their count gives d
-        k = oracle._adapted_coordinates(arr)[1]
-        degree_of_rows = {
-            len(oracle.monomial_basis(N, d)) - len(oracle.monomial_basis(k, d)): d
-            for d in range(D_MAX + 1)
-        }
-
         def wrapper(rows, blocks):
             called["I"].add(degree_of_rows[rows])
             return fn(rows, blocks)
 
         return wrapper
 
-    def rank_spy(blocks, p):
-        in_rank[0] = True
-        try:
-            return saved["_rank_mod_p"](blocks, p)
-        finally:
-            in_rank[0] = False
+    def rank_spy(fn):
+        # _ranks_mod_p(blocks, jets, p) ranks the jets where they have
+        # started; _rank_mod_p(blocks, p) is its one-rank predecessor
+        def wrapper(blocks, *rest):
+            if len(rest) == 2 and rest[0]:
+                called["jets"].add(degree_of_rows[rest[0][0].shape[0]])
+            in_rank[0] = True
+            try:
+                return fn(blocks, *rest)
+            finally:
+                in_rank[0] = False
 
-    def elimination_spy(matrix, p):
-        if not in_rank[0]:
-            eliminated.add(degree_of[matrix.shape[1]])
-        return saved["echelon_mod_p"](matrix, p)
+        return wrapper
+
+    def bound_spy(fn):
+        # _product_bound(d, ...): the jet bound before _ranks_mod_p
+        def wrapper(d, *rest):
+            if d >= m:
+                called["jets"].add(d)
+            return fn(d, *rest)
+
+        return wrapper
+
+    def elimination_spy(fn):
+        def wrapper(matrix, p):
+            if not in_rank[0]:
+                eliminated.add(degree_of_columns[matrix.shape[1]])
+            return fn(matrix, p)
+
+        return wrapper
 
     spies = {
-        "dim_intersection_ideal": lambda fn: spy("I", fn),
         "_kernel_dim": kernel_spy,
-        "dim_product_ideal": lambda fn: spy("J", fn),
-        "_product_bound": lambda fn: spy("bound", fn),
-        "_rank_mod_p": lambda fn: rank_spy,
-        "echelon_mod_p": lambda fn: elimination_spy,
+        "dim_product_ideal": product_spy,
+        "_ranks_mod_p": rank_spy,
+        "_rank_mod_p": rank_spy,
+        "_product_bound": bound_spy,
+        "echelon_mod_p": elimination_spy,
     }
     saved = {name: getattr(oracle, name) for name in spies if hasattr(oracle, name)}
     for name, fn in saved.items():
@@ -180,13 +200,12 @@ def closing(arr) -> tuple[list[str], list[str], list[str], str]:
     finally:
         for name, fn in saved.items():
             setattr(oracle, name, fn)
-    m = arr.num_subspaces
     I = ["exact" if d in called["I"] else "bracket" for d in range(D_MAX + 1)]
     J = [
         "exact" if d in called["J"]
-        else "bracket" if d not in called["bound"]
-        else "degree" if d < m
-        else "jets"
+        else "jets" if d in called["jets"]
+        else "degree" if table[d].dim_J < table[d].dim_I
+        else "bracket"
         for d in range(D_MAX + 1)
     ]
     steps = ["none"] + [

@@ -103,6 +103,10 @@ def _load_json(path: str) -> Any:
         raise DataError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
+    except RecursionError as exc:
+        raise DataError(f"{path}: nested too deeply to parse") from exc
 
 
 def _natural_field(doc: dict, key: str) -> int:

@@ -15,25 +15,27 @@ For an arrangement V_1, ..., V_m in K^n and a subset S of indices:
   ``_times_forms``, makes those products for the GF(p) bracket and for the
   exact route alike.
 
-``hilbert_table`` certifies both values of a degree with one pair of ranks
-over GF(p), p = ``PRIME``.  Reducing an integer matrix mod p never raises
-its rank, and J is contained in I, so
+``hilbert_table`` certifies both values of a degree with ranks over GF(p),
+p = ``PRIME``.  Reducing an integer matrix mod p never raises its rank, and
+J is contained in I, so
 
     rank_p(product matrix) <= dim J_d <= dim I_d <= total - rank_p(restriction matrix),
 
 and where the two ends meet both values are exact.  The table works in
 coordinates (u, w) in which the largest subspace V_s is {w = 0}
-(``_adapted_coordinates``); graded dimensions do not change under a linear
-change of coordinates.  There the restriction block of V_s selects the c_s
-monomials of w-degree 0, so it adds exactly c_s to the rank, over Q and
-over every GF(p), and the bracket stays sound for every p.  Only the other
-blocks, on the rows of positive w-degree, take an elimination
-(``linalg.echelon_mod_p``).  The product rank mostly closes by counting
-leading terms, as in the symbolic preprocessing of Faugere's F4: products
-with pairwise distinct leading monomials are independent, so their count
-is a lower bound on rank_p, and when it meets the number of products, or
-an upper end, it is rank_p.  Only the products chosen by the count are
-built; the other degrees eliminate.
+(``_adapted_coordinates``, one integer ``rref`` per subspace); graded
+dimensions do not change under a linear change of coordinates.  There the
+restriction block of V_s selects the c_s monomials of w-degree 0, so it
+adds exactly c_s to the rank, over Q and over every GF(p), and the bracket
+stays sound for every p.  Only the other blocks, on the rows of positive
+w-degree, take an elimination (``linalg.echelon_mod_p``).  The products
+are those of the forms of the ``rref``, which span each linear part over
+Q, so their rank mod p is a lower bound at every p.  The product rank
+mostly closes by counting leading terms, as in the symbolic preprocessing
+of Faugere's F4: products with pairwise distinct leading monomials are
+independent, so their count is a lower bound on rank_p, and when it meets
+the number of products, or an upper end, it is rank_p.  Only the products
+chosen by the count are built; the other degrees eliminate.
 
 Where J and I differ in a degree d >= m (a pencil, say), J is closed from
 above by the lattice of flats F = V_A, as in the paper, where the series
@@ -48,7 +50,8 @@ every p, and over Q it is tight: a product of ideals of linear subspaces
 is the intersection of the powers (sum of I_i over A)^|A| (Conca and
 Herzog, "Castelnuovo-Mumford regularity of products of ideals", Collect.
 Math. 2003), each of which contains P_F^{k_F} for F = V_A.  U_J is ranked
-on the same rows as U_I, beside the same c_s.  Only the degrees whose
+on the same rows as U_I, beside the same c_s, and one elimination in
+column order gives both ranks (``_ranks_mod_p``).  Only the degrees whose
 bracket stays open take an exact rank: of the restriction blocks already
 built (``linalg.certified_rank``) for I, and ``dim_product_ideal``
 (``IntEchelon``, one factor at a time) for J.  The public per-degree
@@ -63,7 +66,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import count, islice
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -335,28 +338,21 @@ def dim_product_ideal(a: Arrangement, S: SubsetLike, d: int) -> int:
     return matrix.shape[0]
 
 
-def _rank_mod_p(blocks: list[np.ndarray], p: int) -> int:
-    """Rank over GF(p) of the integer blocks placed side by side."""
-    m = np.hstack([(b % p).astype(np.int64) for b in blocks])
-    if m.shape[1] > m.shape[0]:
-        m = m.T.copy()
-    return len(echelon_mod_p(m, p)[0])
+def _ranks_mod_p(blocks: list[np.ndarray], jets: list[np.ndarray], p: int) -> tuple[int, int]:
+    """Ranks over GF(p) of the integer blocks placed side by side, and of
+    the blocks beside the jets, from one elimination in column order.
 
-
-def _leading_forms(forms: Sequence[Sequence[int]], n: int, p: int) -> Sequence[Sequence[int]]:
-    """Integer forms spanning the same space mod p as forms, with distinct
-    leading variables where ``rref`` allows it.
-
-    The rows of ``rref`` are +-adj(F_P) F for the forms F and the square block
-    F_P on the pivot columns, with det adj(F_P) = +-d^(k-1); when p does not
-    divide d that change of basis, and the division of each row by a gcd
-    dividing d, are invertible mod p, so the span mod p is that of forms.
-    Otherwise forms come back unchanged.
+    Eliminating columns left to right, a column gets a pivot exactly when
+    it is independent of the columns before it, so the echelon rows with a
+    pivot inside the blocks' width, the rows nonzero there, number the rank
+    of the blocks alone.
     """
-    reduced, _, d = rref(forms, n)
-    if d % p == 0:
-        return forms
-    return [primitive_int_vector(row) for row in reduced]
+    stacked = blocks + jets
+    if not stacked:
+        return 0, 0
+    width = sum(b.shape[1] for b in blocks)
+    ech, _ = echelon_mod_p(np.hstack([(b % p).astype(np.int64) for b in stacked]), p)
+    return int(ech[:, :width].any(axis=1).sum()), len(ech)
 
 
 def _leading_products(
@@ -451,43 +447,28 @@ def _adapted_coordinates(
 ) -> tuple[int, int, list[list[list[int]]], list[tuple[tuple[int, ...], ...]]]:
     """The arrangement in coordinates (u, w) with its largest subspace {w = 0}.
 
-    s is the first index of largest dimension and k = dim V_s.  With
-    (F, P, D) the ``rref`` of the forms of V_s, Q its free columns and K the
-    ``kernel_basis`` rows, row q of K holds D / g_q at column q, and
-
-        A v = (g_q v[q] for q in Q) ++ F v
-
-    is D times the coordinates of v in the basis of ``_flat_coordinates``
-    (the rows of K, then the unit vectors at P).  So A is invertible over Q
-    and maps V_s onto the span of e_1, ..., e_k.  A form f becomes f A^-1,
-    1/D times (K_q . f for q in Q) ++ (f[p] for p in P).  Returns s, k and
-    the integer rows and annihilator forms of every subspace so mapped, as
-    primitive integer rows; V_s gets e_1, ..., e_k.  Integers throughout.
+    s is the first index of largest dimension and k = dim V_s.  With M the
+    rows of ``_flat_coordinates`` of the forms of V_s (a basis of V_s, then
+    unit vectors), x = M^T y is an invertible change of coordinates, under
+    which a form f in x becomes the form M f in y and V_s the span of e_1,
+    ..., e_k.  One ``rref`` of each subspace's forms so mapped gives both
+    its integer rows (``kernel_basis``) and its forms (the primitive rows,
+    with distinct leading variables); V_s gets e_1, ..., e_k.  Returns s, k
+    and the rows and forms of every subspace.  Integers throughout.
     """
     n = a.ambient_dim
     dims = [sub.dim for sub in a.subspaces]
     s = dims.index(max(dims))
-    reduced, pivots, scale = rref(a.subspaces[s].annihilator_forms, n)
-    kernel = kernel_basis(reduced, pivots, scale, n)
-    free = [q for q in range(n) if q not in pivots]
-    gains = [(q, scale // row[q]) for row, q in zip(kernel, free)]
-
-    def point(v: Sequence[int]) -> list[int]:
-        image = [v[q] * g for q, g in gains] + [_dot(row, v) for row in reduced]
-        return primitive_int_vector(image)
-
-    def form(f: Sequence[int]) -> tuple[int, ...]:
-        image = [_dot(row, f) for row in kernel] + [f[c] for c in pivots]
-        return tuple(primitive_int_vector(image))
-
-    rows = [[point(v) for v in sub.integer_rows] for sub in a.subspaces]
-    rows[s] = [[int(j == i) for j in range(n)] for i in range(len(free))]
-    forms = [tuple(form(f) for f in sub.annihilator_forms) for sub in a.subspaces]
-    return s, len(free), rows, forms
-
-
-def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(u, v))
+    basis, k = _flat_coordinates(a.subspaces[s].annihilator_forms, n)
+    rows, forms = [], []
+    for sub in a.subspaces:
+        mapped = [
+            [sum(b * c for b, c in zip(row, f)) for row in basis] for f in sub.annihilator_forms
+        ]
+        reduced, pivots, scale = rref(mapped, n)
+        rows.append([list(v) for v in kernel_basis(reduced, pivots, scale, n)])
+        forms.append(tuple(tuple(primitive_int_vector(row)) for row in reduced))
+    return s, k, rows, forms
 
 
 def _jets(rows: Sequence[Sequence[int]], f: int, k: int, p: int) -> Iterator[np.ndarray]:
@@ -528,53 +509,18 @@ def _jets(rows: Sequence[Sequence[int]], f: int, k: int, p: int) -> Iterator[np.
         kept = np.flatnonzero(low)
 
 
-class _FlatJets:
-    """The degree-d jet blocks (``_jets``) of every flat with k_F >= 2
-    (``_flats`` of forms in K^n), for nondecreasing d, on the rows of the
-    monomials of degree at least 1 in the last n - k variables.  Nothing is
-    built before the first call, so a table that never asks pays nothing."""
-
-    def __init__(self, forms: Sequence[Sequence[Sequence[int]]], n: int, k: int, p: int):
-        self._forms, self._n, self._k, self._p = forms, n, k, p
-        self._gens: list[Iterator[np.ndarray]] | None = None
-        self._degree = -1
-        self._blocks: list[np.ndarray] = []
-
-    @property
-    def started(self) -> bool:
-        return self._gens is not None
-
-    def __call__(self, d: int) -> list[np.ndarray]:
-        if self._gens is None:
-            n = self._n
-            self._gens = [
-                _jets(*_flat_coordinates(forms, n), k, self._p)
-                for forms, k in _flats(self._forms, n).items()
-            ]
-        if d != self._degree:
-            for _ in range(d - self._degree):
-                blocks = [next(g) for g in self._gens]
-            kept = _w_degrees(self._n, d, self._k) >= 1
-            self._blocks = [b[kept] for b in blocks]
-            self._degree = d
-        return self._blocks
-
-
-def _product_bound(
-    d: int, m: int, rows: int, blocks: list[np.ndarray], jets: _FlatJets, p: int
-) -> int:
-    """U_J >= dim J_d for the product J of m linear ideals.
-
-    Below m it is 0: J is generated in degree m.  From m on it is rows -
-    rank_p of the restriction blocks beside the jet blocks of every flat
-    with k_F >= 2, all on the same rows of the adapted coordinates (see
-    ``hilbert_table``): J lies in each I_i and in each P_F^{k_F}, so J_d
-    lies in the kernel over Q, and reducing mod p never raises a rank.
-    """
-    if d < m:
-        return 0
-    stacked = blocks + [b for b in jets(d) if b.shape[1]]
-    return rows - (_rank_mod_p(stacked, p) if stacked else 0)
+def _flat_jets(
+    forms: Sequence[Sequence[Sequence[int]]], n: int, k: int, p: int
+) -> Iterator[list[np.ndarray]]:
+    """The jet blocks (``_jets``) in degrees d = 0, 1, 2, ... of every flat
+    with k_F >= 2 (``_flats`` of forms in K^n), on the rows of the monomials
+    of degree at least 1 in the last n - k variables.  A generator: nothing
+    is built before the first ``next``, so a table that never asks pays
+    nothing."""
+    gens = [_jets(*_flat_coordinates(f, n), k_F, p) for f, k_F in _flats(forms, n).items()]
+    for d in count():
+        kept = _w_degrees(n, d, k) >= 1
+        yield [next(g)[kept] for g in gens]
 
 
 def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
@@ -592,50 +538,53 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     blocks on the rows of w-degree >= 1, exactly, over Q and over every
     GF(p).  Let h = total - c_s be the number of those rows.
 
-    Each degree is first bounded by ranks mod PRIME:
-    L_J = rank_p(product matrix) <= dim J_d <= dim I_d <= U_I = h -
-    rank_p(other restriction blocks on the h rows).  U_I >= dim I_d for
-    every p, since c_s is exact and reducing an integer matrix mod p never
-    raises its rank.  When L_J = U_I both values are exact.  Otherwise
-    dim I_d is U_I when those blocks have full column rank mod p (then
-    rank_p is their rank over Q), and h - ``certified_rank`` of the same
-    blocks else (``_kernel_dim``); dim J_d is L_J when it reaches that
-    exact dim I_d or the product bound U_J (``_product_bound``), and
-    ``dim_product_ideal`` (on the arrangement as given) else.  Every value
-    returned is exact.
+    Each degree is first bracketed by ranks mod PRIME:
 
-    U_J is 0 below m, where J has no forms.  From m on it is h - rank_p
-    of the restriction blocks beside the jet blocks of the flats with
-    k_F >= 2 (``_flats``, ``_jets``), all in the adapted coordinates and on
-    the h rows, beside which the block of V_s again adds exactly c_s.  Over
-    Q the kernel of all those blocks is the degree-d part of I and of every
-    P_F^{k_F}, which contains J_d; and reduction mod p never raises a rank,
-    so U_J >= dim J_d for every p.
+        L_J <= dim J_d <= U_J <= U_I,    dim J_d <= dim I_d <= U_I,
+
+    with U_I = h - rank_p(other restriction blocks on the h rows).  U_I >=
+    dim I_d for every p, since c_s is exact and reducing an integer matrix
+    mod p never raises its rank.  U_J is 0 below m, where J has no forms.
+    From m on it is h - rank_p of the restriction blocks beside the jet
+    blocks of the flats with k_F >= 2 (``_flats``, ``_jets``), all in the
+    adapted coordinates and on the h rows, beside which the block of V_s
+    again adds exactly c_s.  Over Q the kernel of all those blocks is the
+    degree-d part of I and of every P_F^{k_F}, which contains J_d; and
+    reduction mod p never raises a rank, so U_J >= dim J_d for every p.
     The kernel is J_d itself (Conca and Herzog: J is the intersection of
     the (sum of I_i over A)^|A| over the nonempty index sets A, and for
     F = V_A that power contains P_F^{k_F}), so at PRIME the bound is met
-    wherever rank_p is the rank over Q.  The jets are built only from the
-    first degree whose bracket stays open, so a table that never asks pays
-    nothing.
+    wherever rank_p is the rank over Q.  One elimination in column order
+    gives both ranks (``_ranks_mod_p``).  The jets are started
+    (``_flat_jets``) at the first degree d >= m whose bracket stays open,
+    L_J < dim I_d, and ranked beside the blocks in every degree after it;
+    until then U_J is U_I and a table that never asks pays nothing.
 
-    The product span mod p, in the adapted coordinates too, is carried
-    from degree to degree: J_d mod p is J_{d-1} mod p times the forms of
+    When L_J = U_I both values are exact.  Otherwise dim I_d is U_I when
+    the other blocks have full column rank mod p (then rank_p is their
+    rank over Q), and h - ``certified_rank`` of the same blocks else
+    (``_kernel_dim``); dim J_d is L_J when it reaches that exact dim I_d or
+    U_J, and ``dim_product_ideal`` (on the arrangement as given) else.
+    Every value returned is exact.
+
+    L_J is rank_p of the products that span J_d over Q, carried mod p from
+    degree to degree: J_d mod p is J_{d-1} mod p times the adapted forms of
     V_d while d <= m, and times x_1, ..., x_n after that, since J is
-    generated in degree m.  Each degree finds
-    one product of the carried span with its forms per leading monomial
-    (``_leading_products``); each factor's forms are first given distinct
-    leading variables (``_leading_forms``), which keeps their span mod p
-    and spreads the leading monomials.  That count c is a lower bound on
-    rank_p of the products, and it is rank_p in two cases: when every
-    nonzero product has its own leading monomial, and, for d >= m, when c
-    meets an upper bound U on dim J_d, since then c <= rank_p = L_J <= U
-    = c.  U is U_I, or U_J <= U_I once an earlier degree has started the
-    jets.  Either way the c chosen products, built alone (``_times_forms``
-    with picks) and reduced mod p, are independent and as many as rank_p,
-    so they span what all the products span, and they are carried as the
-    next span.  Any other degree builds all the products, reduces them mod
-    p and eliminates.  So L_J, and with it every fallback and every value,
-    is that of an elimination in every degree.
+    generated in degree m.  Any integer forms spanning the linear part of
+    each I_i over Q would do: their products span J_d over Q, so rank_p <=
+    dim J_d at every p.  The forms of the ``rref`` have distinct leading
+    variables, which spreads the leading monomials of the products.  Each
+    degree finds one product of the carried span with its forms per
+    leading monomial (``_leading_products``).  That count c is a lower
+    bound on rank_p of the products, and it is rank_p in two cases: when
+    every nonzero product has its own leading monomial, and, for d >= m,
+    when c meets U_J, since then c <= rank_p = L_J <= U_J = c.  Either
+    way the c chosen products, built alone (``_times_forms`` with picks)
+    and reduced mod p, are independent and as many as rank_p, so they span
+    what all the products span, and they are carried as the next span.
+    Any other degree builds all the products, reduces them mod p and
+    eliminates.  So L_J, and with it every fallback and every value, is
+    that of an elimination in every degree.
 
     Refuses degrees whose monomial count exceeds the cap
     (``check_monomial_cap``).
@@ -650,41 +599,34 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     s, k, rows, forms = _adapted_coordinates(a)
     restrictions = [_restriction_matrices(r, n) for i, r in enumerate(rows) if i != s]
     # the chain multiplies by the forms of V_1, ..., V_m, then by x_1, ..., x_n
-    factors = [_leading_forms(f, n, p) for f in forms]
     coordinates = np.eye(n, dtype=np.int64).tolist()
     span = np.ones((1, 1), dtype=np.int64)
-    jets = _FlatJets(forms, n, k, p)
+    jets = None
     results = []
     for d in range(d_max + 1):
         kept = _w_degrees(n, d, k) >= 1
         h = int(kept.sum())
         blocks = [b[kept] for b in map(next, restrictions) if b.shape[1]]
         ncols = sum(b.shape[1] for b in blocks)
-        rank_I = _rank_mod_p(blocks, p) if blocks else 0
+        rank_I, rank_J = _ranks_mod_p(blocks, [] if jets is None else next(jets), p)
         upper_I = h - rank_I
-        # U_J <= U_I; taken before the J step once an earlier degree needed it
-        bounded = d >= m and jets.started
-        upper_J = _product_bound(d, m, h, blocks, jets, p) if bounded else upper_I
+        upper_J = h - rank_J if d >= m else 0
         if d:
-            factor = factors[d - 1] if d <= m else coordinates
+            factor = forms[d - 1] if d <= m else coordinates
             picks, nonzero = _leading_products(span, factor, n, d - 1, p)
-            count = sum(map(len, picks))
-            counted = count == nonzero or (d >= m and count == upper_J)
+            chosen = sum(map(len, picks))
+            counted = chosen == nonzero or (d >= m and chosen == upper_J)
             products = _times_forms(span, factor, n, d - 1, picks if counted else None)
             products %= p
             span = products.astype(np.int64, copy=False)
             if not counted:
                 span = echelon_mod_p(span, p)[0]
         lower_J = len(span) if d >= m else 0
-        if lower_J == upper_I:
-            dim_I = dim_J = lower_J
-        else:
-            dim_I = upper_I if rank_I == ncols else _kernel_dim(h, blocks)
-            dim_J = lower_J
-            if lower_J < dim_I:
-                if not bounded:
-                    upper_J = _product_bound(d, m, h, blocks, jets, p)
-                if upper_J > lower_J:
-                    dim_J = dim_product_ideal(a, full, d)
+        exact_I = lower_J == upper_I or rank_I == ncols
+        dim_I = upper_I if exact_I else _kernel_dim(h, blocks)
+        if lower_J < dim_I and d >= m and jets is None:
+            jets = islice(_flat_jets(forms, n, k, p), d, None)
+            upper_J = h - _ranks_mod_p(blocks, next(jets), p)[1]
+        dim_J = lower_J if lower_J in (dim_I, upper_J) else dim_product_ideal(a, full, d)
         results.append(GradedPieceResult(degree=d, dim_I=dim_I, dim_J=dim_J))
     return results

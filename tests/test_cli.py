@@ -233,6 +233,29 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(path)]) == EXIT_DATA
         assert f"{path}:1:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            # json's C scanner recurses once per level of nesting
+            (b"[" * 100_000, "nested too deeply to parse"),
+            (b'{"n": 3, "subspaces": [["1", "\xff"]]}', "not UTF-8: invalid start byte at byte 30"),
+        ],
+        ids=["nested", "not-utf-8"],
+    )
+    @pytest.mark.parametrize(
+        "command", [["analyze"], ["recover", "--m", "2", "--points"]], ids=["analyze", "recover"]
+    )
+    def test_unreadable_json_names_the_file(self, tmp_path, command, content, message):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        run = subprocess.run(
+            [sys.executable, "-m", "subspace_hilbert", *command, str(path)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        )
+        assert run.returncode == EXIT_DATA and run.stdout == ""
+        assert run.stderr == f"error: {path}: {message}\n"
+
     def test_missing_file(self, capsys):
         assert main(["analyze", "/no/such/file.json"]) == EXIT_DATA
         assert "error:" in capsys.readouterr().err

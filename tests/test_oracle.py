@@ -16,9 +16,11 @@ import arrangement_kinds
 from closed_form_reference import (
     QMatrix,
     annihilator,
+    kernel,
     matvec,
     rank,
     rational_rref,
+    reference_echelon_mod_p,
     reference_primitive_int_vector,
     span_of,
 )
@@ -38,13 +40,11 @@ from subspace_hilbert.oracle import (
     MonomialCapExceeded,
     _adapted_coordinates,
     _flat_coordinates,
-    _FlatJets,
+    _flat_jets,
     _flats,
     _jets,
-    _leading_forms,
     _leading_products,
-    _product_bound,
-    _rank_mod_p,
+    _ranks_mod_p,
     _restriction_matrix,
     _times_forms,
     _w_degrees,
@@ -587,30 +587,32 @@ class TestCertifiedTable:
     @pytest.mark.parametrize(
         "name, exact_I, exact_J",
         [
-            ("three-pencil-planes", [1, 2, 3, 4, 5], [1, 2, 3, 4, 5]),
-            ("three-coordinate-axes", [], [2]),
+            ("three-pencil-planes", [1, 2, 3, 4, 5], [3, 4, 5]),
+            ("three-coordinate-axes", [], []),
         ],
     )
     def test_fallback_degrees_with_the_bound_open(self, monkeypatch, name, exact_I, exact_J):
-        # a product bound that never closes sends J back to the exact route
-        # wherever L_J < dim I_d, as before the bound, with the same table
-        monkeypatch.setattr(oracle, "_product_bound", lambda d, m, rows, *rest: rows)
+        # without flats U_J is U_I from m on, which sends J back to the exact
+        # route wherever L_J < dim I_d there, with the same table; below m
+        # U_J = 0 still closes it
+        monkeypatch.setattr(oracle, "_flats", lambda forms, n: {})
         calls = self._table_and_fallbacks(monkeypatch, name)
         assert calls == {"I": exact_I, "J": exact_J}
 
 
 def adapted_bounds(arr: Arrangement, d: int, p: int) -> tuple[int, int]:
-    """U_I and U_J of degree d mod p as ``hilbert_table`` forms them: in
-    the adapted coordinates, on the rows of positive w-degree."""
+    """U_I and U_J of degree d mod p as ``hilbert_table`` forms them once
+    the jets have started: in the adapted coordinates, on the rows of
+    positive w-degree, and U_J = 0 below m."""
     n = arr.ambient_dim
     s, k, rows, forms = _adapted_coordinates(arr)
     kept = _w_degrees(n, d, k) >= 1
     blocks = [_restriction_matrix(r, n, d)[kept] for i, r in enumerate(rows) if i != s]
     blocks = [b for b in blocks if b.shape[1]]
     height = int(kept.sum())
-    upper_I = height - (_rank_mod_p(blocks, p) if blocks else 0)
-    jets = _FlatJets(forms, n, k, p)
-    return upper_I, _product_bound(d, arr.num_subspaces, height, blocks, jets, p)
+    jets = next(itertools.islice(_flat_jets(forms, n, k, p), d, None))
+    rank_I, rank_J = _ranks_mod_p(blocks, jets, p)
+    return height - rank_I, height - rank_J if d >= arr.num_subspaces else 0
 
 
 def product_bound(arr: Arrangement, d: int, p: int) -> int:
@@ -748,6 +750,80 @@ class TestProductBound:
         assert 3 in calls
 
 
+@st.composite
+def blocks_and_jets(draw):
+    """(p, blocks, jets): integer matrices on a common number of rows, as
+    object arrays with some entries past 2^31; zero rows, zero widths, no
+    blocks or no jets, wide and tall stacks."""
+    p = draw(st.sampled_from([2, 3, 7, 2**31 - 1]))
+    h = draw(st.integers(0, 8))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(2**40), 2**40))
+
+    def matrices(max_size):
+        out = []
+        for w in draw(st.lists(st.integers(0, 6), max_size=max_size)):
+            rows = draw(st.lists(st.lists(entry, min_size=w, max_size=w), min_size=h, max_size=h))
+            out.append(np.array(rows, dtype=object).reshape(h, w))
+        return out
+
+    return p, matrices(3), matrices(3)
+
+
+def _rank_by_rows(blocks: list[np.ndarray], p: int) -> int:
+    """rank_p of the blocks side by side, eliminating the transpose."""
+    if not blocks:
+        return 0
+    return len(reference_echelon_mod_p((np.hstack(blocks).T % p).astype(np.int64), p)[0])
+
+
+class TestRanksModP:
+    @settings(max_examples=300, deadline=None)
+    @given(blocks_and_jets())
+    def test_equal_two_separate_eliminations(self, case):
+        p, blocks, jets = case
+        assert _ranks_mod_p(blocks, jets, p) == (
+            _rank_by_rows(blocks, p),
+            _rank_by_rows(blocks + jets, p),
+        )
+
+    @pytest.mark.parametrize(
+        "arr, d_max",
+        [
+            (fixture_arrangement("three-pencil-planes"), 7),
+            (arrangement_kinds.pencil(5, [3, 1, 2, 3], 14), 7),
+        ],
+        ids=["three-pencil-planes", "Q^5 pencil [3,1,2,3]"],
+    )
+    def test_one_bracket_elimination_per_degree_once_the_jets_start(
+        self, monkeypatch, arr, d_max
+    ):
+        # the jets start at m, where I and J first differ: that degree ranks
+        # the blocks, then the blocks beside the jets; every later degree
+        # gets both ranks from one elimination
+        degree_of = degrees_by_kept_rows(arr, d_max)
+        ranks_mod_p, eliminate = oracle._ranks_mod_p, oracle.echelon_mod_p
+        in_rank, eliminations = [False], [0] * (d_max + 1)
+
+        def rank_spy(blocks, jets, p):
+            in_rank[0] = True
+            try:
+                return ranks_mod_p(blocks, jets, p)
+            finally:
+                in_rank[0] = False
+
+        def spy(matrix, p):
+            if in_rank[0]:
+                eliminations[degree_of[matrix.shape[0]]] += 1
+            return eliminate(matrix, p)
+
+        monkeypatch.setattr(oracle, "_ranks_mod_p", rank_spy)
+        monkeypatch.setattr(oracle, "echelon_mod_p", spy)
+        table = hilbert_table(arr, d_max)
+        m = arr.num_subspaces
+        assert [r.dim_J < r.dim_I for r in table].index(True, m) == m
+        assert eliminations == [1] * m + [2] + [1] * (d_max - m)
+
+
 class TestFlats:
     @settings(max_examples=80, deadline=None)
     @given(arr=arrangements(max_m=4))
@@ -855,7 +931,23 @@ class TestAdaptedCoordinates:
         arr = Arrangement(3, [SubspaceBasis(3, v) for v in vectors])
         s, k, rows, forms = _adapted_coordinates(arr)
         assert (s, k) == (1, 2)
-        assert rows[1] == [[1, 0, 0], [0, 1, 0]] and forms[1] == ((0, 0, -1),)
+        assert rows[1] == [[1, 0, 0], [0, 1, 0]] and forms[1] == ((0, 0, 1),)
+
+    @settings(max_examples=80, deadline=None)
+    @given(arr=arrangements_with_ties())
+    def test_forms_are_primitive_with_distinct_leading_variables(self, arr):
+        for fs in _adapted_coordinates(arr)[3]:
+            assert all(list(f) == reference_primitive_int_vector(f) for f in fs)
+            leads = [next(j for j, c in enumerate(f) if c) for f in fs]
+            assert leads == sorted(set(leads))
+
+    def test_forms_of_a_line_get_distinct_leading_variables(self):
+        # the line cut out by three forms that all lead with x_1: its
+        # adapted forms lead with three different variables
+        line = kernel(QMatrix([(1, 1, 0, 2), (1, -1, 3, 0), (2, 0, 1, 1)], ncols=4))
+        plane = SubspaceBasis(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
+        fs = _adapted_coordinates(Arrangement(4, [plane, line]))[3][1]
+        assert [next(j for j, c in enumerate(f) if c) for f in fs] == [0, 1, 2]
 
 
 class TestAdaptedTable:
@@ -989,30 +1081,31 @@ class TestLeadingTerms:
     @pytest.mark.parametrize("p", [2, 3, 7, 2**31 - 1])
     @settings(max_examples=40, deadline=None)
     @given(arr=arrangements())
-    def test_leading_forms_keep_the_span_mod_p(self, p, arr):
-        n = arr.ambient_dim
-        for s in arr.subspaces:
-            forms = np.array(s.annihilator_forms, dtype=object).reshape(-1, n)
-            lead = np.array(_leading_forms(s.annihilator_forms, n, p), dtype=object).reshape(-1, n)
-            assert _rank_p(lead, p) == _rank_p(forms, p) == _rank_p(np.vstack([forms, lead]), p)
-
-    def test_leading_forms_have_distinct_leading_variables(self):
-        forms = [(1, 1, 0, 2), (1, -1, 3, 0), (2, 0, 1, 1)]
-        lead = _leading_forms(forms, 4, oracle.PRIME)
-        assert [next(j for j, c in enumerate(f) if c) for f in lead] == [0, 1, 2]
+    def test_products_of_the_forms_stay_below_dim_J(self, p, arr):
+        # the adapted forms span each linear part over Q, whatever p: the
+        # rank mod p of the chain's products, L_J, never passes dim J_d
+        n, m = arr.ambient_dim, arr.num_subspaces
+        forms = _adapted_coordinates(arr)[3]
+        span = np.ones((1, 1), dtype=np.int64)
+        for d in range(1, m + 3):
+            factor = forms[d - 1] if d <= m else np.eye(n, dtype=np.int64).tolist()
+            products = (_times_forms(span, factor, n, d - 1) % p).astype(np.int64)
+            span = echelon_mod_p(products, p)[0]
+            if d >= m:
+                assert len(span) <= dim_product_ideal(arr, (1 << m) - 1, d)
 
     @pytest.mark.parametrize("name", ["three-coordinate-axes", "three-coplanar-lines"])
     def test_transversal_degrees_above_m_close_by_count(self, monkeypatch, name):
         arr = fixture_arrangement(name)
         n, m, d_max = arr.ambient_dim, arr.num_subspaces, 7
         degree_of = {len(monomial_basis(n, d)): d for d in range(d_max + 1)}
-        rank_mod_p, eliminate = oracle._rank_mod_p, oracle.echelon_mod_p
+        ranks_mod_p, eliminate = oracle._ranks_mod_p, oracle.echelon_mod_p
         in_rank, j_steps = [False], []
 
-        def rank_spy(blocks, p):
+        def rank_spy(blocks, jets, p):
             in_rank[0] = True
             try:
-                return rank_mod_p(blocks, p)
+                return ranks_mod_p(blocks, jets, p)
             finally:
                 in_rank[0] = False
 
@@ -1021,7 +1114,7 @@ class TestLeadingTerms:
                 j_steps.append(degree_of[matrix.shape[1]])
             return eliminate(matrix, p)
 
-        monkeypatch.setattr(oracle, "_rank_mod_p", rank_spy)
+        monkeypatch.setattr(oracle, "_ranks_mod_p", rank_spy)
         monkeypatch.setattr(oracle, "echelon_mod_p", spy)
         table = hilbert_table(arr, d_max)
         assert [r.dim_J for r in table[m:]] == [
