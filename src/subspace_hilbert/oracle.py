@@ -448,18 +448,24 @@ def _adapted_coordinates(
     """The arrangement in coordinates (u, w) with its largest subspace {w = 0}.
 
     s is the first index of largest dimension and k = dim V_s.  With M the
-    rows of ``_flat_coordinates`` of the forms of V_s (a basis of V_s, then
-    unit vectors), x = M^T y is an invertible change of coordinates, under
-    which a form f in x becomes the form M f in y and V_s the span of e_1,
-    ..., e_k.  One ``rref`` of each subspace's forms so mapped gives both
-    its integer rows (``kernel_basis``) and its forms (the primitive rows,
-    with distinct leading variables); V_s gets e_1, ..., e_k.  Returns s, k
-    and the rows and forms of every subspace.  Integers throughout.
+    integer rows of V_s, then the unit vectors at the pivot columns P of
+    the ``rref`` of its forms F (F restricted to P is invertible, so they
+    complete a basis), x = M^T y is an invertible change of coordinates,
+    under which a form f in x becomes the form M f in y and V_s the span of
+    e_1, ..., e_k.  One ``rref`` of each subspace's forms so mapped gives
+    both its integer rows (``kernel_basis``) and its forms (the primitive
+    rows, with distinct leading variables); V_s gets e_1, ..., e_k.  M
+    starts from V_s's own rows, not from a ``kernel_basis`` of its forms
+    (minors of minors of those rows), which keeps the mapped forms, and so
+    the rows taken from them, small.  Returns s, k and the rows and forms
+    of every subspace.  Integers throughout.
     """
     n = a.ambient_dim
     dims = [sub.dim for sub in a.subspaces]
     s = dims.index(max(dims))
-    basis, k = _flat_coordinates(a.subspaces[s].annihilator_forms, n)
+    k = dims[s]
+    complement = rref(a.subspaces[s].annihilator_forms, n)[1]
+    basis = [*a.subspaces[s].integer_rows, *([int(j == c) for j in range(n)] for c in complement)]
     rows, forms = [], []
     for sub in a.subspaces:
         mapped = [

@@ -912,10 +912,13 @@ class TestAdaptedCoordinates:
         assert dims[s] == k == max(dims) and k not in dims[:s]
         assert rows[s] == np.eye(n, dtype=int)[:k].tolist()
         assert all(f[:k] == (0,) * k for f in forms[s])
-        # with M the basis of _flat_coordinates, x = M^T y takes adapted
-        # coordinates y back, up to a scale: the rows to V_i, and a form f of
-        # V_i to the adapted form M f
-        basis, _ = _flat_coordinates(arr.subspaces[s].annihilator_forms, n)
+        # with M the rows of V_s, then the unit vectors at the pivot columns
+        # of its forms, x = M^T y takes adapted coordinates y back, up to a
+        # scale: the rows to V_i, and a form f of V_i to the adapted form M f
+        _, pivots = rational_rref(QMatrix(arr.subspaces[s].annihilator_forms, ncols=n))
+        units = np.eye(n, dtype=int)[list(pivots)].tolist()
+        basis = [*arr.subspaces[s].integer_rows, *units]
+        assert rank(QMatrix(basis, ncols=n)) == n
         back = QMatrix(list(zip(*basis)), ncols=n)
         for sub, r, fs in zip(arr.subspaces, rows, forms):
             assert len(r) == sub.dim and len(fs) == n - sub.dim
