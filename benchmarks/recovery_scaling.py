@@ -1,31 +1,40 @@
-"""Rank time of point recovery per degree: IntEchelon rows against certified_rank.
+"""Point recovery per degree: a certificate at every degree against the chain.
 
 For every cloud of the ``recover-points`` benchmark shapes (the clouds
 ``perfbench/gen.py`` draws from one seed, three instances per shape) and
 every degree d = m .. m+n-1 that ``recover --points`` evaluates, times two
-exact ranks of the evaluation matrix, best of ``--repeat`` runs each:
+ways to the vanishing dimension, median of ``--repeat`` runs each, both
+from building the evaluation matrix at the cloud's distinct rays
+(``PointCloud.rays``) on:
 
-- ``before_s``: one row per point (its primitive integer ray), fed to
-  ``IntEchelon`` one at a time until it is full, as ``estimate_hilbert_value``
-  did before ``certified_rank``;
-- ``after_s``: ``certified_rank`` of the matrix at the cloud's distinct rays
-  (``PointCloud.rays``), as ``estimate_hilbert_value`` does now.
+- ``before_s``: ``certified_rank`` of every degree's matrix, as
+  ``estimate_hilbert_value`` did for each degree before the chain;
+- ``after_s``: one step of ``estimate_hilbert_values``' chain
+  (``gpca._exact_value``), given the previous degree's leading monomials
+  as the chain left them.
 
-The two ranks must agree.  Each matrix also records its shape (points,
-distinct rays, monomials), the rank, how many primes ``certified_rank``
-reduced it by (the first prime, then one per lifting step) and whether it
-was certified or fell back to ``IntEchelon``.  These counts come from
-wrapping ``linalg._rref_mod_p``, ``linalg._certify`` and
-``linalg._echelon_rank`` around one extra, untimed call.
+The two values must agree.  Each degree also records its shape (points,
+distinct rays, monomials), the value, and the route of the chain step:
+
+- "leading monomials": closed by the previous degree's leading monomials
+  and one rank mod a prime, with no ``certified_rank``;
+- "certificate": a ``certified_rank`` whose check passed, with the number
+  of primes it reduced the matrix by (the first prime, then one per
+  lifting step);
+- "full rank mod p": ``certified_rank``'s shortcut, full rank mod the
+  first prime;
+- "fallback": ``certified_rank`` fell back to ``IntEchelon``.
+
+The routes come from wrapping ``linalg._rref_mod_p``, ``linalg._certify``
+and ``linalg._echelon_rank`` around one extra, untimed step.
 
 Usage, from the repository root::
 
     PYTHONPATH=src python3 benchmarks/recovery_scaling.py
 
 writes ``benchmarks/BENCH_recovery.json``: per shape class and degree the
-summed times, the certified and fallback counts and one line per matrix
-(shape, rank, primes, outcome), and the totals.  Runs in this one
-process, one rank at a time.
+summed times, the route counts and one line per matrix (shape, value,
+route), and the totals.  Runs in this one process, one step at a time.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ import contextlib
 import json
 import os
 import platform
+import statistics
 import sys
 import tempfile
 import time
@@ -48,34 +58,26 @@ import gen  # noqa: E402  (the benchmark's own seeded cloud generator)
 
 from subspace_hilbert import linalg  # noqa: E402
 from subspace_hilbert.cli import parse_point_document  # noqa: E402
-from subspace_hilbert.gpca import _evaluation_matrix  # noqa: E402
-from subspace_hilbert.linalg import (  # noqa: E402
-    IntEchelon,
-    certified_rank,
-    primitive_int_vector,
-)
+from subspace_hilbert.gpca import _evaluation_matrix, _exact_value  # noqa: E402
+from subspace_hilbert.linalg import certified_rank  # noqa: E402
 from subspace_hilbert.oracle import monomial_basis  # noqa: E402
 
 SEED = 1
 DEFAULT_OUT = Path(__file__).with_name("BENCH_recovery.json")
+ROUTES = ("leading monomials", "certificate", "full rank mod p", "fallback")
 
 
-def best_of(repeat: int, fn, *args):
+def median_of(repeat: int, fn, *args):
     times = []
     for _ in range(repeat):
         start = time.perf_counter()
         result = fn(*args)
         times.append(time.perf_counter() - start)
-    return result, min(times)
+    return result, statistics.median(times)
 
 
-def echelon_rank(matrix: np.ndarray) -> int:
-    ech = IntEchelon(matrix.shape[1])
-    for row in matrix:
-        ech.add(row)
-        if ech.full:
-            break
-    return ech.rank
+def certified_value(rays, basis) -> int:
+    return len(basis) - certified_rank(_evaluation_matrix(rays, basis))
 
 
 @contextlib.contextmanager
@@ -109,30 +111,35 @@ def counting(counts: Counter):
             setattr(linalg, name, original)
 
 
+def route(counts: Counter) -> str:
+    if not counts["primes"]:
+        return "leading monomials"
+    if counts["fallback"]:
+        return "fallback"
+    return "certificate" if counts["certified"] else "full rank mod p"
+
+
 def measure(cloud, m: int, repeat: int) -> list[dict]:
-    n = cloud.ambient_dim
-    point_rays = [primitive_int_vector(p) for p in cloud.points]
+    n, rays = cloud.ambient_dim, cloud.rays
+    leading = None
     out = []
     for d in range(m, m + n):
         basis = monomial_basis(n, d)
-        rows = _evaluation_matrix(point_rays, basis)
-        matrix = _evaluation_matrix(cloud.rays, basis)
-        before, before_s = best_of(repeat, echelon_rank, rows)
-        after, after_s = best_of(repeat, certified_rank, matrix)
+        before, before_s = median_of(repeat, certified_value, rays, basis)
+        (after, _), after_s = median_of(repeat, _exact_value, rays, basis, leading)
         if before != after:
-            raise AssertionError(f"ranks differ at d = {d}: {before} != {after}")
+            raise AssertionError(f"values differ at d = {d}: {before} != {after}")
         counts: Counter = Counter()
         with counting(counts):
-            certified_rank(matrix)
+            _, leading = _exact_value(rays, basis, leading)
         out.append({
             "d": d,
-            "points": rows.shape[0],
-            "rays": matrix.shape[0],
-            "monomials": matrix.shape[1],
-            "rank": after,
+            "points": len(cloud),
+            "rays": len(rays),
+            "monomials": len(basis),
+            "value": after,
             "primes": counts["primes"],
-            "certified": bool(counts["certified"]),
-            "fallback": bool(counts["fallback"]),
+            "route": route(counts),
             "before_s": before_s,
             "after_s": after_s,
         })
@@ -142,7 +149,7 @@ def measure(cloud, m: int, repeat: int) -> list[dict]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=SEED)
-    parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
     args = parser.parse_args(argv)
     if args.repeat < 1:
@@ -159,24 +166,21 @@ def main(argv=None) -> int:
                 for entry in measure(cloud, m, args.repeat):
                     key = f"n={n} dims={dims} d={entry['d']}"
                     row = rows.setdefault(key, {
-                        "matrices": [], "certified": 0, "fallback": 0,
+                        "matrices": [], **dict.fromkeys(ROUTES, 0),
                         "before_s": 0.0, "after_s": 0.0,
                     })
-                    outcome = "fallback" if entry["fallback"] else (
-                        "certified" if entry["certified"] else "full rank mod p")
+                    primes = f", {entry['primes']} primes" if entry["primes"] else ""
                     row["matrices"].append(
                         f"{entry['points']} points, {entry['rays']} rays, "
-                        f"{entry['monomials']} monomials: rank {entry['rank']}, "
-                        f"{entry['primes']} primes, {outcome}"
+                        f"{entry['monomials']} monomials: value {entry['value']}, "
+                        f"{entry['route']}{primes}"
                     )
-                    for flag in ("certified", "fallback"):
-                        row[flag] += entry[flag]
-                        totals[flag] += entry[flag]
+                    row[entry["route"]] += 1
+                    totals[entry["route"]] += 1
                     for label in ("before_s", "after_s"):
                         row[label] += entry[label]
                         totals[label] += entry[label]
                     totals["matrices"] += 1
-                    totals[f"primes={entry['primes']}"] += 1
             print(f"{item['id']} n={n} dims={dims}", file=sys.stderr, flush=True)
     for row in rows.values():
         for label in ("before_s", "after_s"):

@@ -9,6 +9,7 @@ from subspace_hilbert import (
     InconsistentDataError,
     PointCloud,
     estimate_hilbert_value,
+    estimate_hilbert_values,
     random_arrangement,
     recover_codimensions,
     end_to_end_recover,
@@ -30,11 +31,15 @@ print("dimensions:  ", result.dims)
 
 ## Now end to end from points.  Sample ten exact rational points from each
 ## coordinate axis and estimate the Hilbert values by rank computations.
+## Over consecutive degrees only the first rank is certified in full: the
+## leading monomials of the forms vanishing in one degree, times the
+## variables, are leading monomials of vanishing forms one degree up, and
+## one rank mod a prime shows when they account for all of them.
 
 axes = fixture_arrangement("three-coordinate-axes")
 cloud = sample_points(axes, 10, seed=2718)
 print(f"points sampled: {len(cloud.points)} (exact: {cloud.exact})")
-values = [estimate_hilbert_value(cloud, d) for d in (3, 4, 5)]
+values = estimate_hilbert_values(cloud, range(3, 6))
 print("estimated Hilbert values at d = 3, 4, 5:", values)
 
 recovered = end_to_end_recover(cloud, m=3)

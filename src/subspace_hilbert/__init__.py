@@ -32,6 +32,7 @@ from .gpca import (
     RecoveryResult,
     end_to_end_recover,
     estimate_hilbert_value,
+    estimate_hilbert_values,
     recover_codimensions,
     sample_points,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "dimension_function",
     "end_to_end_recover",
     "estimate_hilbert_value",
+    "estimate_hilbert_values",
     "expand_rational",
     "fit_numerator",
     "hilbert_polynomial_from_numerator",

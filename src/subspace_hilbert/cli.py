@@ -33,10 +33,11 @@ from .arrangement import (
 )
 from .fixtures import fixture_arrangement, fixture_names
 from .gpca import (
+    EMPTY_CLOUD,
     InconsistentDataError,
     PointCloud,
     RecoveryResult,
-    estimate_hilbert_value,
+    estimate_hilbert_values,
     recover_codimensions,
 )
 from .hilbert import (
@@ -86,10 +87,15 @@ def parse_rational(value: Any, where: str) -> Fraction:
             raise DataError(
                 f"{where}: {value!r} is not an integer or integer/positive-integer"
             )
-        _, sep, den = value.partition("/")
-        if sep and int(den) == 0:
+        # the pattern leaves only decimal digits to int: cheaper than
+        # Fraction parsing the string again
+        num, sep, den = value.partition("/")
+        if not sep:
+            return Fraction(int(num))
+        den = int(den)
+        if not den:
             raise DataError(f"{where}: zero denominator in {value!r}")
-        return Fraction(value)
+        return Fraction(int(num), den)
     raise DataError(
         f"{where}: expected a rational string, got {type(value).__name__}"
     )
@@ -441,11 +447,10 @@ def _cmd_recover(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         cloud = parse_point_document(
             _load_json(args.points), allow_float=args.tol is not None
         )
+        if not cloud.points:
+            raise DataError(EMPTY_CLOUD)
         n = cloud.ambient_dim
-        values = [
-            estimate_hilbert_value(cloud, d, args.tol)
-            for d in range(args.m, args.m + n)
-        ]
+        values = estimate_hilbert_values(cloud, range(args.m, args.m + n), args.tol)
         result = recover_codimensions(values, args.m, n)
     doc = recovery_document(result, args.m, values, args.m)
     _emit(doc, args.json, render_recovery_text)

@@ -3,7 +3,12 @@
 Two halves.  First, estimating graded dimensions from sample points: the
 space of degree-d forms vanishing on a point set has dimension C(d+n-1, n-1)
 minus the rank of the evaluation matrix, and with enough generic points per
-subspace this reproduces the arrangement's own graded dimensions.  Second,
+subspace this reproduces the arrangement's own graded dimensions.  Over
+consecutive degrees only the first rank is certified in full: the leading
+monomials of one degree's vanishing forms, times the variables, are leading
+monomials of vanishing forms one degree up, so they bound the next kernel
+from below, and one rank mod a prime shows when they account for all of it
+(``estimate_hilbert_values``).  Second,
 exact recovery: given the values of the Hilbert polynomial at the n
 consecutive degrees m..m+n-1 for a transversal arrangement, integer
 difference steps turn them into the coefficients of the product of the
@@ -29,14 +34,29 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .arrangement import Arrangement
-from .linalg import INT64_SAFE, approx_rank, certified_rank, primitive_int_vector
-from .oracle import MonomialBasis, check_monomial_cap, monomial_basis
+from .linalg import (
+    INT64_SAFE,
+    PRIME,
+    approx_rank,
+    certified_pivots,
+    echelon_mod_p,
+    primitive_int_vector,
+)
+from .oracle import (
+    MonomialBasis,
+    _raise_degree_maps,
+    check_monomial_cap,
+    monomial_basis,
+)
 
 Number = Union[int, float, Fraction]
 
 
 class InconsistentDataError(ValueError):
     """Hilbert values incompatible with a transversal arrangement of m subspaces."""
+
+
+EMPTY_CLOUD = "cannot recover from an empty point cloud"
 
 
 @dataclass(frozen=True)
@@ -141,30 +161,117 @@ def estimate_hilbert_value(pc: PointCloud, d: int, tol: float | None = None) -> 
     ``certified_rank``'s.  Float clouds (or an explicit tol) use
     tolerance-based elimination, defaulting to a relative 1e-8.
 
+    The one-degree case of ``estimate_hilbert_values``, which closes every
+    degree after the first of a run of consecutive degrees from the leading
+    monomials of the previous degree's vanishing forms, with one rank mod a
+    prime instead of a certificate.
+
     Raises MonomialCapExceeded, before any basis is built, when degree d
     needs more monomials than ``oracle.check_monomial_cap`` allows, and
     ValueError when a float evaluation overflows or is not finite.
     """
-    if d < 0:
+    return estimate_hilbert_values(pc, [d], tol)[0]
+
+
+def estimate_hilbert_values(
+    pc: PointCloud, degrees: Iterable[int], tol: float | None = None
+) -> list[int]:
+    """``estimate_hilbert_value`` at each of the ascending consecutive degrees.
+
+    Exact clouds certify the rank of one degree (``certified_pivots``) and
+    carry its kernel's leading monomials to the next.  The columns of the
+    evaluation matrix run through the monomials in decreasing lex order, so
+    a vanishing form's leading monomial here, its last nonzero column, is
+    its lex-smallest monomial, and lex order is multiplicative: the leading
+    monomial of x_j times a form is x_j times the form's.  A certified rank
+    with pivots C gives, for each other column f, a vanishing form led by f
+    (D e_f minus the pivot columns' multiples, N[i, f] e_{C_i}; the reduced
+    echelon form N is zero left of each pivot), and the set S of the x_j * f
+    lead vanishing forms of the next degree.  Forms with distinct leading
+    monomials are independent, so the next kernel has dimension at least
+    |S|, and only the columns outside S can be its pivots.  When those
+    columns are independent mod a prime they are independent over Q, so the
+    next rank is exactly their number, with those columns as its pivots,
+    and S is carried on.  Otherwise the degree is certified in full; a
+    certificate without pivots (``certified_pivots`` proves none on its
+    shortcut and its fallback) leaves the next degree to a certificate too.
+
+    The arrangement's ideal is generated in degrees <= m (Derksen and
+    Sidman, 2002) and in generic coordinates its initial ideal has no
+    generators past m either (Bayer and Stillman, 1987), so after the first
+    degree of a recovery nearly every degree closes this way.  That only
+    says how often; the argument above holds for any cloud.
+
+    The monomial cap is checked per degree, in ascending order, just before
+    that degree's basis is built.  Float clouds and an explicit tol rank
+    every degree by ``approx_rank``.
+    """
+    degrees = list(degrees)
+    if any(d < 0 for d in degrees):
         raise ValueError("degree must be nonnegative")
+    if degrees and degrees != list(range(degrees[0], degrees[0] + len(degrees))):
+        raise ValueError("degrees must be ascending and consecutive")
     n = pc.ambient_dim
-    check_monomial_cap(n, d)
-    basis = monomial_basis(n, d)
+    values = []
+    leading = None  # the previous degree's leading monomials, where proven
+    for d in degrees:
+        check_monomial_cap(n, d)
+        basis = monomial_basis(n, d)
+        if not pc.points:
+            values.append(len(basis))
+        elif pc.exact and tol is None:
+            value, leading = _exact_value(pc.rays, basis, leading)
+            values.append(value)
+        else:
+            values.append(_approx_value(pc.points, basis, tol))
+    return values
+
+
+def _exact_value(
+    rays: Sequence[Sequence[int]], basis: MonomialBasis, leading: np.ndarray | None
+) -> tuple[int, np.ndarray | None]:
+    """The kernel dimension of the evaluation matrix at the rays, and the
+    kernel's leading monomials, as a mask over the columns, where they are
+    proven, else None (``estimate_hilbert_values``).
+
+    leading holds the previous degree's mask, or None.
+    """
+    matrix = _evaluation_matrix(rays, basis)
     total = len(basis)
-    if not pc.points:
-        return total
-    if pc.exact and tol is None:
-        return total - certified_rank(_evaluation_matrix(pc.rays, basis))
-    not_finite = f"the degree-{d} monomials of these points do not fit a float"
+    if leading is not None:
+        raised = np.zeros(total, dtype=bool)
+        raised[_raise_degree_maps(basis.n, basis.d - 1)[leading]] = True
+        block = matrix[:, ~raised]
+        if len(block) >= block.shape[1] and _full_column_rank_mod_p(block):
+            return total - block.shape[1], raised
+    rank, pivots = certified_pivots(matrix)
+    if pivots is None:
+        return total - rank, None
+    leading = np.ones(total, dtype=bool)
+    leading[pivots] = False
+    return total - rank, leading
+
+
+def _full_column_rank_mod_p(m: np.ndarray) -> bool:
+    """Whether the integer matrix m has independent columns mod PRIME."""
+    ech, _ = echelon_mod_p((m % PRIME).astype(np.int64), PRIME)
+    return len(ech) == m.shape[1]
+
+
+def _approx_value(
+    points: Sequence[Sequence[float]], basis: MonomialBasis, tol: float | None
+) -> int:
+    """The kernel dimension of the float evaluation matrix, by ``approx_rank``."""
+    not_finite = f"the degree-{basis.d} monomials of these points do not fit a float"
     try:
-        points = np.array(pc.points, dtype=np.float64)
+        points = np.array(points, dtype=np.float64)
     except OverflowError:
         raise ValueError(not_finite) from None
     with np.errstate(over="ignore", invalid="ignore"):
         matrix = _evaluation_matrix(points, basis)
     if not np.isfinite(matrix).all():
         raise ValueError(not_finite)
-    return total - approx_rank(matrix, rel_tol=1e-8 if tol is None else tol)
+    return len(basis) - approx_rank(matrix, rel_tol=1e-8 if tol is None else tol)
 
 
 def _evaluation_matrix(
@@ -279,9 +386,9 @@ def end_to_end_recover(
     values at degrees m..m+n-1 feed recover_codimensions.
     """
     if not pc.points:
-        raise ValueError("cannot recover from an empty point cloud")
+        raise ValueError(EMPTY_CLOUD)
     n = pc.ambient_dim
-    values = [estimate_hilbert_value(pc, d, tol) for d in range(m, m + n)]
+    values = estimate_hilbert_values(pc, range(m, m + n), tol)
     return recover_codimensions(values, m, n)
 
 

@@ -6,9 +6,10 @@ Gauss-Jordan elimination over Python ints, checks their independence and
 gives their annihilator forms (``SubspaceBasis``, by ``kernel_basis``).
 Integer matrices have two exact rank routes: ``certified_rank``, a rank mod
 a prime certified over Q by a lifted reduced echelon form (the one
-exact-rank entry point), and ``IntEchelon``, an incremental fraction-free
-accumulator for callers that add rows one at a time and for the
-certificate's fallback.
+exact-rank entry point; ``certified_pivots`` also returns the pivot columns
+that the certificate proves), and ``IntEchelon``, an incremental
+fraction-free accumulator for callers that add rows one at a time and for
+the certificate's fallback.
 ``echelon_mod_p`` is the GF(p) eliminator for numpy matrices;
 ``arrangement.dimension_function`` reduces its own rows of Python ints mod
 ``PRIME``, one subspace's forms at a time, along its walk.  ``approx_rank``
@@ -506,9 +507,20 @@ def _echelon_rank(m: np.ndarray) -> int:
 def certified_rank(matrix: np.ndarray) -> int:
     """Exact rank over Q of an integer matrix (int64 or object ndarray).
 
+    The rank of ``certified_pivots``, which states how it is certified.
+    """
+    return certified_pivots(matrix)[0]
+
+
+def certified_pivots(matrix: np.ndarray) -> tuple[int, np.ndarray | None]:
+    """Exact rank over Q of an integer matrix (int64 or object ndarray), and
+    its pivot columns over Q when the rank is certified with them.
+
     1. r = rank mod p1 = LIFT_PRIMES[0], with pivot columns C.  Reduction
        mod p never raises the rank, so rank_Q >= r; r = min(rows, cols) is
-       the answer.
+       the answer.  When r = cols every column is a pivot; when r = rows <
+       cols the pivots mod p1 are not proven to be those over Q, and none
+       are returned.
     2. The reduced echelon form is lifted from GF(p1), GF(p2), ...: r rows
        of the matrix independent mod p1 (so over Q, and spanning its row
        space if rank_Q = r) are reduced mod each further prime, which must
@@ -516,10 +528,14 @@ def certified_rank(matrix: np.ndarray) -> int:
        entry recovered by rational reconstruction, as an integer matrix N
        (r x cols, N[:, C] = D*I) over one denominator D > 0.
     3. The check D*M = M[:, C] @ N over Z (``_certify``) puts every column
-       of M in the span of its r columns C, so rank_Q <= r.
+       of M in the span of its r columns C, so rank_Q <= r.  The columns C
+       are independent mod p1, so over Q, and every other column f is a
+       combination of the columns C left of it (N has reduced echelon
+       shape), so C are the pivot columns over Q.
     4. When the pivots differ between primes, no reconstruction passes the
        check within LIFT_PRIMES, or the check cannot be completed, the rank
-       is computed by ``IntEchelon``.  The result is exact in every case.
+       is computed by ``IntEchelon`` and no pivots are returned.  The rank
+       is exact in every case.
     """
     m = np.asarray(matrix)
     if m.ndim != 2:
@@ -529,14 +545,16 @@ def certified_rank(matrix: np.ndarray) -> int:
     if m.dtype == object and _max_abs(m) < 1 << 63:
         m = m.astype(np.int64)
     if not m.size:
-        return 0
+        return 0, np.arange(0)
     p = LIFT_PRIMES[0]
     residues, pivots, sources = _rref_mod_p(m, p)
     r = len(pivots)
-    if r == min(m.shape):
-        return r
+    if r == m.shape[1]:
+        return r, pivots
+    if r == m.shape[0]:
+        return r, None
     for lifted in _lifts(residues, p, m[sources], pivots):
         candidate = _reconstruct(lifted)
         if candidate is not None and _certify(m, pivots, *candidate):
-            return r
-    return _echelon_rank(m)
+            return r, pivots
+    return _echelon_rank(m), None

@@ -42,6 +42,7 @@ class TestParseRational:
         assert parse_rational("3/2", "x") == Fraction(3, 2)
         assert parse_rational("-4", "x") == Fraction(-4)
         assert parse_rational("+2/4", "x") == Fraction(1, 2)
+        assert {type(parse_rational(x, "x")) for x in (5, "-4", "3/2")} == {Fraction}
 
     @pytest.mark.parametrize("bad", ["1.5", "3/0", "a", "1/-2", "", True, 2.5])
     def test_rejects_non_rationals(self, bad):
@@ -357,6 +358,13 @@ class TestRecoverCommand:
         code = main(["recover", "--points", path, "--m", "3", "--tol", "1e-8"])
         assert code == EXIT_OK
         assert "dimensions: 1, 1, 1" in capsys.readouterr().out
+
+    def test_empty_cloud_is_a_data_error(self, tmp_path, capsys):
+        path = write_json(tmp_path, "cloud.json", {"n": 3, "points": []})
+        assert main(["recover", "--points", path, "--m", "3"]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "error: cannot recover from an empty point cloud\n"
+        )
 
     def test_float_points_that_overflow(self, tmp_path, capsys):
         # (1e200)^2 does not fit a float: an error line, not a traceback

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subspace_hilbert import gpca
+from subspace_hilbert import gpca, linalg
 from subspace_hilbert.arrangement import (
     Arrangement,
     DimensionFunction,
@@ -23,6 +23,7 @@ from subspace_hilbert.gpca import (
     RecoveryResult,
     end_to_end_recover,
     estimate_hilbert_value,
+    estimate_hilbert_values,
     recover_codimensions,
     sample_points,
 )
@@ -81,6 +82,33 @@ def rational_clouds(draw, entries=st.integers(-12, 12)):
             if any(point):
                 scale = draw(scales)
                 points.append([scale * x for x in point])
+    return PointCloud(n, points)
+
+
+@st.composite
+def chain_clouds(draw):
+    """Clouds for runs of consecutive degrees: 1-6 points on each of 1-3
+    random subspaces, so the rays often stop short of the monomials and the
+    evaluation matrices have full row rank, with some points repeated up to
+    a rational scale, and now and then entries near 2^40, so that from
+    degree 2 on the matrices hold Python ints."""
+    n = draw(st.integers(1, 4))
+    big = draw(st.booleans())
+    entries = st.integers(-(1 << 40), 1 << 40) if big else st.integers(-6, 6)
+    scales = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+    points = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, n))
+        vector = st.lists(entries, min_size=n, max_size=n)
+        basis = draw(st.lists(vector, min_size=k, max_size=k))
+        for _ in range(draw(st.integers(1, 6))):
+            alpha = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+            point = [sum(a * b[j] for a, b in zip(alpha, basis)) for j in range(n)]
+            if any(point):
+                points.append(point)
+                if draw(st.booleans()):
+                    scale = draw(scales)
+                    points.append([scale * x for x in point])
     return PointCloud(n, points)
 
 
@@ -282,6 +310,64 @@ class TestEstimateHilbertValue:
         # the two near-parallel rays collapse under a loose tolerance
         assert estimate_hilbert_value(pc, 1, tol=1e-6) == 1
         assert estimate_hilbert_value(pc, 1, tol=1e-15) == 0
+
+
+class TestEstimateHilbertValues:
+    @settings(max_examples=120, deadline=None)
+    @given(chain_clouds(), st.integers(0, 3), st.integers(1, 5))
+    def test_matches_one_degree_at_a_time(self, pc, start, count):
+        degrees = range(start, start + count)
+        assert estimate_hilbert_values(pc, degrees) == [
+            estimate_hilbert_value(pc, d) for d in degrees
+        ]
+
+    def test_an_empty_leading_set_falls_short(self, monkeypatch):
+        # degree 1 has full column rank, so no leading monomials; at degree
+        # 2 the kernel has dimension 3 and the empty set accounts for none
+        # of it, so that degree is ranked in full.  There its three rays
+        # have full row rank mod p, which leaves the pivots unproven, so
+        # degree 3 is ranked in full too
+        certified = []
+
+        def spy(matrix):
+            certified.append(matrix.shape[1])
+            return certified_pivots(matrix)
+
+        certified_pivots = gpca.certified_pivots
+        monkeypatch.setattr(gpca, "certified_pivots", spy)
+        pc = PointCloud(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        assert estimate_hilbert_values(pc, range(1, 4)) == [0, 3, 7]
+        assert certified == [3, 6, 10]
+
+    def test_lifts_only_at_the_first_degree(self, monkeypatch):
+        lifted = []
+
+        def spy(residues, *args):
+            lifted.append(residues.shape[1])
+            return lifts(residues, *args)
+
+        lifts = linalg._lifts
+        monkeypatch.setattr(linalg, "_lifts", spy)
+        arr = random_arrangement(4, [1, 2, 2], seed=520)
+        pc = sample_points(arr, 12, seed=521)
+        values = estimate_hilbert_values(pc, range(3, 7))
+        assert values == [dim_intersection_ideal(arr, 0b111, d) for d in range(3, 7)]
+        assert lifted and set(lifted) == {binom(3 + 3, 3)}
+
+    def test_degrees_must_be_ascending_and_consecutive(self):
+        pc = PointCloud(2, [[1, 2]])
+        assert estimate_hilbert_values(pc, []) == []
+        for bad in ([2, 4], [3, 2], [1, 1]):
+            with pytest.raises(ValueError, match="consecutive"):
+                estimate_hilbert_values(pc, bad)
+        with pytest.raises(ValueError, match="nonnegative"):
+            estimate_hilbert_values(pc, [-1, 0])
+
+    def test_float_clouds_rank_every_degree(self):
+        pc = sample_points(coordinate_axes(), 10, seed=522)
+        floaty = PointCloud(3, [[float(x) for x in p] for p in pc.points])
+        assert estimate_hilbert_values(floaty, range(3, 6)) == [7, 12, 18]
+        assert estimate_hilbert_values(pc, range(3, 6), tol=1e-8) == [7, 12, 18]
 
 
 class TestInterpolation:

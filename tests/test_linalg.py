@@ -17,6 +17,7 @@ from subspace_hilbert.linalg import (
     IntEchelon,
     SubspaceBasis,
     approx_rank,
+    certified_pivots,
     certified_rank,
     echelon_mod_p,
     primitive_int_vector,
@@ -532,6 +533,33 @@ class TestCertifiedRank:
             got = certified_rank(_matrix(rows, ncols))
         assert got == (rank(QMatrix(rows, ncols=ncols)) if rows else 0)
 
+    @settings(max_examples=150, deadline=None)
+    @given(integer_matrices())
+    def test_certified_pivots_are_the_rational_pivots(self, case):
+        ncols, rows = case
+        got, pivots = certified_pivots(_matrix(rows, ncols))
+        _, expected = rational_rref(QMatrix(rows, ncols=ncols))
+        assert got == len(expected)
+        if pivots is not None:
+            assert tuple(pivots.tolist()) == tuple(expected)
+
+    def test_pivots_of_rank_deficient_matrices(self):
+        # rank k below rows and columns: neither shortcut applies, so the
+        # certificate runs and proves its pivots
+        rng = random.Random(1019)
+        for _ in range(40):
+            nrows, ncols = rng.randint(2, 9), rng.randint(2, 9)
+            k = rng.randint(0, min(nrows, ncols) - 1)
+            a = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(nrows)]
+            b = [[rng.randint(-9, 9) * rng.choice([1, 1, 0]) for _ in range(ncols)]
+                 for _ in range(k)]
+            rows = [[sum(x * y[j] for x, y in zip(row, b)) for j in range(ncols)]
+                    for row in a]
+            got, pivots = certified_pivots(_matrix(rows, ncols))
+            _, expected = rational_rref(QMatrix(rows, ncols=ncols))
+            assert got == len(expected) and pivots is not None
+            assert tuple(pivots.tolist()) == tuple(expected)
+
     def test_rejects_non_matrices(self):
         with pytest.raises(ValueError):
             certified_rank(np.arange(3))
@@ -587,6 +615,20 @@ class TestCertifiedRankPaths:
     def test_full_rank_mod_p_needs_no_certificate(self, monkeypatch):
         got, calls = self.run(monkeypatch, [[2, 1, 0], [0, 3, 1]])
         assert got == 2 and not calls
+
+    def test_pivots_on_each_path(self, monkeypatch):
+        # full column rank: every column is a pivot
+        got, pivots = certified_pivots(np.array([[1, 2], [3, 4], [5, 6]]))
+        assert got == 2 and pivots.tolist() == [0, 1]
+        # full row rank below the columns: the pivots mod p are not proven
+        assert certified_pivots(np.array([[2, 1, 0], [0, 3, 1]]))[1] is None
+        # certified
+        rows = [[3, 1, 4, 1], [6, 2, 8, 2], [5, 9, 2, 6], [8, 10, 6, 7]]
+        got, pivots = certified_pivots(np.array(rows))
+        assert got == 2 and pivots.tolist() == [0, 1]
+        # the IntEchelon fallback
+        monkeypatch.setattr(linalg, "LIFT_PRIMES", _TINY_PRIMES)
+        assert certified_pivots(np.array([[2, 3], [4, 6]])) == (1, None)
 
     def test_certified(self, monkeypatch):
         rows = [[3, 1, 4, 1], [6, 2, 8, 2], [5, 9, 2, 6], [8, 10, 6, 7]]
