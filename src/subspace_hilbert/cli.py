@@ -90,12 +90,15 @@ def parse_rational(value: Any, where: str) -> Fraction:
         # the pattern leaves only decimal digits to int: cheaper than
         # Fraction parsing the string again
         num, sep, den = value.partition("/")
-        if not sep:
-            return Fraction(int(num))
-        den = int(den)
+        try:
+            if not sep:
+                return Fraction(int(num))
+            num, den = int(num), int(den)
+        except ValueError as exc:
+            raise DataError(f"{where}: {_too_many_digits()}") from exc
         if not den:
             raise DataError(f"{where}: zero denominator in {value!r}")
-        return Fraction(int(num), den)
+        return Fraction(num, den)
     raise DataError(
         f"{where}: expected a rational string, got {type(value).__name__}"
     )
@@ -113,6 +116,13 @@ def _load_json(path: str) -> Any:
         raise DataError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
     except RecursionError as exc:
         raise DataError(f"{path}: nested too deeply to parse") from exc
+    except ValueError as exc:
+        # the one other failure of json.load: int() of a long integer literal
+        raise DataError(f"{path}: {_too_many_digits()}") from exc
+
+
+def _too_many_digits() -> str:
+    return f"an integer with more than {sys.get_int_max_str_digits()} digits"
 
 
 def _natural_field(doc: dict, key: str) -> int:

@@ -7,13 +7,14 @@ the package; it is the ground truth those formulas are tested against.
 For an arrangement V_1, ..., V_m in K^n and a subset S of indices:
 
 * the intersection ideal's piece (I_S)_d is the kernel of the stacked
-  restriction maps R_d -> K[V_i]_d, integer matrices built one degree at a
-  time from a parametrization x = B^T u of each V_i;
+  restriction maps R_d -> K[V_i]_d, the images of the monomials under a
+  parametrization x = B^T u of each V_i;
 * the product ideal's piece (J_S)_d is spanned by all products of one
   annihilating linear form per chosen subspace times a monomial of the
-  complementary degree, accumulated one factor at a time.  One builder,
-  ``_times_forms``, makes those products for the GF(p) bracket and for the
-  exact route alike.
+  complementary degree, accumulated one factor at a time.
+
+Two exact builders make every matrix: ``_substitutions`` the restriction
+blocks and the jets below, ``_times_forms`` the products.
 
 ``hilbert_table`` certifies both values of a degree with ranks over GF(p),
 p = ``PRIME``.  Reducing an integer matrix mod p never raises its rank, and
@@ -23,19 +24,10 @@ J is contained in I, so
 
 and where the two ends meet both values are exact.  The table works in
 coordinates (u, w) in which the largest subspace V_s is {w = 0}
-(``_adapted_coordinates``, one integer ``rref`` per subspace); graded
-dimensions do not change under a linear change of coordinates.  There the
-restriction block of V_s selects the c_s monomials of w-degree 0, so it
-adds exactly c_s to the rank, over Q and over every GF(p), and the bracket
-stays sound for every p.  Only the other blocks, on the rows of positive
-w-degree, take an elimination (``linalg.echelon_mod_p``).  The products
-are those of the forms of the ``rref``, which span each linear part over
-Q, so their rank mod p is a lower bound at every p.  The product rank
-mostly closes by counting leading terms, as in the symbolic preprocessing
-of Faugere's F4: products with pairwise distinct leading monomials are
-independent, so their count is a lower bound on rank_p, and when it meets
-the number of products, or an upper end, it is rank_p.  Only the products
-chosen by the count are built; the other degrees eliminate.
+(``_adapted_coordinates``); there the block of V_s adds exactly c_s to the
+rank, over Q and over every GF(p), and only the other blocks are
+eliminated.  The product rank mostly closes by counting leading terms, as
+in the symbolic preprocessing of Faugere's F4 (``_leading_products``).
 
 Where J and I differ in a degree d >= m (a pencil, say), J is closed from
 above by the lattice of flats F = V_A, as in the paper, where the series
@@ -45,18 +37,15 @@ lies in P_F^{k_F}, P_F the ideal of F, and
     dim J_d <= U_J = total - rank_p(restriction matrix | jets along every F),
 
 a jet block of F holding the terms of w-degree below k_F of each monomial
-in coordinates (u, w) with F = {w = 0} (``_jets``).  The bound is sound for
-every p, and over Q it is tight: a product of ideals of linear subspaces
-is the intersection of the powers (sum of I_i over A)^|A| (Conca and
-Herzog, "Castelnuovo-Mumford regularity of products of ideals", Collect.
-Math. 2003), each of which contains P_F^{k_F} for F = V_A.  U_J is ranked
-on the same rows as U_I, beside the same c_s, and one elimination in
-column order gives both ranks (``_ranks_mod_p``).  Only the degrees whose
-bracket stays open take an exact rank: of the restriction blocks already
-built (``linalg.certified_rank``) for I, and ``dim_product_ideal``
-(``IntEchelon``, one factor at a time) for J.  The public per-degree
-functions ``dim_intersection_ideal`` and ``dim_product_ideal`` work in the
-given coordinates and are the references the table is tested against.
+in coordinates (u, w) with F = {w = 0}: a substitution like that of the
+restriction blocks, with fewer columns kept.  Over Q the bound is tight: a
+product of ideals of linear subspaces is the intersection of the powers
+(sum of I_i over A)^|A| (Conca and Herzog, "Castelnuovo-Mumford regularity
+of products of ideals", Collect. Math. 2003), each of which contains
+P_F^{k_F} for F = V_A.  Only the degrees whose bracket stays open take an
+exact rank.  The public per-degree functions ``dim_intersection_ideal`` and
+``dim_product_ideal`` work in the given coordinates and are the references
+the table is tested against.
 
 Cost grows roughly with the cube of C(d+n-1, n-1), so calls are guarded by a
 configurable monomial cap.
@@ -66,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, islice
+from itertools import islice
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -216,20 +205,50 @@ def _split_first_variable(n: int, e: int) -> tuple[np.ndarray, np.ndarray]:
     return out
 
 
-def _restriction_matrices(basis: Sequence[Sequence[int]], n: int) -> Iterator[np.ndarray]:
-    """Restriction matrices of degree d = 0, 1, 2, ... to the span of integer rows B.
+@lru_cache(maxsize=None)
+def _w_degrees(n: int, e: int, f: int) -> np.ndarray:
+    """For each degree-e monomial in n variables, its degree in the last n - f."""
+    out = np.array([sum(exps[f:]) for exps in monomial_basis(n, e).monomials], dtype=np.intp)
+    out.flags.writeable = False
+    return out
 
-    Row r of the degree-d matrix holds the image of monomial r of R_d under
-    x = B^T u, as coefficients over the degree-d monomials in u.  It is
-    built from degree d-1: with x_j the first variable of x^beta, the image
-    of x^beta is (sum_k B[k, j] u_k) times the image of x^beta / x_j.  Every
-    coefficient is at most top^d in absolute value, with top the largest
-    l1 norm of a column of B, so the matrix is int64 while top^d < 2^62 and
-    an object array of Python ints from there on.
+
+@lru_cache(maxsize=None)
+def _scatter_maps(r: int, e: int, f: int, k: int) -> tuple[int, tuple]:
+    """The number of kept degree-e columns of ``_substitutions`` and, for
+    each y_j, the kept degree-(e-1) columns whose product with y_j is kept
+    (a slice where all are) and the columns those products land on.
+    Multiplying by y_j never lowers the degree in y_{f+1}, ..., y_r, so the
+    kept columns of degree e come from kept columns alone."""
+    maps = _raise_degree_maps(r, e - 1)
+    low = _w_degrees(r, e, f) < k
+    if low.all():
+        return len(low), tuple((slice(None), maps[:, j]) for j in range(r))
+    column = np.cumsum(low) - 1
+    column[~low] = -1
+    targets = column[maps[_w_degrees(r, e - 1, f) < k]]
+    return int(low.sum()), tuple((t >= 0, t[t >= 0]) for t in targets.T)
+
+
+def _substitutions(rows: Sequence[Sequence[int]], n: int, f: int, k: int) -> Iterator[np.ndarray]:
+    """Images of the monomials under x = M^T y in degrees d = 0, 1, 2, ...
+
+    M is r x n, the integer rows.  Row i of the degree-d matrix holds the
+    exact image of monomial i of R_d at the y-monomials, in
+    ``monomial_basis`` order, of degree below k in y_{f+1}, ..., y_r.  With
+    f = r that is every column: the restriction to the span of the rows.
+    With the rows a basis of K^n whose first f span F
+    (``_flat_coordinates``), a form lies in P_F^k exactly when its image
+    has no kept term: these are the jets of order k along F.
+
+    With x_j the first variable of x^beta, the image of x^beta is
+    (sum_t M[t, j] y_t) times that of x^beta / x_j.  Every coefficient and
+    partial sum is at most top^d in absolute value, top the largest l1 norm
+    of a column of M: int64 while top^d < 2^62, Python ints from there on.
     """
-    n_i = len(basis)
-    top = max((sum(abs(row[j]) for row in basis) for j in range(n)), default=0)
-    B = np.array(basis, dtype=object).reshape(n_i, n)
+    r = len(rows)
+    top = max((sum(abs(row[j]) for row in rows) for j in range(n)), default=0)
+    M = np.array(rows, dtype=object).reshape(r, n)
     s = np.ones((1, 1), dtype=np.int64)
     e = 0
     while True:
@@ -237,17 +256,18 @@ def _restriction_matrices(basis: Sequence[Sequence[int]], n: int) -> Iterator[np
         e += 1
         dtype = np.int64 if top**e < INT64_SAFE else object
         first, parents = _split_first_variable(n, e)
-        coeffs = B[:, first].astype(dtype)
+        coeffs = M[:, first].astype(dtype)
         prev = s[parents].astype(dtype)
-        maps = _raise_degree_maps(n_i, e - 1)
-        s = np.zeros((len(first), len(monomial_basis(n_i, e))), dtype=dtype)
-        for k in range(n_i):
-            s[:, maps[:, k]] += coeffs[k][:, None] * prev
+        width, scatter = _scatter_maps(r, e, f, k)
+        s = np.zeros((len(first), width), dtype=dtype)
+        for j, (source, target) in enumerate(scatter):
+            s[:, target] += coeffs[j][:, None] * prev[:, source]
 
 
 def _restriction_matrix(basis: Sequence[Sequence[int]], n: int, d: int) -> np.ndarray:
-    """The degree-d matrix of ``_restriction_matrices``."""
-    return next(islice(_restriction_matrices(basis, n), d, None))
+    """The degree-d restriction matrix to the span of the rows of basis
+    (``_substitutions`` keeping every column)."""
+    return next(islice(_substitutions(basis, n, len(basis), 1), d, None))
 
 
 def dim_intersection_ideal(a: Arrangement, S: SubsetLike, d: int) -> int:
@@ -420,26 +440,22 @@ def _flats(
     return {flat: k for flat, k in counts.items() if k >= 2}
 
 
-@lru_cache(maxsize=None)
-def _w_degrees(n: int, e: int, f: int) -> np.ndarray:
-    """For each degree-e monomial in n variables, its degree in the last n - f."""
-    out = np.array([sum(exps[f:]) for exps in monomial_basis(n, e).monomials], dtype=np.intp)
-    out.flags.writeable = False
-    return out
+def _flat_coordinates(
+    forms: Sequence[Sequence[int]], n: int, rows: Sequence[Sequence[int]] | None = None
+) -> tuple[list[list[int]], int]:
+    """Coordinates (u, w) adapted to the subspace F cut out by forms.
 
-
-def _flat_coordinates(forms: Sequence[Sequence[int]], n: int) -> tuple[list[list[int]], int]:
-    """Coordinates (u, w) adapted to the flat F cut out by forms.
-
-    Returns the rows of B, a basis of F (``kernel_basis`` of the forms),
-    then those of C, the unit vectors at the forms' pivot columns, which
-    complete B to a basis of K^n; and f = dim F.  Under x = B^T u + C^T w the
-    forms vanishing on F are the linear forms in w.
+    Returns the rows of B, a basis of F (rows if given, else ``kernel_basis``
+    of the ``rref`` of the forms), then those of C, the unit vectors at the
+    pivot columns P of that ``rref``; and f = dim F.  The forms restricted
+    to P are invertible, so C completes B to a basis of K^n, and under
+    x = B^T u + C^T w the forms vanishing on F are the linear forms in w.
     """
     reduced, pivots, scale = rref(forms, n)
-    rows = [list(v) for v in kernel_basis(reduced, pivots, scale, n)]
-    f = len(rows)
-    return rows + [[int(j == c) for j in range(n)] for c in pivots], f
+    if rows is None:
+        rows = kernel_basis(reduced, pivots, scale, n)
+    basis = [list(v) for v in rows]
+    return basis + [[int(j == c) for j in range(n)] for c in pivots], len(basis)
 
 
 def _adapted_coordinates(
@@ -448,24 +464,22 @@ def _adapted_coordinates(
     """The arrangement in coordinates (u, w) with its largest subspace {w = 0}.
 
     s is the first index of largest dimension and k = dim V_s.  With M the
-    integer rows of V_s, then the unit vectors at the pivot columns P of
-    the ``rref`` of its forms F (F restricted to P is invertible, so they
-    complete a basis), x = M^T y is an invertible change of coordinates,
-    under which a form f in x becomes the form M f in y and V_s the span of
-    e_1, ..., e_k.  One ``rref`` of each subspace's forms so mapped gives
-    both its integer rows (``kernel_basis``) and its forms (the primitive
-    rows, with distinct leading variables); V_s gets e_1, ..., e_k.  M
-    starts from V_s's own rows, not from a ``kernel_basis`` of its forms
-    (minors of minors of those rows), which keeps the mapped forms, and so
-    the rows taken from them, small.  Returns s, k and the rows and forms
-    of every subspace.  Integers throughout.
+    ``_flat_coordinates`` of V_s, its integer rows then unit vectors,
+    x = M^T y is an invertible change of coordinates, under which a form f
+    in x becomes the form M f in y and V_s the span of e_1, ..., e_k.  One
+    ``rref`` of each subspace's forms so mapped gives both its integer rows
+    (``kernel_basis``) and its forms (the primitive rows, with distinct
+    leading variables); V_s gets e_1, ..., e_k.  M starts from V_s's own
+    rows, not from a ``kernel_basis`` of its forms (minors of minors of
+    those rows), which keeps the mapped forms, and so the rows taken from
+    them, small.  Returns s, k and the rows and forms of every subspace.
+    Integers throughout.
     """
     n = a.ambient_dim
     dims = [sub.dim for sub in a.subspaces]
     s = dims.index(max(dims))
     k = dims[s]
-    complement = rref(a.subspaces[s].annihilator_forms, n)[1]
-    basis = [*a.subspaces[s].integer_rows, *([int(j == c) for j in range(n)] for c in complement)]
+    basis = _flat_coordinates(a.subspaces[s].annihilator_forms, n, a.subspaces[s].integer_rows)[0]
     rows, forms = [], []
     for sub in a.subspaces:
         mapped = [
@@ -477,56 +491,18 @@ def _adapted_coordinates(
     return s, k, rows, forms
 
 
-def _jets(rows: Sequence[Sequence[int]], f: int, k: int, p: int) -> Iterator[np.ndarray]:
-    """Order-k jets mod p in degrees d = 0, 1, 2, ... along the span F of the
-    first f of the n integer rows, which form a basis (``_flat_coordinates``).
-
-    Write x = B^T u + C^T w with B the first f rows and C the others.  A
-    form g lies in P_F^k, P_F the ideal of F, exactly when g(B^T u + C^T w)
-    has no term of w-degree below k.  Row r of the degree-d matrix holds
-    that image of monomial r of R_d, mod p, at the (u, w)-monomials of
-    w-degree below k, in ``monomial_basis`` order.  It is built from degree
-    d-1 as in ``_restriction_matrices``; multiplying by u_j or w_j never
-    lowers the w-degree, so the kept columns need only the kept columns of
-    degree d-1.  Reduced mod p after each variable, every entry stays below
-    p + p^2 < 2^63: int64 throughout, however large the rows.
-    """
-    n = len(rows)
-    M = np.array([[x % p for x in row] for row in rows], dtype=np.int64).reshape(n, n)
-    s = np.ones((1, 1), dtype=np.int64)
-    kept = np.zeros(1, dtype=np.intp)
-    e = 0
-    while True:
-        yield s
-        e += 1
-        first, parents = _split_first_variable(n, e)
-        coeffs = M[:, first]
-        prev = s[parents]
-        low = _w_degrees(n, e, f) < k
-        column = np.cumsum(low) - 1
-        column[~low] = -1
-        maps = _raise_degree_maps(n, e - 1)[kept]
-        s = np.zeros((len(first), int(low.sum())), dtype=np.int64)
-        for j in range(n):
-            target = column[maps[:, j]]
-            live = target >= 0
-            s[:, target[live]] += coeffs[j][:, None] * prev[:, live]
-            s %= p
-        kept = np.flatnonzero(low)
-
-
-def _flat_jets(
-    forms: Sequence[Sequence[Sequence[int]]], n: int, k: int, p: int
-) -> Iterator[list[np.ndarray]]:
-    """The jet blocks (``_jets``) in degrees d = 0, 1, 2, ... of every flat
-    with k_F >= 2 (``_flats`` of forms in K^n), on the rows of the monomials
-    of degree at least 1 in the last n - k variables.  A generator: nothing
-    is built before the first ``next``, so a table that never asks pays
+def _flat_jets(forms: Sequence[Sequence[Sequence[int]]], n: int) -> Iterator[list[np.ndarray]]:
+    """The jet blocks in degrees d = 0, 1, 2, ... of every flat F with
+    k_F >= 2 (``_flats`` of forms in K^n): the ``_substitutions`` of order
+    k_F along F in its ``_flat_coordinates``.  A generator: nothing is
+    built before the first ``next``, so a table that never asks pays
     nothing."""
-    gens = [_jets(*_flat_coordinates(f, n), k_F, p) for f, k_F in _flats(forms, n).items()]
-    for d in count():
-        kept = _w_degrees(n, d, k) >= 1
-        yield [next(g)[kept] for g in gens]
+    gens = []
+    for flat, k_F in _flats(forms, n).items():
+        rows, f = _flat_coordinates(flat, n)
+        gens.append(_substitutions(rows, n, f, k_F))
+    while True:
+        yield [next(g) for g in gens]
 
 
 def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
@@ -552,9 +528,11 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     dim I_d for every p, since c_s is exact and reducing an integer matrix
     mod p never raises its rank.  U_J is 0 below m, where J has no forms.
     From m on it is h - rank_p of the restriction blocks beside the jet
-    blocks of the flats with k_F >= 2 (``_flats``, ``_jets``), all in the
-    adapted coordinates and on the h rows, beside which the block of V_s
-    again adds exactly c_s.  Over Q the kernel of all those blocks is the
+    blocks of the flats with k_F >= 2 (``_flats``, ``_flat_jets``), all in
+    the adapted coordinates and on the h rows, beside which the block of
+    V_s again adds exactly c_s.  Blocks and jets alike are the exact
+    integer images of ``_substitutions``, reduced mod p by
+    ``_ranks_mod_p``.  Over Q the kernel of all those blocks is the
     degree-d part of I and of every P_F^{k_F}, which contains J_d; and
     reduction mod p never raises a rank, so U_J >= dim J_d for every p.
     The kernel is J_d itself (Conca and Herzog: J is the intersection of
@@ -603,7 +581,7 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     m = a.num_subspaces
     full = (1 << m) - 1
     s, k, rows, forms = _adapted_coordinates(a)
-    restrictions = [_restriction_matrices(r, n) for i, r in enumerate(rows) if i != s]
+    restrictions = [_substitutions(r, n, len(r), 1) for i, r in enumerate(rows) if i != s]
     # the chain multiplies by the forms of V_1, ..., V_m, then by x_1, ..., x_n
     coordinates = np.eye(n, dtype=np.int64).tolist()
     span = np.ones((1, 1), dtype=np.int64)
@@ -614,7 +592,8 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
         h = int(kept.sum())
         blocks = [b[kept] for b in map(next, restrictions) if b.shape[1]]
         ncols = sum(b.shape[1] for b in blocks)
-        rank_I, rank_J = _ranks_mod_p(blocks, [] if jets is None else next(jets), p)
+        jet_blocks = [] if jets is None else [j[kept] for j in next(jets)]
+        rank_I, rank_J = _ranks_mod_p(blocks, jet_blocks, p)
         upper_I = h - rank_I
         upper_J = h - rank_J if d >= m else 0
         if d:
@@ -631,8 +610,8 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
         exact_I = lower_J == upper_I or rank_I == ncols
         dim_I = upper_I if exact_I else _kernel_dim(h, blocks)
         if lower_J < dim_I and d >= m and jets is None:
-            jets = islice(_flat_jets(forms, n, k, p), d, None)
-            upper_J = h - _ranks_mod_p(blocks, next(jets), p)[1]
+            jets = islice(_flat_jets(forms, n), d, None)
+            upper_J = h - _ranks_mod_p(blocks, [j[kept] for j in next(jets)], p)[1]
         dim_J = lower_J if lower_J in (dim_I, upper_J) else dim_product_ideal(a, full, d)
         results.append(GradedPieceResult(degree=d, dim_I=dim_I, dim_J=dim_J))
     return results

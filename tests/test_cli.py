@@ -257,6 +257,34 @@ class TestAnalyzeCommand:
         assert run.returncode == EXIT_DATA and run.stdout == ""
         assert run.stderr == f"error: {path}: {message}\n"
 
+    @pytest.mark.parametrize("quoted", [True, False], ids=["string", "literal"])
+    @pytest.mark.parametrize(
+        "command, template, field",
+        [
+            (["analyze"], '{"n": 2, "subspaces": [[[%s, "1"]]]}', "subspaces[0][0][0]"),
+            (
+                ["recover", "--m", "2", "--points"],
+                '{"n": 2, "points": [[%s, "1"], ["1", "2"]]}',
+                "points[0][0]",
+            ),
+        ],
+        ids=["analyze", "recover"],
+    )
+    def test_integer_past_the_digit_limit(
+        self, tmp_path, capsys, command, template, field, quoted
+    ):
+        # int() refuses more digits than the interpreter's limit: the error
+        # names the field of a string entry and the file of a literal
+        limit = sys.get_int_max_str_digits()
+        digits = "1" + "0" * limit
+        path = tmp_path / "input.json"
+        path.write_text(template % (f'"{digits}"' if quoted else digits), encoding="utf-8")
+        assert main([*command, str(path)]) == EXIT_DATA
+        where = field if quoted else str(path)
+        assert capsys.readouterr() == (
+            "", f"error: {where}: an integer with more than {limit} digits\n"
+        )
+
     def test_missing_file(self, capsys):
         assert main(["analyze", "/no/such/file.json"]) == EXIT_DATA
         assert "error:" in capsys.readouterr().err

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import arrangement_kinds
@@ -42,10 +42,10 @@ from subspace_hilbert.oracle import (
     _flat_coordinates,
     _flat_jets,
     _flats,
-    _jets,
     _leading_products,
     _ranks_mod_p,
     _restriction_matrix,
+    _substitutions,
     _times_forms,
     _w_degrees,
     dim_intersection_ideal,
@@ -193,11 +193,23 @@ def reference_restriction_rows(basis: list[list[int]], n: int, d: int) -> list[l
     return rows
 
 
+def substitution(rows: list[list[int]], n: int, f: int, k: int, d: int) -> np.ndarray:
+    """The degree-d matrix of ``_substitutions``."""
+    return next(itertools.islice(_substitutions(rows, n, f, k), d, None))
+
+
+def int64_while_small(matrix: np.ndarray, rows: list[list[int]], n: int, d: int) -> bool:
+    """int64 while top^d < 2^62, top the largest l1 norm of a column of the
+    rows, and an object array from there on."""
+    top = max((sum(abs(row[j]) for row in rows) for j in range(n)), default=0)
+    return matrix.dtype == (np.int64 if top**d < 2**62 else object)
+
+
 @st.composite
-def integer_bases(draw):
+def integer_bases(draw, entry=st.integers(-9, 9)):
     """(n, rows): up to three integer rows of length n, not necessarily independent."""
     n = draw(st.integers(1, 4))
-    vector = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    vector = st.lists(entry, min_size=n, max_size=n)
     return n, draw(st.lists(vector, max_size=3))
 
 
@@ -339,6 +351,20 @@ class TestRestrictionMatrix:
         n, basis = case
         matrix = _restriction_matrix(basis, n, d)
         assert matrix.shape == (len(monomial_basis(n, d)), len(monomial_basis(len(basis), d)))
+        assert matrix.tolist() == reference_restriction_rows(basis, n, d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        integer_bases(st.one_of(st.integers(-9, 9), st.integers(-(2**64), 2**64))),
+        st.integers(0, 4),
+    )
+    @example((3, []), 2)
+    @example((2, [[2**62, 1], [3, -(2**62)]]), 1)
+    def test_keeping_every_column_is_the_dict_substitution(self, case, d):
+        # f = r: the builder keeps every column, exactly, past 2^62 too
+        n, basis = case
+        matrix = substitution(basis, n, len(basis), 1, d)
+        assert int64_while_small(matrix, basis, n, d)
         assert matrix.tolist() == reference_restriction_rows(basis, n, d)
 
     def test_zero_subspace(self):
@@ -610,7 +636,7 @@ def adapted_bounds(arr: Arrangement, d: int, p: int) -> tuple[int, int]:
     blocks = [_restriction_matrix(r, n, d)[kept] for i, r in enumerate(rows) if i != s]
     blocks = [b for b in blocks if b.shape[1]]
     height = int(kept.sum())
-    jets = next(itertools.islice(_flat_jets(forms, n, k, p), d, None))
+    jets = [j[kept] for j in next(itertools.islice(_flat_jets(forms, n), d, None))]
     rank_I, rank_J = _ranks_mod_p(blocks, jets, p)
     return height - rank_I, height - rank_J if d >= arr.num_subspaces else 0
 
@@ -851,12 +877,12 @@ class TestFlats:
 
 @st.composite
 def coordinate_rows(draw):
-    """(rows, f, k, d): n integer rows of length n, not necessarily a basis,
-    some entries past 2^31, with 0 <= f <= n, k >= 1 and a degree d."""
-    n = draw(st.integers(1, 4))
+    """(rows, n, f, k, d): r integer rows of length n, not necessarily a
+    basis, some entries past 2^31, with 0 <= f <= r, k >= 1 and a degree d."""
+    n, r = draw(st.integers(1, 4)), draw(st.integers(0, 4))
     entry = st.one_of(st.integers(-9, 9), st.integers(-(2**40), 2**40))
-    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
-    return rows, draw(st.integers(0, n)), draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=r, max_size=r))
+    return rows, n, draw(st.integers(0, r)), draw(st.integers(1, 3)), draw(st.integers(0, 4))
 
 
 class TestJets:
@@ -869,6 +895,8 @@ class TestJets:
             assert f == s.dim and rank(QMatrix(rows, ncols=n)) == n
             assert all(sum(a * b for a, b in zip(form, v)) == 0
                        for form in s.annihilator_forms for v in rows[:f])
+            given_rows = _flat_coordinates(s.annihilator_forms, n, s.integer_rows)
+            assert given_rows == (list(map(list, s.integer_rows)) + rows[f:], f)
 
     @settings(max_examples=60, deadline=None)
     @given(arr=arrangements(), d=st.integers(0, 4))
@@ -876,30 +904,29 @@ class TestJets:
         p, n = oracle.PRIME, arr.ambient_dim
         for s in arr.subspaces:
             rows, f = _flat_coordinates(s.annihilator_forms, n)
-            jet = next(itertools.islice(_jets(rows, f, 1, p), d, None))
-            restriction = _restriction_matrix(s.integer_rows, n, d) % p
-            both = np.hstack([jet, restriction]).astype(np.int64)
+            jet = substitution(rows, n, f, 1, d)
+            restriction = _restriction_matrix(s.integer_rows, n, d)
+            both = np.hstack([jet, restriction])
             assert _rank_p(jet, p) == _rank_p(restriction, p) == _rank_p(both, p)
 
     @settings(max_examples=100, deadline=None)
-    @given(case=coordinate_rows(), p=st.sampled_from([2, 3, 7, 2**31 - 1]))
-    def test_truncated_jets_are_the_low_columns_of_the_substitution(self, case, p):
-        rows, f, k, d = case
-        n = len(rows)
-        jet = next(itertools.islice(_jets(rows, f, k, p), d, None))
+    @given(case=coordinate_rows())
+    def test_truncated_jets_are_the_low_columns_of_the_substitution(self, case):
+        rows, n, f, k, d = case
+        jet = substitution(rows, n, f, k, d)
         full = reference_restriction_rows(rows, n, d)
-        columns = w_degree_columns(n, f, d, k)
-        assert jet.dtype == np.int64
-        assert jet.tolist() == [[row[c] % p for c in columns] for row in full]
+        columns = w_degree_columns(len(rows), f, d, k)
+        assert int64_while_small(jet, rows, n, d)
+        assert jet.tolist() == [[row[c] for c in columns] for row in full]
 
     def test_entries_past_int64(self):
         rows = [[2**40 + 3, -(2**41), 5], [7, 2**40 - 1, -3], [1, 1, 2**39]]
         full = reference_restriction_rows(rows, 3, 3)
         assert max(abs(x) for row in full for x in row) > 2**63
-        p = oracle.PRIME
-        jet = next(itertools.islice(_jets(rows, 1, 2, p), 3, None))
+        jet = substitution(rows, 3, 1, 2, 3)
         columns = w_degree_columns(3, 1, 3, 2)
-        assert jet.tolist() == [[row[c] % p for c in columns] for row in full]
+        assert jet.dtype == object
+        assert jet.tolist() == [[row[c] for c in columns] for row in full]
 
 
 class TestAdaptedCoordinates:
