@@ -3,7 +3,7 @@ linear subspaces.
 
 The package computes exactly, on Python ints wherever the values are
 integers, with ``fractions.Fraction`` kept for rational input and the
-Hilbert polynomial:
+Hilbert polynomial's final coefficients (integers over (n-1)!):
 
 - the Hilbert series of the product ideal attached to a subspace arrangement,
   in closed form from the arrangement's dimension function, together with the

@@ -23,7 +23,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .arrangement import (
     _DEFAULT_SUBSET_CAP,
@@ -229,8 +229,13 @@ def _subset_indices(mask: int) -> list[int]:
     return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _coeff_strings(p: QPoly) -> list[str]:
-    return [str(c) for c in p.coeffs]
+def _strings(values: Iterable, field: str) -> list[str]:
+    """The report numbers as strings; one past the interpreter's digit limit
+    is a DataError naming the report field."""
+    try:
+        return [str(v) for v in values]
+    except ValueError as exc:
+        raise DataError(f"{field}: {_too_many_digits()}") from exc
 
 
 def _poly_from_strings(coeffs: Sequence[str]) -> QPoly:
@@ -249,6 +254,7 @@ def analyze_document(
     # before the Hilbert-function values: a degree past the cap fails at once
     table = hilbert_table(arr, max_degree) if with_oracle else None
     m = arr.num_subspaces
+    betti_strings = _strings(betti.betti, "betti")
     doc: dict[str, Any] = {
         "n": arr.ambient_dim,
         "m": m,
@@ -262,18 +268,18 @@ def analyze_document(
             for mask in _subset_order(m)
         ],
         "series": {
-            "numerator": _coeff_strings(hs.numerator),
+            "numerator": _strings(hs.numerator.coeffs, "series"),
             "denominator_power": hs.n,
         },
         "betti": {
-            "total": [str(b) for b in betti.betti],
+            "total": betti_strings,
             "graded": [
-                {"homological": i, "internal": j, "count": str(c)}
-                for (i, j), c in sorted(betti.graded().items())
+                {"homological": i, "internal": j, "count": betti_strings[i]}
+                for i, j in sorted(betti.graded())
             ],
         },
         "hilbert_polynomial": {
-            "coefficients": _coeff_strings(hp.coeffs),
+            "coefficients": _strings(hp.coeffs.coeffs, "hilbert_polynomial"),
             "variable": "d",
         },
     }
@@ -283,15 +289,18 @@ def analyze_document(
         codims = df.singleton_codims
         f_num, power = transversal_series(codims, arr.ambient_dim)
         doc["transversal_closed_form"] = {
-            "numerator": _coeff_strings(f_num),
+            "numerator": _strings(f_num.coeffs, "transversal_closed_form"),
             "denominator_power": power,
         }
         doc["hilbert_function"] = {
             "start": m,
-            "values": [
-                str(transversal_hilbert_function(codims, arr.ambient_dim, d))
-                for d in range(m, max_degree + 1)
-            ],
+            "values": _strings(
+                (
+                    transversal_hilbert_function(codims, arr.ambient_dim, d)
+                    for d in range(m, max_degree + 1)
+                ),
+                "hilbert_function",
+            ),
         }
     if table is not None:
         dim_i = [r.dim_I for r in table]
@@ -304,8 +313,8 @@ def analyze_document(
             agrees = agrees and dim_i[m:] == expected
         doc["oracle"] = {
             "max_degree": max_degree,
-            "dim_intersection": [str(v) for v in dim_i],
-            "dim_product": [str(v) for v in dim_j],
+            "dim_intersection": _strings(dim_i, "oracle"),
+            "dim_product": _strings(dim_j, "oracle"),
             "agrees": agrees,
         }
     return doc
@@ -319,7 +328,7 @@ def recovery_document(
         "m": m,
         "hilbert_values": {
             "start": start,
-            "values": [str(v) for v in values],
+            "values": _strings(values, "hilbert_values"),
         },
         "multiplicities": list(result.multiplicities),
         "codimensions": list(result.codims),

@@ -9,23 +9,23 @@ extraction from any numerator over (1-t)^n.
 
 The p_S family is computed with integers only, in the basis u = 1 - t.  The
 defining congruences are taken mod (1-t)^c = u^c, so reducing mod (1-t)^c is
-truncation to the first c coefficients in u, and the unit t inverts as
-t^-e = (1-u)^-e = sum_j C(j+e-1, e-1) u^j.  No division is left, and every
-p_S has integer u-coefficients because the recursion only adds integer
-multiples of them.  ``compute_ps_family`` gives the derivation and the
-overflow bound; a p_S is expanded back to t by p(t) = sum_j a_j (1-t)^j only
-when it is read, so ``hilbert_series_J`` converts only the top polynomial.
+truncation to the first c coefficients in u, t is a backward difference and
+t^-1 a prefix sum.  No division is left, and every p_S has integer
+u-coefficients because the recursion only adds integer multiples of them.
+``compute_ps_family`` gives the derivation and the overflow bounds; a p_S
+is expanded back to t only when it is read, so ``hilbert_series_J``
+converts only the top polynomial.
 
 Everything else that works mod a power of 1 - t works in u as well:
 ``is_series_difference_polynomial`` reduces by truncating u-coefficients
 (``poly_mod_one_minus_t_pow``), and the Hilbert polynomial of
 numerator/(1-t)^n is read off the numerator's first n u-coefficients, one
-binomial C(d + r, r) each.
+binomial C(d + r, r) each, summed as integer polynomials scaled by (n-1)!.
 
 Every value here but the Hilbert polynomial is an integer, and ``QPoly``
 stores integral coefficients as ints: p_S, the numerator, the Betti
 numbers, the graded dimensions and the transversal forms never become
-``Fraction``.  Only the Hilbert polynomial's factors 1/r do.
+``Fraction``; the Hilbert polynomial's coefficients are integers / (n-1)!.
 
 The series of the intersection ideal I is deliberately absent: it is not
 determined by the dimension function alone, so it is only available through
@@ -46,7 +46,6 @@ from .arrangement import DimensionFunction
 from .linalg import INT64_SAFE
 from .ratpoly import (
     ONE,
-    ZERO,
     QPoly,
     Scalar,
     expand_rational,
@@ -94,17 +93,6 @@ class PSFamily:
         return self.p(len(self._polys) - 1)
 
 
-def _t_inverse_power(e: int, n: int) -> np.ndarray:
-    """T_e: multiplication by t^-e = (1-u)^-e on u-coefficient vectors of
-    length n, as the lower-triangular Toeplitz matrix C(i-j+e-1, e-1) of
-    Python ints."""
-    col = [math.comb(j + e - 1, e - 1) for j in range(n)]
-    out = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        out[i, : i + 1] = col[i::-1]
-    return out
-
-
 def _zeta(f: np.ndarray, m: int) -> None:
     """In place: f[S] <- sum of f[X] over X subset of S (rows are masks)."""
     n = f.shape[1]
@@ -113,30 +101,34 @@ def _zeta(f: np.ndarray, m: int) -> None:
         view[:, 1] += view[:, 0]
 
 
+def _peak(a: np.ndarray) -> int:
+    return int(np.max(np.abs(a)))
+
+
 def compute_ps_family(d: DimensionFunction) -> PSFamily:
     """Solve the defining congruences for all p_S, one cardinality at a time.
 
     For nonempty S with subset codimension c_S, p_S is the unique polynomial
     of degree < c_S with sum over X subsets of S of (-t)^|X| p_X divisible by
-    (1-t)^{c_S}.  Multiplying by (-t)^-|S| (t is a unit mod (1-t)^{c_S}):
+    (1-t)^{c_S}.  Dividing by (-t)^s, s = |S| (t is a unit mod (1-t)^{c_S}):
 
-        p_S = -sum_{k<|S|} (-1)^{|S|-k} t^{-(|S|-k)} z_k(S)  mod (1-t)^{c_S},
-        z_k(S) = sum of p_X over X subset of S with |X| = k.
+        p_S = -(-t)^-s a(S)  mod (1-t)^{c_S},
+        a(S) = sum of (-t)^|X| p_X over X strictly inside S.
 
-    In the basis u = 1 - t every p_S has integer coefficients, "mod u^c" is
-    truncation to c terms and t^-e = (1-u)^-e = sum_j C(j+e-1, e-1) u^j, so
-    t^-e acts on length-n coefficient vectors as a lower-triangular Toeplitz
-    matrix T_e.  Once layer k (all |X| = k) is known, z_k is its zeta
-    transform over all 2^m masks (the ranked transform of Bjorklund,
-    Husfeldt, Kaski and Koivisto, "Fourier meets Mobius: fast subset
-    convolution", STOC 2007), and each later layer s accumulates
-    (-1)^{s-k} T_{s-k} z_k.  The cost is O(m 2^m n (m + n)) integer
-    operations, vectorised over masks.
+    All the work is on length-n rows of u-coefficients mod u^n, u = 1 - t:
+    t is a backward difference and t^-1 = sum_j u^j a prefix sum.  Layer k
+    (all |X| = k) takes k differences, and their zeta transform over all
+    2^m masks (the ranked transform of Bjorklund, Husfeldt, Kaski and
+    Koivisto, "Fourier meets Mobius: fast subset convolution", STOC 2007)
+    adds its share of a(S) for every S at once; layer s = k + 1 then has
+    all of a, and s prefix sums and truncation to c_S terms give p_S.  The
+    cost is O(m^2 2^m n) integer operations, vectorised over masks.
 
-    Arrays are int64 while the bound checked before each layer holds:
-    |z_k(S)| <= C(s, k) max|p_X| for |S| = s, and T_e's row sums are at most
-    C(n-1+e, e), so the accumulator of layer s never exceeds
-    sum_k C(s, k) C(n-1+s-k, s-k) max_{|X|=k} |p_X|.  Past 2^62 the same
+    Arrays are int64 while two bounds, measured before each step, stay
+    below 2^62: max|a| + C(m, k) 2^k max|p_X| before layer k's differences
+    (a zeta row sums at most C(m, k) rows, a difference at most doubles
+    one), and C(n-1+s, s) max|a(S)| over |S| = s before the prefix sums
+    (their weights total at most that binomial).  Past either the same
     code continues on object arrays of Python ints.  Invalid tables never
     reach this point: ``DimensionFunction`` rejects them.
     """
@@ -151,24 +143,24 @@ def compute_ps_family(d: DimensionFunction) -> PSFamily:
     kept = np.arange(n) < codims[:, None]
     p = np.zeros((size, n), dtype=np.int64)
     p[0, 0] = 1
-    acc = np.zeros_like(p)
-    toeplitz = [None] + [_t_inverse_power(e, n) for e in range(1, m + 1)]
-    bound = [0] * (m + 1)
+    a = np.zeros_like(p)
     for k in range(m):
-        top = int(np.max(np.abs(p[layers[k]])))
-        for s in range(k + 1, m + 1):
-            bound[s] += math.comb(s, k) * math.comb(n - 1 + s - k, s - k) * top
-        if p.dtype != object and max(bound) >= INT64_SAFE:
-            p, acc = p.astype(object), acc.astype(object)
+        if _peak(a) + math.comb(m, k) * 2**k * _peak(p[layers[k]]) >= INT64_SAFE:
+            p, a = p.astype(object, copy=False), a.astype(object, copy=False)
+        q = p[layers[k]]
+        for _ in range(k):
+            q[:, 1:] -= q[:, :-1]
         z = np.zeros_like(p)
-        z[layers[k]] = p[layers[k]]
+        z[layers[k]] = -q if k % 2 else q
         _zeta(z, m)
-        for s in range(k + 1, m + 1):
-            # T's entries are at most bound[s], so the cast is exact
-            step = z[layers[s]] @ toeplitz[s - k].astype(p.dtype).T
-            acc[layers[s]] += step if (s - k) % 2 == 0 else -step
-        nxt = layers[k + 1]
-        p[nxt] = np.where(kept[nxt], -acc[nxt], 0)
+        a += z
+        s, nxt = k + 1, layers[k + 1]
+        if math.comb(n - 1 + s, s) * _peak(a[nxt]) >= INT64_SAFE:
+            p, a = p.astype(object, copy=False), a.astype(object, copy=False)
+        r = a[nxt]
+        for _ in range(s):
+            r = np.cumsum(r, axis=1)
+        p[nxt] = np.where(kept[nxt], r if s % 2 else -r, 0)
     return PSFamily(p)
 
 
@@ -366,17 +358,22 @@ def hilbert_polynomial_from_numerator(numerator: QPoly, n: int) -> HilbertPolyno
 
     With numerator = sum_k b_k u^k in u = 1 - t, the terms k >= n are
     polynomials in t and the term b_k u^k / u^n has coefficient
-    C(d + n-1-k, n-1-k) at t^d, so the polynomial is the sum over k < n of
-    b_k C(d + r, r), r = n-1-k, built up as C(d + r, r) =
-    C(d + r-1, r-1) (d + r)/r.
+    C(d + r, r) = (d + 1) ... (d + r) / r! at t^d, r = n-1-k.  Scaled by
+    (n-1)! the sum over k < n has the integer-weighted terms
+    b_k ((n-1)!/r!) (d + 1) ... (d + r), the product built one factor at a
+    time; each coefficient is divided by (n-1)! once at the end.
     """
     if n < 1:
         raise ValueError("ambient dimension must be at least 1")
     b = substitute_one_minus_t(numerator)
-    total = ZERO
-    binomial = ONE
+    denominator = scale = math.factorial(n - 1)
+    product = [1]
+    total = [0] * n
     for r in range(n):
         if r:
-            binomial = binomial * QPoly.of(r, 1) * Fraction(1, r)
-        total = total + binomial * b.coeff(n - 1 - r)
-    return HilbertPolynomial(total)
+            scale //= r
+            product = [x * r + y for x, y in zip(product + [0], [0] + product)]
+        weight = b.coeff(n - 1 - r) * scale
+        for i, c in enumerate(product):
+            total[i] += weight * c
+    return HilbertPolynomial(QPoly(Fraction(c, denominator) for c in total))

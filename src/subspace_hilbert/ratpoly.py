@@ -10,9 +10,9 @@ coefficients of t^0 .. t^order.  All arithmetic is exact.
 
 ``QPoly`` has no division.  The only divisor the package needs is a power of
 1 - t, and in the basis u = 1 - t (``substitute_one_minus_t``, its own
-inverse) reducing mod (1-t)^k is truncation to the first k coefficients;
-dividing a series by 1 - t is a prefix sum and multiplying by it a backward
-difference.
+inverse) reducing mod (1-t)^k is truncation to the first k coefficients.
+Multiplying by 1 - t is a backward difference (one Horner step of the
+change of basis) and dividing a series by it a prefix sum.
 """
 
 from __future__ import annotations
@@ -158,14 +158,15 @@ def binom(a: int, b: int) -> int:
 
 
 def substitute_one_minus_t(p: QPoly) -> QPoly:
-    """p(1-t), expanded: the coefficient of t^k is (-1)^k sum_{j>=k} C(j, k) p_j.
-    Applying it twice gives back p, so it also maps t-coefficients to
-    u-coefficients, u = 1 - t, and back."""
-    c = p.coeffs
-    return QPoly(
-        (-1) ** k * sum(math.comb(j, k) * c[j] for j in range(k, len(c)))
-        for k in range(len(c))
-    )
+    """p(1-t), expanded by Horner's rule in 1 - t: each step multiplies the
+    running polynomial by 1 - t (a backward difference) and adds the next
+    coefficient.  Applying it twice gives back p, so it also maps
+    t-coefficients to u-coefficients, u = 1 - t, and back."""
+    acc: list = []
+    for c in reversed(p.coeffs):
+        acc = [x - y for x, y in zip(acc + [0], [0] + acc)]
+        acc[0] += c
+    return QPoly(acc)
 
 
 def poly_mod_one_minus_t_pow(p: QPoly, k: int) -> QPoly:

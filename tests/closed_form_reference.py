@@ -22,8 +22,10 @@ ints, and ``int / int`` is a float, so the only divisions of coefficients,
 in ``poly_divmod`` and ``series_divide``, go through ``Fraction``.
 
 The package reduces mod (1-t)^k and reads Hilbert polynomials in the basis
-u = 1 - t.  The references here work in t: ``poly_divmod`` is polynomial long
-division, ``reference_poly_mod_one_minus_t_pow`` its remainder by (1-t)^k,
+u = 1 - t, and changes to it by Horner's rule.  The references here work in
+t: ``reference_substitute_one_minus_t`` expands p(1-t) by the binomial
+theorem, ``poly_divmod`` is polynomial long division,
+``reference_poly_mod_one_minus_t_pow`` its remainder by (1-t)^k,
 ``reference_hilbert_polynomial`` a sum of shifted binomial polynomials, one
 per numerator term, and ``reference_fit_numerator`` a product with (1-t)^n.
 
@@ -54,7 +56,6 @@ from subspace_hilbert.ratpoly import (
     T,
     binom,
     poly_mod_one_minus_t_pow,
-    substitute_one_minus_t,
 )
 
 ONE_MINUS_T = ONE - T
@@ -249,6 +250,16 @@ def poly_divmod(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly]:
     return QPoly(quot), QPoly(rem)
 
 
+def reference_substitute_one_minus_t(p: QPoly) -> QPoly:
+    """p(1-t) by the binomial theorem: the coefficient of t^k is
+    (-1)^k sum_{j>=k} C(j, k) p_j."""
+    c = p.coeffs
+    return QPoly(
+        (-1) ** k * sum(math.comb(j, k) * c[j] for j in range(k, len(c)))
+        for k in range(len(c))
+    )
+
+
 def reference_poly_mod_one_minus_t_pow(p: QPoly, k: int) -> QPoly:
     """Remainder of p under long division by (1-t)^k."""
     if k < 0:
@@ -340,8 +351,8 @@ def reference_ps_family(d: DimensionFunction) -> PSFamily:
     For nonempty S, sum over X subset of S of (-t)^|X| p_X must vanish mod
     (1-t)^{c_S}; the known part is multiplied by the inverse of (-t)^|S|.
     The family is handed over as ``PSFamily`` takes it, in u = 1 - t
-    (``substitute_one_minus_t`` is an involution); a coefficient that is
-    not an integer raises ArithmeticError.
+    (substituting 1 - t is an involution); a coefficient that is not an
+    integer raises ArithmeticError.
     """
     m = d.num_subspaces
     polys: list[QPoly] = [ONE] * (1 << m)
@@ -361,7 +372,7 @@ def reference_ps_family(d: DimensionFunction) -> PSFamily:
         )
     rows = []
     for poly in polys:
-        u = substitute_one_minus_t(poly).coeffs
+        u = reference_substitute_one_minus_t(poly).coeffs
         if any(c.denominator != 1 for c in u):
             raise ArithmeticError(f"p_S has non-integer u-coefficients {u}")
         rows.append([int(c) for c in u] + [0] * (d.ambient_dim - len(u)))
@@ -513,7 +524,7 @@ def reference_recover_codimensions(
             f"binomial-basis coefficients {a.coeffs} are not integers"
         )
     b = reference_poly_mod_one_minus_t_pow(a, n)
-    product = truncate(substitute_one_minus_t(b), n - 1)
+    product = truncate(reference_substitute_one_minus_t(b), n - 1)
     if product.coeff(0) != 1:
         raise InconsistentDataError("series constant term is not 1")
     multiplicities = []

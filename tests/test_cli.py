@@ -285,6 +285,23 @@ class TestAnalyzeCommand:
             "", f"error: {where}: an integer with more than {limit} digits\n"
         )
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_report_number_past_the_digit_limit(self, tmp_path, capsys, flags):
+        # the origin's Hilbert polynomial C(d + n-1, n-1) has denominator
+        # (n-1)!, 642 digits at n = 312, past the lowest limit the
+        # interpreter accepts; the error names the report field
+        path = write_json(tmp_path, "origin.json", {"n": 312, "subspaces": [[]]})
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code = main(["analyze", *flags, path])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == EXIT_DATA
+        assert capsys.readouterr() == (
+            "", "error: hilbert_polynomial: an integer with more than 640 digits\n"
+        )
+
     def test_missing_file(self, capsys):
         assert main(["analyze", "/no/such/file.json"]) == EXIT_DATA
         assert "error:" in capsys.readouterr().err

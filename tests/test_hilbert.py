@@ -416,6 +416,21 @@ class TestHilbertPolynomial:
                 reference_hilbert_polynomial(numerator, n)
             )
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        coeffs=st.lists(
+            st.one_of(st.integers(-(2**70), 2**70), st.fractions(max_denominator=30)),
+            max_size=12,
+        ),
+        n=st.integers(1, 60),
+    )
+    def test_matches_shifted_binomial_reference_to_n_60(self, coeffs, n):
+        numerator = QPoly(coeffs)
+        hp = hilbert_polynomial_from_numerator(numerator, n)
+        ref = reference_hilbert_polynomial(numerator, n)
+        assert hp == ref
+        assert [type(c) for c in hp.coeffs.coeffs] == [type(c) for c in ref.coeffs.coeffs]
+
     def test_shifted_binomial_values(self):
         rng = random.Random(909)
         for _ in range(40):

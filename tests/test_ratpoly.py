@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subspace_hilbert.ratpoly import (
     ONE,
@@ -21,6 +23,7 @@ from closed_form_reference import (
     poly_divmod,
     reference_fit_numerator,
     reference_poly_mod_one_minus_t_pow,
+    reference_substitute_one_minus_t,
     series_divide,
     truncate,
 )
@@ -186,6 +189,18 @@ def test_substitute_one_minus_t_involution():
     for _ in range(100):
         p = random_poly(rng, 20)
         assert substitute_one_minus_t(substitute_one_minus_t(p)) == p
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    coeffs=st.lists(
+        st.one_of(st.integers(-(2**70), 2**70), st.fractions(max_denominator=30)),
+        max_size=80,
+    )
+)
+def test_substitute_one_minus_t_matches_binomial_sum(coeffs):
+    p = QPoly(coeffs)
+    assert substitute_one_minus_t(p) == reference_substitute_one_minus_t(p)
 
 
 def test_series_divide_examples():
