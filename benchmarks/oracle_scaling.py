@@ -9,8 +9,9 @@ common line.
   m = 2, 3, 4 (dimensions drawn from 0..4) and one pencil per m
   (``PENCILS``), and every d <= 8: the time of ``hilbert_table(arr, d)``,
   best of ``--repeat`` runs; for each degree how dim I_d closed ("bracket",
-  or "exact" by ``_kernel_dim``, the exact rank of the restriction blocks
-  in the adapted coordinates) and how dim J_d closed: "bracket" (L_J met
+  where L_J, the multiples of the last exact kernel or full column rank
+  met U_I, or "exact" by ``_kernel_dim``, the exact rank of the
+  restriction blocks in the adapted coordinates) and how dim J_d closed: "bracket" (L_J met
   dim I_d), "degree" (below m, where J_d = 0 < dim I_d), "jets" (from the
   first degree d >= m whose bracket stays open, where the jets along the
   flats start, on: L_J met U_J, ranked beside them by ``_ranks_mod_p``) or
@@ -19,7 +20,8 @@ common line.
   ``echelon_mod_p`` elimination; and the sha256 of the table to d = 8.
   These come from one extra, untimed call with those functions wrapped
   here (``closing``); an ``echelon_mod_p`` call made inside
-  ``_ranks_mod_p`` ranks the bracket and is not a J step.  On a tree from
+  ``_ranks_mod_p`` ranks the bracket, and one inside ``_kernel_leads``
+  finds the leading rows of an exact kernel: neither is a J step.  On a tree from
   before ``_ranks_mod_p`` the jets are seen through ``_product_bound`` and
   the blocks' rank through ``_rank_mod_p``, so both trees get the same
   labels.
@@ -155,7 +157,8 @@ def closing(arr) -> tuple[list[str], list[str], list[str], str]:
 
     def rank_spy(fn):
         # _ranks_mod_p(blocks, jets, p) ranks the jets where they have
-        # started; _rank_mod_p(blocks, p) is its one-rank predecessor
+        # started; _rank_mod_p(blocks, p) is its one-rank predecessor, and
+        # _kernel_leads(blocks, p) eliminates the blocks' transpose
         def wrapper(blocks, *rest):
             if len(rest) == 2 and rest[0]:
                 called["jets"].add(degree_of_rows[rest[0][0].shape[0]])
@@ -189,6 +192,7 @@ def closing(arr) -> tuple[list[str], list[str], list[str], str]:
         "dim_product_ideal": product_spy,
         "_ranks_mod_p": rank_spy,
         "_rank_mod_p": rank_spy,
+        "_kernel_leads": rank_spy,
         "_product_bound": bound_spy,
         "echelon_mod_p": elimination_spy,
     }

@@ -26,8 +26,22 @@ and where the two ends meet both values are exact.  The table works in
 coordinates (u, w) in which the largest subspace V_s is {w = 0}
 (``_adapted_coordinates``); there the block of V_s adds exactly c_s to the
 rank, over Q and over every GF(p), and only the other blocks are
-eliminated.  The product rank mostly closes by counting leading terms, as
-in the symbolic preprocessing of Faugere's F4 (``_leading_products``).
+eliminated.
+
+Both ideals are also bounded from below by chains of forms carried from
+degree to degree as their leading monomials alone, as in the symbolic
+preprocessing of Faugere's F4: reductions mod p of integer forms of an
+ideal with distinct leading monomials are independent mod p, so their
+lifts are independent over Q, and their number is at most the ideal's
+dimension.  The product chain multiplies by the forms of V_1, ..., V_m,
+then by x_1, ..., x_n (``_leading_products``); its rows are built, and
+eliminated, only in a degree whose count misses the rank.  The
+intersection chain starts from the leading rows of a kernel known exactly
+(``_kernel_leads``) and multiplies by x_1, ..., x_n (``_multiples``); I is
+generated in degrees <= m (Derksen and Sidman, "A sharp bound for the
+Castelnuovo-Mumford regularity of subspace arrangements", Adv. Math.
+2002), so above m the multiples span I_d over Q, and their count mostly
+meets the upper bound; soundness does not rest on that theorem.
 
 Where J and I differ in a degree d >= m (a pencil, say), J is closed from
 above by the lattice of flats F = V_A, as in the paper, where the series
@@ -376,33 +390,61 @@ def _ranks_mod_p(blocks: list[np.ndarray], jets: list[np.ndarray], p: int) -> tu
 
 
 def _leading_products(
-    residues: np.ndarray, forms: Sequence[Sequence[int]], n: int, e: int, p: int
-) -> tuple[list[np.ndarray], int]:
+    leads: np.ndarray, forms: Sequence[Sequence[int]], n: int, e: int, p: int
+) -> tuple[list[np.ndarray], int, np.ndarray]:
     """One product per leading column among the products f * b mod p of
     ``_times_forms``, found from leading terms without building them.
 
-    b runs over the rows of a degree-e residue matrix mod p and f over
-    forms; a row's leading column is its first nonzero entry.  The columns
-    run through the monomials in decreasing lex order, a monomial order,
-    and GF(p)[x] has no zero divisors, so the leading monomial of f * b mod
-    p is that of b times the leading variable of f mod p.  A zero row or a
-    form that vanishes mod p gives zero products, which have none.  Returns
-    the chosen products as ``_times_forms`` picks (for each form, the rows
-    it multiplies) and the number of nonzero products.  Rows with pairwise
-    distinct leading columns are independent, so the number chosen is a
-    lower bound on the rank of the products.
+    b runs over the rows of a degree-e span mod p, nonzero rows whose
+    leading columns (first nonzero entries) are leads, and f over forms.
+    The columns run through the monomials in decreasing lex order, a
+    monomial order, and GF(p)[x] has no zero divisors, so the leading
+    monomial of f * b mod p is that of b times the leading variable of f
+    mod p: ``_raise_degree_maps(n, e)[lead, var(f)]``.  A form that
+    vanishes mod p gives zero products, which have none.  Returns the
+    chosen products as ``_times_forms`` picks (for each form, the rows it
+    multiplies), the number of nonzero products, and the chosen products'
+    leading columns in the order ``_times_forms`` builds them from the
+    picks.  Rows with pairwise distinct leading columns are independent, so
+    the number chosen is a lower bound on the rank of the products.
     """
-    nonzero = residues != 0
-    leads = nonzero.argmax(axis=1)
-    variables = [next((j for j, c in enumerate(f) if c % p), -1) for f in forms]
+    variables = np.array(
+        [next((j for j, c in enumerate(f) if c % p), -1) for f in forms], dtype=np.intp
+    )
     columns = _raise_degree_maps(n, e)[leads][:, variables].T
-    columns[:, ~nonzero[np.arange(len(residues)), leads]] = -1
-    columns[np.array(variables) < 0] = -1
+    columns[variables < 0] = -1
     columns = columns.ravel()
     live = np.flatnonzero(columns >= 0)
-    _, first = np.unique(columns[live], return_index=True)
-    form, row = np.divmod(live[first], len(residues))
-    return [row[form == t] for t in range(len(forms))], len(live)
+    heads, first = np.unique(columns[live], return_index=True)
+    form, row = np.divmod(live[first], len(leads))
+    picks = [row[form == t] for t in range(len(forms))]
+    return picks, len(live), heads[np.argsort(form, kind="stable")]
+
+
+def _multiples(leads: np.ndarray, n: int, e: int) -> np.ndarray:
+    """The distinct leading columns of x_1, ..., x_n times degree-e forms
+    with leading columns leads: LM(x_j g) = x_j LM(g) in any monomial
+    order."""
+    return np.unique(_raise_degree_maps(n, e)[leads])
+
+
+def _kernel_leads(blocks: list[np.ndarray], p: int) -> np.ndarray:
+    """The leading rows of the left kernel mod p of the integer blocks
+    placed side by side, on one row or more: the rows that depend mod p on
+    the rows after them, in increasing order.
+
+    A kernel vector whose first nonzero entry is at row i writes row i in
+    terms of the rows after it, and such a relation is a kernel vector that
+    starts at row i.  Eliminating the transpose with its columns (the rows)
+    in reverse order, a column gets a pivot exactly when it is independent
+    of the columns before it, the later rows; the columns without a pivot
+    are the leads, one per dimension of the kernel.
+    """
+    reversed_rows = np.hstack(blocks).T[:, ::-1]
+    ech, _ = echelon_mod_p((reversed_rows % p).astype(np.int64, copy=False), p)
+    free = np.ones(reversed_rows.shape[1], dtype=bool)
+    free[(ech != 0).argmax(axis=1)] = False
+    return np.flatnonzero(free[::-1])
 
 
 def _flat_key(forms: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
@@ -522,7 +564,7 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
 
     Each degree is first bracketed by ranks mod PRIME:
 
-        L_J <= dim J_d <= U_J <= U_I,    dim J_d <= dim I_d <= U_I,
+        L_J <= dim J_d <= U_J <= U_I,    dim J_d, L_I <= dim I_d <= U_I,
 
     with U_I = h - rank_p(other restriction blocks on the h rows).  U_I >=
     dim I_d for every p, since c_s is exact and reducing an integer matrix
@@ -544,12 +586,12 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     L_J < dim I_d, and ranked beside the blocks in every degree after it;
     until then U_J is U_I and a table that never asks pays nothing.
 
-    When L_J = U_I both values are exact.  Otherwise dim I_d is U_I when
-    the other blocks have full column rank mod p (then rank_p is their
-    rank over Q), and h - ``certified_rank`` of the same blocks else
-    (``_kernel_dim``); dim J_d is L_J when it reaches that exact dim I_d or
-    U_J, and ``dim_product_ideal`` (on the arrangement as given) else.
-    Every value returned is exact.
+    dim I_d is U_I when L_J or L_I (below) meets it, or when the other
+    blocks have full column rank mod p (then rank_p is their rank over Q),
+    and h - ``certified_rank`` of the same blocks else (``_kernel_dim``);
+    dim J_d is L_J when it reaches that exact dim I_d or U_J, and
+    ``dim_product_ideal`` (on the arrangement as given) else.  Every value
+    returned is exact.
 
     L_J is rank_p of the products that span J_d over Q, carried mod p from
     degree to degree: J_d mod p is J_{d-1} mod p times the adapted forms of
@@ -557,18 +599,36 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     generated in degree m.  Any integer forms spanning the linear part of
     each I_i over Q would do: their products span J_d over Q, so rank_p <=
     dim J_d at every p.  The forms of the ``rref`` have distinct leading
-    variables, which spreads the leading monomials of the products.  Each
-    degree finds one product of the carried span with its forms per
-    leading monomial (``_leading_products``).  That count c is a lower
-    bound on rank_p of the products, and it is rank_p in two cases: when
-    every nonzero product has its own leading monomial, and, for d >= m,
-    when c meets U_J, since then c <= rank_p = L_J <= U_J = c.  Either
-    way the c chosen products, built alone (``_times_forms`` with picks)
-    and reduced mod p, are independent and as many as rank_p, so they span
-    what all the products span, and they are carried as the next span.
-    Any other degree builds all the products, reduces them mod p and
-    eliminates.  So L_J, and with it every fallback and every value, is
-    that of an elimination in every degree.
+    variables, which spreads the leading monomials of the products.  The
+    chain is carried as the leading columns of its span.  Each degree
+    finds one product of the span with its forms per leading monomial,
+    and those products' leading columns, from the span's leading columns
+    alone (``_leading_products``).  That count c is a lower bound on
+    rank_p of the products, and it is rank_p in two cases: when every
+    nonzero product has its own leading monomial, and, for d >= m, when c
+    meets U_J, since then c <= rank_p = L_J <= U_J = c.  Either way the c
+    chosen products are independent and as many as rank_p, so they span
+    what all the products span: their leading columns are the next span's,
+    and the degree keeps only its picks.  Any other degree, a miss, builds
+    the span: from the last span built it builds, with ``_times_forms``,
+    the picks of each counted degree since and reduces them mod p; then it
+    builds all the products, reduces them mod p and eliminates, and takes
+    the leading columns of the echelon.  So L_J, and with it every
+    fallback and every value, is that of an elimination in every degree,
+    and every matrix eliminated is the one that building the counted
+    products in every degree would eliminate.
+
+    L_I is carried the same way, from a degree where ``_kernel_dim`` ran
+    and returned U_I, so that rank_p there is the rank over Q.  The integer
+    points of the kernel over Q then form a direct summand of Z^h of rank
+    U_I, whose reductions fill the kernel mod p: every kernel vector mod p
+    is the reduction of a form in I_d, and the kernel's leading rows
+    (``_kernel_leads``) are leading monomials of such forms.  Every later
+    degree multiplies them by x_1, ..., x_n and keeps one product per
+    leading monomial (``_multiples``): reductions of forms in I with
+    distinct leading monomials, so L_I, their number, is at most dim I_d at
+    every p.  A degree where I still falls back to ``_kernel_dim`` and
+    gets U_I starts the chain again there.
 
     Refuses degrees whose monomial count exceeds the cap
     (``check_monomial_cap``).
@@ -584,7 +644,18 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     restrictions = [_substitutions(r, n, len(r), 1) for i, r in enumerate(rows) if i != s]
     # the chain multiplies by the forms of V_1, ..., V_m, then by x_1, ..., x_n
     coordinates = np.eye(n, dtype=np.int64).tolist()
-    span = np.ones((1, 1), dtype=np.int64)
+
+    def build(span, factor, e, picks=None):
+        products = _times_forms(span, factor, n, e, picks)
+        products %= p
+        return products.astype(np.int64, copy=False)
+
+    # the J chain: the leading columns of its span; the span as last built,
+    # of degree built; and the (factor, picks) of each counted degree since
+    leads_J = np.zeros(1, dtype=np.intp)
+    span, built, pending = np.ones((1, 1), dtype=np.int64), 0, []
+    # the I chain: leading columns of forms in I, from the last exact kernel
+    leads_I = None
     jets = None
     results = []
     for d in range(d_max + 1):
@@ -598,17 +669,26 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
         upper_J = h - rank_J if d >= m else 0
         if d:
             factor = forms[d - 1] if d <= m else coordinates
-            picks, nonzero = _leading_products(span, factor, n, d - 1, p)
-            chosen = sum(map(len, picks))
-            counted = chosen == nonzero or (d >= m and chosen == upper_J)
-            products = _times_forms(span, factor, n, d - 1, picks if counted else None)
-            products %= p
-            span = products.astype(np.int64, copy=False)
-            if not counted:
-                span = echelon_mod_p(span, p)[0]
-        lower_J = len(span) if d >= m else 0
-        exact_I = lower_J == upper_I or rank_I == ncols
-        dim_I = upper_I if exact_I else _kernel_dim(h, blocks)
+            picks, nonzero, heads = _leading_products(leads_J, factor, n, d - 1, p)
+            if len(heads) == nonzero or (d >= m and len(heads) == upper_J):
+                leads_J = heads
+                pending.append((factor, picks))
+            else:
+                for e, (f, pick) in enumerate(pending, built):
+                    span = build(span, f, e, pick)
+                span = echelon_mod_p(build(span, factor, d - 1), p)[0]
+                leads_J = (span != 0).argmax(axis=1)
+                built, pending = d, []
+            if leads_I is not None:
+                leads_I = _multiples(leads_I, n, d - 1)
+        lower_J = len(leads_J) if d >= m else 0
+        lower_I = 0 if leads_I is None else len(leads_I)
+        if max(lower_J, lower_I) == upper_I or rank_I == ncols:
+            dim_I = upper_I
+        else:
+            dim_I = _kernel_dim(h, blocks)
+            if dim_I == upper_I:
+                leads_I = np.flatnonzero(kept)[_kernel_leads(blocks, p)]
         if lower_J < dim_I and d >= m and jets is None:
             jets = islice(_flat_jets(forms, n), d, None)
             upper_J = h - _ranks_mod_p(blocks, [j[kept] for j in next(jets)], p)[1]

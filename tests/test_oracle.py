@@ -599,9 +599,10 @@ class TestCertifiedTable:
     @pytest.mark.parametrize(
         "name, exact_I, exact_J",
         [
-            # I and J differ in every positive degree: I falls back, J closes
-            # by the jet bound from m on and is 0 below
-            ("three-pencil-planes", [1, 2, 3, 4, 5], []),
+            # I and J differ in every positive degree: J closes by the jet
+            # bound from m on and is 0 below; I falls back where the
+            # multiples of the last exact kernel fall short of U_I
+            ("three-pencil-planes", [1, 3], []),
             # full column rank certifies I below m, where J is 0
             ("three-coordinate-axes", [], []),
         ],
@@ -613,7 +614,7 @@ class TestCertifiedTable:
     @pytest.mark.parametrize(
         "name, exact_I, exact_J",
         [
-            ("three-pencil-planes", [1, 2, 3, 4, 5], [3, 4, 5]),
+            ("three-pencil-planes", [1, 3], [3, 4, 5]),
             ("three-coordinate-axes", [], []),
         ],
     )
@@ -1027,7 +1028,7 @@ def _first_nonzero(m: np.ndarray) -> list[int]:
 @st.composite
 def spans_and_forms(draw):
     """A prime p, a degree-e residue matrix mod p over the monomials in n
-    variables, some rows zero, and integer forms, some of them p times a
+    variables with nonzero rows, and integer forms, some of them p times a
     form (so they vanish mod p) and some zero."""
     p = draw(st.sampled_from([2, 3, 7, 2**31 - 1]))
     n, e = draw(st.integers(1, 4)), draw(st.integers(0, 3))
@@ -1038,40 +1039,80 @@ def spans_and_forms(draw):
     forms = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
                           min_size=1, max_size=3))
     scales = draw(st.lists(st.sampled_from([1, p]), min_size=len(forms), max_size=len(forms)))
-    return p, n, e, span, [[c * s for c in f] for f, s in zip(forms, scales)]
+    return p, n, e, span[span.any(axis=1)], [[c * s for c in f] for f, s in zip(forms, scales)]
+
+
+def materialized_chain(arr: Arrangement, d_max: int, p: int):
+    """The GF(p) spans of ``hilbert_table``'s J chain in degrees 0..d_max,
+    every degree's products built, reduced mod p and eliminated: the
+    reference for the leading columns the table carries instead."""
+    n, m = arr.ambient_dim, arr.num_subspaces
+    forms = _adapted_coordinates(arr)[3]
+    span = np.ones((1, 1), dtype=np.int64)
+    yield span
+    for d in range(1, d_max + 1):
+        factor = forms[d - 1] if d <= m else np.eye(n, dtype=np.int64).tolist()
+        products = (_times_forms(span, factor, n, d - 1) % p).astype(np.int64)
+        span = echelon_mod_p(products, p)[0]
+        yield span
+
+
+def spied_eliminations(mp, records: list) -> None:
+    """Record a copy of every matrix ``hilbert_table`` eliminates in a J
+    step: every ``echelon_mod_p`` call outside the bracket's
+    ``_ranks_mod_p`` and the kernel leads' ``_kernel_leads``."""
+    eliminate, inside = oracle.echelon_mod_p, [False]
+
+    def helper_spy(fn):
+        def wrapper(*args):
+            inside[0] = True
+            try:
+                return fn(*args)
+            finally:
+                inside[0] = False
+
+        return wrapper
+
+    def spy(matrix, p):
+        if not inside[0]:
+            records.append(matrix.copy())
+        return eliminate(matrix, p)
+
+    for name in ("_ranks_mod_p", "_kernel_leads"):
+        mp.setattr(oracle, name, helper_spy(getattr(oracle, name)))
+    mp.setattr(oracle, "echelon_mod_p", spy)
 
 
 class TestLeadingTerms:
     @pytest.mark.parametrize("p", [2, 3])
     def test_products_vanishing_mod_p_are_never_counted(self, p):
         # the first form is p times an integer form: all its products vanish
-        # mod p, and a zero row counted at column 0 would come first
+        # mod p, and one counted at its first variable would come first
         n, e = 3, 2
-        span = np.eye(len(monomial_basis(n, e)), dtype=np.int64)
+        leads = np.arange(len(monomial_basis(n, e)))
         forms = [[p, 2 * p, -p], [0, 1, p + 1]]
-        picks, nonzero = _leading_products(span, forms, n, e, p)
-        assert [pick.tolist() for pick in picks] == [[], list(range(len(span)))]
-        assert nonzero == len(span)
-        picks, nonzero = _leading_products(span, forms[:1], n, e, p)
-        assert [pick.tolist() for pick in picks] == [[]] and nonzero == 0
-        # zero rows of the span give zero products too
-        picks, nonzero = _leading_products(0 * span, forms, n, e, p)
-        assert [pick.tolist() for pick in picks] == [[], []] and nonzero == 0
+        picks, nonzero, heads = _leading_products(leads, forms, n, e, p)
+        assert [pick.tolist() for pick in picks] == [[], leads.tolist()]
+        assert nonzero == len(leads)
+        assert heads.tolist() == oracle._raise_degree_maps(n, e)[:, 1].tolist()
+        picks, nonzero, heads = _leading_products(leads, forms[:1], n, e, p)
+        assert [pick.tolist() for pick in picks] == [[]] and nonzero == 0 and heads.size == 0
 
     @settings(max_examples=300, deadline=None)
     @given(spans_and_forms())
     def test_count_matches_the_products_and_bounds_their_rank(self, case):
         p, n, e, span, forms = case
-        picks, nonzero = _leading_products(span, forms, n, e, p)
+        leads = np.array(_first_nonzero(span), dtype=np.intp)
+        picks, nonzero, heads = _leading_products(leads, forms, n, e, p)
         chosen = np.array(
             [t * len(span) + i for t, pick in enumerate(picks) for i in pick], dtype=np.intp
         )
         products = (_times_forms(span, forms, n, e) % p).astype(np.int64)
         live = products.any(axis=1)
         assert nonzero == live.sum() and live[chosen].all()
-        heads = _first_nonzero(products[chosen])
-        assert len(set(heads)) == len(heads)
-        assert set(heads) == set(_first_nonzero(products[live]))
+        assert _first_nonzero(products[chosen]) == heads.tolist()
+        assert len(set(heads.tolist())) == len(heads)
+        assert set(heads.tolist()) == set(_first_nonzero(products[live]))
         assert _rank_p(products[chosen], p) == len(chosen) <= _rank_p(products, p)
         picked = _times_forms(span, forms, n, e, picks)
         assert picked.tolist() == _times_forms(span, forms, n, e)[chosen].tolist()
@@ -1104,7 +1145,7 @@ class TestLeadingTerms:
             # nothing counted: every degree eliminates, apart from those
             # with U_I = 0, where the rank is 0 either way
             mp.setattr(oracle, "_leading_products",
-                       lambda span, forms, *args: ([np.arange(0)] * len(forms), 1))
+                       lambda leads, forms, *args: ([np.arange(0)] * len(forms), 1, np.arange(0)))
             eliminated = table_and_fallbacks(mp)
         assert counted == eliminated
 
@@ -1114,43 +1155,172 @@ class TestLeadingTerms:
     def test_products_of_the_forms_stay_below_dim_J(self, p, arr):
         # the adapted forms span each linear part over Q, whatever p: the
         # rank mod p of the chain's products, L_J, never passes dim J_d
-        n, m = arr.ambient_dim, arr.num_subspaces
-        forms = _adapted_coordinates(arr)[3]
-        span = np.ones((1, 1), dtype=np.int64)
-        for d in range(1, m + 3):
-            factor = forms[d - 1] if d <= m else np.eye(n, dtype=np.int64).tolist()
-            products = (_times_forms(span, factor, n, d - 1) % p).astype(np.int64)
-            span = echelon_mod_p(products, p)[0]
+        m = arr.num_subspaces
+        for d, span in enumerate(materialized_chain(arr, m + 2, p)):
             if d >= m:
                 assert len(span) <= dim_product_ideal(arr, (1 << m) - 1, d)
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 2**31 - 1])
+    @settings(max_examples=40, deadline=None)
+    @given(arr=st.one_of(arrangements(), arrangements_with_ties()))
+    def test_carried_leads_are_those_of_the_materialized_chain(self, p, arr):
+        # the leads the table carries in degree d, seen as they enter the
+        # count of degree d + 1, are the leading monomials of the span the
+        # chain builds by eliminating every degree: both span the products
+        d_max = arr.num_subspaces + 2
+        carried = {}
+        leading_products = oracle._leading_products
+
+        def spy(leads, forms, n, e, p):
+            carried[e] = sorted(leads.tolist())
+            return leading_products(leads, forms, n, e, p)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "PRIME", p)
+            mp.setattr(oracle, "_leading_products", spy)
+            hilbert_table(arr, d_max + 1)
+        spans = materialized_chain(arr, d_max, p)
+        assert carried == {d: _first_nonzero(span) for d, span in enumerate(spans)}
+
+    @pytest.mark.parametrize(
+        "arr, miss",
+        [
+            (fixture_arrangement("three-coordinate-axes"), 2),
+            (fixture_arrangement("three-coordinate-axes"), 5),
+            (arrangement_kinds.pencil(5, [3, 2], 20261018), 5),
+        ],
+        ids=["three-coordinate-axes below m", "three-coordinate-axes", "Q^5 pencil [3,2]"],
+    )
+    def test_a_miss_builds_the_counted_picks_then_every_product(self, monkeypatch, arr, miss):
+        # dropping one chosen product makes the count of degree `miss` miss
+        # after counted degrees; only then are products built: the counted
+        # degrees' picks from the unit span, whose rows lead with the
+        # carried columns, then all products of degree `miss`, eliminated
+        n, m, d_max = arr.ambient_dim, arr.num_subspaces, miss + 1
+        expected = hilbert_table(arr, d_max)
+        steps, built, eliminated = {}, [], []
+        leading_products, times_forms = oracle._leading_products, oracle._times_forms
+
+        def count_spy(leads, forms, n, e, p):
+            picks, nonzero, heads = leading_products(leads, forms, n, e, p)
+            if e + 1 == miss:
+                t = max(t for t, pick in enumerate(picks) if len(pick))
+                picks[t], heads = picks[t][:-1], heads[:-1]
+            steps[e + 1] = forms, picks, heads, leads
+            return picks, nonzero, heads
+
+        def build_spy(basis, forms, n, e, picks=None):
+            built.append((e + 1, picks is not None))
+            return times_forms(basis, forms, n, e, picks)
+
+        monkeypatch.setattr(oracle, "_leading_products", count_spy)
+        monkeypatch.setattr(oracle, "_times_forms", build_spy)
+        spied_eliminations(monkeypatch, eliminated)
+        assert hilbert_table(arr, d_max) == expected
+        assert built == [(d, d < miss) for d in range(1, miss + 1)]
+        p, span = oracle.PRIME, np.ones((1, 1), dtype=np.int64)
+        for d in range(1, miss):
+            forms, picks, heads, _ = steps[d]
+            span = (_times_forms(span, forms, n, d - 1, picks) % p).astype(np.int64)
+            assert _first_nonzero(span) == heads.tolist()
+        full = (_times_forms(span, steps[miss][0], n, miss - 1) % p).astype(np.int64)
+        assert len(eliminated) == 1 and eliminated[0].dtype == full.dtype
+        assert np.array_equal(eliminated[0], full)
+        assert steps[miss + 1][3].tolist() == _first_nonzero(echelon_mod_p(full, p)[0])
 
     @pytest.mark.parametrize("name", ["three-coordinate-axes", "three-coplanar-lines"])
     def test_transversal_degrees_above_m_close_by_count(self, monkeypatch, name):
         arr = fixture_arrangement(name)
         n, m, d_max = arr.ambient_dim, arr.num_subspaces, 7
         degree_of = {len(monomial_basis(n, d)): d for d in range(d_max + 1)}
-        ranks_mod_p, eliminate = oracle._ranks_mod_p, oracle.echelon_mod_p
-        in_rank, j_steps = [False], []
-
-        def rank_spy(blocks, jets, p):
-            in_rank[0] = True
-            try:
-                return ranks_mod_p(blocks, jets, p)
-            finally:
-                in_rank[0] = False
-
-        def spy(matrix, p):
-            if not in_rank[0]:
-                j_steps.append(degree_of[matrix.shape[1]])
-            return eliminate(matrix, p)
-
-        monkeypatch.setattr(oracle, "_ranks_mod_p", rank_spy)
-        monkeypatch.setattr(oracle, "echelon_mod_p", spy)
+        eliminated = []
+        spied_eliminations(monkeypatch, eliminated)
         table = hilbert_table(arr, d_max)
         assert [r.dim_J for r in table[m:]] == [
             transversal_hilbert_function([2, 2, 2], n, d) for d in range(m, d_max + 1)
         ]
-        assert [d for d in j_steps if d > m] == []
+        assert [d for d in (degree_of[e.shape[1]] for e in eliminated) if d > m] == []
+
+
+def _rank_of_rows(rows: np.ndarray, p: int) -> int:
+    return _rank_by_rows([rows], p) if len(rows) else 0
+
+
+class TestIntersectionChain:
+    @settings(max_examples=100, deadline=None)
+    @given(blocks_and_jets())
+    def test_kernel_leads_are_the_rows_that_depend_on_later_rows(self, case):
+        # the table asks only where U_I > 0, so on at least one row
+        p, blocks, jets = case
+        assume(blocks + jets and len(blocks[0] if blocks else jets[0]))
+        rows = np.hstack(blocks + jets)
+        expected = [
+            i for i in range(len(rows))
+            if _rank_of_rows(rows[i:], p) == _rank_of_rows(rows[i + 1 :], p)
+        ]
+        assert oracle._kernel_leads(blocks + jets, p).tolist() == expected
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 2**31 - 1])
+    @settings(max_examples=30, deadline=None)
+    @given(arr=st.one_of(arrangements_with_ties(), pencils()))
+    def test_lead_counts_stay_below_dim_I(self, p, arr):
+        # wherever the I chain is live, started at an exact kernel or raised
+        # by x_1, ..., x_n since, its lead count never passes dim I_d; at a
+        # start it is dim I_d
+        m, d_max = arr.num_subspaces, arr.num_subspaces + 3
+        degree_of = degrees_by_kept_rows(arr, d_max)
+        counts = []
+        kernel_leads, multiples = oracle._kernel_leads, oracle._multiples
+
+        def start_spy(blocks, p):
+            leads = kernel_leads(blocks, p)
+            counts.append((degree_of[blocks[0].shape[0]], len(leads), True))
+            return leads
+
+        def raise_spy(leads, n, e):
+            raised = multiples(leads, n, e)
+            counts.append((e + 1, len(raised), False))
+            return raised
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "PRIME", p)
+            mp.setattr(oracle, "_kernel_leads", start_spy)
+            mp.setattr(oracle, "_multiples", raise_spy)
+            table = hilbert_table(arr, d_max)
+        full = (1 << m) - 1
+        for d, count, start in counts:
+            assert count <= dim_intersection_ideal(arr, full, d) == table[d].dim_I
+            assert count == table[d].dim_I or not start
+
+    @pytest.mark.parametrize(
+        "arr, d_max",
+        [(fixture_arrangement(name), 9) for name in fixture_names()]
+        + [
+            (arrangement_kinds.pencil(n, dims, seed), d_max)
+            for n, dims, seed, d_max in [
+                (3, [1, 2, 1], 11, 9),
+                (4, [2, 1, 3], 12, 9),
+                (4, [3, 3, 2, 1], 13, 12),
+                (5, [3, 1, 2, 3], 14, 10),
+                (5, [2, 2, 2, 2], 15, 9),
+            ]
+        ],
+        ids=list(fixture_names()) + ["Q^3 pencil", "Q^4 pencil", "Q^4 pencil m=4",
+                                     "Q^5 pencil [3,1,2,3]", "Q^5 pencil [2,2,2,2]"],
+    )
+    def test_no_exact_kernel_above_m(self, monkeypatch, arr, d_max):
+        # I is generated in degrees <= m, so x_1, ..., x_n times the kernel
+        # of an exact degree fill every later degree at 2^31 - 1
+        degree_of = degrees_by_kept_rows(arr, d_max)
+        kernel_dim, calls = oracle._kernel_dim, []
+
+        def spy(rows, blocks):
+            calls.append(degree_of[rows])
+            return kernel_dim(rows, blocks)
+
+        monkeypatch.setattr(oracle, "_kernel_dim", spy)
+        hilbert_table(arr, d_max)
+        assert [d for d in calls if d > arr.num_subspaces] == []
 
 
 def _package_dependencies(module: str) -> set[str]:

@@ -30,11 +30,12 @@ def recorded_digests(case: str) -> set[str]:
     "arr, case, I, J, steps",
     [
         # a 3-space and a plane through a common line in Q^5: I and J differ
-        # from degree 1 on, J_1 = 0 and J closes by the jets from m = 2 on
+        # from degree 1 on, J_1 = 0 and J closes by the jets from m = 2 on;
+        # I takes exact kernels up to m, and their multiples close it above
         (
             arrangement_kinds.pencil(5, [3, 2], oracle_scaling.SEED),
             "m=2 pencil",
-            ["bracket"] + ["exact"] * 8,
+            ["bracket"] + ["exact"] * 2 + ["bracket"] * 6,
             ["bracket", "degree"] + ["jets"] * 7,
             ["none"] + ["count"] * 8,
         ),
