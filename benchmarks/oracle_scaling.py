@@ -8,23 +8,30 @@ common line.
 - **Per degree.**  For ``INSTANCES`` random arrangements in Q^5 for each
   m = 2, 3, 4 (dimensions drawn from 0..4) and one pencil per m
   (``PENCILS``), and every d <= 8: the time of ``hilbert_table(arr, d)``,
-  best of ``--repeat`` runs; for each degree how dim I_d closed ("bracket",
-  where L_J, the multiples of the last exact kernel or full column rank
-  met U_I, or "exact" by ``_kernel_dim``, the exact rank of the
-  restriction blocks in the adapted coordinates) and how dim J_d closed: "bracket" (L_J met
-  dim I_d), "degree" (below m, where J_d = 0 < dim I_d), "jets" (from the
-  first degree d >= m whose bracket stays open, where the jets along the
-  flats start, on: L_J met U_J, ranked beside them by ``_ranks_mod_p``) or
-  "exact" (``dim_product_ideal``); whether the GF(p) product span of
-  degree d >= 1 ("J step") was closed by counting leading terms or took an
-  ``echelon_mod_p`` elimination; and the sha256 of the table to d = 8.
-  These come from one extra, untimed call with those functions wrapped
-  here (``closing``); an ``echelon_mod_p`` call made inside
-  ``_ranks_mod_p`` ranks the bracket, and one inside ``_kernel_leads``
-  finds the leading rows of an exact kernel: neither is a J step.  On a tree from
-  before ``_ranks_mod_p`` the jets are seen through ``_product_bound`` and
-  the blocks' rank through ``_rank_mod_p``, so both trees get the same
-  labels.
+  best of ``--repeat`` runs; for each degree how dim I_d closed ("standard
+  rows", where the rows of the restriction blocks off a chain's leading
+  monomials are independent mod p, by ``_standard_rows_independent``;
+  "bracket", where the blocks were ranked whole and full column rank or
+  U_I = 0 closed it, or, on a tree from before the standard rows, L_J or
+  the multiples of the last exact kernel met U_I; or "exact" by
+  ``_kernel_dim``, the exact rank of the restriction blocks in the adapted
+  coordinates) and how dim J_d closed: "bracket" (L_J met dim I_d),
+  "degree" (below m, where J_d = 0 < dim I_d), "jets" (on a tree from
+  before the standard rows, from the first degree d >= m whose bracket
+  stays open, where the jets along the flats start, on: L_J met U_J,
+  ranked beside them by ``_ranks_mod_p``), "standard rows" (from m on,
+  where the rows off J's leading monomials of the blocks beside the jets
+  are independent mod p) or "exact" (``dim_product_ideal``); whether the
+  GF(p) product span of degree d >= 1 ("J step") was closed by counting
+  leading terms or took an ``echelon_mod_p`` elimination; and the sha256
+  of the table to d = 8.  These come from one extra, untimed call with
+  those functions wrapped here (``closing``); an ``echelon_mod_p`` call
+  made inside a rank helper (``_rank_mod_p``, ``_ranks_mod_p``,
+  ``_standard_rows_independent``) ranks the bracket or the standard rows,
+  and one inside ``_kernel_leads`` finds the leading rows of an exact
+  kernel: none is a J step.  On a tree from before ``_ranks_mod_p`` the
+  jets are seen through ``_product_bound``, so every tree gets labels by
+  the same rules.
 - **Near the monomial cap.**  Five larger cases (Q^6 dims [1,1,1] to d = 9,
   Q^7 [2,3] to d = 7, Q^4 [1,1,2,1] to d = 16, Q^5 [1,2] to d = 10, and the
   Q^5 pencil [3,1,2,3] to d = 10), each run ``--repeat`` times in a fresh
@@ -129,15 +136,22 @@ def closing(arr) -> tuple[list[str], list[str], list[str], str]:
     and "count" or "eliminate" for the J step ("none" at d = 0); and the
     table's sha256."""
     n, m = arr.ambient_dim, arr.num_subspaces
-    k = max(s.dim for s in arr.subspaces)
+    dims = [s.dim for s in arr.subspaces]
+    s = dims.index(max(dims))
+    k = dims[s]
     # the rank helpers see the rows of positive w-degree, w the coordinates
-    # off the largest subspace, and a J step the monomials of its degree
+    # off the largest subspace V_s, and a J step the monomials of its degree
     degree_of_rows = {
         len(oracle.monomial_basis(n, d)) - len(oracle.monomial_basis(k, d)): d
         for d in range(D_MAX + 1)
     }
     degree_of_columns = {len(oracle.monomial_basis(n, d)): d for d in range(D_MAX + 1)}
-    called = {key: set() for key in ("I", "J", "jets")}
+    # the width of the restriction blocks of the V_i other than V_s
+    block_width = [
+        sum(len(oracle.monomial_basis(c, d)) for i, c in enumerate(dims) if i != s)
+        for d in range(D_MAX + 1)
+    ]
+    called = {key: set() for key in ("I", "J", "jets", "rows")}
     eliminated = set()
     in_rank = [False]
 
@@ -157,7 +171,7 @@ def closing(arr) -> tuple[list[str], list[str], list[str], str]:
 
     def rank_spy(fn):
         # _ranks_mod_p(blocks, jets, p) ranks the jets where they have
-        # started; _rank_mod_p(blocks, p) is its one-rank predecessor, and
+        # started; _rank_mod_p(blocks, p) is its one-rank successor, and
         # _kernel_leads(blocks, p) eliminates the blocks' transpose
         def wrapper(blocks, *rest):
             if len(rest) == 2 and rest[0]:
@@ -167,6 +181,19 @@ def closing(arr) -> tuple[list[str], list[str], list[str], str]:
                 return fn(blocks, *rest)
             finally:
                 in_rank[0] = False
+
+        return wrapper
+
+    def rows_spy(fn):
+        # _standard_rows_independent(matrices, kept, leads, p), kept over the
+        # monomials of the degree: independent rows of the blocks alone
+        # close I; of the blocks beside the jets, J
+        def wrapper(matrices, kept, *rest):
+            independent = rank_spy(fn)(matrices, kept, *rest)
+            d = degree_of_columns[len(kept)]
+            if independent and sum(b.shape[1] for b in matrices) == block_width[d]:
+                called["rows"].add(d)
+            return independent
 
         return wrapper
 
@@ -192,6 +219,7 @@ def closing(arr) -> tuple[list[str], list[str], list[str], str]:
         "dim_product_ideal": product_spy,
         "_ranks_mod_p": rank_spy,
         "_rank_mod_p": rank_spy,
+        "_standard_rows_independent": rows_spy,
         "_kernel_leads": rank_spy,
         "_product_bound": bound_spy,
         "echelon_mod_p": elimination_spy,
@@ -204,12 +232,18 @@ def closing(arr) -> tuple[list[str], list[str], list[str], str]:
     finally:
         for name, fn in saved.items():
             setattr(oracle, name, fn)
-    I = ["exact" if d in called["I"] else "bracket" for d in range(D_MAX + 1)]
+    I = [
+        "exact" if d in called["I"]
+        else "standard rows" if d in called["rows"]
+        else "bracket"
+        for d in range(D_MAX + 1)
+    ]
     J = [
         "exact" if d in called["J"]
         else "jets" if d in called["jets"]
-        else "degree" if table[d].dim_J < table[d].dim_I
-        else "bracket"
+        else "bracket" if table[d].dim_J == table[d].dim_I
+        else "degree" if d < m
+        else "standard rows"
         for d in range(D_MAX + 1)
     ]
     steps = ["none"] + [

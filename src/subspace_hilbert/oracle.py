@@ -56,8 +56,23 @@ restriction blocks, with fewer columns kept.  Over Q the bound is tight: a
 product of ideals of linear subspaces is the intersection of the powers
 (sum of I_i over A)^|A| (Conca and Herzog, "Castelnuovo-Mumford regularity
 of products of ideals", Collect. Math. 2003), each of which contains
-P_F^{k_F} for F = V_A.  Only the degrees whose bracket stays open take an
-exact rank.  The public per-degree functions ``dim_intersection_ideal`` and
+P_F^{k_F} for F = V_A.
+
+A degree closes in one of three ways (``hilbert_table``):
+
+* standard rows: where a chain holds the leading monomials Lambda of the
+  kernel mod p, the rows of the matrix off Lambda are independent mod p,
+  and one elimination of those rows alone proves it.  The rank of a subset
+  of rows is at most rank_p, which is at most rank_Q, so dim = h - rank_Q
+  <= |Lambda| on h rows, and the chain's count |Lambda| is a lower bound:
+  the degree closes at |Lambda|.  ``gpca._exact_value`` applies the same
+  rule to the columns of an evaluation matrix;
+* bracket: else the restriction blocks are ranked mod p whole, and the
+  degree closes where the ends above meet;
+* exact fallback: else an exact rank (``certified_rank``) or the product
+  span over Q (``dim_product_ideal``).
+
+The public per-degree functions ``dim_intersection_ideal`` and
 ``dim_product_ideal`` work in the given coordinates and are the references
 the table is tested against.
 
@@ -372,31 +387,55 @@ def dim_product_ideal(a: Arrangement, S: SubsetLike, d: int) -> int:
     return matrix.shape[0]
 
 
-def _ranks_mod_p(blocks: list[np.ndarray], jets: list[np.ndarray], p: int) -> tuple[int, int]:
-    """Ranks over GF(p) of the integer blocks placed side by side, and of
-    the blocks beside the jets, from one elimination in column order.
+def _rank_mod_p(blocks: list[np.ndarray], p: int) -> int:
+    """Rank over GF(p) of the integer blocks placed side by side."""
+    if not blocks:
+        return 0
+    return len(echelon_mod_p(np.hstack([(b % p).astype(np.int64) for b in blocks]), p)[0])
 
-    Eliminating columns left to right, a column gets a pivot exactly when
-    it is independent of the columns before it, so the echelon rows with a
-    pivot inside the blocks' width, the rows nonzero there, number the rank
-    of the blocks alone.
+
+def _standard_rows_independent(
+    blocks: list[np.ndarray], kept: np.ndarray, leads: np.ndarray, p: int
+) -> bool:
+    """Whether the standard rows of the integer blocks placed side by side,
+    those off the leading monomials leads, are independent mod p.
+
+    The blocks' rows are the monomials where kept is set, and leads, distinct
+    monomials among them, are the leading monomials of as many forms mod p
+    in the blocks' left kernel.  The kernel's leading monomials are as many
+    as its dimension, so the standard rows are independent exactly when
+    leads are all of them, that is, when the kernel mod p has dimension
+    |leads|.
     """
-    stacked = blocks + jets
-    if not stacked:
-        return 0, 0
-    width = sum(b.shape[1] for b in blocks)
-    ech, _ = echelon_mod_p(np.hstack([(b % p).astype(np.int64) for b in stacked]), p)
-    return int(ech[:, :width].any(axis=1).sum()), len(ech)
+    rows = kept.copy()
+    rows[leads] = False
+    rows = rows[kept]
+    count = int(rows.sum())
+    if count > sum(b.shape[1] for b in blocks):
+        return False
+    if not count:
+        return True
+    stacked = np.hstack([(b[rows] % p).astype(np.int64, copy=False) for b in blocks])
+    return len(echelon_mod_p(stacked, p)[0]) == count
+
+
+def _leading_variables(forms: Sequence[Sequence[int]], p: int) -> np.ndarray:
+    """The first variable of each linear form that is nonzero mod p, -1 for a
+    form that vanishes mod p."""
+    return np.array(
+        [next((j for j, c in enumerate(f) if c % p), -1) for f in forms], dtype=np.intp
+    )
 
 
 def _leading_products(
-    leads: np.ndarray, forms: Sequence[Sequence[int]], n: int, e: int, p: int
+    leads: np.ndarray, variables: np.ndarray, n: int, e: int
 ) -> tuple[list[np.ndarray], int, np.ndarray]:
     """One product per leading column among the products f * b mod p of
     ``_times_forms``, found from leading terms without building them.
 
     b runs over the rows of a degree-e span mod p, nonzero rows whose
-    leading columns (first nonzero entries) are leads, and f over forms.
+    leading columns (first nonzero entries) are leads, and f over forms
+    whose leading variables mod p are variables (``_leading_variables``).
     The columns run through the monomials in decreasing lex order, a
     monomial order, and GF(p)[x] has no zero divisors, so the leading
     monomial of f * b mod p is that of b times the leading variable of f
@@ -408,16 +447,13 @@ def _leading_products(
     picks.  Rows with pairwise distinct leading columns are independent, so
     the number chosen is a lower bound on the rank of the products.
     """
-    variables = np.array(
-        [next((j for j, c in enumerate(f) if c % p), -1) for f in forms], dtype=np.intp
-    )
     columns = _raise_degree_maps(n, e)[leads][:, variables].T
     columns[variables < 0] = -1
     columns = columns.ravel()
     live = np.flatnonzero(columns >= 0)
     heads, first = np.unique(columns[live], return_index=True)
     form, row = np.divmod(live[first], len(leads))
-    picks = [row[form == t] for t in range(len(forms))]
+    picks = [row[form == t] for t in range(len(variables))]
     return picks, len(live), heads[np.argsort(form, kind="stable")]
 
 
@@ -562,7 +598,7 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     blocks on the rows of w-degree >= 1, exactly, over Q and over every
     GF(p).  Let h = total - c_s be the number of those rows.
 
-    Each degree is first bracketed by ranks mod PRIME:
+    Each degree is bracketed by ranks mod PRIME:
 
         L_J <= dim J_d <= U_J <= U_I,    dim J_d, L_I <= dim I_d <= U_I,
 
@@ -573,25 +609,48 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     blocks of the flats with k_F >= 2 (``_flats``, ``_flat_jets``), all in
     the adapted coordinates and on the h rows, beside which the block of
     V_s again adds exactly c_s.  Blocks and jets alike are the exact
-    integer images of ``_substitutions``, reduced mod p by
-    ``_ranks_mod_p``.  Over Q the kernel of all those blocks is the
-    degree-d part of I and of every P_F^{k_F}, which contains J_d; and
-    reduction mod p never raises a rank, so U_J >= dim J_d for every p.
-    The kernel is J_d itself (Conca and Herzog: J is the intersection of
-    the (sum of I_i over A)^|A| over the nonempty index sets A, and for
-    F = V_A that power contains P_F^{k_F}), so at PRIME the bound is met
-    wherever rank_p is the rank over Q.  One elimination in column order
-    gives both ranks (``_ranks_mod_p``).  The jets are started
-    (``_flat_jets``) at the first degree d >= m whose bracket stays open,
-    L_J < dim I_d, and ranked beside the blocks in every degree after it;
+    integer images of ``_substitutions``, reduced mod p before they are
+    eliminated.  Over Q the kernel of all those blocks is the degree-d part
+    of I and of every P_F^{k_F}, which contains J_d; and reduction mod p
+    never raises a rank, so U_J >= dim J_d for every p.  The kernel is J_d
+    itself (Conca and Herzog: J is the intersection of the (sum of I_i over
+    A)^|A| over the nonempty index sets A, and for F = V_A that power
+    contains P_F^{k_F}), so at PRIME the bound is met wherever rank_p is
+    the rank over Q.  The jets are started (``_flat_jets``) at the first
+    degree d >= m where L_J < dim I_d, and built in every degree after it;
     until then U_J is U_I and a table that never asks pays nothing.
 
-    dim I_d is U_I when L_J or L_I (below) meets it, or when the other
-    blocks have full column rank mod p (then rank_p is their rank over Q),
-    and h - ``certified_rank`` of the same blocks else (``_kernel_dim``);
-    dim J_d is L_J when it reaches that exact dim I_d or U_J, and
-    ``dim_product_ideal`` (on the arrangement as given) else.  Every value
-    returned is exact.
+    The lower ends L_J and L_I (below) count distinct leading monomials of
+    forms mod p in J and in I.  Those forms lie in the kernel mod p of the
+    blocks (beside the jets, for J), whose leading monomials are as many as
+    its dimension, h - rank_p.  A degree closes in one of three ways.
+
+    * Standard rows.  Let Lambda be the larger of the two chains' leading
+      monomials (J's from m on).  Where the h - |Lambda| rows of the blocks
+      off Lambda are independent mod p (``_standard_rows_independent``, one
+      elimination of those rows alone), a subset of rows ranks at most
+      rank_p, and rank_p at most the rank over Q, so
+
+          h - |Lambda| <= rank_p <= rank_Q,
+          |Lambda| <= dim I_d = h - rank_Q <= |Lambda|,
+
+      and dim I_d = |Lambda|.  It is the rule ``gpca._exact_value`` applies
+      to the columns of an evaluation matrix.  The same test of J's leading
+      monomials against the blocks beside the jets gives dim J_d = L_J.
+      The rows off Lambda are independent exactly when Lambda holds every
+      leading monomial of the kernel mod p, that is, when |Lambda| is U_I
+      (or U_J): the bracket meets, found without ranking every row.
+    * Bracket.  Otherwise, and below m before an I chain has started, the
+      blocks are ranked mod p whole (``_rank_mod_p``); dim I_d is U_I when
+      that is 0 or the blocks have full column rank mod p (then rank_p is
+      their rank over Q).  dim J_d is L_J where L_J reaches dim I_d, and
+      0 below m.
+    * Exact fallback.  dim I_d is h - ``certified_rank`` of the same blocks
+      (``_kernel_dim``) where the bracket stays open; dim J_d is
+      ``dim_product_ideal`` (on the arrangement as given) where neither
+      dim I_d nor the standard rows close it.
+
+    Every value returned is exact, at every prime.
 
     L_J is rank_p of the products that span J_d over Q, carried mod p from
     degree to degree: J_d mod p is J_{d-1} mod p times the adapted forms of
@@ -606,7 +665,8 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     alone (``_leading_products``).  That count c is a lower bound on
     rank_p of the products, and it is rank_p in two cases: when every
     nonzero product has its own leading monomial, and, for d >= m, when c
-    meets U_J, since then c <= rank_p = L_J <= U_J = c.  Either way the c
+    is U_J by the standard rows, since then c <= rank_p = L_J <= U_J = c;
+    that test then also closes J, and, before the jets, I.  Either way the c
     chosen products are independent and as many as rank_p, so they span
     what all the products span: their leading columns are the next span's,
     and the degree keeps only its picks.  Any other degree, a miss, builds
@@ -643,7 +703,7 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     s, k, rows, forms = _adapted_coordinates(a)
     restrictions = [_substitutions(r, n, len(r), 1) for i, r in enumerate(rows) if i != s]
     # the chain multiplies by the forms of V_1, ..., V_m, then by x_1, ..., x_n
-    coordinates = np.eye(n, dtype=np.int64).tolist()
+    factors = [(f, _leading_variables(f, p)) for f in forms + [np.eye(n, dtype=np.int64).tolist()]]
 
     def build(span, factor, e, picks=None):
         products = _times_forms(span, factor, n, e, picks)
@@ -655,22 +715,24 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     leads_J = np.zeros(1, dtype=np.intp)
     span, built, pending = np.ones((1, 1), dtype=np.int64), 0, []
     # the I chain: leading columns of forms in I, from the last exact kernel
-    leads_I = None
+    # (none before the first)
+    empty = np.zeros(0, dtype=np.intp)
+    leads_I = empty
     jets = None
     results = []
     for d in range(d_max + 1):
         kept = _w_degrees(n, d, k) >= 1
         h = int(kept.sum())
         blocks = [b[kept] for b in map(next, restrictions) if b.shape[1]]
-        ncols = sum(b.shape[1] for b in blocks)
         jet_blocks = [] if jets is None else [j[kept] for j in next(jets)]
-        rank_I, rank_J = _ranks_mod_p(blocks, jet_blocks, p)
-        upper_I = h - rank_I
-        upper_J = h - rank_J if d >= m else 0
+        # whether the standard rows proved L_J = U_J, h - rank_p(blocks | jets)
+        tight = False
         if d:
-            factor = forms[d - 1] if d <= m else coordinates
-            picks, nonzero, heads = _leading_products(leads_J, factor, n, d - 1, p)
-            if len(heads) == nonzero or (d >= m and len(heads) == upper_J):
+            factor, variables = factors[min(d, m + 1) - 1]
+            picks, nonzero, heads = _leading_products(leads_J, variables, n, d - 1)
+            if d >= m and len(heads) < nonzero:
+                tight = _standard_rows_independent(blocks + jet_blocks, kept, heads, p)
+            if len(heads) == nonzero or tight:
                 leads_J = heads
                 pending.append((factor, picks))
             else:
@@ -679,19 +741,32 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
                 span = echelon_mod_p(build(span, factor, d - 1), p)[0]
                 leads_J = (span != 0).argmax(axis=1)
                 built, pending = d, []
-            if leads_I is not None:
+            if len(leads_I):
                 leads_I = _multiples(leads_I, n, d - 1)
-        lower_J = len(leads_J) if d >= m else 0
-        lower_I = 0 if leads_I is None else len(leads_I)
-        if max(lower_J, lower_I) == upper_I or rank_I == ncols:
-            dim_I = upper_I
+        chain = max(leads_J if d >= m else empty, leads_I, key=len)
+        if tight and not jet_blocks:
+            # the blocks alone: L_J = U_I
+            dim_I = len(leads_J)
+        elif len(chain) and _standard_rows_independent(blocks, kept, chain, p):
+            dim_I = len(chain)
         else:
-            dim_I = _kernel_dim(h, blocks)
-            if dim_I == upper_I:
-                leads_I = np.flatnonzero(kept)[_kernel_leads(blocks, p)]
-        if lower_J < dim_I and d >= m and jets is None:
-            jets = islice(_flat_jets(forms, n), d, None)
-            upper_J = h - _ranks_mod_p(blocks, [j[kept] for j in next(jets)], p)[1]
-        dim_J = lower_J if lower_J in (dim_I, upper_J) else dim_product_ideal(a, full, d)
+            rank = _rank_mod_p(blocks, p)
+            if rank in (h, sum(b.shape[1] for b in blocks)):
+                dim_I = h - rank
+            else:
+                dim_I = _kernel_dim(h, blocks)
+                if dim_I == h - rank:
+                    leads_I = np.flatnonzero(kept)[_kernel_leads(blocks, p)]
+        if d >= m and not tight and len(leads_J) < dim_I:
+            if jets is None:
+                jets = islice(_flat_jets(forms, n), d, None)
+                jet_blocks = [j[kept] for j in next(jets)]
+            tight = _standard_rows_independent(blocks + jet_blocks, kept, leads_J, p)
+        if d < m:
+            dim_J = 0
+        elif tight or len(leads_J) == dim_I:
+            dim_J = len(leads_J)
+        else:
+            dim_J = dim_product_ideal(a, full, d)
         results.append(GradedPieceResult(degree=d, dim_I=dim_I, dim_J=dim_J))
     return results

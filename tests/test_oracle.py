@@ -43,8 +43,10 @@ from subspace_hilbert.oracle import (
     _flat_jets,
     _flats,
     _leading_products,
-    _ranks_mod_p,
+    _leading_variables,
+    _rank_mod_p,
     _restriction_matrix,
+    _standard_rows_independent,
     _substitutions,
     _times_forms,
     _w_degrees,
@@ -239,6 +241,20 @@ def arrangements_with_ties(draw):
         sub = span_of(n, draw(st.lists(vector, min_size=count, max_size=count)))
         assume(sub.dim == count)
         subspaces.append(sub)
+    return Arrangement(n, subspaces)
+
+
+@st.composite
+def pencils(draw, max_n: int = 4, max_m: int = 4):
+    """m >= 2 subspaces through one common line, small integer entries."""
+    n = draw(st.integers(2, max_n))
+    vector = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    line = draw(vector.filter(any))
+    subspaces = []
+    for _ in range(draw(st.integers(2, max_m))):
+        s = span_of(n, [line] + draw(st.lists(vector, max_size=n - 2)))
+        assume(s.dim < n)
+        subspaces.append(s)
     return Arrangement(n, subspaces)
 
 
@@ -518,11 +534,13 @@ class TestHilbertTable:
 class TestCertifiedTable:
     @pytest.mark.parametrize("p", [2, 3, 7, 2**31 - 1])
     @settings(max_examples=40, deadline=None)
-    @given(arr=st.one_of(arrangements(), arrangements_with_ties()))
+    @given(arr=st.one_of(arrangements(), arrangements_with_ties(), pencils()))
     def test_matches_exact_functions(self, p, arr):
         d_max = arr.num_subspaces + 2
+        records = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "PRIME", p)
+            spied_standard_rows(mp, records)
             table = hilbert_table(arr, d_max)
         full = (1 << arr.num_subspaces) - 1
         exact = [
@@ -530,6 +548,13 @@ class TestCertifiedTable:
             for d in range(d_max + 1)
         ]
         assert [(r.dim_I, r.dim_J) for r in table] == exact
+        # standard rows independent beside the blocks alone prove dim I_d,
+        # beside the jets too dim J_d, equal to the lead count
+        s, _, rows, _ = _adapted_coordinates(arr)
+        for d, width, count, independent in records:
+            blocks = sum(len(monomial_basis(len(r), d)) for i, r in enumerate(rows) if i != s)
+            if independent:
+                assert count == exact[d][0 if width == blocks else 1]
         # the bracket in the adapted coordinates is sound at every prime
         for d, (dim_I, dim_J) in enumerate(exact):
             upper_I, upper_J = adapted_bounds(arr, d, p)
@@ -578,8 +603,12 @@ class TestCertifiedTable:
             (dim_intersection_ideal(arr, full, d), dim_product_ideal(arr, full, d))
             for d in range(6)
         ]
-        calls: dict[str, list[int]] = {"I": [], "J": []}
+        calls: dict[str, list[int]] = {"bracket": [], "I": [], "J": []}
         degree_of = degrees_by_kept_rows(arr, 5)
+
+        def spy_bracket(blocks, p):
+            calls["bracket"].append(degree_of[blocks[0].shape[0]])
+            return rank_mod_p(blocks, p)
 
         def spy_I(rows, blocks):
             calls["I"].append(degree_of[rows])
@@ -589,19 +618,31 @@ class TestCertifiedTable:
             calls["J"].append(d)
             return dim_product_ideal(a, S, d)
 
-        kernel_dim = oracle._kernel_dim
+        kernel_dim, rank_mod_p = oracle._kernel_dim, oracle._rank_mod_p
+        monkeypatch.setattr(oracle, "_rank_mod_p", spy_bracket)
         monkeypatch.setattr(oracle, "_kernel_dim", spy_I)
         monkeypatch.setattr(oracle, "dim_product_ideal", spy_J)
         table = hilbert_table(arr, 5)
         assert [(r.dim_I, r.dim_J) for r in table] == expected
         return calls
 
+    # the degrees whose blocks are ranked whole: those without a chain, and
+    # those where the chain falls short of U_I; the others close by the
+    # standard rows, I there by the lead count
+    BRACKET = {
+        # the I chain starts at the exact kernel of degree 1 and fills
+        # degree 2, not 3 = m, which restarts it
+        "three-pencil-planes": [0, 1, 3],
+        # below m neither chain has started; from m on J's leads fill I
+        "three-coordinate-axes": [0, 1, 2],
+    }
+
     @pytest.mark.parametrize(
         "name, exact_I, exact_J",
         [
-            # I and J differ in every positive degree: J closes by the jet
-            # bound from m on and is 0 below; I falls back where the
-            # multiples of the last exact kernel fall short of U_I
+            # I and J differ in every positive degree: J closes by the
+            # standard rows beside the jets from m on and is 0 below; I falls
+            # back where the multiples of the last exact kernel fall short
             ("three-pencil-planes", [1, 3], []),
             # full column rank certifies I below m, where J is 0
             ("three-coordinate-axes", [], []),
@@ -609,7 +650,7 @@ class TestCertifiedTable:
     )
     def test_fallback_degrees(self, monkeypatch, name, exact_I, exact_J):
         calls = self._table_and_fallbacks(monkeypatch, name)
-        assert calls == {"I": exact_I, "J": exact_J}
+        assert calls == {"bracket": self.BRACKET[name], "I": exact_I, "J": exact_J}
 
     @pytest.mark.parametrize(
         "name, exact_I, exact_J",
@@ -619,12 +660,13 @@ class TestCertifiedTable:
         ],
     )
     def test_fallback_degrees_with_the_bound_open(self, monkeypatch, name, exact_I, exact_J):
-        # without flats U_J is U_I from m on, which sends J back to the exact
-        # route wherever L_J < dim I_d there, with the same table; below m
-        # U_J = 0 still closes it
+        # without flats the jets are empty, and the standard rows of J's
+        # leads beside the blocks alone are dependent wherever L_J < dim I_d,
+        # which sends J back to the exact route, with the same table; below
+        # m J is still 0
         monkeypatch.setattr(oracle, "_flats", lambda forms, n: {})
         calls = self._table_and_fallbacks(monkeypatch, name)
-        assert calls == {"I": exact_I, "J": exact_J}
+        assert calls == {"bracket": self.BRACKET[name], "I": exact_I, "J": exact_J}
 
 
 def adapted_bounds(arr: Arrangement, d: int, p: int) -> tuple[int, int]:
@@ -638,7 +680,7 @@ def adapted_bounds(arr: Arrangement, d: int, p: int) -> tuple[int, int]:
     blocks = [b for b in blocks if b.shape[1]]
     height = int(kept.sum())
     jets = [j[kept] for j in next(itertools.islice(_flat_jets(forms, n), d, None))]
-    rank_I, rank_J = _ranks_mod_p(blocks, jets, p)
+    rank_I, rank_J = _rank_mod_p(blocks, p), _rank_mod_p(blocks + jets, p)
     return height - rank_I, height - rank_J if d >= arr.num_subspaces else 0
 
 
@@ -660,20 +702,6 @@ def degrees_by_kept_rows(arr: Arrangement, d_max: int) -> dict[int, int]:
 
 def forms_of(arr: Arrangement) -> list:
     return [s.annihilator_forms for s in arr.subspaces]
-
-
-@st.composite
-def pencils(draw, max_n: int = 4, max_m: int = 4):
-    """m >= 2 subspaces through one common line, small integer entries."""
-    n = draw(st.integers(2, max_n))
-    vector = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
-    line = draw(vector.filter(any))
-    subspaces = []
-    for _ in range(draw(st.integers(2, max_m))):
-        s = span_of(n, [line] + draw(st.lists(vector, max_size=n - 2)))
-        assume(s.dim < n)
-        subspaces.append(s)
-    return Arrangement(n, subspaces)
 
 
 def reference_flats(arr: Arrangement) -> dict:
@@ -803,52 +831,55 @@ def _rank_by_rows(blocks: list[np.ndarray], p: int) -> int:
     return len(reference_echelon_mod_p((np.hstack(blocks).T % p).astype(np.int64), p)[0])
 
 
-class TestRanksModP:
-    @settings(max_examples=300, deadline=None)
+class TestRankModP:
+    @settings(max_examples=200, deadline=None)
     @given(blocks_and_jets())
-    def test_equal_two_separate_eliminations(self, case):
+    def test_equal_the_rank_of_the_transpose(self, case):
         p, blocks, jets = case
-        assert _ranks_mod_p(blocks, jets, p) == (
-            _rank_by_rows(blocks, p),
-            _rank_by_rows(blocks + jets, p),
-        )
+        assert _rank_mod_p(blocks + jets, p) == _rank_by_rows(blocks + jets, p)
 
-    @pytest.mark.parametrize(
-        "arr, d_max",
-        [
-            (fixture_arrangement("three-pencil-planes"), 7),
-            (arrangement_kinds.pencil(5, [3, 1, 2, 3], 14), 7),
-        ],
-        ids=["three-pencil-planes", "Q^5 pencil [3,1,2,3]"],
-    )
-    def test_one_bracket_elimination_per_degree_once_the_jets_start(
-        self, monkeypatch, arr, d_max
-    ):
-        # the jets start at m, where I and J first differ: that degree ranks
-        # the blocks, then the blocks beside the jets; every later degree
-        # gets both ranks from one elimination
-        degree_of = degrees_by_kept_rows(arr, d_max)
-        ranks_mod_p, eliminate = oracle._ranks_mod_p, oracle.echelon_mod_p
-        in_rank, eliminations = [False], [0] * (d_max + 1)
 
-        def rank_spy(blocks, jets, p):
-            in_rank[0] = True
-            try:
-                return ranks_mod_p(blocks, jets, p)
-            finally:
-                in_rank[0] = False
+def spied_standard_rows(mp, records: list) -> None:
+    """Record (degree, width, leads, independent) for every
+    ``_standard_rows_independent`` call of ``hilbert_table``: the degree
+    is that of the last ``_leading_products`` call, 0 before the first."""
+    degree = [0]
+    leading_products, standard_rows = oracle._leading_products, oracle._standard_rows_independent
 
-        def spy(matrix, p):
-            if in_rank[0]:
-                eliminations[degree_of[matrix.shape[0]]] += 1
-            return eliminate(matrix, p)
+    def count_spy(leads, variables, n, e):
+        degree[0] = e + 1
+        return leading_products(leads, variables, n, e)
 
-        monkeypatch.setattr(oracle, "_ranks_mod_p", rank_spy)
-        monkeypatch.setattr(oracle, "echelon_mod_p", spy)
-        table = hilbert_table(arr, d_max)
-        m = arr.num_subspaces
-        assert [r.dim_J < r.dim_I for r in table].index(True, m) == m
-        assert eliminations == [1] * m + [2] + [1] * (d_max - m)
+    def spy(blocks, kept, leads, p):
+        independent = standard_rows(blocks, kept, leads, p)
+        records.append((degree[0], sum(b.shape[1] for b in blocks), len(leads), independent))
+        return independent
+
+    mp.setattr(oracle, "_leading_products", count_spy)
+    mp.setattr(oracle, "_standard_rows_independent", spy)
+
+
+class TestStandardRows:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_independent_exactly_when_the_leads_are_every_kernel_lead(self, data):
+        # leads drawn among the leading rows of the kernel mod p, as a chain
+        # finds them: the rows off them are independent exactly when they
+        # are all of them; the blocks' rows sit at the kept monomials
+        p, blocks, jets = data.draw(blocks_and_jets())
+        matrices = blocks + jets
+        assume(matrices)
+        rows = np.hstack(matrices)
+        h = len(rows)
+        kernel = [
+            i for i in range(h) if _rank_of_rows(rows[i:], p) == _rank_of_rows(rows[i + 1 :], p)
+        ]
+        padding = [False] * data.draw(st.integers(0, 4))
+        kept = np.array(data.draw(st.permutations([True] * h + padding)), dtype=bool)
+        leads = data.draw(st.lists(st.sampled_from(kernel), unique=True) if kernel else st.just([]))
+        positions = np.flatnonzero(kept)[np.array(leads, dtype=np.intp)]
+        independent = _standard_rows_independent(matrices, kept, positions, p)
+        assert independent == (len(leads) == len(kernel) == h - _rank_by_rows(matrices, p))
 
 
 class TestFlats:
@@ -1060,7 +1091,8 @@ def materialized_chain(arr: Arrangement, d_max: int, p: int):
 def spied_eliminations(mp, records: list) -> None:
     """Record a copy of every matrix ``hilbert_table`` eliminates in a J
     step: every ``echelon_mod_p`` call outside the bracket's
-    ``_ranks_mod_p`` and the kernel leads' ``_kernel_leads``."""
+    ``_rank_mod_p``, the standard rows' ``_standard_rows_independent`` and
+    the kernel leads' ``_kernel_leads``."""
     eliminate, inside = oracle.echelon_mod_p, [False]
 
     def helper_spy(fn):
@@ -1078,7 +1110,7 @@ def spied_eliminations(mp, records: list) -> None:
             records.append(matrix.copy())
         return eliminate(matrix, p)
 
-    for name in ("_ranks_mod_p", "_kernel_leads"):
+    for name in ("_rank_mod_p", "_standard_rows_independent", "_kernel_leads"):
         mp.setattr(oracle, name, helper_spy(getattr(oracle, name)))
     mp.setattr(oracle, "echelon_mod_p", spy)
 
@@ -1091,11 +1123,13 @@ class TestLeadingTerms:
         n, e = 3, 2
         leads = np.arange(len(monomial_basis(n, e)))
         forms = [[p, 2 * p, -p], [0, 1, p + 1]]
-        picks, nonzero, heads = _leading_products(leads, forms, n, e, p)
+        variables = _leading_variables(forms, p)
+        assert variables.tolist() == [-1, 1]
+        picks, nonzero, heads = _leading_products(leads, variables, n, e)
         assert [pick.tolist() for pick in picks] == [[], leads.tolist()]
         assert nonzero == len(leads)
         assert heads.tolist() == oracle._raise_degree_maps(n, e)[:, 1].tolist()
-        picks, nonzero, heads = _leading_products(leads, forms[:1], n, e, p)
+        picks, nonzero, heads = _leading_products(leads, variables[:1], n, e)
         assert [pick.tolist() for pick in picks] == [[]] and nonzero == 0 and heads.size == 0
 
     @settings(max_examples=300, deadline=None)
@@ -1103,7 +1137,7 @@ class TestLeadingTerms:
     def test_count_matches_the_products_and_bounds_their_rank(self, case):
         p, n, e, span, forms = case
         leads = np.array(_first_nonzero(span), dtype=np.intp)
-        picks, nonzero, heads = _leading_products(leads, forms, n, e, p)
+        picks, nonzero, heads = _leading_products(leads, _leading_variables(forms, p), n, e)
         chosen = np.array(
             [t * len(span) + i for t, pick in enumerate(picks) for i in pick], dtype=np.intp
         )
@@ -1144,8 +1178,11 @@ class TestLeadingTerms:
         with pytest.MonkeyPatch.context() as mp:
             # nothing counted: every degree eliminates, apart from those
             # with U_I = 0, where the rank is 0 either way
-            mp.setattr(oracle, "_leading_products",
-                       lambda leads, forms, *args: ([np.arange(0)] * len(forms), 1, np.arange(0)))
+            mp.setattr(
+                oracle,
+                "_leading_products",
+                lambda leads, variables, *args: ([np.arange(0)] * len(variables), 1, np.arange(0)),
+            )
             eliminated = table_and_fallbacks(mp)
         assert counted == eliminated
 
@@ -1171,9 +1208,9 @@ class TestLeadingTerms:
         carried = {}
         leading_products = oracle._leading_products
 
-        def spy(leads, forms, n, e, p):
+        def spy(leads, variables, n, e):
             carried[e] = sorted(leads.tolist())
-            return leading_products(leads, forms, n, e, p)
+            return leading_products(leads, variables, n, e)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "PRIME", p)
@@ -1198,15 +1235,16 @@ class TestLeadingTerms:
         # carried columns, then all products of degree `miss`, eliminated
         n, m, d_max = arr.ambient_dim, arr.num_subspaces, miss + 1
         expected = hilbert_table(arr, d_max)
+        factors = _adapted_coordinates(arr)[3] + [np.eye(n, dtype=np.int64).tolist()]
         steps, built, eliminated = {}, [], []
         leading_products, times_forms = oracle._leading_products, oracle._times_forms
 
-        def count_spy(leads, forms, n, e, p):
-            picks, nonzero, heads = leading_products(leads, forms, n, e, p)
+        def count_spy(leads, variables, n, e):
+            picks, nonzero, heads = leading_products(leads, variables, n, e)
             if e + 1 == miss:
                 t = max(t for t, pick in enumerate(picks) if len(pick))
                 picks[t], heads = picks[t][:-1], heads[:-1]
-            steps[e + 1] = forms, picks, heads, leads
+            steps[e + 1] = factors[min(e, m)], picks, heads, leads
             return picks, nonzero, heads
 
         def build_spy(basis, forms, n, e, picks=None):
@@ -1310,17 +1348,29 @@ class TestIntersectionChain:
     )
     def test_no_exact_kernel_above_m(self, monkeypatch, arr, d_max):
         # I is generated in degrees <= m, so x_1, ..., x_n times the kernel
-        # of an exact degree fill every later degree at 2^31 - 1
+        # of an exact degree fill every later degree at 2^31 - 1: a chain
+        # counts dim I_d there, and its standard rows close the degree
+        # without ranking the blocks, let alone an exact kernel
+        m = arr.num_subspaces
         degree_of = degrees_by_kept_rows(arr, d_max)
-        kernel_dim, calls = oracle._kernel_dim, []
+        kernel_dim, rank_mod_p = oracle._kernel_dim, oracle._rank_mod_p
+        calls, ranked, records = [], [], []
 
         def spy(rows, blocks):
             calls.append(degree_of[rows])
             return kernel_dim(rows, blocks)
 
+        def rank_spy(blocks, p):
+            ranked.append(degree_of[blocks[0].shape[0]])
+            return rank_mod_p(blocks, p)
+
         monkeypatch.setattr(oracle, "_kernel_dim", spy)
-        hilbert_table(arr, d_max)
-        assert [d for d in calls if d > arr.num_subspaces] == []
+        monkeypatch.setattr(oracle, "_rank_mod_p", rank_spy)
+        spied_standard_rows(monkeypatch, records)
+        table = hilbert_table(arr, d_max)
+        closed = {d for d, _, count, independent in records if independent and count == table[d].dim_I}
+        assert closed >= set(range(m + 1, d_max + 1))
+        assert [d for d in calls if d > m] == [] and [d for d in ranked if d > m] == []
 
 
 def _package_dependencies(module: str) -> set[str]:

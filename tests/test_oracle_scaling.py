@@ -30,20 +30,22 @@ def recorded_digests(case: str) -> set[str]:
     "arr, case, I, J, steps",
     [
         # a 3-space and a plane through a common line in Q^5: I and J differ
-        # from degree 1 on, J_1 = 0 and J closes by the jets from m = 2 on;
-        # I takes exact kernels up to m, and their multiples close it above
+        # from degree 1 on, J_1 = 0 and J closes by the standard rows beside
+        # the jets from m = 2 on; I takes exact kernels up to m, and the
+        # standard rows off their multiples close it above
         (
             arrangement_kinds.pencil(5, [3, 2], oracle_scaling.SEED),
             "m=2 pencil",
-            ["bracket"] + ["exact"] * 2 + ["bracket"] * 6,
-            ["bracket", "degree"] + ["jets"] * 7,
+            ["bracket"] + ["exact"] * 2 + ["standard rows"] * 6,
+            ["bracket", "degree"] + ["standard rows"] * 7,
             ["none"] + ["count"] * 8,
         ),
-        # transversal: I = J from m on, and every J step closes by count
+        # transversal: I = J from m on, where the standard rows off J's
+        # leads close I, and every J step closes by count
         (
             fixture_arrangement("three-coordinate-axes"),
             None,
-            ["bracket"] * 9,
+            ["bracket"] * 3 + ["standard rows"] * 6,
             ["bracket", "bracket", "degree"] + ["bracket"] * 6,
             ["none"] + ["count"] * 8,
         ),
