@@ -831,12 +831,42 @@ def _rank_by_rows(blocks: list[np.ndarray], p: int) -> int:
     return len(reference_echelon_mod_p((np.hstack(blocks).T % p).astype(np.int64), p)[0])
 
 
-class TestRankModP:
+class TestRanksModP:
     @settings(max_examples=200, deadline=None)
     @given(blocks_and_jets())
     def test_equal_the_rank_of_the_transpose(self, case):
         p, blocks, jets = case
         assert _rank_mod_p(blocks + jets, p) == _rank_by_rows(blocks + jets, p)
+
+    @pytest.mark.parametrize(
+        "arr, d_max",
+        [
+            (fixture_arrangement("three-pencil-planes"), 7),
+            (arrangement_kinds.pencil(5, [3, 1, 2, 3], 14), 7),
+        ],
+        ids=["three-pencil-planes", "Q^5 pencil [3,1,2,3]"],
+    )
+    def test_one_bracket_elimination_per_degree_once_the_jets_start(
+        self, monkeypatch, arr, d_max
+    ):
+        # the jets start at m, where I and J first differ: from there every
+        # degree eliminates the blocks beside the jets once, for U_J, and
+        # none before; the m - 1 restriction blocks are nonzero here, so a
+        # longer list holds jets
+        m = arr.num_subspaces
+        degree_of = degrees_by_kept_rows(arr, d_max)
+        standard_rows = oracle._standard_rows_independent
+        eliminations = [0] * (d_max + 1)
+
+        def spy(blocks, kept, leads, p):
+            if len(blocks) > m - 1:
+                eliminations[degree_of[int(kept.sum())]] += 1
+            return standard_rows(blocks, kept, leads, p)
+
+        monkeypatch.setattr(oracle, "_standard_rows_independent", spy)
+        table = hilbert_table(arr, d_max)
+        assert [r.dim_J < r.dim_I for r in table].index(True, m) == m
+        assert eliminations == [0] * m + [1] * (d_max + 1 - m)
 
 
 def spied_standard_rows(mp, records: list) -> None:
