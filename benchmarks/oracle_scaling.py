@@ -11,27 +11,23 @@ common line.
   best of ``--repeat`` runs; for each degree how dim I_d closed ("standard
   rows", where the rows of the restriction blocks off a chain's leading
   monomials are independent mod p, by ``_standard_rows_independent``;
-  "bracket", where the blocks were ranked whole and full column rank or
-  U_I = 0 closed it, or, on a tree from before the standard rows, L_J or
-  the multiples of the last exact kernel met U_I; or "exact" by
-  ``_kernel_dim``, the exact rank of the restriction blocks in the adapted
-  coordinates) and how dim J_d closed: "bracket" (L_J met dim I_d),
-  "degree" (below m, where J_d = 0 < dim I_d), "jets" (on a tree from
-  before the standard rows, from the first degree d >= m whose bracket
-  stays open, where the jets along the flats start, on: L_J met U_J,
-  ranked beside them by ``_ranks_mod_p``), "standard rows" (from m on,
-  where the rows off J's leading monomials of the blocks beside the jets
-  are independent mod p) or "exact" (``dim_product_ideal``); whether the
-  GF(p) product span of degree d >= 1 ("J step") was closed by counting
-  leading terms or took an ``echelon_mod_p`` elimination; and the sha256
-  of the table to d = 8.  These come from one extra, untimed call with
-  those functions wrapped here (``closing``); an ``echelon_mod_p`` call
-  made inside a rank helper (``_rank_mod_p``, ``_ranks_mod_p``,
-  ``_standard_rows_independent``) ranks the bracket or the standard rows,
-  and one inside ``_kernel_leads`` finds the leading rows of an exact
-  kernel: none is a J step.  On a tree from before ``_ranks_mod_p`` the
-  jets are seen through ``_product_bound``, so every tree gets labels by
-  the same rules.
+  "bracket", where the blocks were ranked whole and the rank mod the first
+  prime was their row or column count, so ``certified_pivots`` returned
+  there, or where L_J met U_I; or "exact", where ``certified_pivots``
+  lifted past its first prime) and how dim J_d closed: "bracket" (L_J met
+  dim I_d), "degree" (below m, where J_d = 0 < dim I_d), "standard rows"
+  (from m on, where the rows off J's leading monomials of the blocks beside
+  the jets are independent mod p) or "exact" (``dim_product_ideal``);
+  whether the GF(p) product span of degree d >= 1 ("J step") was closed by
+  counting leading terms or took an ``echelon_mod_p`` elimination; and the
+  sha256 of the table to d = 8.  These come from one extra, untimed call
+  with those functions wrapped here (``closing``); an ``echelon_mod_p``
+  call made inside a rank helper (``_standard_rows_independent``,
+  ``certified_pivots``) is no J step.  A tree from before
+  ``certified_pivots`` closed the oracle's degrees ranked the blocks whole
+  by ``_rank_mod_p``, took the exact rank by ``_kernel_dim`` and the
+  leading rows of an exact kernel by ``_kernel_leads``; those are wrapped
+  too, so that tree gets labels by the same rules.
 - **Near the monomial cap.**  Five larger cases (Q^6 dims [1,1,1] to d = 9,
   Q^7 [2,3] to d = 7, Q^4 [1,1,2,1] to d = 16, Q^5 [1,2] to d = 10, and the
   Q^5 pencil [3,1,2,3] to d = 10), each run ``--repeat`` times in a fresh
@@ -72,7 +68,7 @@ from pathlib import Path
 import numpy as np
 
 import subspace_hilbert
-from subspace_hilbert import oracle
+from subspace_hilbert import linalg, oracle
 from subspace_hilbert.arrangement import random_arrangement
 
 from arrangement_kinds import pencil
@@ -151,9 +147,10 @@ def closing(arr) -> tuple[list[str], list[str], list[str], str]:
         sum(len(oracle.monomial_basis(c, d)) for i, c in enumerate(dims) if i != s)
         for d in range(D_MAX + 1)
     ]
-    called = {key: set() for key in ("I", "J", "jets", "rows")}
+    called = {key: set() for key in ("I", "J", "rows")}
     eliminated = set()
     in_rank = [False]
+    lifts = [0]
 
     def product_spy(fn):
         def wrapper(a, S, d):
@@ -163,6 +160,7 @@ def closing(arr) -> tuple[list[str], list[str], list[str], str]:
         return wrapper
 
     def kernel_spy(fn):
+        # _kernel_dim(rows, blocks): the exact rank before certified_pivots
         def wrapper(rows, blocks):
             called["I"].add(degree_of_rows[rows])
             return fn(rows, blocks)
@@ -170,17 +168,24 @@ def closing(arr) -> tuple[list[str], list[str], list[str], str]:
         return wrapper
 
     def rank_spy(fn):
-        # _ranks_mod_p(blocks, jets, p) ranks the jets where they have
-        # started; _rank_mod_p(blocks, p) is its one-rank successor, and
-        # _kernel_leads(blocks, p) eliminates the blocks' transpose
-        def wrapper(blocks, *rest):
-            if len(rest) == 2 and rest[0]:
-                called["jets"].add(degree_of_rows[rest[0][0].shape[0]])
+        def wrapper(*args):
             in_rank[0] = True
             try:
-                return fn(blocks, *rest)
+                return fn(*args)
             finally:
                 in_rank[0] = False
+
+        return wrapper
+
+    def pivots_spy(fn):
+        # certified_pivots(transpose of the blocks), its columns the h rows:
+        # exact where it lifts past its first prime
+        def wrapper(matrix):
+            before = lifts[0]
+            result = rank_spy(fn)(matrix)
+            if lifts[0] > before:
+                called["I"].add(degree_of_rows[matrix.shape[1]])
+            return result
 
         return wrapper
 
@@ -197,15 +202,6 @@ def closing(arr) -> tuple[list[str], list[str], list[str], str]:
 
         return wrapper
 
-    def bound_spy(fn):
-        # _product_bound(d, ...): the jet bound before _ranks_mod_p
-        def wrapper(d, *rest):
-            if d >= m:
-                called["jets"].add(d)
-            return fn(d, *rest)
-
-        return wrapper
-
     def elimination_spy(fn):
         def wrapper(matrix, p):
             if not in_rank[0]:
@@ -214,24 +210,33 @@ def closing(arr) -> tuple[list[str], list[str], list[str], str]:
 
         return wrapper
 
+    def lifts_spy(fn):
+        def wrapper(*args):
+            lifts[0] += 1
+            return fn(*args)
+
+        return wrapper
+
     spies = {
+        "certified_pivots": pivots_spy,
         "_kernel_dim": kernel_spy,
         "dim_product_ideal": product_spy,
-        "_ranks_mod_p": rank_spy,
         "_rank_mod_p": rank_spy,
         "_standard_rows_independent": rows_spy,
         "_kernel_leads": rank_spy,
-        "_product_bound": bound_spy,
         "echelon_mod_p": elimination_spy,
     }
     saved = {name: getattr(oracle, name) for name in spies if hasattr(oracle, name)}
     for name, fn in saved.items():
         setattr(oracle, name, spies[name](fn))
+    saved_lifts = linalg._lifts
+    linalg._lifts = lifts_spy(saved_lifts)
     try:
         table = oracle.hilbert_table(arr, D_MAX)
     finally:
         for name, fn in saved.items():
             setattr(oracle, name, fn)
+        linalg._lifts = saved_lifts
     I = [
         "exact" if d in called["I"]
         else "standard rows" if d in called["rows"]
@@ -240,7 +245,6 @@ def closing(arr) -> tuple[list[str], list[str], list[str], str]:
     ]
     J = [
         "exact" if d in called["J"]
-        else "jets" if d in called["jets"]
         else "bracket" if table[d].dim_J == table[d].dim_I
         else "degree" if d < m
         else "standard rows"

@@ -25,8 +25,10 @@ distinct rays, monomials), the value, and the route of the chain step:
   first prime;
 - "fallback": ``certified_rank`` fell back to ``IntEchelon``.
 
-The routes come from wrapping ``linalg._rref_mod_p``, ``linalg._certify``
-and ``linalg._echelon_rank`` around one extra, untimed step.
+The routes come from wrapping ``gpca.certified_pivots`` and, inside it,
+``linalg.echelon_mod_p`` (one call per prime), ``linalg._certify`` and
+``linalg._echelon_rank``, around one extra, untimed step; the chain's own
+rank mod a prime eliminates outside ``certified_pivots``.
 
 Usage, from the repository root::
 
@@ -56,7 +58,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen  # noqa: E402  (the benchmark's own seeded cloud generator)
 
-from subspace_hilbert import linalg  # noqa: E402
+from subspace_hilbert import gpca, linalg  # noqa: E402
 from subspace_hilbert.cli import parse_point_document  # noqa: E402
 from subspace_hilbert.gpca import _evaluation_matrix, _exact_value  # noqa: E402
 from subspace_hilbert.linalg import certified_rank  # noqa: E402
@@ -82,15 +84,25 @@ def certified_value(rays, basis) -> int:
 
 @contextlib.contextmanager
 def counting(counts: Counter):
-    """Count primes, certificates and fallbacks of certified_rank calls."""
+    """Count primes, certificates and fallbacks of the chain's
+    certified_pivots calls."""
+    inside = [False]
+    pivots = gpca.certified_pivots
     originals = {
         name: getattr(linalg, name)
-        for name in ("_rref_mod_p", "_certify", "_echelon_rank")
+        for name in ("echelon_mod_p", "_certify", "_echelon_rank")
     }
 
-    def rref_mod_p(*args):
-        counts["primes"] += 1
-        return originals["_rref_mod_p"](*args)
+    def certified_pivots(*args):
+        inside[0] = True
+        try:
+            return pivots(*args)
+        finally:
+            inside[0] = False
+
+    def echelon_mod_p(*args):
+        counts["primes"] += inside[0]
+        return originals["echelon_mod_p"](*args)
 
     def certify(*args):
         ok = originals["_certify"](*args)
@@ -101,14 +113,16 @@ def counting(counts: Counter):
         counts["fallback"] += 1
         return originals["_echelon_rank"](*args)
 
-    wrappers = {"_rref_mod_p": rref_mod_p, "_certify": certify, "_echelon_rank": fallback}
+    wrappers = {"echelon_mod_p": echelon_mod_p, "_certify": certify, "_echelon_rank": fallback}
     for name, wrapper in wrappers.items():
         setattr(linalg, name, wrapper)
+    gpca.certified_pivots = certified_pivots
     try:
         yield
     finally:
         for name, original in originals.items():
             setattr(linalg, name, original)
+        gpca.certified_pivots = pivots
 
 
 def route(counts: Counter) -> str:

@@ -3,16 +3,13 @@
 Two halves.  First, estimating graded dimensions from sample points: the
 space of degree-d forms vanishing on a point set has dimension C(d+n-1, n-1)
 minus the rank of the evaluation matrix, and with enough generic points per
-subspace this reproduces the arrangement's own graded dimensions.  Over
-consecutive degrees only the first rank is certified in full: the leading
-monomials of one degree's vanishing forms, times the variables, are leading
-monomials of vanishing forms one degree up, so they bound the next kernel
-from below, and one rank mod a prime shows when they account for all of it
-(``estimate_hilbert_values``).  Second,
-exact recovery: given the values of the Hilbert polynomial at the n
-consecutive degrees m..m+n-1 for a transversal arrangement, integer
-difference steps turn them into the coefficients of the product of the
-(1 - t^{c_i}), mod t^n, and those yield the multiset of codimensions.
+subspace this reproduces the arrangement's own graded dimensions.  Exact
+clouds close consecutive degrees by the rule of ``linalg`` that the oracle
+uses too (``estimate_hilbert_values``).  Second, exact recovery: given the
+values of the Hilbert polynomial at the n consecutive degrees m..m+n-1 for
+a transversal arrangement, integer difference steps turn them into the
+coefficients of the product of the (1 - t^{c_i}), mod t^n, and those yield
+the multiset of codimensions.
 
 Codimension-n components (the zero subspace) are invisible to recovery: they
 contribute a factor congruent to 1, so they surface only through the final
@@ -39,8 +36,8 @@ from .linalg import (
     PRIME,
     approx_rank,
     certified_pivots,
-    echelon_mod_p,
     primitive_int_vector,
+    rank_mod_p,
 )
 from .oracle import (
     MonomialBasis,
@@ -161,10 +158,7 @@ def estimate_hilbert_value(pc: PointCloud, d: int, tol: float | None = None) -> 
     ``certified_rank``'s.  Float clouds (or an explicit tol) use
     tolerance-based elimination, defaulting to a relative 1e-8.
 
-    The one-degree case of ``estimate_hilbert_values``, which closes every
-    degree after the first of a run of consecutive degrees from the leading
-    monomials of the previous degree's vanishing forms, with one rank mod a
-    prime instead of a certificate.
+    The one-degree case of ``estimate_hilbert_values``.
 
     Raises MonomialCapExceeded, before any basis is built, when degree d
     needs more monomials than ``oracle.check_monomial_cap`` allows, and
@@ -178,23 +172,26 @@ def estimate_hilbert_values(
 ) -> list[int]:
     """``estimate_hilbert_value`` at each of the ascending consecutive degrees.
 
-    Exact clouds certify the rank of one degree (``certified_pivots``) and
-    carry its kernel's leading monomials to the next.  The columns of the
-    evaluation matrix run through the monomials in decreasing lex order, so
-    a vanishing form's leading monomial here, its last nonzero column, is
-    its lex-smallest monomial, and lex order is multiplicative: the leading
-    monomial of x_j times a form is x_j times the form's.  A certified rank
-    with pivots C gives, for each other column f, a vanishing form led by f
-    (D e_f minus the pivot columns' multiples, N[i, f] e_{C_i}; the reduced
-    echelon form N is zero left of each pivot), and the set S of the x_j * f
-    lead vanishing forms of the next degree.  Forms with distinct leading
-    monomials are independent, so the next kernel has dimension at least
-    |S|, and only the columns outside S can be its pivots.  When those
-    columns are independent mod a prime they are independent over Q, so the
-    next rank is exactly their number, with those columns as its pivots,
-    and S is carried on.  Otherwise the degree is certified in full; a
-    certificate without pivots (``certified_pivots`` proves none on its
-    shortcut and its fallback) leaves the next degree to a certificate too.
+    Exact clouds close each degree by the rule of ``linalg``: the standard
+    columns independent mod a prime, else one ``certified_pivots``, whose
+    non-pivot columns lead the kernel and are carried to the next degree.
+
+    The columns of the evaluation matrix run through the monomials in
+    decreasing lex order, so a vanishing form's leading monomial here, its
+    last nonzero column, is its lex-smallest monomial, and lex order is
+    multiplicative: the leading monomial of x_j times a form is x_j times
+    the form's.  A certified rank with pivots C gives, for each other column
+    f, a vanishing form led by f (D e_f minus the pivot columns' multiples,
+    N[i, f] e_{C_i}; the reduced echelon form N is zero left of each pivot),
+    and the set S of the x_j * f lead vanishing forms of the next degree.
+    Forms with distinct leading monomials are independent, so the next
+    kernel has dimension at least |S|, and only the columns outside S can be
+    its pivots.  When those columns are independent mod a prime they are
+    independent over Q, so the next rank is exactly their number, with those
+    columns as its pivots, and S is carried on.  Otherwise the degree is
+    certified in full; a certificate without pivots (``certified_pivots``
+    proves none on its shortcut and its fallback) leaves the next degree to
+    a certificate too.
 
     The arrangement's ideal is generated in degrees <= m (Derksen and
     Sidman, 2002) and in generic coordinates its initial ideal has no
@@ -242,7 +239,7 @@ def _exact_value(
         raised = np.zeros(total, dtype=bool)
         raised[_raise_degree_maps(basis.n, basis.d - 1)[leading]] = True
         block = matrix[:, ~raised]
-        if len(block) >= block.shape[1] and _full_column_rank_mod_p(block):
+        if len(block) >= block.shape[1] and rank_mod_p(block, PRIME) == block.shape[1]:
             return total - block.shape[1], raised
     rank, pivots = certified_pivots(matrix)
     if pivots is None:
@@ -250,12 +247,6 @@ def _exact_value(
     leading = np.ones(total, dtype=bool)
     leading[pivots] = False
     return total - rank, leading
-
-
-def _full_column_rank_mod_p(m: np.ndarray) -> bool:
-    """Whether the integer matrix m has independent columns mod PRIME."""
-    ech, _ = echelon_mod_p((m % PRIME).astype(np.int64), PRIME)
-    return len(ech) == m.shape[1]
 
 
 def _approx_value(

@@ -10,10 +10,24 @@ exact-rank entry point; ``certified_pivots`` also returns the pivot columns
 that the certificate proves), and ``IntEchelon``, an incremental
 fraction-free accumulator for callers that add rows one at a time and for
 the certificate's fallback.
-``echelon_mod_p`` is the GF(p) eliminator for numpy matrices;
+``echelon_mod_p`` is the GF(p) eliminator for numpy matrices and
+``rank_mod_p`` its rank of an integer matrix;
 ``arrangement.dimension_function`` reduces its own rows of Python ints mod
 ``PRIME``, one subspace's forms at a time, along its walk.  ``approx_rank``
 is a tolerance-based rank for float matrices.
+
+The oracle's intersection ideal and exact point recovery close a degree of
+a kernel by one rule, the standard-monomial step of Buchberger-Moller
+(Marinari, Moller and Mora, "Groebner bases of ideals defined by
+functionals", AAECC 1993).  Given Lambda, distinct leading monomials of
+forms known to lie in the kernel over Q, the standard rows or columns, those
+off Lambda, are ranked mod p (``rank_mod_p``): independent there, they are
+independent over Q, and the kernel has dimension |Lambda|.  Otherwise
+``certified_pivots`` ranks the whole matrix.  Where it proves its pivots,
+each non-pivot column f gives a kernel vector over Q whose last nonzero
+entry is at f (f minus multiples of the pivot columns left of it); with
+the columns ordered so that a form's leading monomial is its last nonzero
+entry, the non-pivot columns are the next Lambda.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -345,27 +359,28 @@ def _residues(m: np.ndarray, p: int) -> np.ndarray:
     return (m % p).astype(np.int64, copy=False)
 
 
+def rank_mod_p(m: np.ndarray, p: int) -> int:
+    """Rank over GF(p) of the integer matrix m (int64 or object ndarray)."""
+    return len(echelon_mod_p(_residues(m, p), p)[0])
+
+
 def _max_abs(m: np.ndarray) -> int:
     # from max and min: abs(-2^63) wraps in int64
     return max(int(m.max(initial=0)), -int(m.min(initial=0)))
 
 
-def _rref_mod_p(m: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reduced echelon rows of the integer matrix m over GF(p), their pivot
-    columns, and the rows of m they were reduced from.
-
-    The echelon of ``echelon_mod_p`` is back-substituted over its pivots,
-    last to first, so every pivot column becomes a unit vector.
+def _back_substitute(ech: np.ndarray, pivots: np.ndarray, p: int) -> np.ndarray:
+    """The reduced echelon form over GF(p) of the echelon rows of
+    ``echelon_mod_p``, with the given pivot columns: back-substituted over
+    its pivots, last to first, so every pivot column becomes a unit vector.
     """
-    ech, sources = echelon_mod_p(_residues(m, p), p)
     ech = ech.copy()  # the r rows alone, not the buffer they were reduced in
-    pivots = (ech != 0).argmax(axis=1)
     for i in range(len(ech) - 1, 0, -1):
         c = pivots[i]
         above = ech[:i, c].nonzero()[0]
         if above.size:
             ech[above, c:] = (ech[above, c:] - np.outer(ech[above, c], ech[i, c:])) % p
-    return ech, pivots, sources
+    return ech
 
 
 def _symmetric_crt(residues: list[tuple[int, np.ndarray]]) -> np.ndarray:
@@ -458,10 +473,10 @@ def _lifts(residues: np.ndarray, p: int, independent: np.ndarray, pivots: np.nda
     lifted = [(p, residues)]
     yield lifted
     for q in LIFT_PRIMES[1:]:
-        more, more_pivots, _ = _rref_mod_p(independent, q)
-        if not np.array_equal(more_pivots, pivots):
+        ech, _ = echelon_mod_p(_residues(independent, q), q)
+        if not np.array_equal((ech != 0).argmax(axis=1), pivots):
             return
-        lifted = lifted + [(q, more)]
+        lifted = lifted + [(q, _back_substitute(ech, pivots, q))]
         yield lifted
 
 
@@ -516,12 +531,14 @@ def certified_pivots(matrix: np.ndarray) -> tuple[int, np.ndarray | None]:
     """Exact rank over Q of an integer matrix (int64 or object ndarray), and
     its pivot columns over Q when the rank is certified with them.
 
-    1. r = rank mod p1 = LIFT_PRIMES[0], with pivot columns C.  Reduction
-       mod p never raises the rank, so rank_Q >= r; r = min(rows, cols) is
-       the answer.  When r = cols every column is a pivot; when r = rows <
-       cols the pivots mod p1 are not proven to be those over Q, and none
-       are returned.
-    2. The reduced echelon form is lifted from GF(p1), GF(p2), ...: r rows
+    1. r = rank mod p1 = LIFT_PRIMES[0], with pivot columns C, by one
+       ``echelon_mod_p``.  Reduction mod p never raises the rank, so
+       rank_Q >= r; r = min(rows, cols) is the answer, returned before any
+       back-substitution.  When r = cols every column is a pivot; when
+       r = rows < cols the pivots mod p1 are not proven to be those over Q,
+       and none are returned.
+    2. Otherwise the echelon is back-substituted (``_back_substitute``) and
+       the reduced echelon form lifted from GF(p1), GF(p2), ...: r rows
        of the matrix independent mod p1 (so over Q, and spanning its row
        space if rank_Q = r) are reduced mod each further prime, which must
        give the same pivots; the residues are combined by CRT and every
@@ -547,12 +564,14 @@ def certified_pivots(matrix: np.ndarray) -> tuple[int, np.ndarray | None]:
     if not m.size:
         return 0, np.arange(0)
     p = LIFT_PRIMES[0]
-    residues, pivots, sources = _rref_mod_p(m, p)
+    ech, sources = echelon_mod_p(_residues(m, p), p)
+    pivots = (ech != 0).argmax(axis=1)
     r = len(pivots)
     if r == m.shape[1]:
         return r, pivots
     if r == m.shape[0]:
         return r, None
+    residues = _back_substitute(ech, pivots, p)
     for lifted in _lifts(residues, p, m[sources], pivots):
         candidate = _reconstruct(lifted)
         if candidate is not None and _certify(m, pivots, *candidate):

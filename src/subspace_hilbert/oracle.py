@@ -30,18 +30,20 @@ eliminated.
 
 Both ideals are also bounded from below by chains of forms carried from
 degree to degree as their leading monomials alone, as in the symbolic
-preprocessing of Faugere's F4: reductions mod p of integer forms of an
-ideal with distinct leading monomials are independent mod p, so their
-lifts are independent over Q, and their number is at most the ideal's
-dimension.  The product chain multiplies by the forms of V_1, ..., V_m,
-then by x_1, ..., x_n (``_leading_products``); its rows are built, and
-eliminated, only in a degree whose count misses the rank.  The
-intersection chain starts from the leading rows of a kernel known exactly
-(``_kernel_leads``) and multiplies by x_1, ..., x_n (``_multiples``); I is
-generated in degrees <= m (Derksen and Sidman, "A sharp bound for the
-Castelnuovo-Mumford regularity of subspace arrangements", Adv. Math.
-2002), so above m the multiples span I_d over Q, and their count mostly
-meets the upper bound; soundness does not rest on that theorem.
+preprocessing of Faugere's F4: forms with distinct leading monomials are
+independent, so their number is at most the ideal's dimension.  The
+product chain is carried mod p (reductions mod p of integer forms of J
+with distinct leading monomials are independent mod p, so their lifts are
+independent over Q) and multiplies by the forms of V_1, ..., V_m, then by
+x_1, ..., x_n (``_leading_products``); its rows are built, and eliminated,
+only in a degree whose count misses the rank.  The intersection chain is
+carried over Q: it starts from the non-pivot columns of a
+``certified_pivots`` that proves its pivots and multiplies by x_1, ...,
+x_n (``_multiples``); I is generated in degrees <= m (Derksen and Sidman,
+"A sharp bound for the Castelnuovo-Mumford regularity of subspace
+arrangements", Adv. Math. 2002), so above m the multiples span I_d over
+Q, and their count mostly meets the upper bound; soundness does not rest
+on that theorem.
 
 Where J and I differ in a degree d >= m (a pencil, say), J is closed from
 above by the lattice of flats F = V_A, as in the paper, where the series
@@ -58,19 +60,9 @@ product of ideals of linear subspaces is the intersection of the powers
 of products of ideals", Collect. Math. 2003), each of which contains
 P_F^{k_F} for F = V_A.
 
-A degree closes in one of three ways (``hilbert_table``):
-
-* standard rows: where a chain holds the leading monomials Lambda of the
-  kernel mod p, the rows of the matrix off Lambda are independent mod p,
-  and one elimination of those rows alone proves it.  The rank of a subset
-  of rows is at most rank_p, which is at most rank_Q, so dim = h - rank_Q
-  <= |Lambda| on h rows, and the chain's count |Lambda| is a lower bound:
-  the degree closes at |Lambda|.  ``gpca._exact_value`` applies the same
-  rule to the columns of an evaluation matrix;
-* bracket: else the restriction blocks are ranked mod p whole, and the
-  degree closes where the ends above meet;
-* exact fallback: else an exact rank (``certified_rank``) or the product
-  span over Q (``dim_product_ideal``).
+A degree closes by the rule of ``linalg``, which ``gpca`` applies to
+point recovery too: the standard rows mod p, else one ``certified_pivots``
+(``hilbert_table`` sets out both ways and why they are exact).
 
 The public per-degree functions ``dim_intersection_ideal`` and
 ``dim_product_ideal`` work in the given coordinates and are the references
@@ -94,10 +86,13 @@ from .linalg import (
     INT64_SAFE,
     PRIME,
     IntEchelon,
+    _residues,
+    certified_pivots,
     certified_rank,
     echelon_mod_p,
     kernel_basis,
     primitive_int_vector,
+    rank_mod_p,
     rref,
 )
 from .ratpoly import binom
@@ -313,13 +308,8 @@ def dim_intersection_ideal(a: Arrangement, S: SubsetLike, d: int) -> int:
     total = len(monomial_basis(n, d))
     blocks = [_restriction_matrix(a.subspaces[i].integer_rows, n, d) for i in idxs]
     # by width, not dim: the zero subspace has a width-1 block at d = 0
-    return _kernel_dim(total, [b for b in blocks if b.shape[1]])
-
-
-def _kernel_dim(rows: int, blocks: list[np.ndarray]) -> int:
-    """rows minus the rank over Q of the integer blocks, with that many
-    rows, placed side by side (``certified_rank``)."""
-    return rows - (certified_rank(np.hstack(blocks)) if blocks else 0)
+    blocks = [b for b in blocks if b.shape[1]]
+    return total - (certified_rank(np.hstack(blocks)) if blocks else 0)
 
 
 def _times_forms(
@@ -387,13 +377,6 @@ def dim_product_ideal(a: Arrangement, S: SubsetLike, d: int) -> int:
     return matrix.shape[0]
 
 
-def _rank_mod_p(blocks: list[np.ndarray], p: int) -> int:
-    """Rank over GF(p) of the integer blocks placed side by side."""
-    if not blocks:
-        return 0
-    return len(echelon_mod_p(np.hstack([(b % p).astype(np.int64) for b in blocks]), p)[0])
-
-
 def _standard_rows_independent(
     blocks: list[np.ndarray], kept: np.ndarray, leads: np.ndarray, p: int
 ) -> bool:
@@ -401,11 +384,11 @@ def _standard_rows_independent(
     those off the leading monomials leads, are independent mod p.
 
     The blocks' rows are the monomials where kept is set, and leads, distinct
-    monomials among them, are the leading monomials of as many forms mod p
-    in the blocks' left kernel.  The kernel's leading monomials are as many
-    as its dimension, so the standard rows are independent exactly when
-    leads are all of them, that is, when the kernel mod p has dimension
-    |leads|.
+    monomials among them, are the leading monomials of as many forms in the
+    blocks' left kernel, mod p (the J chain) or over Q (the I chain).  The
+    kernel mod p has as many leading monomials as its dimension, so for
+    leads mod p the standard rows are independent exactly when leads are
+    all of them, that is, when the kernel mod p has dimension |leads|.
     """
     rows = kept.copy()
     rows[leads] = False
@@ -415,8 +398,7 @@ def _standard_rows_independent(
         return False
     if not count:
         return True
-    stacked = np.hstack([(b[rows] % p).astype(np.int64, copy=False) for b in blocks])
-    return len(echelon_mod_p(stacked, p)[0]) == count
+    return rank_mod_p(np.hstack([b[rows] for b in blocks]), p) == count
 
 
 def _leading_variables(forms: Sequence[Sequence[int]], p: int) -> np.ndarray:
@@ -462,25 +444,6 @@ def _multiples(leads: np.ndarray, n: int, e: int) -> np.ndarray:
     with leading columns leads: LM(x_j g) = x_j LM(g) in any monomial
     order."""
     return np.unique(_raise_degree_maps(n, e)[leads])
-
-
-def _kernel_leads(blocks: list[np.ndarray], p: int) -> np.ndarray:
-    """The leading rows of the left kernel mod p of the integer blocks
-    placed side by side, on one row or more: the rows that depend mod p on
-    the rows after them, in increasing order.
-
-    A kernel vector whose first nonzero entry is at row i writes row i in
-    terms of the rows after it, and such a relation is a kernel vector that
-    starts at row i.  Eliminating the transpose with its columns (the rows)
-    in reverse order, a column gets a pivot exactly when it is independent
-    of the columns before it, the later rows; the columns without a pivot
-    are the leads, one per dimension of the kernel.
-    """
-    reversed_rows = np.hstack(blocks).T[:, ::-1]
-    ech, _ = echelon_mod_p((reversed_rows % p).astype(np.int64, copy=False), p)
-    free = np.ones(reversed_rows.shape[1], dtype=bool)
-    free[(ech != 0).argmax(axis=1)] = False
-    return np.flatnonzero(free[::-1])
 
 
 def _flat_key(forms: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
@@ -598,7 +561,7 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     blocks on the rows of w-degree >= 1, exactly, over Q and over every
     GF(p).  Let h = total - c_s be the number of those rows.
 
-    Each degree is bracketed by ranks mod PRIME:
+    Each degree is bracketed by ranks mod a prime p:
 
         L_J <= dim J_d <= U_J <= U_I,    dim J_d, L_I <= dim I_d <= U_I,
 
@@ -621,34 +584,35 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     until then U_J is U_I and a table that never asks pays nothing.
 
     The lower ends L_J and L_I (below) count distinct leading monomials of
-    forms mod p in J and in I.  Those forms lie in the kernel mod p of the
-    blocks (beside the jets, for J), whose leading monomials are as many as
-    its dimension, h - rank_p.  A degree closes in one of three ways.
+    forms in J and in I.  A degree closes in one of two ways, the rule of
+    ``linalg``.
 
     * Standard rows.  Let Lambda be the larger of the two chains' leading
       monomials (J's from m on).  Where the h - |Lambda| rows of the blocks
-      off Lambda are independent mod p (``_standard_rows_independent``, one
-      elimination of those rows alone), a subset of rows ranks at most
-      rank_p, and rank_p at most the rank over Q, so
+      off Lambda are independent mod p = PRIME
+      (``_standard_rows_independent``, one elimination of those rows
+      alone), a subset of rows ranks at most rank_p, and rank_p at most the
+      rank over Q, so
 
           h - |Lambda| <= rank_p <= rank_Q,
           |Lambda| <= dim I_d = h - rank_Q <= |Lambda|,
 
-      and dim I_d = |Lambda|.  It is the rule ``gpca._exact_value`` applies
-      to the columns of an evaluation matrix.  The same test of J's leading
+      and dim I_d = |Lambda|.  ``gpca._exact_value`` applies the rule to
+      the columns of an evaluation matrix.  The same test of J's leading
       monomials against the blocks beside the jets gives dim J_d = L_J.
-      The rows off Lambda are independent exactly when Lambda holds every
-      leading monomial of the kernel mod p, that is, when |Lambda| is U_I
-      (or U_J): the bracket meets, found without ranking every row.
-    * Bracket.  Otherwise, and below m before an I chain has started, the
-      blocks are ranked mod p whole (``_rank_mod_p``); dim I_d is U_I when
-      that is 0 or the blocks have full column rank mod p (then rank_p is
-      their rank over Q).  dim J_d is L_J where L_J reaches dim I_d, and
-      0 below m.
-    * Exact fallback.  dim I_d is h - ``certified_rank`` of the same blocks
-      (``_kernel_dim``) where the bracket stays open; dim J_d is
-      ``dim_product_ideal`` (on the arrangement as given) where neither
-      dim I_d nor the standard rows close it.
+      J's leads are those of forms in the kernel mod p, whose leading
+      monomials are as many as its dimension, so its standard rows are
+      independent exactly when |Lambda| is U_I (or U_J): the bracket meets,
+      found without ranking every row.
+    * ``certified_pivots``.  Otherwise, and below m before an I chain has
+      started, the blocks are ranked whole, as their transpose with the
+      rows last to first.  It ranks them mod its first prime first; where
+      that rank is h (U_I = 0) or the blocks' width (full column rank, so
+      it is their rank over Q) the bracket meets and it returns there;
+      elsewhere it lifts to the rank over Q.  dim I_d is h minus that rank, and h in
+      a degree without blocks.  dim J_d is L_J where L_J reaches dim I_d,
+      0 below m, and ``dim_product_ideal`` (on the arrangement as given)
+      where neither dim I_d nor the standard rows close it.
 
     Every value returned is exact, at every prime.
 
@@ -678,17 +642,15 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     and every matrix eliminated is the one that building the counted
     products in every degree would eliminate.
 
-    L_I is carried the same way, from a degree where ``_kernel_dim`` ran
-    and returned U_I, so that rank_p there is the rank over Q.  The integer
-    points of the kernel over Q then form a direct summand of Z^h of rank
-    U_I, whose reductions fill the kernel mod p: every kernel vector mod p
-    is the reduction of a form in I_d, and the kernel's leading rows
-    (``_kernel_leads``) are leading monomials of such forms.  Every later
-    degree multiplies them by x_1, ..., x_n and keeps one product per
-    leading monomial (``_multiples``): reductions of forms in I with
-    distinct leading monomials, so L_I, their number, is at most dim I_d at
-    every p.  A degree where I still falls back to ``_kernel_dim`` and
-    gets U_I starts the chain again there.
+    L_I is carried over Q, from a degree where ``certified_pivots`` proved
+    its pivots.  There a non-pivot column f of the transpose is a
+    combination over Q of the pivot columns left of it, the rows after f:
+    a form of I_d whose leading monomial, its first nonzero row, is f.
+    Every later degree multiplies them by x_1, ..., x_n and keeps one
+    product per leading monomial (``_multiples``): forms of I with distinct
+    leading monomials, so L_I, their number, is at most dim I_d at every p.
+    A degree where I still needs ``certified_pivots`` and gets pivots
+    starts the chain again there.
 
     Refuses degrees whose monomial count exceeds the cap
     (``check_monomial_cap``).
@@ -706,16 +668,14 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     factors = [(f, _leading_variables(f, p)) for f in forms + [np.eye(n, dtype=np.int64).tolist()]]
 
     def build(span, factor, e, picks=None):
-        products = _times_forms(span, factor, n, e, picks)
-        products %= p
-        return products.astype(np.int64, copy=False)
+        return _residues(_times_forms(span, factor, n, e, picks), p)
 
     # the J chain: the leading columns of its span; the span as last built,
     # of degree built; and the (factor, picks) of each counted degree since
     leads_J = np.zeros(1, dtype=np.intp)
     span, built, pending = np.ones((1, 1), dtype=np.int64), 0, []
-    # the I chain: leading columns of forms in I, from the last exact kernel
-    # (none before the first)
+    # the I chain: leading columns of forms in I, from the last
+    # certified_pivots that proved its pivots (none before the first)
     empty = np.zeros(0, dtype=np.intp)
     leads_I = empty
     jets = None
@@ -749,14 +709,15 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
             dim_I = len(leads_J)
         elif len(chain) and _standard_rows_independent(blocks, kept, chain, p):
             dim_I = len(chain)
+        elif blocks:
+            # the transpose, rows last to first: its non-pivot columns are
+            # the rows that depend over Q on the rows after them
+            rank, pivots = certified_pivots(np.hstack(blocks).T[:, ::-1])
+            dim_I = h - rank
+            if pivots is not None:
+                leads_I = np.delete(np.flatnonzero(kept)[::-1], pivots)[::-1]
         else:
-            rank = _rank_mod_p(blocks, p)
-            if rank in (h, sum(b.shape[1] for b in blocks)):
-                dim_I = h - rank
-            else:
-                dim_I = _kernel_dim(h, blocks)
-                if dim_I == h - rank:
-                    leads_I = np.flatnonzero(kept)[_kernel_leads(blocks, p)]
+            dim_I = h
         if d >= m and not tight and len(leads_J) < dim_I:
             if jets is None:
                 jets = islice(_flat_jets(forms, n), d, None)

@@ -630,6 +630,32 @@ class TestCertifiedRankPaths:
         monkeypatch.setattr(linalg, "LIFT_PRIMES", _TINY_PRIMES)
         assert certified_pivots(np.array([[2, 3], [4, 6]])) == (1, None)
 
+    @pytest.mark.parametrize(
+        "rows, rank, pivots",
+        [
+            # full column rank: every column is a pivot
+            ([[1, 2], [3, 4], [5, 6]], 2, [0, 1]),
+            ([[0, 2], [0, 0], [7, 1], [0, 4]], 2, [0, 1]),
+            # full row rank below the columns: no pivots are proven
+            ([[2, 1, 0], [0, 3, 1]], 2, None),
+            ([[0, 0, 5, 1]], 1, None),
+        ],
+    )
+    def test_first_prime_returns_before_back_substituting(self, monkeypatch, rows, rank, pivots):
+        # the rank mod the first prime is min(rows, cols): its echelon alone
+        # answers, with no back-substitution and no lifting
+        def refuse(*args):
+            raise AssertionError("lifted past the first prime")
+
+        monkeypatch.setattr(linalg, "_back_substitute", refuse)
+        monkeypatch.setattr(linalg, "_lifts", refuse)
+        got, got_pivots = certified_pivots(np.array(rows, dtype=object))
+        assert got == rank
+        if pivots is None:
+            assert got_pivots is None
+        else:
+            assert got_pivots.tolist() == pivots == list(range(len(rows[0])))
+
     def test_certified(self, monkeypatch):
         rows = [[3, 1, 4, 1], [6, 2, 8, 2], [5, 9, 2, 6], [8, 10, 6, 7]]
         got, calls = self.run(monkeypatch, rows)

@@ -25,7 +25,7 @@ from closed_form_reference import (
     span_of,
 )
 from strategies import arrangements
-from subspace_hilbert import oracle
+from subspace_hilbert import linalg, oracle
 from subspace_hilbert.arrangement import (
     Arrangement,
     dimension_function,
@@ -33,7 +33,7 @@ from subspace_hilbert.arrangement import (
 )
 from subspace_hilbert.fixtures import fixture_arrangement, fixture_names
 from subspace_hilbert.hilbert import hilbert_series_J, transversal_hilbert_function
-from subspace_hilbert.linalg import SubspaceBasis, echelon_mod_p
+from subspace_hilbert.linalg import SubspaceBasis, certified_pivots, echelon_mod_p, rank_mod_p
 from subspace_hilbert.oracle import (
     GradedPieceResult,
     MonomialBasis,
@@ -44,7 +44,6 @@ from subspace_hilbert.oracle import (
     _flats,
     _leading_products,
     _leading_variables,
-    _rank_mod_p,
     _restriction_matrix,
     _standard_rows_independent,
     _substitutions,
@@ -603,32 +602,27 @@ class TestCertifiedTable:
             (dim_intersection_ideal(arr, full, d), dim_product_ideal(arr, full, d))
             for d in range(6)
         ]
-        calls: dict[str, list[int]] = {"bracket": [], "I": [], "J": []}
         degree_of = degrees_by_kept_rows(arr, 5)
-
-        def spy_bracket(blocks, p):
-            calls["bracket"].append(degree_of[blocks[0].shape[0]])
-            return rank_mod_p(blocks, p)
-
-        def spy_I(rows, blocks):
-            calls["I"].append(degree_of[rows])
-            return kernel_dim(rows, blocks)
+        closings, exact_J = [], []
 
         def spy_J(a, S, d):
-            calls["J"].append(d)
+            exact_J.append(d)
             return dim_product_ideal(a, S, d)
 
-        kernel_dim, rank_mod_p = oracle._kernel_dim, oracle._rank_mod_p
-        monkeypatch.setattr(oracle, "_rank_mod_p", spy_bracket)
-        monkeypatch.setattr(oracle, "_kernel_dim", spy_I)
+        spied_closings(monkeypatch, closings)
         monkeypatch.setattr(oracle, "dim_product_ideal", spy_J)
         table = hilbert_table(arr, 5)
         assert [(r.dim_I, r.dim_J) for r in table] == expected
-        return calls
+        return {
+            "bracket": [degree_of[h] for h, _, _ in closings],
+            "I": [degree_of[h] for h, lifted, _ in closings if lifted],
+            "J": exact_J,
+        }
 
-    # the degrees whose blocks are ranked whole: those without a chain, and
-    # those where the chain falls short of U_I; the others close by the
-    # standard rows, I there by the lead count
+    # the degrees whose blocks are ranked whole (``certified_pivots``):
+    # those without a chain, and those where the chain falls short of U_I;
+    # the others close by the standard rows, I there by the lead count.  The
+    # exact degrees are those where it lifted past its first prime
     BRACKET = {
         # the I chain starts at the exact kernel of degree 1 and fills
         # degree 2, not 3 = m, which restarts it
@@ -669,6 +663,32 @@ class TestCertifiedTable:
         assert calls == {"bracket": self.BRACKET[name], "I": exact_I, "J": exact_J}
 
 
+def spied_closings(mp, records: list) -> None:
+    """Record (h, lifted, result) for every ``certified_pivots`` call of
+    ``hilbert_table``: the number of rows of the restriction blocks it
+    ranks (the columns of their transpose), whether it lifted past its first
+    prime, and its rank and pivots."""
+    lifts, real_lifts, real_pivots = [], linalg._lifts, oracle.certified_pivots
+
+    def lifts_spy(*args):
+        lifts.append(None)
+        return real_lifts(*args)
+
+    def spy(matrix):
+        before = len(lifts)
+        result = real_pivots(matrix)
+        records.append((matrix.shape[1], len(lifts) > before, result))
+        return result
+
+    mp.setattr(linalg, "_lifts", lifts_spy)
+    mp.setattr(oracle, "certified_pivots", spy)
+
+
+def _rank_side_by_side(matrices: list[np.ndarray], p: int) -> int:
+    """rank_p of the integer matrices placed side by side."""
+    return rank_mod_p(np.hstack(matrices), p) if matrices else 0
+
+
 def adapted_bounds(arr: Arrangement, d: int, p: int) -> tuple[int, int]:
     """U_I and U_J of degree d mod p as ``hilbert_table`` forms them once
     the jets have started: in the adapted coordinates, on the rows of
@@ -680,7 +700,7 @@ def adapted_bounds(arr: Arrangement, d: int, p: int) -> tuple[int, int]:
     blocks = [b for b in blocks if b.shape[1]]
     height = int(kept.sum())
     jets = [j[kept] for j in next(itertools.islice(_flat_jets(forms, n), d, None))]
-    rank_I, rank_J = _rank_mod_p(blocks, p), _rank_mod_p(blocks + jets, p)
+    rank_I, rank_J = _rank_side_by_side(blocks, p), _rank_side_by_side(blocks + jets, p)
     return height - rank_I, height - rank_J if d >= arr.num_subspaces else 0
 
 
@@ -836,7 +856,7 @@ class TestRanksModP:
     @given(blocks_and_jets())
     def test_equal_the_rank_of_the_transpose(self, case):
         p, blocks, jets = case
-        assert _rank_mod_p(blocks + jets, p) == _rank_by_rows(blocks + jets, p)
+        assert _rank_side_by_side(blocks + jets, p) == _rank_by_rows(blocks + jets, p)
 
     @pytest.mark.parametrize(
         "arr, d_max",
@@ -1120,9 +1140,9 @@ def materialized_chain(arr: Arrangement, d_max: int, p: int):
 
 def spied_eliminations(mp, records: list) -> None:
     """Record a copy of every matrix ``hilbert_table`` eliminates in a J
-    step: every ``echelon_mod_p`` call outside the bracket's
-    ``_rank_mod_p``, the standard rows' ``_standard_rows_independent`` and
-    the kernel leads' ``_kernel_leads``."""
+    step: every ``echelon_mod_p`` call outside the standard rows'
+    ``_standard_rows_independent`` and the whole blocks'
+    ``certified_pivots``."""
     eliminate, inside = oracle.echelon_mod_p, [False]
 
     def helper_spy(fn):
@@ -1140,7 +1160,7 @@ def spied_eliminations(mp, records: list) -> None:
             records.append(matrix.copy())
         return eliminate(matrix, p)
 
-    for name in ("_rank_mod_p", "_standard_rows_independent", "_kernel_leads"):
+    for name in ("_standard_rows_independent", "certified_pivots"):
         mp.setattr(oracle, name, helper_spy(getattr(oracle, name)))
     mp.setattr(oracle, "echelon_mod_p", spy)
 
@@ -1188,20 +1208,18 @@ class TestLeadingTerms:
         # a count that closes a degree has found rank_p, so every lower_J,
         # and with it every exact fallback, is what eliminations give
         def table_and_fallbacks(mp):
-            calls = []
+            calls, closings = [], []
 
-            def spy(key, fn):
-                # the degree of a J fallback; the kept rows of an I fallback
-                def wrapper(*args):
-                    calls.append((key, args[-1] if key == "J" else args[0]))
-                    return fn(*args)
-
-                return wrapper
+            def spy(a, S, d):
+                calls.append(("J", d))
+                return dim_product_ideal(a, S, d)
 
             mp.setattr(oracle, "PRIME", p)
-            mp.setattr(oracle, "_kernel_dim", spy("I", oracle._kernel_dim))
-            mp.setattr(oracle, "dim_product_ideal", spy("J", dim_product_ideal))
-            return hilbert_table(arr, arr.num_subspaces + 2), calls
+            spied_closings(mp, closings)
+            mp.setattr(oracle, "dim_product_ideal", spy)
+            table = hilbert_table(arr, arr.num_subspaces + 2)
+            # the kept rows of a degree whose blocks are ranked whole
+            return table, calls + [("I", h, lifted) for h, lifted, _ in closings]
 
         with pytest.MonkeyPatch.context() as mp:
             counted = table_and_fallbacks(mp)
@@ -1318,15 +1336,25 @@ class TestIntersectionChain:
     @settings(max_examples=100, deadline=None)
     @given(blocks_and_jets())
     def test_kernel_leads_are_the_rows_that_depend_on_later_rows(self, case):
-        # the table asks only where U_I > 0, so on at least one row
+        # the chain starts where certified_pivots proves the pivots of the
+        # blocks' transpose, rows last to first, at any first prime p: its
+        # non-pivot columns are the rows that depend over Q on the rows
+        # after them, one per dimension of the kernel
         p, blocks, jets = case
-        assume(blocks + jets and len(blocks[0] if blocks else jets[0]))
+        assume(blocks + jets)
         rows = np.hstack(blocks + jets)
-        expected = [
-            i for i in range(len(rows))
-            if _rank_of_rows(rows[i:], p) == _rank_of_rows(rows[i + 1 :], p)
-        ]
-        assert oracle._kernel_leads(blocks + jets, p).tolist() == expected
+        h = len(rows)
+
+        def rank_Q(part):
+            return rank(QMatrix(part.tolist(), ncols=rows.shape[1])) if len(part) else 0
+
+        expected = [i for i in range(h) if rank_Q(rows[i:]) == rank_Q(rows[i + 1 :])]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "LIFT_PRIMES", (p,) + tuple(q for q in linalg.LIFT_PRIMES if q != p))
+            got, pivots = certified_pivots(rows.T[:, ::-1])
+        assert got == h - len(expected)
+        if pivots is not None:
+            assert np.delete(np.arange(h)[::-1], pivots)[::-1].tolist() == expected
 
     @pytest.mark.parametrize("p", [2, 3, 7, 2**31 - 1])
     @settings(max_examples=30, deadline=None)
@@ -1337,13 +1365,8 @@ class TestIntersectionChain:
         # start it is dim I_d
         m, d_max = arr.num_subspaces, arr.num_subspaces + 3
         degree_of = degrees_by_kept_rows(arr, d_max)
-        counts = []
-        kernel_leads, multiples = oracle._kernel_leads, oracle._multiples
-
-        def start_spy(blocks, p):
-            leads = kernel_leads(blocks, p)
-            counts.append((degree_of[blocks[0].shape[0]], len(leads), True))
-            return leads
+        counts, closings = [], []
+        multiples = oracle._multiples
 
         def raise_spy(leads, n, e):
             raised = multiples(leads, n, e)
@@ -1352,9 +1375,15 @@ class TestIntersectionChain:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "PRIME", p)
-            mp.setattr(oracle, "_kernel_leads", start_spy)
+            spied_closings(mp, closings)
             mp.setattr(oracle, "_multiples", raise_spy)
             table = hilbert_table(arr, d_max)
+        # a start: the non-pivot columns of a certified_pivots with pivots
+        counts += [
+            (degree_of[h], h - len(pivots), True)
+            for h, _, (_, pivots) in closings
+            if pivots is not None
+        ]
         full = (1 << m) - 1
         for d, count, start in counts:
             assert count <= dim_intersection_ideal(arr, full, d) == table[d].dim_I
@@ -1383,24 +1412,14 @@ class TestIntersectionChain:
         # without ranking the blocks, let alone an exact kernel
         m = arr.num_subspaces
         degree_of = degrees_by_kept_rows(arr, d_max)
-        kernel_dim, rank_mod_p = oracle._kernel_dim, oracle._rank_mod_p
-        calls, ranked, records = [], [], []
-
-        def spy(rows, blocks):
-            calls.append(degree_of[rows])
-            return kernel_dim(rows, blocks)
-
-        def rank_spy(blocks, p):
-            ranked.append(degree_of[blocks[0].shape[0]])
-            return rank_mod_p(blocks, p)
-
-        monkeypatch.setattr(oracle, "_kernel_dim", spy)
-        monkeypatch.setattr(oracle, "_rank_mod_p", rank_spy)
+        closings, records = [], []
+        spied_closings(monkeypatch, closings)
         spied_standard_rows(monkeypatch, records)
         table = hilbert_table(arr, d_max)
         closed = {d for d, _, count, independent in records if independent and count == table[d].dim_I}
         assert closed >= set(range(m + 1, d_max + 1))
-        assert [d for d in calls if d > m] == [] and [d for d in ranked if d > m] == []
+        # an exact kernel lifts inside one of these
+        assert [d for d in (degree_of[h] for h, _, _ in closings) if d > m] == []
 
 
 def _package_dependencies(module: str) -> set[str]:

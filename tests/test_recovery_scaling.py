@@ -1,5 +1,5 @@
 """Smoke test of benchmarks/recovery_scaling.py: its spies still see the
-certified_rank steps it labels the routes by, so a rename fails here
+certified_pivots steps it labels the routes by, so a rename fails here
 instead of mislabelling a recorded benchmark."""
 
 import json
