@@ -18,16 +18,13 @@ common line.
   dim I_d), "degree" (below m, where J_d = 0 < dim I_d), "standard rows"
   (from m on, where the rows off J's leading monomials of the blocks beside
   the jets are independent mod p) or "exact" (``dim_product_ideal``);
-  whether the GF(p) product span of degree d >= 1 ("J step") was closed by
-  counting leading terms or took an ``echelon_mod_p`` elimination; and the
-  sha256 of the table to d = 8.  These come from one extra, untimed call
-  with those functions wrapped here (``closing``); an ``echelon_mod_p``
-  call made inside a rank helper (``_standard_rows_independent``,
-  ``certified_pivots``) is no J step.  A tree from before
-  ``certified_pivots`` closed the oracle's degrees ranked the blocks whole
-  by ``_rank_mod_p``, took the exact rank by ``_kernel_dim`` and the
-  leading rows of an exact kernel by ``_kernel_leads``; those are wrapped
-  too, so that tree gets labels by the same rules.
+  whether the GF(p) product span of degree d >= 1 ("J step") took an
+  ``echelon_mod_p`` elimination ("eliminate", every degree d <= m and a
+  rebuild above m) or was carried by its leading monomials alone
+  ("count"); and the sha256 of the table to d = 8.  These come from one
+  extra, untimed call with those functions wrapped here (``closing``); an
+  ``echelon_mod_p`` call made inside a rank helper
+  (``_standard_rows_independent``, ``certified_pivots``) is no J step.
 - **Near the monomial cap.**  Five larger cases (Q^6 dims [1,1,1] to d = 9,
   Q^7 [2,3] to d = 7, Q^4 [1,1,2,1] to d = 16, Q^5 [1,2] to d = 10, and the
   Q^5 pencil [3,1,2,3] to d = 10), each run ``--repeat`` times in a fresh
@@ -159,14 +156,6 @@ def closing(arr) -> tuple[list[str], list[str], list[str], str]:
 
         return wrapper
 
-    def kernel_spy(fn):
-        # _kernel_dim(rows, blocks): the exact rank before certified_pivots
-        def wrapper(rows, blocks):
-            called["I"].add(degree_of_rows[rows])
-            return fn(rows, blocks)
-
-        return wrapper
-
     def rank_spy(fn):
         def wrapper(*args):
             in_rank[0] = True
@@ -219,14 +208,11 @@ def closing(arr) -> tuple[list[str], list[str], list[str], str]:
 
     spies = {
         "certified_pivots": pivots_spy,
-        "_kernel_dim": kernel_spy,
         "dim_product_ideal": product_spy,
-        "_rank_mod_p": rank_spy,
         "_standard_rows_independent": rows_spy,
-        "_kernel_leads": rank_spy,
         "echelon_mod_p": elimination_spy,
     }
-    saved = {name: getattr(oracle, name) for name in spies if hasattr(oracle, name)}
+    saved = {name: getattr(oracle, name) for name in spies}
     for name, fn in saved.items():
         setattr(oracle, name, spies[name](fn))
     saved_lifts = linalg._lifts

@@ -73,7 +73,8 @@ class DataError(Exception):
 # ---------------------------------------------------------------------------
 # file parsing
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+# ASCII digits: \d would take any Unicode digit, which int() reads too
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def parse_rational(value: Any, where: str) -> Fraction:
@@ -83,7 +84,7 @@ def parse_rational(value: Any, where: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if not _RATIONAL_RE.match(value):
+        if not _RATIONAL_RE.fullmatch(value):
             raise DataError(
                 f"{where}: {value!r} is not an integer or integer/positive-integer"
             )

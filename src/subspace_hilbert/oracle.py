@@ -29,21 +29,22 @@ rank, over Q and over every GF(p), and only the other blocks are
 eliminated.
 
 Both ideals are also bounded from below by chains of forms carried from
-degree to degree as their leading monomials alone, as in the symbolic
+degree to degree as their leading monomials, as in the symbolic
 preprocessing of Faugere's F4: forms with distinct leading monomials are
 independent, so their number is at most the ideal's dimension.  The
 product chain is carried mod p (reductions mod p of integer forms of J
 with distinct leading monomials are independent mod p, so their lifts are
-independent over Q) and multiplies by the forms of V_1, ..., V_m, then by
-x_1, ..., x_n (``_leading_products``); its rows are built, and eliminated,
-only in a degree whose count misses the rank.  The intersection chain is
-carried over Q: it starts from the non-pivot columns of a
-``certified_pivots`` that proves its pivots and multiplies by x_1, ...,
-x_n (``_multiples``); I is generated in degrees <= m (Derksen and Sidman,
-"A sharp bound for the Castelnuovo-Mumford regularity of subspace
-arrangements", Adv. Math. 2002), so above m the multiples span I_d over
-Q, and their count mostly meets the upper bound; soundness does not rest
-on that theorem.
+independent over Q).  Through degree m it multiplies its span by the forms
+of V_1, ..., V_m (``_times_forms``) and eliminates; J is generated in
+degree m, so above m it multiplies the span's leading monomials alone by
+x_1, ..., x_n (``_multiples``), and builds the span again only in a degree
+where those multiples do not close it.  The intersection chain is carried
+over Q: it starts from the non-pivot columns of a ``certified_pivots``
+that proves its pivots and multiplies by x_1, ..., x_n (``_multiples``);
+I is generated in degrees <= m (Derksen and Sidman, "A sharp bound for the
+Castelnuovo-Mumford regularity of subspace arrangements", Adv. Math.
+2002), so above m the multiples span I_d over Q, and their count mostly
+meets the upper bound; soundness does not rest on that theorem.
 
 Where J and I differ in a degree d >= m (a pencil, say), J is closed from
 above by the lattice of flats F = V_A, as in the paper, where the series
@@ -312,38 +313,26 @@ def dim_intersection_ideal(a: Arrangement, S: SubsetLike, d: int) -> int:
     return total - (certified_rank(np.hstack(blocks)) if blocks else 0)
 
 
-def _times_forms(
-    basis: np.ndarray,
-    forms: Sequence[Sequence[int]],
-    n: int,
-    e: int,
-    picks: Sequence[np.ndarray] | None = None,
-) -> np.ndarray:
-    """The products f * b of each linear form f with rows b of basis.
+def _times_forms(basis: np.ndarray, forms: Sequence[Sequence[int]], n: int, e: int) -> np.ndarray:
+    """The products f * b of each linear form f with each row b of basis.
 
     basis holds degree-e forms over the degree-e monomials.  The result has
-    one block of rows per form, in the order of forms, over the degree-(e+1)
-    monomials: the products with every row of basis, or, with picks, those
-    with the rows ``picks[t]`` for form t.  An entry sums at most n terms
-    c * v, so the matrix is int64 while n * max|basis| * max|c| < 2^62 and
-    an object array of Python ints from there on.
+    one block of len(basis) rows per form, in the order of forms, over the
+    degree-(e+1) monomials.  An entry sums at most n terms c * v, so the
+    matrix is int64 while n * max|basis| * max|c| < 2^62 and an object
+    array of Python ints from there on.
     """
     maps = _raise_degree_maps(n, e)
     row_max = int(np.abs(basis).max(initial=0))
     coeff_max = max(abs(c) for f in forms for c in f)
     dtype = np.int64 if n * row_max * coeff_max < INT64_SAFE else object
     basis = basis.astype(dtype, copy=False)
-    sizes = [len(basis)] * len(forms) if picks is None else [len(pick) for pick in picks]
-    out = np.zeros((sum(sizes), len(monomial_basis(n, e + 1))), dtype=dtype)
-    start = 0
-    for t, f in enumerate(forms):
-        rows = basis if picks is None else basis[picks[t]]
-        block = out[start : start + sizes[t]]
+    out = np.zeros((len(forms), len(basis), len(monomial_basis(n, e + 1))), dtype=dtype)
+    for block, f in zip(out, forms):
         for j, c in enumerate(f):
             if c:
-                block[:, maps[:, j]] += c * rows
-        start += sizes[t]
-    return out
+                block[:, maps[:, j]] += c * basis
+    return out.reshape(-1, out.shape[2])
 
 
 def dim_product_ideal(a: Arrangement, S: SubsetLike, d: int) -> int:
@@ -401,49 +390,14 @@ def _standard_rows_independent(
     return rank_mod_p(np.hstack([b[rows] for b in blocks]), p) == count
 
 
-def _leading_variables(forms: Sequence[Sequence[int]], p: int) -> np.ndarray:
-    """The first variable of each linear form that is nonzero mod p, -1 for a
-    form that vanishes mod p."""
-    return np.array(
-        [next((j for j, c in enumerate(f) if c % p), -1) for f in forms], dtype=np.intp
-    )
-
-
-def _leading_products(
-    leads: np.ndarray, variables: np.ndarray, n: int, e: int
-) -> tuple[list[np.ndarray], int, np.ndarray]:
-    """One product per leading column among the products f * b mod p of
-    ``_times_forms``, found from leading terms without building them.
-
-    b runs over the rows of a degree-e span mod p, nonzero rows whose
-    leading columns (first nonzero entries) are leads, and f over forms
-    whose leading variables mod p are variables (``_leading_variables``).
-    The columns run through the monomials in decreasing lex order, a
-    monomial order, and GF(p)[x] has no zero divisors, so the leading
-    monomial of f * b mod p is that of b times the leading variable of f
-    mod p: ``_raise_degree_maps(n, e)[lead, var(f)]``.  A form that
-    vanishes mod p gives zero products, which have none.  Returns the
-    chosen products as ``_times_forms`` picks (for each form, the rows it
-    multiplies), the number of nonzero products, and the chosen products'
-    leading columns in the order ``_times_forms`` builds them from the
-    picks.  Rows with pairwise distinct leading columns are independent, so
-    the number chosen is a lower bound on the rank of the products.
-    """
-    columns = _raise_degree_maps(n, e)[leads][:, variables].T
-    columns[variables < 0] = -1
-    columns = columns.ravel()
-    live = np.flatnonzero(columns >= 0)
-    heads, first = np.unique(columns[live], return_index=True)
-    form, row = np.divmod(live[first], len(leads))
-    picks = [row[form == t] for t in range(len(variables))]
-    return picks, len(live), heads[np.argsort(form, kind="stable")]
-
-
 def _multiples(leads: np.ndarray, n: int, e: int) -> np.ndarray:
     """The distinct leading columns of x_1, ..., x_n times degree-e forms
     with leading columns leads: LM(x_j g) = x_j LM(g) in any monomial
-    order."""
-    return np.unique(_raise_degree_maps(n, e)[leads])
+    order.  Ascending, read off a mask over the degree-(e+1) columns, which
+    unlike ``np.unique`` does not import numpy.ma on its first call."""
+    hit = np.zeros(len(monomial_basis(n, e + 1)), dtype=bool)
+    hit[_raise_degree_maps(n, e)[leads]] = True
+    return np.flatnonzero(hit)
 
 
 def _flat_key(forms: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
@@ -623,24 +577,29 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     each I_i over Q would do: their products span J_d over Q, so rank_p <=
     dim J_d at every p.  The forms of the ``rref`` have distinct leading
     variables, which spreads the leading monomials of the products.  The
-    chain is carried as the leading columns of its span.  Each degree
-    finds one product of the span with its forms per leading monomial,
-    and those products' leading columns, from the span's leading columns
-    alone (``_leading_products``).  That count c is a lower bound on
-    rank_p of the products, and it is rank_p in two cases: when every
-    nonzero product has its own leading monomial, and, for d >= m, when c
-    is U_J by the standard rows, since then c <= rank_p = L_J <= U_J = c;
-    that test then also closes J, and, before the jets, I.  Either way the c
-    chosen products are independent and as many as rank_p, so they span
-    what all the products span: their leading columns are the next span's,
-    and the degree keeps only its picks.  Any other degree, a miss, builds
-    the span: from the last span built it builds, with ``_times_forms``,
-    the picks of each counted degree since and reduces them mod p; then it
-    builds all the products, reduces them mod p and eliminates, and takes
-    the leading columns of the echelon.  So L_J, and with it every
-    fallback and every value, is that of an elimination in every degree,
-    and every matrix eliminated is the one that building the counted
-    products in every degree would eliminate.
+    chain is carried as the leading columns of its span.
+
+    * d <= m.  The products of the span with the forms of V_d are built
+      (``_times_forms``), reduced mod p and eliminated; the echelon is the
+      next span, its leading columns the next leads.
+    * d > m.  x_j g for g in the span of degree d - 1 lies in the span of
+      degree d, and its leading monomial mod p is x_j LM(g), as the
+      columns run through the monomials in decreasing lex order, a
+      monomial order.  So the multiples of the carried leads
+      (``_multiples``) are distinct leading monomials of the span, and
+      their number c is at most rank_p.  The span lies in the kernel mod p
+      of the blocks (beside the jets once they are started), so where the
+      h - c standard rows off the multiples are independent,
+
+          c >= dim ker_p >= rank_p >= c,
+
+      the multiples are the span's leading monomials, and the test also
+      closes J, and, before the jets, I.  Elsewhere the span is rebuilt
+      from the last degree built: the products with x_1, ..., x_n, reduced
+      mod p and eliminated in each degree since.
+
+    Either way the leads are those of an elimination in every degree, so
+    L_J, and with it every fallback and every value, is too.
 
     L_I is carried over Q, from a degree where ``certified_pivots`` proved
     its pivots.  There a non-pivot column f of the transpose is a
@@ -664,16 +623,11 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     full = (1 << m) - 1
     s, k, rows, forms = _adapted_coordinates(a)
     restrictions = [_substitutions(r, n, len(r), 1) for i, r in enumerate(rows) if i != s]
-    # the chain multiplies by the forms of V_1, ..., V_m, then by x_1, ..., x_n
-    factors = [(f, _leading_variables(f, p)) for f in forms + [np.eye(n, dtype=np.int64).tolist()]]
-
-    def build(span, factor, e, picks=None):
-        return _residues(_times_forms(span, factor, n, e, picks), p)
-
-    # the J chain: the leading columns of its span; the span as last built,
-    # of degree built; and the (factor, picks) of each counted degree since
+    x = np.eye(n, dtype=np.int64).tolist()
+    # the J chain: the leading columns of its span, and the span as last
+    # built, of degree built
     leads_J = np.zeros(1, dtype=np.intp)
-    span, built, pending = np.ones((1, 1), dtype=np.int64), 0, []
+    span, built = np.ones((1, 1), dtype=np.int64), 0
     # the I chain: leading columns of forms in I, from the last
     # certified_pivots that proved its pivots (none before the first)
     empty = np.zeros(0, dtype=np.intp)
@@ -688,19 +642,17 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
         # whether the standard rows proved L_J = U_J, h - rank_p(blocks | jets)
         tight = False
         if d:
-            factor, variables = factors[min(d, m + 1) - 1]
-            picks, nonzero, heads = _leading_products(leads_J, variables, n, d - 1)
-            if d >= m and len(heads) < nonzero:
+            if d > m:
+                heads = _multiples(leads_J, n, d - 1)
                 tight = _standard_rows_independent(blocks + jet_blocks, kept, heads, p)
-            if len(heads) == nonzero or tight:
+            if tight:
                 leads_J = heads
-                pending.append((factor, picks))
             else:
-                for e, (f, pick) in enumerate(pending, built):
-                    span = build(span, f, e, pick)
-                span = echelon_mod_p(build(span, factor, d - 1), p)[0]
+                for e in range(built, d):
+                    products = _times_forms(span, forms[e] if e < m else x, n, e)
+                    span = echelon_mod_p(_residues(products, p), p)[0]
                 leads_J = (span != 0).argmax(axis=1)
-                built, pending = d, []
+                built = d
             if len(leads_I):
                 leads_I = _multiples(leads_I, n, d - 1)
         chain = max(leads_J if d >= m else empty, leads_I, key=len)

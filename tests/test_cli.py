@@ -53,6 +53,20 @@ class TestParseRational:
         with pytest.raises(DataError, match=r"points\[2\]\[1\]"):
             parse_rational("oops", "points[2][1]")
 
+    @pytest.mark.parametrize(
+        "bad", ["1\n", "\u0663", "\uff13/2", "1/\u0662"],
+        ids=["trailing newline", "Arabic-Indic digit", "fullwidth numerator",
+             "Arabic-Indic denominator"],
+    )
+    def test_only_ascii_digits_fill_the_whole_string(self, tmp_path, capsys, bad):
+        # int() reads a trailing newline and any Unicode decimal digit
+        with pytest.raises(DataError, match=r"points\[0\]\[1\]"):
+            parse_rational(bad, "points[0][1]")
+        path = write_json(tmp_path, "arr.json", {"n": 2, "subspaces": [[["1", bad]]]})
+        assert main(["analyze", path]) == EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: subspaces[0][0][1]: ")
+
 
 class TestParseArrangementDocument:
     def test_zero_dimensional_subspace_allowed(self):

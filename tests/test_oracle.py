@@ -42,8 +42,6 @@ from subspace_hilbert.oracle import (
     _flat_coordinates,
     _flat_jets,
     _flats,
-    _leading_products,
-    _leading_variables,
     _restriction_matrix,
     _standard_rows_independent,
     _substitutions,
@@ -539,7 +537,7 @@ class TestCertifiedTable:
         records = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "PRIME", p)
-            spied_standard_rows(mp, records)
+            spied_standard_rows(mp, records, arr.ambient_dim, d_max)
             table = hilbert_table(arr, d_max)
         full = (1 << arr.num_subspaces) - 1
         exact = [
@@ -889,23 +887,19 @@ class TestRanksModP:
         assert eliminations == [0] * m + [1] * (d_max + 1 - m)
 
 
-def spied_standard_rows(mp, records: list) -> None:
+def spied_standard_rows(mp, records: list, n: int, d_max: int) -> None:
     """Record (degree, width, leads, independent) for every
-    ``_standard_rows_independent`` call of ``hilbert_table``: the degree
-    is that of the last ``_leading_products`` call, 0 before the first."""
-    degree = [0]
-    leading_products, standard_rows = oracle._leading_products, oracle._standard_rows_independent
-
-    def count_spy(leads, variables, n, e):
-        degree[0] = e + 1
-        return leading_products(leads, variables, n, e)
+    ``_standard_rows_independent`` call of ``hilbert_table`` in Q^n up to
+    d_max: the degree is read off the number of monomials kept runs over,
+    one to one for n >= 2 (in Q^1, where every degree has one, the last)."""
+    degree_of = {len(monomial_basis(n, d)): d for d in range(d_max + 1)}
+    standard_rows = oracle._standard_rows_independent
 
     def spy(blocks, kept, leads, p):
         independent = standard_rows(blocks, kept, leads, p)
-        records.append((degree[0], sum(b.shape[1] for b in blocks), len(leads), independent))
+        records.append((degree_of[len(kept)], sum(b.shape[1] for b in blocks), len(leads), independent))
         return independent
 
-    mp.setattr(oracle, "_leading_products", count_spy)
     mp.setattr(oracle, "_standard_rows_independent", spy)
 
 
@@ -1106,23 +1100,6 @@ def _first_nonzero(m: np.ndarray) -> list[int]:
     return (m != 0).argmax(axis=1).tolist()
 
 
-@st.composite
-def spans_and_forms(draw):
-    """A prime p, a degree-e residue matrix mod p over the monomials in n
-    variables with nonzero rows, and integer forms, some of them p times a
-    form (so they vanish mod p) and some zero."""
-    p = draw(st.sampled_from([2, 3, 7, 2**31 - 1]))
-    n, e = draw(st.integers(1, 4)), draw(st.integers(0, 3))
-    width = len(monomial_basis(n, e))
-    entry = st.one_of(st.just(0), st.integers(1, 3), st.integers(0, p - 1))
-    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width), max_size=6))
-    span = np.array(rows, dtype=np.int64).reshape(len(rows), width) % p
-    forms = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
-                          min_size=1, max_size=3))
-    scales = draw(st.lists(st.sampled_from([1, p]), min_size=len(forms), max_size=len(forms)))
-    return p, n, e, span[span.any(axis=1)], [[c * s for c in f] for f, s in zip(forms, scales)]
-
-
 def materialized_chain(arr: Arrangement, d_max: int, p: int):
     """The GF(p) spans of ``hilbert_table``'s J chain in degrees 0..d_max,
     every degree's products built, reduced mod p and eliminated: the
@@ -1165,48 +1142,45 @@ def spied_eliminations(mp, records: list) -> None:
     mp.setattr(oracle, "echelon_mod_p", spy)
 
 
+def spied_carried_multiples(mp, m: int, records: list) -> None:
+    """Record (e, leads, heads) for the J chain's ``_multiples`` call of
+    ``hilbert_table`` in every degree e + 1 > m: the first call with that
+    e, since J's multiples come before the I chain's in a degree."""
+    multiples, seen = oracle._multiples, set()
+
+    def spy(leads, n, e):
+        heads = multiples(leads, n, e)
+        if e >= m and e not in seen:
+            seen.add(e)
+            records.append((e, leads, heads))
+        return heads
+
+    mp.setattr(oracle, "_multiples", spy)
+
+
+def refused_multiples(mp, m: int, refuse) -> None:
+    """Make ``hilbert_table`` refuse the J chain's multiples in each degree
+    d > m where refuse(d) holds: their standard-rows test fails, so the
+    degree rebuilds the span."""
+    records = []
+    spied_carried_multiples(mp, m, records)
+    standard_rows = oracle._standard_rows_independent
+
+    def spy(blocks, kept, leads, p):
+        if any(leads is heads for e, _, heads in records if refuse(e + 1)):
+            return False
+        return standard_rows(blocks, kept, leads, p)
+
+    mp.setattr(oracle, "_standard_rows_independent", spy)
+
+
 class TestLeadingTerms:
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_products_vanishing_mod_p_are_never_counted(self, p):
-        # the first form is p times an integer form: all its products vanish
-        # mod p, and one counted at its first variable would come first
-        n, e = 3, 2
-        leads = np.arange(len(monomial_basis(n, e)))
-        forms = [[p, 2 * p, -p], [0, 1, p + 1]]
-        variables = _leading_variables(forms, p)
-        assert variables.tolist() == [-1, 1]
-        picks, nonzero, heads = _leading_products(leads, variables, n, e)
-        assert [pick.tolist() for pick in picks] == [[], leads.tolist()]
-        assert nonzero == len(leads)
-        assert heads.tolist() == oracle._raise_degree_maps(n, e)[:, 1].tolist()
-        picks, nonzero, heads = _leading_products(leads, variables[:1], n, e)
-        assert [pick.tolist() for pick in picks] == [[]] and nonzero == 0 and heads.size == 0
-
-    @settings(max_examples=300, deadline=None)
-    @given(spans_and_forms())
-    def test_count_matches_the_products_and_bounds_their_rank(self, case):
-        p, n, e, span, forms = case
-        leads = np.array(_first_nonzero(span), dtype=np.intp)
-        picks, nonzero, heads = _leading_products(leads, _leading_variables(forms, p), n, e)
-        chosen = np.array(
-            [t * len(span) + i for t, pick in enumerate(picks) for i in pick], dtype=np.intp
-        )
-        products = (_times_forms(span, forms, n, e) % p).astype(np.int64)
-        live = products.any(axis=1)
-        assert nonzero == live.sum() and live[chosen].all()
-        assert _first_nonzero(products[chosen]) == heads.tolist()
-        assert len(set(heads.tolist())) == len(heads)
-        assert set(heads.tolist()) == set(_first_nonzero(products[live]))
-        assert _rank_p(products[chosen], p) == len(chosen) <= _rank_p(products, p)
-        picked = _times_forms(span, forms, n, e, picks)
-        assert picked.tolist() == _times_forms(span, forms, n, e)[chosen].tolist()
-
     @pytest.mark.parametrize("p", [2, 3, 7, 2**31 - 1])
     @settings(max_examples=30, deadline=None)
     @given(arr=arrangements())
     def test_fallbacks_as_with_an_elimination_every_degree(self, p, arr):
-        # a count that closes a degree has found rank_p, so every lower_J,
-        # and with it every exact fallback, is what eliminations give
+        # multiples that close a degree are the span's leads, so every
+        # lower_J, and with it every exact fallback, is what eliminations give
         def table_and_fallbacks(mp):
             calls, closings = [], []
 
@@ -1224,15 +1198,29 @@ class TestLeadingTerms:
         with pytest.MonkeyPatch.context() as mp:
             counted = table_and_fallbacks(mp)
         with pytest.MonkeyPatch.context() as mp:
-            # nothing counted: every degree eliminates, apart from those
-            # with U_I = 0, where the rank is 0 either way
-            mp.setattr(
-                oracle,
-                "_leading_products",
-                lambda leads, variables, *args: ([np.arange(0)] * len(variables), 1, np.arange(0)),
-            )
+            # no multiples accepted: every degree above m rebuilds the span
+            # from the degree before, an elimination in every degree
+            eliminations = []
+            refused_multiples(mp, arr.num_subspaces, lambda d: True)
+            spied_eliminations(mp, eliminations)
             eliminated = table_and_fallbacks(mp)
+        assert len(eliminations) == arr.num_subspaces + 2
         assert counted == eliminated
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_multiples_are_the_distinct_raised_leads(self, data):
+        # x_j times each lead monomial, once each, ascending
+        n, e = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 4))
+        basis = monomial_basis(n, e)
+        leads = sorted(data.draw(st.sets(st.integers(0, len(basis) - 1))))
+        raised = {
+            monomial_basis(n, e + 1).position(exps[:j] + (exps[j] + 1,) + exps[j + 1 :])
+            for exps in (basis.monomials[i] for i in leads)
+            for j in range(n)
+        }
+        got = oracle._multiples(np.array(leads, dtype=np.intp), n, e)
+        assert got.tolist() == sorted(raised)
 
     @pytest.mark.parametrize("p", [2, 3, 7, 2**31 - 1])
     @settings(max_examples=40, deadline=None)
@@ -1249,70 +1237,77 @@ class TestLeadingTerms:
     @settings(max_examples=40, deadline=None)
     @given(arr=st.one_of(arrangements(), arrangements_with_ties()))
     def test_carried_leads_are_those_of_the_materialized_chain(self, p, arr):
-        # the leads the table carries in degree d, seen as they enter the
-        # count of degree d + 1, are the leading monomials of the span the
-        # chain builds by eliminating every degree: both span the products
-        d_max = arr.num_subspaces + 2
-        carried = {}
-        leading_products = oracle._leading_products
+        # the leads the table carries in degree d, seen as they enter degree
+        # d + 1 (the span multiplied by forms, or the leads by x_1, ...,
+        # x_n), are the leading monomials of the span the chain builds by
+        # eliminating every degree: both span the products
+        m, d_max = arr.num_subspaces, arr.num_subspaces + 2
+        carried, inside = [], [False]
+        times_forms, product_ideal = oracle._times_forms, oracle.dim_product_ideal
 
-        def spy(leads, variables, n, e):
-            carried[e] = sorted(leads.tolist())
-            return leading_products(leads, variables, n, e)
+        def build_spy(basis, forms, n, e):
+            if not inside[0]:
+                carried.append((e, _first_nonzero(basis)))
+            return times_forms(basis, forms, n, e)
 
+        def product_spy(*args):
+            inside[0] = True
+            try:
+                return product_ideal(*args)
+            finally:
+                inside[0] = False
+
+        multiplied = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "PRIME", p)
-            mp.setattr(oracle, "_leading_products", spy)
+            mp.setattr(oracle, "_times_forms", build_spy)
+            mp.setattr(oracle, "dim_product_ideal", product_spy)
+            spied_carried_multiples(mp, m, multiplied)
             hilbert_table(arr, d_max + 1)
+        carried += [(e, leads.tolist()) for e, leads, _ in multiplied]
         spans = materialized_chain(arr, d_max, p)
-        assert carried == {d: _first_nonzero(span) for d, span in enumerate(spans)}
+        expected = {d: _first_nonzero(span) for d, span in enumerate(spans)}
+        assert {e for e, _ in carried} == set(expected)
+        assert all(leads == expected[e] for e, leads in carried)
+
+    def test_multiples_that_miss_rebuild_the_span(self, monkeypatch):
+        # five planes in Q^4: the multiples of the carried leads miss one
+        # leading monomial of the span at d = 6 and at d = 7, so those
+        # degrees rebuild it, and J closes without dim_product_ideal
+        arr = random_arrangement(4, [2] * 5, 0)
+        n, m, d_max = arr.ambient_dim, arr.num_subspaces, 8
+        degree_of = {len(monomial_basis(n, d)): d for d in range(d_max + 1)}
+        eliminated, fallbacks = [], []
+        spied_eliminations(monkeypatch, eliminated)
+        monkeypatch.setattr(oracle, "dim_product_ideal", lambda *args: fallbacks.append(args))
+        table = hilbert_table(arr, d_max)
+        assert [degree_of[e.shape[1]] for e in eliminated] == list(range(1, m + 3))
+        assert fallbacks == []
+        full = (1 << m) - 1
+        assert [r.dim_J for r in table] == [dim_product_ideal(arr, full, d) for d in range(d_max + 1)]
 
     @pytest.mark.parametrize(
-        "arr, miss",
-        [
-            (fixture_arrangement("three-coordinate-axes"), 2),
-            (fixture_arrangement("three-coordinate-axes"), 5),
-            (arrangement_kinds.pencil(5, [3, 2], 20261018), 5),
-        ],
-        ids=["three-coordinate-axes below m", "three-coordinate-axes", "Q^5 pencil [3,2]"],
+        "arr",
+        [fixture_arrangement("three-coordinate-axes"), arrangement_kinds.pencil(5, [3, 2], 20261018)],
+        ids=["three-coordinate-axes", "Q^5 pencil [3,2]"],
     )
-    def test_a_miss_builds_the_counted_picks_then_every_product(self, monkeypatch, arr, miss):
-        # dropping one chosen product makes the count of degree `miss` miss
-        # after counted degrees; only then are products built: the counted
-        # degrees' picks from the unit span, whose rows lead with the
-        # carried columns, then all products of degree `miss`, eliminated
-        n, m, d_max = arr.ambient_dim, arr.num_subspaces, miss + 1
+    def test_a_refused_degree_rebuilds_each_degree_since_the_last_built(self, monkeypatch, arr):
+        # multiples accepted at m + 1 and m + 2 and refused at m + 3: that
+        # degree multiplies the span of degree m by x_1, ..., x_n, and each
+        # echelon after it, the matrices an elimination every degree makes
+        n, m = arr.ambient_dim, arr.num_subspaces
+        d_max, p = m + 3, oracle.PRIME
         expected = hilbert_table(arr, d_max)
-        factors = _adapted_coordinates(arr)[3] + [np.eye(n, dtype=np.int64).tolist()]
-        steps, built, eliminated = {}, [], []
-        leading_products, times_forms = oracle._leading_products, oracle._times_forms
-
-        def count_spy(leads, variables, n, e):
-            picks, nonzero, heads = leading_products(leads, variables, n, e)
-            if e + 1 == miss:
-                t = max(t for t, pick in enumerate(picks) if len(pick))
-                picks[t], heads = picks[t][:-1], heads[:-1]
-            steps[e + 1] = factors[min(e, m)], picks, heads, leads
-            return picks, nonzero, heads
-
-        def build_spy(basis, forms, n, e, picks=None):
-            built.append((e + 1, picks is not None))
-            return times_forms(basis, forms, n, e, picks)
-
-        monkeypatch.setattr(oracle, "_leading_products", count_spy)
-        monkeypatch.setattr(oracle, "_times_forms", build_spy)
+        eliminated = []
+        refused_multiples(monkeypatch, m, lambda d: d == d_max)
         spied_eliminations(monkeypatch, eliminated)
         assert hilbert_table(arr, d_max) == expected
-        assert built == [(d, d < miss) for d in range(1, miss + 1)]
-        p, span = oracle.PRIME, np.ones((1, 1), dtype=np.int64)
-        for d in range(1, miss):
-            forms, picks, heads, _ = steps[d]
-            span = (_times_forms(span, forms, n, d - 1, picks) % p).astype(np.int64)
-            assert _first_nonzero(span) == heads.tolist()
-        full = (_times_forms(span, steps[miss][0], n, miss - 1) % p).astype(np.int64)
-        assert len(eliminated) == 1 and eliminated[0].dtype == full.dtype
-        assert np.array_equal(eliminated[0], full)
-        assert steps[miss + 1][3].tolist() == _first_nonzero(echelon_mod_p(full, p)[0])
+        spans = list(materialized_chain(arr, d_max, p))
+        x = np.eye(n, dtype=np.int64).tolist()
+        assert len(eliminated) == d_max
+        assert [e.tolist() for e in eliminated[m:]] == [
+            (_times_forms(spans[d - 1], x, n, d - 1) % p).tolist() for d in range(m + 1, d_max + 1)
+        ]
 
     @pytest.mark.parametrize("name", ["three-coordinate-axes", "three-coplanar-lines"])
     def test_transversal_degrees_above_m_close_by_count(self, monkeypatch, name):
@@ -1414,7 +1409,7 @@ class TestIntersectionChain:
         degree_of = degrees_by_kept_rows(arr, d_max)
         closings, records = [], []
         spied_closings(monkeypatch, closings)
-        spied_standard_rows(monkeypatch, records)
+        spied_standard_rows(monkeypatch, records, arr.ambient_dim, d_max)
         table = hilbert_table(arr, d_max)
         closed = {d for d, _, count, independent in records if independent and count == table[d].dim_I}
         assert closed >= set(range(m + 1, d_max + 1))

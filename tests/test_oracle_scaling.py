@@ -38,16 +38,16 @@ def recorded_digests(case: str) -> set[str]:
             "m=2 pencil",
             ["bracket"] + ["exact"] * 2 + ["standard rows"] * 6,
             ["bracket", "degree"] + ["standard rows"] * 7,
-            ["none"] + ["count"] * 8,
+            ["none"] + ["eliminate"] * 2 + ["count"] * 6,
         ),
         # transversal: I = J from m on, where the standard rows off J's
-        # leads close I, and every J step closes by count
+        # leads close I, and every J step above m closes by count
         (
             fixture_arrangement("three-coordinate-axes"),
             None,
             ["bracket"] * 3 + ["standard rows"] * 6,
             ["bracket", "bracket", "degree"] + ["bracket"] * 6,
-            ["none"] + ["count"] * 8,
+            ["none"] + ["eliminate"] * 3 + ["count"] * 5,
         ),
     ],
     ids=["pencil", "three-coordinate-axes"],
