@@ -37,14 +37,15 @@ def env_cap(name: str, default: int) -> int:
     if raw is None:
         return default
     try:
-        value = int(raw)
-        if value < 0:
+        # ASCII digits only: int() also takes signs, spaces, '_' and other
+        # scripts' digits
+        if not (raw.isascii() and raw.isdigit()):
             raise ValueError
+        return int(raw)
     except ValueError:
         raise ValueError(
             f"{name} must be a nonnegative integer, got {raw!r}"
         ) from None
-    return value
 
 
 def subset_cap() -> int:

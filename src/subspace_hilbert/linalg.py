@@ -8,8 +8,8 @@ Integer matrices have two exact rank routes: ``certified_rank``, a rank mod
 a prime certified over Q by a lifted reduced echelon form (the one
 exact-rank entry point; ``certified_pivots`` also returns the pivot columns
 that the certificate proves), and ``IntEchelon``, an incremental
-fraction-free accumulator for callers that add rows one at a time and for
-the certificate's fallback.
+fraction-free accumulator on lists of Python ints for callers that add rows
+one at a time and for the certificate's fallback.
 ``echelon_mod_p`` is the GF(p) eliminator for numpy matrices and
 ``rank_mod_p`` its rank of an integer matrix;
 ``arrangement.dimension_function`` reduces its own rows of Python ints mod
@@ -45,9 +45,8 @@ import numpy as np
 
 Vector = tuple[Fraction, ...]
 
-# Entry bound for the int64 fast path in IntEchelon: a row update
-# a*v - b*r is provably overflow-free when |a|*max|v| + |b|*max|r| stays
-# below 2^62.
+# Bound of the int64 fast paths: a computation whose entries are proven to
+# stay below 2^62 runs in int64, any other on Python ints.
 INT64_SAFE = 1 << 62
 
 # Moduli of the GF(p) eliminations.  Any prime is sound; below 2^31 a product
@@ -214,59 +213,31 @@ def approx_rank(m, rel_tol: float = 1e-8) -> int:
 class IntEchelon:
     """Incremental exact rank accumulator for integer row vectors.
 
-    Rows are reduced fraction-free: against a kept row r with leading entry
-    rl, a row v with entry c in that column becomes (rl/g)*v - (c/g)*r with
-    g = gcd(rl, c).  Kept rows are primitive (gcd 1, positive leading entry)
-    and indexed by pivot column.  Every row is a numpy vector: int64 while
-    the proven bound |rl/g|*max|v| + |c/g|*max|r| < 2^62 shows the update
-    cannot overflow.  When the bound fails the row's gcd is divided out and
-    the multipliers recomputed before it is tried again; a row that still
-    does not fit is updated as an object array of Python ints, has its gcd
-    divided out, and narrows back to int64 once its entries fit.  Exact
-    throughout.
+    Rows are lists of Python ints, reduced fraction-free: against a kept row
+    r with leading entry rl, a row v with entry c in that column becomes
+    (rl/g)*v - (c/g)*r with g = gcd(rl, c).  The row's gcd is divided out
+    after every update whose multiplier rl/g is not 1, and once more before
+    the row is kept, so kept rows are primitive with a positive leading
+    entry.  They are stored by pivot column, in the order kept.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self._by_pivot: dict[int, int] = {}
-        self._rows: list[np.ndarray] = []
-        self._max: list[int] = []
+        self._by_pivot: dict[int, list[int]] = {}
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return len(self._by_pivot)
 
     @property
     def full(self) -> bool:
-        return len(self._rows) == self.ncols
+        return len(self._by_pivot) == self.ncols
 
     @property
-    def rows(self) -> tuple[np.ndarray, ...]:
-        """The reduced rows kept so far (same span as everything added).
-
-        A row is int64 when its entries are below 2^62, else an object array
-        of Python ints.  Callers must not mutate the returned rows.
-        """
-        return tuple(self._rows)
-
-    @staticmethod
-    def _first_nonzero(v: np.ndarray, start: int) -> int | None:
-        nz = v[start:].nonzero()[0]
-        return start + int(nz[0]) if nz.size else None
-
-    @staticmethod
-    def _strip(v: np.ndarray) -> tuple[np.ndarray, int]:
-        """Divide out the gcd; return (vector, exact max abs entry).
-
-        An object vector comes back as int64 when its entries fit.
-        """
-        g = int(np.gcd.reduce(v, initial=0))
-        if g > 1:
-            v = v // g
-        m = _max_abs(v)
-        if v.dtype == object and m < INT64_SAFE:
-            v = v.astype(np.int64)
-        return v, m
+    def rows(self) -> tuple[list[int], ...]:
+        """The reduced rows kept so far (same span as everything added), in
+        the order kept.  Callers must not mutate the returned rows."""
+        return tuple(self._by_pivot.values())
 
     def add(self, row: Sequence[int]) -> bool:
         """Reduce a row against the accumulated echelon; keep it if independent.
@@ -275,42 +246,20 @@ class IntEchelon:
         """
         if len(row) != self.ncols:
             raise ValueError("row length does not match column count")
-        if not (isinstance(row, np.ndarray) and row.dtype == np.int64):
-            row = np.array([int(e) for e in row], dtype=object)
-        vmax = _max_abs(row)
-        v = row.astype(np.int64 if vmax < INT64_SAFE else object, copy=False)
-        lead = self._first_nonzero(v, 0)
-        while lead is not None:
-            idx = self._by_pivot.get(lead)
-            if idx is None:
-                v, vmax = self._strip(v)
-                if v[lead] < 0:
-                    v = -v
-                # own the stored row: the caller may reuse its buffer
-                if v is row or v.base is not None:
-                    v = v.copy()
-                self._by_pivot[lead] = len(self._rows)
-                self._rows.append(v)
-                self._max.append(vmax)
+        v = [int(e) for e in row]
+        for lead in range(self.ncols):
+            if not v[lead]:
+                continue
+            r = self._by_pivot.get(lead)
+            if r is None:
+                g = math.gcd(*v) if v[lead] > 0 else -math.gcd(*v)
+                self._by_pivot[lead] = [x // g for x in v]
                 return True
-            r, rmax = self._rows[idx], self._max[idx]
-            rl, c = int(r[lead]), int(v[lead])
-            g = math.gcd(rl, c)
-            a, b = rl // g, c // g
-            bound = a * vmax + abs(b) * rmax
-            if bound >= INT64_SAFE and v.dtype != object:
-                # the multipliers depend on v[lead]: recompute after the strip
-                v, vmax = self._strip(v)
-                c = int(v[lead])
-                g = math.gcd(rl, c)
-                a, b = rl // g, c // g
-                bound = a * vmax + abs(b) * rmax
-            if bound < INT64_SAFE:
-                v = a * v - b * r
-                vmax = bound
-            else:
-                v, vmax = self._strip(a * v.astype(object) - b * r.astype(object))
-            lead = self._first_nonzero(v, lead + 1)
+            g = math.gcd(r[lead], v[lead])
+            a, b = r[lead] // g, v[lead] // g
+            v = [a * x - b * y for x, y in zip(v, r)]
+            if a != 1 and (g := math.gcd(*v)) > 1:
+                v = [x // g for x in v]
         return False
 
 

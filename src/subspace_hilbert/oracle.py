@@ -358,11 +358,13 @@ def dim_product_ideal(a: Arrangement, S: SubsetLike, d: int) -> int:
     for step, i in enumerate(idxs):
         products = _times_forms(matrix, a.subspaces[i].annihilator_forms, n, d - k + step)
         ech = IntEchelon(products.shape[1])
-        for row in products:
+        for row in products.tolist():
             ech.add(row)
             if ech.full:
                 break
-        matrix = np.vstack(ech.rows)
+        # not np.vstack of the lists: an entry past 2^63 makes it uint64 or
+        # float64; _times_forms narrows to int64 where its bound allows
+        matrix = np.array(ech.rows, dtype=object)
     return matrix.shape[0]
 
 

@@ -98,7 +98,7 @@ class TestArrangement:
             Arrangement(3, [line, line, line, line])
         Arrangement(3, [line, line, line])
 
-    @pytest.mark.parametrize("raw", ["abc", "-1", "2.5", ""])
+    @pytest.mark.parametrize("raw", ["abc", "-1", "2.5", "", " 5", "1_000", "\uff15", "7\n", "+3"])
     def test_bad_subset_cap_names_the_variable(self, monkeypatch, raw):
         monkeypatch.setenv("SUBSPACE_HILBERT_SUBSET_CAP", raw)
         with pytest.raises(ValueError) as info:

@@ -241,6 +241,11 @@ def arrangements_with_ties(draw):
     return Arrangement(n, subspaces)
 
 
+# five planes in Q^4: on 11 of these 12 seeds, at p = 2^31 - 1 and at 7, the
+# multiples of the carried leads miss above m and the chain rebuilds the span
+five_planes_in_q4 = st.integers(0, 11).map(lambda seed: random_arrangement(4, [2] * 5, seed))
+
+
 @st.composite
 def pencils(draw, max_n: int = 4, max_m: int = 4):
     """m >= 2 subspaces through one common line, small integer entries."""
@@ -457,6 +462,23 @@ class TestProductIdeal:
         for d in range(2, 5):
             assert dim_product_ideal(arr, (0, 1), d) == naive_dim_product(arr, (0, 1), d)
 
+    def test_kept_rows_past_int64_stack_exactly(self, monkeypatch):
+        # the lines through (t, 1) are cut out by -x + t*y; the kept product
+        # of the first two forms has the entry t1*t2 in [2^63, 2^64), which
+        # np.vstack of the rows would make float64 or uint64
+        t1, t2 = (1 << 32) + 1, (1 << 31) + 1
+        arr = Arrangement(2, [SubspaceBasis(2, [(t, 1)]) for t in (t1, t2, 3)])
+        bases, times_forms = [], oracle._times_forms
+
+        def spy(basis, forms, n, e):
+            bases.append(basis)
+            return times_forms(basis, forms, n, e)
+
+        monkeypatch.setattr(oracle, "_times_forms", spy)
+        assert dim_product_ideal(arr, 0b111, 3) == 1
+        assert bases[-1].dtype == object
+        assert sorted(map(abs, bases[-1].tolist()[0])) == [1, t1 + t2, t1 * t2]
+
     def test_subset_matches_subarrangement_series(self):
         arr = pencil_planes()
         sub = Arrangement(4, [arr.subspaces[0], arr.subspaces[2]])
@@ -510,7 +532,7 @@ class TestHilbertTable:
         with pytest.raises(MonomialCapExceeded):
             hilbert_table(coordinate_axes(), 5)
 
-    @pytest.mark.parametrize("raw", ["abc", "-5", "1e3"])
+    @pytest.mark.parametrize("raw", ["abc", "-5", "1e3", " 5", "1_000", "\uff15", "7\n", "+3"])
     def test_bad_cap_env_names_the_variable(self, monkeypatch, raw):
         monkeypatch.setenv("SUBSPACE_HILBERT_MONOMIAL_CAP", raw)
         with pytest.raises(ValueError) as info:
@@ -1235,33 +1257,26 @@ class TestLeadingTerms:
 
     @pytest.mark.parametrize("p", [2, 3, 7, 2**31 - 1])
     @settings(max_examples=40, deadline=None)
-    @given(arr=st.one_of(arrangements(), arrangements_with_ties()))
+    @given(arr=st.one_of(arrangements(), arrangements_with_ties(), five_planes_in_q4))
     def test_carried_leads_are_those_of_the_materialized_chain(self, p, arr):
         # the leads the table carries in degree d, seen as they enter degree
         # d + 1 (the span multiplied by forms, or the leads by x_1, ...,
         # x_n), are the leading monomials of the span the chain builds by
         # eliminating every degree: both span the products
         m, d_max = arr.num_subspaces, arr.num_subspaces + 2
-        carried, inside = [], [False]
-        times_forms, product_ideal = oracle._times_forms, oracle.dim_product_ideal
+        carried, times_forms = [], oracle._times_forms
 
         def build_spy(basis, forms, n, e):
-            if not inside[0]:
-                carried.append((e, _first_nonzero(basis)))
+            carried.append((e, _first_nonzero(basis)))
             return times_forms(basis, forms, n, e)
-
-        def product_spy(*args):
-            inside[0] = True
-            try:
-                return product_ideal(*args)
-            finally:
-                inside[0] = False
 
         multiplied = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "PRIME", p)
             mp.setattr(oracle, "_times_forms", build_spy)
-            mp.setattr(oracle, "dim_product_ideal", product_spy)
+            # no dim_J is compared here, and the chains never read it: the
+            # exact fallback is skipped, with its own products
+            mp.setattr(oracle, "dim_product_ideal", lambda *args: 0)
             spied_carried_multiples(mp, m, multiplied)
             hilbert_table(arr, d_max + 1)
         carried += [(e, leads.tolist()) for e, leads, _ in multiplied]
