@@ -5,7 +5,7 @@ For every cloud of the ``recover-points`` benchmark shapes (the clouds
 every degree d = m .. m+n-1 that ``recover --points`` evaluates, times two
 ways to the vanishing dimension, median of ``--repeat`` runs each, both
 from building the evaluation matrix at the cloud's distinct rays
-(``PointCloud.rays``) on:
+(``PointCloud.rays``, by ``gpca._evaluations`` from degree 0) on:
 
 - ``before_s``: ``certified_rank`` of every degree's matrix, as
   ``estimate_hilbert_value`` did for each degree before the chain;
@@ -23,11 +23,12 @@ distinct rays, monomials), the value, and the route of the chain step:
   lifting step);
 - "full rank mod p": ``certified_rank``'s shortcut, full rank mod the
   first prime;
-- "fallback": ``certified_rank`` fell back to ``IntEchelon``.
+- "fallback": ``certified_rank`` fell back to ``IntEchelon``, which
+  also gives the pivots that the chain carries on.
 
 The routes come from wrapping ``gpca.certified_pivots`` and, inside it,
 ``linalg.echelon_mod_p`` (one call per prime), ``linalg._certify`` and
-``linalg._echelon_rank``, around one extra, untimed step; the chain's own
+``linalg._echelon_pivots``, around one extra, untimed step; the chain's own
 rank mod a prime eliminates outside ``certified_pivots``.
 
 Usage, from the repository root::
@@ -44,6 +45,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import platform
 import statistics
@@ -51,6 +53,7 @@ import sys
 import tempfile
 import time
 from collections import Counter
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -60,9 +63,8 @@ import gen  # noqa: E402  (the benchmark's own seeded cloud generator)
 
 from subspace_hilbert import gpca, linalg  # noqa: E402
 from subspace_hilbert.cli import parse_point_document  # noqa: E402
-from subspace_hilbert.gpca import _evaluation_matrix, _exact_value  # noqa: E402
+from subspace_hilbert.gpca import _evaluations, _exact_value  # noqa: E402
 from subspace_hilbert.linalg import certified_rank  # noqa: E402
-from subspace_hilbert.oracle import monomial_basis  # noqa: E402
 
 SEED = 1
 DEFAULT_OUT = Path(__file__).with_name("BENCH_recovery.json")
@@ -78,8 +80,17 @@ def median_of(repeat: int, fn, *args):
     return result, statistics.median(times)
 
 
-def certified_value(rays, basis) -> int:
-    return len(basis) - certified_rank(_evaluation_matrix(rays, basis))
+def evaluation_matrix(rays, n: int, d: int):
+    return next(islice(_evaluations(rays, n), d, None))
+
+
+def certified_value(rays, n: int, d: int) -> int:
+    matrix = evaluation_matrix(rays, n, d)
+    return matrix.shape[1] - certified_rank(matrix)
+
+
+def chain_value(rays, n: int, d: int, leading):
+    return _exact_value(evaluation_matrix(rays, n, d), n, d, leading)
 
 
 @contextlib.contextmanager
@@ -90,7 +101,7 @@ def counting(counts: Counter):
     pivots = gpca.certified_pivots
     originals = {
         name: getattr(linalg, name)
-        for name in ("echelon_mod_p", "_certify", "_echelon_rank")
+        for name in ("echelon_mod_p", "_certify", "_echelon_pivots")
     }
 
     def certified_pivots(*args):
@@ -111,9 +122,9 @@ def counting(counts: Counter):
 
     def fallback(*args):
         counts["fallback"] += 1
-        return originals["_echelon_rank"](*args)
+        return originals["_echelon_pivots"](*args)
 
-    wrappers = {"echelon_mod_p": echelon_mod_p, "_certify": certify, "_echelon_rank": fallback}
+    wrappers = {"echelon_mod_p": echelon_mod_p, "_certify": certify, "_echelon_pivots": fallback}
     for name, wrapper in wrappers.items():
         setattr(linalg, name, wrapper)
     gpca.certified_pivots = certified_pivots
@@ -138,19 +149,18 @@ def measure(cloud, m: int, repeat: int) -> list[dict]:
     leading = None
     out = []
     for d in range(m, m + n):
-        basis = monomial_basis(n, d)
-        before, before_s = median_of(repeat, certified_value, rays, basis)
-        (after, _), after_s = median_of(repeat, _exact_value, rays, basis, leading)
+        before, before_s = median_of(repeat, certified_value, rays, n, d)
+        (after, _), after_s = median_of(repeat, chain_value, rays, n, d, leading)
         if before != after:
             raise AssertionError(f"values differ at d = {d}: {before} != {after}")
         counts: Counter = Counter()
         with counting(counts):
-            _, leading = _exact_value(rays, basis, leading)
+            _, leading = chain_value(rays, n, d, leading)
         out.append({
             "d": d,
             "points": len(cloud),
             "rays": len(rays),
-            "monomials": len(basis),
+            "monomials": math.comb(d + n - 1, n - 1),
             "value": after,
             "primes": counts["primes"],
             "route": route(counts),

@@ -88,6 +88,18 @@ class Arrangement:
         return tuple(self.ambient_dim - s.dim for s in self.subspaces)
 
 
+def _as_ints(values: Iterable, what: str) -> tuple[int, ...]:
+    """The values as plain ints; ValueError unless each is an int or a numpy
+    integer (a bool is neither here).  Checked once per type."""
+    values = tuple(values)
+    types = set(map(type, values))
+    for t in types:
+        if issubclass(t, bool) or not issubclass(t, (int, np.integer)):
+            bad = next(x for x in values if type(x) is t)
+            raise ValueError(f"{what} must be integers, not {bad!r}")
+    return values if types <= {int} else tuple(map(int, values))
+
+
 def _check_axioms(n: int, m: int, dims: Sequence[int]) -> None:
     """Raise ValueError unless the table can be a dimension function.
 
@@ -128,7 +140,10 @@ class DimensionFunction:
     dims_by_mask: tuple[int, ...]
 
     def __init__(self, ambient_dim: int, num_subspaces: int, dims_by_mask: Sequence[int]):
-        dims_by_mask = tuple(dims_by_mask)
+        ambient_dim, num_subspaces = _as_ints(
+            (ambient_dim, num_subspaces), "the ambient dimension and subspace count"
+        )
+        dims_by_mask = _as_ints(dims_by_mask, "dimensions")
         if ambient_dim < 1:
             raise ValueError("ambient dimension must be at least 1")
         if num_subspaces < 0:

@@ -3,10 +3,11 @@
 Two halves.  First, estimating graded dimensions from sample points: the
 space of degree-d forms vanishing on a point set has dimension C(d+n-1, n-1)
 minus the rank of the evaluation matrix, and with enough generic points per
-subspace this reproduces the arrangement's own graded dimensions.  Exact
-clouds close consecutive degrees by the rule of ``linalg`` that the oracle
-uses too (``estimate_hilbert_values``).  Second, exact recovery: given the
-values of the Hilbert polynomial at the n consecutive degrees m..m+n-1 for
+subspace this reproduces the arrangement's own graded dimensions.  The
+matrices of consecutive degrees come from the oracle's monomial recursion
+(``_evaluations``), and exact clouds close them by the rule of ``linalg``
+that the oracle uses too (``estimate_hilbert_values``).  Second, exact
+recovery: given the values of the Hilbert polynomial at the n consecutive degrees m..m+n-1 for
 a transversal arrangement, integer difference steps turn them into the
 coefficients of the product of the (1 - t^{c_i}), mod t^n, and those yield
 the multiset of codimensions.
@@ -26,7 +27,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from itertools import islice
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -39,12 +41,7 @@ from .linalg import (
     primitive_int_vector,
     rank_mod_p,
 )
-from .oracle import (
-    MonomialBasis,
-    _raise_degree_maps,
-    check_monomial_cap,
-    monomial_basis,
-)
+from .oracle import _raise_degree_maps, _split_first_variable, check_monomial_cap
 
 Number = Union[int, float, Fraction]
 
@@ -160,7 +157,7 @@ def estimate_hilbert_value(pc: PointCloud, d: int, tol: float | None = None) -> 
 
     The one-degree case of ``estimate_hilbert_values``.
 
-    Raises MonomialCapExceeded, before any basis is built, when degree d
+    Raises MonomialCapExceeded, before any matrix is built, when degree d
     needs more monomials than ``oracle.check_monomial_cap`` allows, and
     ValueError when a float evaluation overflows or is not finite.
     """
@@ -172,9 +169,10 @@ def estimate_hilbert_values(
 ) -> list[int]:
     """``estimate_hilbert_value`` at each of the ascending consecutive degrees.
 
-    Exact clouds close each degree by the rule of ``linalg``: the standard
-    columns independent mod a prime, else one ``certified_pivots``, whose
-    non-pivot columns lead the kernel and are carried to the next degree.
+    Each degree's matrix is built from the last (``_evaluations``).  Exact
+    clouds close each degree by the rule of ``linalg``: the standard columns
+    independent mod a prime, else one ``certified_pivots``, whose non-pivot
+    columns lead the kernel and are carried to the next degree.
 
     The columns of the evaluation matrix run through the monomials in
     decreasing lex order, so a vanishing form's leading monomial here, its
@@ -190,8 +188,8 @@ def estimate_hilbert_values(
     independent over Q, so the next rank is exactly their number, with those
     columns as its pivots, and S is carried on.  Otherwise the degree is
     certified in full; a certificate without pivots (``certified_pivots``
-    proves none on its shortcut and its fallback) leaves the next degree to
-    a certificate too.
+    proves none on its shortcut) leaves the next degree to a certificate
+    too.
 
     The arrangement's ideal is generated in degrees <= m (Derksen and
     Sidman, 2002) and in generic coordinates its initial ideal has no
@@ -200,7 +198,7 @@ def estimate_hilbert_values(
     says how often; the argument above holds for any cloud.
 
     The monomial cap is checked per degree, in ascending order, just before
-    that degree's basis is built.  Float clouds and an explicit tol rank
+    that degree's matrix is built.  Float clouds and an explicit tol rank
     every degree by ``approx_rank``.
     """
     degrees = list(degrees)
@@ -209,35 +207,45 @@ def estimate_hilbert_values(
     if degrees and degrees != list(range(degrees[0], degrees[0] + len(degrees))):
         raise ValueError("degrees must be ascending and consecutive")
     n = pc.ambient_dim
+    exact = pc.exact and tol is None
+    points = pc.rays if exact else pc.points
+    # lazy: nothing is built before the first degree's cap check
+    matrices = islice(_evaluations(points, n), min(degrees, default=0), None)
     values = []
     leading = None  # the previous degree's leading monomials, where proven
     for d in degrees:
         check_monomial_cap(n, d)
-        basis = monomial_basis(n, d)
         if not pc.points:
-            values.append(len(basis))
-        elif pc.exact and tol is None:
-            value, leading = _exact_value(pc.rays, basis, leading)
+            values.append(math.comb(d + n - 1, n - 1))
+        elif exact:
+            value, leading = _exact_value(next(matrices), n, d, leading)
             values.append(value)
         else:
-            values.append(_approx_value(pc.points, basis, tol))
+            message = f"the degree-{d} monomials of these points do not fit a float"
+            try:
+                matrix = next(matrices)
+            except OverflowError:  # a Fraction past the float range
+                raise ValueError(message) from None
+            if not np.isfinite(matrix).all():
+                raise ValueError(message)
+            rank = approx_rank(matrix, rel_tol=1e-8 if tol is None else tol)
+            values.append(matrix.shape[1] - rank)
     return values
 
 
 def _exact_value(
-    rays: Sequence[Sequence[int]], basis: MonomialBasis, leading: np.ndarray | None
+    matrix: np.ndarray, n: int, d: int, leading: np.ndarray | None
 ) -> tuple[int, np.ndarray | None]:
-    """The kernel dimension of the evaluation matrix at the rays, and the
-    kernel's leading monomials, as a mask over the columns, where they are
-    proven, else None (``estimate_hilbert_values``).
+    """The kernel dimension of the degree-d evaluation matrix at the rays,
+    and the kernel's leading monomials, as a mask over the columns, where
+    they are proven, else None (``estimate_hilbert_values``).
 
     leading holds the previous degree's mask, or None.
     """
-    matrix = _evaluation_matrix(rays, basis)
-    total = len(basis)
+    total = matrix.shape[1]
     if leading is not None:
         raised = np.zeros(total, dtype=bool)
-        raised[_raise_degree_maps(basis.n, basis.d - 1)[leading]] = True
+        raised[_raise_degree_maps(n, d - 1)[leading]] = True
         block = matrix[:, ~raised]
         if len(block) >= block.shape[1] and rank_mod_p(block, PRIME) == block.shape[1]:
             return total - block.shape[1], raised
@@ -249,45 +257,33 @@ def _exact_value(
     return total - rank, leading
 
 
-def _approx_value(
-    points: Sequence[Sequence[float]], basis: MonomialBasis, tol: float | None
-) -> int:
-    """The kernel dimension of the float evaluation matrix, by ``approx_rank``."""
-    not_finite = f"the degree-{basis.d} monomials of these points do not fit a float"
-    try:
-        points = np.array(points, dtype=np.float64)
-    except OverflowError:
-        raise ValueError(not_finite) from None
-    with np.errstate(over="ignore", invalid="ignore"):
-        matrix = _evaluation_matrix(points, basis)
-    if not np.isfinite(matrix).all():
-        raise ValueError(not_finite)
-    return len(basis) - approx_rank(matrix, rel_tol=1e-8 if tol is None else tol)
+def _evaluations(points: Sequence[Sequence[Number]], n: int) -> Iterator[np.ndarray]:
+    """The evaluation matrices at the points in degrees d = 0, 1, 2, ...:
+    entry (k, i) of the degree-d one is monomial i of degree d at point k.
 
-
-def _evaluation_matrix(
-    rays: Union[Sequence[Sequence[int]], np.ndarray], basis: MonomialBasis
-) -> np.ndarray:
-    """The evaluation matrix: entry (k, j) is monomial j of the basis at ray k.
-
-    A float64 array of points gives a float64 matrix.  For integer rays every
-    entry, every partial product of one and every coordinate is at most
-    max|x|^max(d, 1) in absolute value, so the matrix is int64 below 2^62
-    and an object array of Python ints otherwise.  It is multiplied up one
-    variable at a time from each ray's table of powers.
+    With x_j the first variable of x^beta, x^beta is x_j times x^beta / x_j
+    (``oracle._split_first_variable``), so each degree is one gather and
+    product of the last, as in ``oracle._substitutions``.  Integer points
+    give entries of at most top^d in absolute value, top the largest
+    |coordinate|: int64 while top^d < 2^62, Python ints from there on.
+    Other points are taken as float64; an entry past its range is inf or nan.
     """
-    d = basis.d
-    if isinstance(rays, np.ndarray) and rays.dtype == np.float64:
-        dtype = np.float64
-    else:
-        top = max(abs(x) for ray in rays for x in ray)
-        dtype = np.int64 if top ** max(d, 1) < INT64_SAFE else object
-    exponents = np.array(basis.monomials, dtype=np.intp).reshape(len(basis), basis.n)
-    powers = np.array(rays, dtype=dtype)[:, :, None] ** np.arange(d + 1).astype(dtype)
-    matrix = powers[:, 0, exponents[:, 0]]
-    for i in range(1, basis.n):
-        matrix = matrix * powers[:, i, exponents[:, i]]
-    return matrix
+    x = np.array(points, dtype=object).reshape(len(points), n)
+    top = max(map(abs, x.flat), default=0)
+    if not all(isinstance(c, int) for c in x.flat):
+        x = x.astype(np.float64)
+    elif top < INT64_SAFE:
+        x = x.astype(np.int64)
+    m = np.ones((len(x), 1), dtype=x.dtype)
+    d = 0
+    while True:
+        yield m
+        d += 1
+        if x.dtype == np.int64 and top**d >= INT64_SAFE:
+            x, m = x.astype(object), m.astype(object)
+        first, parents = _split_first_variable(n, d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = x[:, first] * m[:, parents]
 
 
 def recover_codimensions(

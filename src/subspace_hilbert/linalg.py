@@ -186,15 +186,18 @@ def approx_rank(m, rel_tol: float = 1e-8) -> int:
     """Rank of a float matrix by elimination with partial pivoting.
 
     A pivot counts only if its absolute value exceeds rel_tol times the
-    largest absolute entry of the original matrix.
+    largest absolute entry of the original matrix.  Raises ValueError
+    unless m is 2-d with finite entries.
     """
     if not (math.isfinite(rel_tol) and rel_tol > 0):
         raise ValueError("rel_tol must be finite and positive")
     a = np.array(m, dtype=float)
-    if a.size == 0:
-        return 0
     if a.ndim != 2:
         raise ValueError("expected a 2-d matrix")
+    if a.size == 0:
+        return 0
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
     threshold = rel_tol * np.max(np.abs(a))
     nrows, ncols = a.shape
     r = 0
@@ -458,14 +461,16 @@ def _certify(m: np.ndarray, pivots: np.ndarray, n: np.ndarray, d: int) -> bool:
     return product > 2 * bound
 
 
-def _echelon_rank(m: np.ndarray) -> int:
-    """Exact rank by ``IntEchelon``, one row at a time until it is full."""
+def _echelon_pivots(m: np.ndarray) -> tuple[int, np.ndarray]:
+    """Exact rank and pivot columns over Q by ``IntEchelon``, one row at a
+    time until it is full.  Its kept rows are an echelon basis of the row
+    space, so their leading columns are the pivots of the reduced form."""
     ech = IntEchelon(m.shape[1])
     for row in m.tolist():
         ech.add(row)
         if ech.full:
             break
-    return ech.rank
+    return ech.rank, np.array(sorted(ech._by_pivot), dtype=np.intp)
 
 
 def certified_rank(matrix: np.ndarray) -> int:
@@ -500,8 +505,9 @@ def certified_pivots(matrix: np.ndarray) -> tuple[int, np.ndarray | None]:
        shape), so C are the pivot columns over Q.
     4. When the pivots differ between primes, no reconstruction passes the
        check within LIFT_PRIMES, or the check cannot be completed, the rank
-       is computed by ``IntEchelon`` and no pivots are returned.  The rank
-       is exact in every case.
+       and pivots are those of ``IntEchelon``: the leading columns of an
+       echelon basis of the row space are the pivot columns of its reduced
+       echelon form over Q.  The rank is exact in every case.
     """
     m = np.asarray(matrix)
     if m.ndim != 2:
@@ -525,4 +531,4 @@ def certified_pivots(matrix: np.ndarray) -> tuple[int, np.ndarray | None]:
         candidate = _reconstruct(lifted)
         if candidate is not None and _certify(m, pivots, *candidate):
             return r, pivots
-    return _echelon_rank(m), None
+    return _echelon_pivots(m)

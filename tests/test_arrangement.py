@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
@@ -255,11 +256,19 @@ class TestDimensionFunction:
             (4, 3, [4, 3, 3, 2, 3, 2, 2, 0], "submodular"),
             (1, 0, [1], None),
             (0, 0, [0], "ambient"),
+            # integers only: 1.5 is not truncated, nor is True read as 1
+            (3, 1, [3, 1.5], "integers"),
+            (3, 1, [3, True], "integers"),
+            (3.0, 1, [3, 1], "integers"),
+            (3, 1.0, [3, 1], "integers"),
+            (np.int64(3), np.int32(1), [np.int64(3), np.uint8(1)], None),
         ],
     )
     def test_axioms_validated(self, n, m, dims, message):
         if message is None:
-            assert DimensionFunction(n, m, dims).dims_by_mask == tuple(dims)
+            df = DimensionFunction(n, m, dims)
+            assert df.dims_by_mask == tuple(dims)
+            assert {type(x) for x in (df.ambient_dim, df.num_subspaces, *df.dims_by_mask)} == {int}
             return
         with pytest.raises(ValueError, match=message):
             DimensionFunction(n, m, dims)

@@ -26,7 +26,6 @@ from subspace_hilbert.cli import (
 from subspace_hilbert.fixtures import fixture_arrangement, fixture_path
 from subspace_hilbert.gpca import sample_points
 from subspace_hilbert.hilbert import is_series_difference_polynomial
-from subspace_hilbert.oracle import monomial_basis
 from subspace_hilbert.ratpoly import QPoly, binom
 
 
@@ -436,14 +435,15 @@ class TestRecoverCommand:
 
     def test_points_past_the_monomial_cap(self, tmp_path, capsys, monkeypatch):
         # degrees 3, 4, 5 in Q^3 need 10, 15, 21 monomials: with a cap of 10
-        # the degree-4 value is refused before its basis is built
+        # the degree-4 value is refused before its matrix is built
         built = []
 
         def spy(n, d):
             built.append(binom(d + n - 1, n - 1))
-            return monomial_basis(n, d)
+            return split_first_variable(n, d)
 
-        monkeypatch.setattr(gpca, "monomial_basis", spy)
+        split_first_variable = gpca._split_first_variable
+        monkeypatch.setattr(gpca, "_split_first_variable", spy)
         monkeypatch.setenv("SUBSPACE_HILBERT_MONOMIAL_CAP", "10")
         pc = sample_points(fixture_arrangement("three-coordinate-axes"), 10, seed=61)
         path = write_json(

@@ -4,6 +4,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -62,6 +63,20 @@ def reference_hilbert_value(pc: PointCloud, d: int) -> int:
         for p in pc.points
     ]
     return len(basis) - (rank(QMatrix(rows, ncols=len(basis))) if rows else 0)
+
+
+_normal_floats = st.floats(-50, 50).filter(lambda x: not 0 < abs(x) < 1e-6)
+
+
+def evaluation_matrices(points, n: int, d_max: int) -> list[np.ndarray]:
+    """``gpca._evaluations`` in degrees 0..d_max."""
+    return list(islice(gpca._evaluations(points, n), d_max + 1))
+
+
+def direct_evaluation(points, n: int, d: int) -> list[list]:
+    """Each degree-d monomial at each point, as Python ints or floats."""
+    monomials = monomial_basis(n, d).monomials
+    return [[math.prod(x**e for x, e in zip(p, exps)) for exps in monomials] for p in points]
 
 
 @st.composite
@@ -286,30 +301,55 @@ class TestEstimateHilbertValue:
         for d in range(1, 5):
             assert estimate_hilbert_value(floaty, d) == estimate_hilbert_value(pc, d)
 
-    def test_float_matrix_matches_python_floats(self):
-        # numpy's vectorised pow may round differently from Python's float
-        # pow in the last bit; products of up to d such factors stay within
-        # a few ulp of the scalar loop.
-        rng = random.Random(507)
-        for _ in range(30):
-            n, d = rng.randint(1, 4), rng.randint(0, 7)
-            points = [
-                [rng.uniform(-50, 50) for _ in range(n)] for _ in range(rng.randint(1, 6))
-            ]
-            basis = monomial_basis(n, d)
-            expected = [
-                [math.prod(x**e for x, e in zip(p, exps)) for exps in basis.monomials]
-                for p in points
-            ]
-            matrix = gpca._evaluation_matrix(np.array(points), basis)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(_normal_floats, min_size=n, max_size=n), min_size=1, max_size=6
+            )
+        )
+    )
+    def test_float_matrix_matches_python_floats(self, points):
+        # each entry is a product of d floats, rounded once per factor, and
+        # Python's float pow rounds once per power: a few ulp apart while
+        # the products stay clear of the subnormal range
+        n = len(points[0])
+        for d, matrix in enumerate(evaluation_matrices(points, n, 7)):
             assert matrix.dtype == np.float64
-            np.testing.assert_allclose(matrix, expected, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(matrix, direct_evaluation(points, n, d), rtol=1e-13, atol=0)
 
     def test_explicit_tolerance(self):
         pc = PointCloud(2, [[1.0, 0.0], [1.0, 1e-12]])
         # the two near-parallel rays collapse under a loose tolerance
         assert estimate_hilbert_value(pc, 1, tol=1e-6) == 1
         assert estimate_hilbert_value(pc, 1, tol=1e-15) == 0
+
+
+class TestEvaluations:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.sampled_from([9, 1 << 11, 1 << 40, 1 << 70]).flatmap(
+                lambda top: st.lists(
+                    st.lists(st.integers(-top, top), min_size=n, max_size=n),
+                    min_size=1,
+                    max_size=6,
+                )
+            )
+        )
+    )
+    @example([[1 << 11, 3], [5, -7]])
+    @example([[3 << 40, 1]])
+    def test_integer_matrices_match_python_ints(self, points):
+        # top^d passes 2^62 at degree 6 for a coordinate near 2^11, at
+        # degree 2 near 2^40, and at once near 2^70: the matrices change to
+        # Python ints there
+        n = len(points[0])
+        top = max(abs(x) for p in points for x in p)
+        for d, matrix in enumerate(evaluation_matrices(points, n, 6)):
+            int64 = top ** max(d, 1) < linalg.INT64_SAFE
+            assert matrix.dtype == (np.int64 if int64 else object)
+            assert matrix.tolist() == direct_evaluation(points, n, d)
 
 
 class TestEstimateHilbertValues:
@@ -338,6 +378,24 @@ class TestEstimateHilbertValues:
         pc = PointCloud(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         assert estimate_hilbert_values(pc, range(1, 4)) == [0, 3, 7]
         assert certified == [3, 6, 10]
+
+    def test_the_degree_after_a_fallback_closes_by_its_pivots(self, monkeypatch):
+        # the rays agree mod 2 and their pivots agree mod 3, so no
+        # certificate holds at degree 2 and certified_pivots falls back to
+        # IntEchelon, whose pivots x^2, xy leave y^2 leading the kernel; at
+        # degree 3 the columns off its multiples xy^2, y^3 are independent
+        certified = []
+
+        def spy(matrix):
+            certified.append(matrix.shape[1])
+            return certified_pivots(matrix)
+
+        certified_pivots = gpca.certified_pivots
+        monkeypatch.setattr(gpca, "certified_pivots", spy)
+        monkeypatch.setattr(linalg, "LIFT_PRIMES", (2, 3))
+        pc = PointCloud(2, [[1, 1], [1, 3]])
+        assert estimate_hilbert_values(pc, range(2, 4)) == [1, 2]
+        assert certified == [3]
 
     def test_lifts_only_at_the_first_degree(self, monkeypatch):
         lifted = []

@@ -334,6 +334,22 @@ class TestApproxRank:
             with pytest.raises(ValueError):
                 approx_rank([[1.0]], rel_tol=bad)
 
+    @pytest.mark.parametrize("shape", [(0,), (3,), (0, 2, 2), (2, 2, 2)])
+    def test_rejects_non_matrices_empty_or_not(self, shape):
+        with pytest.raises(ValueError, match="2-d"):
+            approx_rank(np.zeros(shape))
+
+    def test_empty_matrices_have_rank_zero(self):
+        assert approx_rank(np.zeros((0, 3))) == 0
+        assert approx_rank(np.zeros((3, 0))) == 0
+
+    @pytest.mark.parametrize(
+        "m", [[[math.nan, 0.0], [0.0, 0.0]], [[math.inf, 1.0], [1.0, 1.0]], [[1.0, -math.inf]]]
+    )
+    def test_rejects_non_finite_entries(self, m):
+        with pytest.raises(ValueError, match="finite"):
+            approx_rank(m)
+
 
 class TestIntEchelon:
     def test_simple_rank(self):
@@ -519,8 +535,11 @@ class TestCertifiedRank:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linalg, "LIFT_PRIMES", _TINY_PRIMES)
             mp.setattr(linalg, "CHECK_PRIMES", _TINY_PRIMES)
-            got = certified_rank(_matrix(rows, ncols))
-        assert got == (rank(QMatrix(rows, ncols=ncols)) if rows else 0)
+            got, pivots = certified_pivots(_matrix(rows, ncols))
+        _, expected = rational_rref(QMatrix(rows, ncols=ncols))
+        assert got == len(expected)
+        if pivots is not None:
+            assert tuple(pivots.tolist()) == tuple(expected)
 
     @settings(max_examples=150, deadline=None)
     @given(integer_matrices())
@@ -594,7 +613,7 @@ class TestCertifiedRankPaths:
 
         counted("_reconstruct", linalg._reconstruct, lambda r: r is not None)
         counted("_certify", linalg._certify, bool)
-        counted("_echelon_rank", linalg._echelon_rank, lambda r: "ran")
+        counted("_echelon_pivots", linalg._echelon_pivots, lambda r: "ran")
         if lift:
             monkeypatch.setattr(linalg, "LIFT_PRIMES", lift)
         if check:
@@ -615,9 +634,10 @@ class TestCertifiedRankPaths:
         rows = [[3, 1, 4, 1], [6, 2, 8, 2], [5, 9, 2, 6], [8, 10, 6, 7]]
         got, pivots = certified_pivots(np.array(rows))
         assert got == 2 and pivots.tolist() == [0, 1]
-        # the IntEchelon fallback
+        # the IntEchelon fallback: its kept rows' leading columns
         monkeypatch.setattr(linalg, "LIFT_PRIMES", _TINY_PRIMES)
-        assert certified_pivots(np.array([[2, 3], [4, 6]])) == (1, None)
+        got, pivots = certified_pivots(np.array([[2, 3], [4, 6]]))
+        assert got == 1 and pivots.tolist() == [0]
 
     @pytest.mark.parametrize(
         "rows, rank, pivots",
@@ -649,31 +669,31 @@ class TestCertifiedRankPaths:
         rows = [[3, 1, 4, 1], [6, 2, 8, 2], [5, 9, 2, 6], [8, 10, 6, 7]]
         got, calls = self.run(monkeypatch, rows)
         assert got == 2
-        assert calls["_certify:True"] == 1 and not calls["_echelon_rank:ran"]
+        assert calls["_certify:True"] == 1 and not calls["_echelon_pivots:ran"]
 
     def test_pivots_disagree(self, monkeypatch):
         # pivot column 1 mod 2, column 0 mod 3
         got, calls = self.run(monkeypatch, [[2, 3], [4, 6]], lift=_TINY_PRIMES)
         assert got == 1
-        assert calls["_certify:False"] == 1 and calls["_echelon_rank:ran"] == 1
+        assert calls["_certify:False"] == 1 and calls["_echelon_pivots:ran"] == 1
 
     def test_reconstruction_fails(self, monkeypatch):
         # 100 has no reconstruction below 2 * 3 * 5 * 7
         got, calls = self.run(monkeypatch, [[1, 100], [2, 200]], lift=_TINY_PRIMES)
         assert got == 1
-        assert calls["_reconstruct:False"] and calls["_echelon_rank:ran"] == 1
+        assert calls["_reconstruct:False"] and calls["_echelon_pivots:ran"] == 1
 
     def test_check_cannot_finish(self, monkeypatch):
         # the bound 1*200 + 1*2*100 needs a product of check primes past 800
         got, calls = self.run(monkeypatch, [[1, 100], [2, 200]], check=_TINY_PRIMES)
         assert got == 1
-        assert calls["_certify:True"] == 0 and calls["_echelon_rank:ran"] == 1
+        assert calls["_certify:True"] == 0 and calls["_echelon_pivots:ran"] == 1
 
     def test_unlucky_first_prime(self, monkeypatch):
         # rank 2 over Q but 1 mod 2: no certificate for rank 1 can hold
         got, calls = self.run(monkeypatch, [[1, 1], [1, 3], [3, 5]], lift=(2, 3))
         assert got == 2
-        assert calls["_certify:True"] == 0 and calls["_echelon_rank:ran"] == 1
+        assert calls["_certify:True"] == 0 and calls["_echelon_pivots:ran"] == 1
 
 
 class TestCertificate:
