@@ -67,6 +67,7 @@ import numpy as np
 import subspace_hilbert
 from subspace_hilbert import linalg, oracle
 from subspace_hilbert.arrangement import random_arrangement
+from subspace_hilbert.ratpoly import binom
 
 from arrangement_kinds import pencil
 
@@ -135,13 +136,12 @@ def closing(arr) -> tuple[list[str], list[str], list[str], str]:
     # the rank helpers see the rows of positive w-degree, w the coordinates
     # off the largest subspace V_s, and a J step the monomials of its degree
     degree_of_rows = {
-        len(oracle.monomial_basis(n, d)) - len(oracle.monomial_basis(k, d)): d
-        for d in range(D_MAX + 1)
+        binom(d + n - 1, n - 1) - binom(d + k - 1, k - 1): d for d in range(D_MAX + 1)
     }
-    degree_of_columns = {len(oracle.monomial_basis(n, d)): d for d in range(D_MAX + 1)}
+    degree_of_columns = {binom(d + n - 1, n - 1): d for d in range(D_MAX + 1)}
     # the width of the restriction blocks of the V_i other than V_s
     block_width = [
-        sum(len(oracle.monomial_basis(c, d)) for i, c in enumerate(dims) if i != s)
+        sum(binom(d + c - 1, c - 1) for i, c in enumerate(dims) if i != s)
         for d in range(D_MAX + 1)
     ]
     called = {key: set() for key in ("I", "J", "rows")}
@@ -291,7 +291,7 @@ def near_cap(repeat: int) -> dict:
         if len(digests) != 1:
             raise RuntimeError(f"{name}: tables differ between runs")
         cases[name] = {
-            "monomials": len(oracle.monomial_basis(n, d)),
+            "monomials": binom(d + n - 1, n - 1),
             "hilbert_table_s": round(min(t for t, _, _ in runs), 4),
             "peak_rss_mb": round(max(r for _, r, _ in runs), 1),
             "arrangement_only_rss_mb": round(fresh(n, dims, -1, SEED, kind)[1], 1),

@@ -50,15 +50,12 @@ from .hilbert import (
     transversal_series,
 )
 from .linalg import SubspaceBasis, approx_rank
+from .monomials import MonomialCapExceeded, monomial_cap
 from .oracle import (
     GradedPieceResult,
-    MonomialBasis,
-    MonomialCapExceeded,
     dim_intersection_ideal,
     dim_product_ideal,
     hilbert_table,
-    monomial_basis,
-    monomial_cap,
 )
 from .ratpoly import (
     QPoly,
@@ -77,7 +74,6 @@ __all__ = [
     "HilbertPolynomial",
     "HilbertSeriesJ",
     "InconsistentDataError",
-    "MonomialBasis",
     "MonomialCapExceeded",
     "PSFamily",
     "PointCloud",
@@ -101,7 +97,6 @@ __all__ = [
     "hilbert_table",
     "is_series_difference_polynomial",
     "is_transversal",
-    "monomial_basis",
     "monomial_cap",
     "random_arrangement",
     "recover_codimensions",

@@ -28,7 +28,7 @@ import numpy as np
 from .linalg import PRIME, SubspaceBasis, certified_rank
 
 _SUBSET_CAP_ENV = "SUBSPACE_HILBERT_SUBSET_CAP"
-_DEFAULT_SUBSET_CAP = 16
+DEFAULT_SUBSET_CAP = 16
 
 
 def env_cap(name: str, default: int) -> int:
@@ -50,7 +50,7 @@ def env_cap(name: str, default: int) -> int:
 
 def subset_cap() -> int:
     """Maximum number of subspaces; the subset lattice has 2^m nodes."""
-    return env_cap(_SUBSET_CAP_ENV, _DEFAULT_SUBSET_CAP)
+    return env_cap(_SUBSET_CAP_ENV, DEFAULT_SUBSET_CAP)
 
 
 @dataclass(frozen=True)

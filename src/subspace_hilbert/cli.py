@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
 
 from .arrangement import (
-    _DEFAULT_SUBSET_CAP,
+    DEFAULT_SUBSET_CAP,
     Arrangement,
     dimension_function,
     is_transversal,
@@ -48,7 +48,8 @@ from .hilbert import (
     transversal_series,
 )
 from .linalg import SubspaceBasis
-from .oracle import _DEFAULT_MONOMIAL_CAP, hilbert_table
+from .monomials import DEFAULT_MONOMIAL_CAP
+from .oracle import hilbert_table
 from .ratpoly import QPoly, expand_rational, fit_numerator
 
 EXIT_OK = 0
@@ -604,9 +605,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             "Environment: SUBSPACE_HILBERT_SUBSET_CAP bounds the number of "
-            f"subspaces (default {_DEFAULT_SUBSET_CAP}); "
+            f"subspaces (default {DEFAULT_SUBSET_CAP}); "
             "SUBSPACE_HILBERT_MONOMIAL_CAP bounds the monomial-basis size of "
-            f"the oracle and of point recovery (default {_DEFAULT_MONOMIAL_CAP})."
+            f"the oracle and of point recovery (default {DEFAULT_MONOMIAL_CAP})."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -6,9 +6,10 @@ minus the rank of the evaluation matrix, and with enough generic points per
 subspace this reproduces the arrangement's own graded dimensions.  The
 matrices of consecutive degrees come from the oracle's monomial recursion
 (``_evaluations``), and exact clouds close them by the rule of ``linalg``
-that the oracle uses too (``estimate_hilbert_values``).  Second, exact
-recovery: given the values of the Hilbert polynomial at the n consecutive degrees m..m+n-1 for
-a transversal arrangement, integer difference steps turn them into the
+and the carried leads (``monomials.multiples``) that the oracle uses too
+(``estimate_hilbert_values``).  Second, exact recovery: given the values
+of the Hilbert polynomial at the n consecutive degrees m..m+n-1 for a
+transversal arrangement, integer difference steps turn them into the
 coefficients of the product of the (1 - t^{c_i}), mod t^n, and those yield
 the multiset of codimensions.
 
@@ -41,7 +42,7 @@ from .linalg import (
     primitive_int_vector,
     rank_mod_p,
 )
-from .oracle import _raise_degree_maps, _split_first_variable, check_monomial_cap
+from .monomials import check_monomial_cap, multiples, split_first_variable
 
 Number = Union[int, float, Fraction]
 
@@ -158,7 +159,7 @@ def estimate_hilbert_value(pc: PointCloud, d: int, tol: float | None = None) -> 
     The one-degree case of ``estimate_hilbert_values``.
 
     Raises MonomialCapExceeded, before any matrix is built, when degree d
-    needs more monomials than ``oracle.check_monomial_cap`` allows, and
+    needs more monomials than ``monomials.check_monomial_cap`` allows, and
     ValueError when a float evaluation overflows or is not finite.
     """
     return estimate_hilbert_values(pc, [d], tol)[0]
@@ -181,7 +182,8 @@ def estimate_hilbert_values(
     the form's.  A certified rank with pivots C gives, for each other column
     f, a vanishing form led by f (D e_f minus the pivot columns' multiples,
     N[i, f] e_{C_i}; the reduced echelon form N is zero left of each pivot),
-    and the set S of the x_j * f lead vanishing forms of the next degree.
+    and the set S of the x_j * f (``multiples``) lead vanishing forms of the
+    next degree.
     Forms with distinct leading monomials are independent, so the next
     kernel has dimension at least |S|, and only the columns outside S can be
     its pivots.  When those columns are independent mod a prime they are
@@ -237,24 +239,21 @@ def _exact_value(
     matrix: np.ndarray, n: int, d: int, leading: np.ndarray | None
 ) -> tuple[int, np.ndarray | None]:
     """The kernel dimension of the degree-d evaluation matrix at the rays,
-    and the kernel's leading monomials, as a mask over the columns, where
+    and the kernel's leading monomials, as ascending column indices, where
     they are proven, else None (``estimate_hilbert_values``).
 
-    leading holds the previous degree's mask, or None.
+    leading holds the previous degree's leading monomials, or None.
     """
     total = matrix.shape[1]
     if leading is not None:
-        raised = np.zeros(total, dtype=bool)
-        raised[_raise_degree_maps(n, d - 1)[leading]] = True
-        block = matrix[:, ~raised]
+        heads = multiples(leading, n, d - 1)
+        block = np.delete(matrix, heads, axis=1)
         if len(block) >= block.shape[1] and rank_mod_p(block, PRIME) == block.shape[1]:
-            return total - block.shape[1], raised
+            return total - block.shape[1], heads
     rank, pivots = certified_pivots(matrix)
     if pivots is None:
         return total - rank, None
-    leading = np.ones(total, dtype=bool)
-    leading[pivots] = False
-    return total - rank, leading
+    return total - rank, np.delete(np.arange(total), pivots)
 
 
 def _evaluations(points: Sequence[Sequence[Number]], n: int) -> Iterator[np.ndarray]:
@@ -262,7 +261,7 @@ def _evaluations(points: Sequence[Sequence[Number]], n: int) -> Iterator[np.ndar
     entry (k, i) of the degree-d one is monomial i of degree d at point k.
 
     With x_j the first variable of x^beta, x^beta is x_j times x^beta / x_j
-    (``oracle._split_first_variable``), so each degree is one gather and
+    (``monomials.split_first_variable``), so each degree is one gather and
     product of the last, as in ``oracle._substitutions``.  Integer points
     give entries of at most top^d in absolute value, top the largest
     |coordinate|: int64 while top^d < 2^62, Python ints from there on.
@@ -281,7 +280,7 @@ def _evaluations(points: Sequence[Sequence[Number]], n: int) -> Iterator[np.ndar
         d += 1
         if x.dtype == np.int64 and top**d >= INT64_SAFE:
             x, m = x.astype(object), m.astype(object)
-        first, parents = _split_first_variable(n, d)
+        first, parents = split_first_variable(n, d)
         with np.errstate(over="ignore", invalid="ignore"):
             m = x[:, first] * m[:, parents]
 

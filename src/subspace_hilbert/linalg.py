@@ -10,8 +10,8 @@ exact-rank entry point; ``certified_pivots`` also returns the pivot columns
 that the certificate proves), and ``IntEchelon``, an incremental
 fraction-free accumulator on lists of Python ints for callers that add rows
 one at a time and for the certificate's fallback.
-``echelon_mod_p`` is the GF(p) eliminator for numpy matrices and
-``rank_mod_p`` its rank of an integer matrix;
+``echelon_mod_p`` is the GF(p) eliminator for numpy matrices of residues
+(``reduce_mod_p``) and ``rank_mod_p`` its rank of an integer matrix;
 ``arrangement.dimension_function`` reduces its own rows of Python ints mod
 ``PRIME``, one subspace's forms at a time, along its walk.  ``approx_rank``
 is a tolerance-based rank for float matrices.
@@ -27,7 +27,8 @@ independent over Q, and the kernel has dimension |Lambda|.  Otherwise
 each non-pivot column f gives a kernel vector over Q whose last nonzero
 entry is at f (f minus multiples of the pivot columns left of it); with
 the columns ordered so that a form's leading monomial is its last nonzero
-entry, the non-pivot columns are the next Lambda.
+entry, the non-pivot columns are a Lambda, and their multiples by
+x_1, ..., x_n (``monomials.multiples``) one of the next degree.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -306,14 +307,14 @@ def echelon_mod_p(m: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return m[:r], sources[:r]
 
 
-def _residues(m: np.ndarray, p: int) -> np.ndarray:
+def reduce_mod_p(m: np.ndarray, p: int) -> np.ndarray:
     """m mod p as a fresh int64 array with entries in [0, p)."""
     return (m % p).astype(np.int64, copy=False)
 
 
 def rank_mod_p(m: np.ndarray, p: int) -> int:
     """Rank over GF(p) of the integer matrix m (int64 or object ndarray)."""
-    return len(echelon_mod_p(_residues(m, p), p)[0])
+    return len(echelon_mod_p(reduce_mod_p(m, p), p)[0])
 
 
 def _max_abs(m: np.ndarray) -> int:
@@ -355,7 +356,7 @@ def _symmetric_crt(residues: list[tuple[int, np.ndarray]]) -> np.ndarray:
         return x
     x = x.astype(object)
     for q, y in rest:
-        x = x + modulus * ((y - _residues(x, q)) % q * pow(modulus, -1, q) % q).astype(object)
+        x = x + modulus * ((y - reduce_mod_p(x, q)) % q * pow(modulus, -1, q) % q).astype(object)
         modulus *= q
     return np.where(x > modulus // 2, x - modulus, x)
 
@@ -425,7 +426,7 @@ def _lifts(residues: np.ndarray, p: int, independent: np.ndarray, pivots: np.nda
     lifted = [(p, residues)]
     yield lifted
     for q in LIFT_PRIMES[1:]:
-        ech, _ = echelon_mod_p(_residues(independent, q), q)
+        ech, _ = echelon_mod_p(reduce_mod_p(independent, q), q)
         if not np.array_equal((ech != 0).argmax(axis=1), pivots):
             return
         lifted = lifted + [(q, _back_substitute(ech, pivots, q))]
@@ -450,8 +451,8 @@ def _certify(m: np.ndarray, pivots: np.ndarray, n: np.ndarray, d: int) -> bool:
             break
         if r * q * q >= 1 << 63:
             return False
-        mq = _residues(m, q)
-        rhs = mq[:, pivots] @ _residues(n, q)
+        mq = reduce_mod_p(m, q)
+        rhs = mq[:, pivots] @ reduce_mod_p(n, q)
         rhs %= q
         mq *= d % q
         mq %= q
@@ -519,7 +520,7 @@ def certified_pivots(matrix: np.ndarray) -> tuple[int, np.ndarray | None]:
     if not m.size:
         return 0, np.arange(0)
     p = LIFT_PRIMES[0]
-    ech, sources = echelon_mod_p(_residues(m, p), p)
+    ech, sources = echelon_mod_p(reduce_mod_p(m, p), p)
     pivots = (ech != 0).argmax(axis=1)
     r = len(pivots)
     if r == m.shape[1]:

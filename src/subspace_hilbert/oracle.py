@@ -14,7 +14,8 @@ For an arrangement V_1, ..., V_m in K^n and a subset S of indices:
   complementary degree, accumulated one factor at a time.
 
 Two exact builders make every matrix: ``_substitutions`` the restriction
-blocks and the jets below, ``_times_forms`` the products.
+blocks and the jets below, ``_times_forms`` the products, on the monomial
+basis and index maps of ``monomials``, which ``gpca`` shares.
 
 ``hilbert_table`` certifies both values of a degree with ranks over GF(p),
 p = ``PRIME``.  Reducing an integer matrix mod p never raises its rank, and
@@ -37,10 +38,10 @@ with distinct leading monomials are independent mod p, so their lifts are
 independent over Q).  Through degree m it multiplies its span by the forms
 of V_1, ..., V_m (``_times_forms``) and eliminates; J is generated in
 degree m, so above m it multiplies the span's leading monomials alone by
-x_1, ..., x_n (``_multiples``), and builds the span again only in a degree
+x_1, ..., x_n (``multiples``), and builds the span again only in a degree
 where those multiples do not close it.  The intersection chain is carried
 over Q: it starts from the non-pivot columns of a ``certified_pivots``
-that proves its pivots and multiplies by x_1, ..., x_n (``_multiples``);
+that proves its pivots and multiplies by x_1, ..., x_n (``multiples``);
 I is generated in degrees <= m (Derksen and Sidman, "A sharp bound for the
 Castelnuovo-Mumford regularity of subspace arrangements", Adv. Math.
 2002), so above m the multiples span I_d over Q, and their count mostly
@@ -69,125 +70,43 @@ The public per-degree functions ``dim_intersection_ideal`` and
 ``dim_product_ideal`` work in the given coordinates and are the references
 the table is tested against.
 
-Cost grows roughly with the cube of C(d+n-1, n-1), so calls are guarded by a
-configurable monomial cap.
+Cost grows roughly with the cube of C(d+n-1, n-1), so ``hilbert_table`` is
+guarded by the monomial cap (``check_monomial_cap``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .arrangement import Arrangement, env_cap
+from .arrangement import Arrangement
 from .linalg import (
     INT64_SAFE,
     PRIME,
     IntEchelon,
-    _residues,
     certified_pivots,
     certified_rank,
     echelon_mod_p,
     kernel_basis,
     primitive_int_vector,
     rank_mod_p,
+    reduce_mod_p,
     rref,
+)
+from .monomials import (
+    check_monomial_cap,
+    multiples,
+    raise_degree_maps,
+    scatter_maps,
+    split_first_variable,
+    w_degrees,
 )
 from .ratpoly import binom
 
-_MONOMIAL_CAP_ENV = "SUBSPACE_HILBERT_MONOMIAL_CAP"
-_DEFAULT_MONOMIAL_CAP = 3000
-
 SubsetLike = Union[int, Iterable[int]]
-
-
-class MonomialCapExceeded(ValueError):
-    """Raised when a requested degree needs more monomials than allowed."""
-
-
-def monomial_cap() -> int:
-    return env_cap(_MONOMIAL_CAP_ENV, _DEFAULT_MONOMIAL_CAP)
-
-
-def check_monomial_cap(n: int, d: int) -> None:
-    """Raise MonomialCapExceeded when degree d in n variables has more
-    monomials than the cap (the SUBSPACE_HILBERT_MONOMIAL_CAP environment
-    variable, else 3000)."""
-    limit = monomial_cap()
-    count = binom(d + n - 1, n - 1)
-    if count > limit:
-        raise MonomialCapExceeded(
-            f"degree {d} in {n} variables needs {count} monomials, "
-            f"above the cap of {limit}"
-        )
-
-
-@dataclass(frozen=True)
-class MonomialBasis:
-    """All exponent vectors of total degree d in n variables, graded-lex.
-
-    Within the fixed degree the order is lexicographic, largest first
-    variable power first, so the basis and every matrix built on it are
-    deterministic.
-    """
-
-    n: int
-    d: int
-    monomials: tuple[tuple[int, ...], ...]
-
-    def __init__(self, n: int, d: int):
-        if n < 0 or d < 0:
-            raise ValueError("n and d must be nonnegative")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "monomials", tuple(_exponents(n, d)))
-
-    def __len__(self) -> int:
-        return len(self.monomials)
-
-    def position(self, exponents: tuple[int, ...]) -> int:
-        return _position_map(self.n, self.d)[exponents]
-
-
-def _exponents(n: int, d: int):
-    if n == 0:
-        if d == 0:
-            yield ()
-        return
-    if n == 1:
-        yield (d,)
-        return
-    for first in range(d, -1, -1):
-        for rest in _exponents(n - 1, d - first):
-            yield (first,) + rest
-
-
-@lru_cache(maxsize=None)
-def monomial_basis(n: int, d: int) -> MonomialBasis:
-    return MonomialBasis(n, d)
-
-
-@lru_cache(maxsize=None)
-def _position_map(n: int, d: int) -> dict[tuple[int, ...], int]:
-    return {
-        exps: i for i, exps in enumerate(monomial_basis(n, d).monomials)
-    }
-
-
-@lru_cache(maxsize=None)
-def _raise_degree_maps(n: int, d: int) -> np.ndarray:
-    """maps[i, j] = position in degree d+1 of (monomial i of degree d) * x_j."""
-    basis = monomial_basis(n, d)
-    target = _position_map(n, d + 1)
-    maps = np.empty((len(basis), n), dtype=np.intp)
-    for i, exps in enumerate(basis.monomials):
-        for j in range(n):
-            bumped = exps[:j] + (exps[j] + 1,) + exps[j + 1 :]
-            maps[i, j] = target[bumped]
-    return maps
 
 
 @dataclass(frozen=True)
@@ -214,53 +133,12 @@ def _as_indices(S: SubsetLike, m: int) -> tuple[int, ...]:
     return tuple(indices)
 
 
-@lru_cache(maxsize=None)
-def _split_first_variable(n: int, e: int) -> tuple[np.ndarray, np.ndarray]:
-    """For each degree-e monomial (e >= 1): its first variable j, and the
-    position in degree e-1 of the monomial divided by x_j."""
-    parent_pos = _position_map(n, e - 1)
-    first, parents = [], []
-    for exps in monomial_basis(n, e).monomials:
-        j = next(t for t, x in enumerate(exps) if x)
-        first.append(j)
-        parents.append(parent_pos[exps[:j] + (exps[j] - 1,) + exps[j + 1 :]])
-    out = np.array(first, dtype=np.intp), np.array(parents, dtype=np.intp)
-    for arr in out:
-        arr.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=None)
-def _w_degrees(n: int, e: int, f: int) -> np.ndarray:
-    """For each degree-e monomial in n variables, its degree in the last n - f."""
-    out = np.array([sum(exps[f:]) for exps in monomial_basis(n, e).monomials], dtype=np.intp)
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=None)
-def _scatter_maps(r: int, e: int, f: int, k: int) -> tuple[int, tuple]:
-    """The number of kept degree-e columns of ``_substitutions`` and, for
-    each y_j, the kept degree-(e-1) columns whose product with y_j is kept
-    (a slice where all are) and the columns those products land on.
-    Multiplying by y_j never lowers the degree in y_{f+1}, ..., y_r, so the
-    kept columns of degree e come from kept columns alone."""
-    maps = _raise_degree_maps(r, e - 1)
-    low = _w_degrees(r, e, f) < k
-    if low.all():
-        return len(low), tuple((slice(None), maps[:, j]) for j in range(r))
-    column = np.cumsum(low) - 1
-    column[~low] = -1
-    targets = column[maps[_w_degrees(r, e - 1, f) < k]]
-    return int(low.sum()), tuple((t >= 0, t[t >= 0]) for t in targets.T)
-
-
 def _substitutions(rows: Sequence[Sequence[int]], n: int, f: int, k: int) -> Iterator[np.ndarray]:
     """Images of the monomials under x = M^T y in degrees d = 0, 1, 2, ...
 
     M is r x n, the integer rows.  Row i of the degree-d matrix holds the
     exact image of monomial i of R_d at the y-monomials, in
-    ``monomial_basis`` order, of degree below k in y_{f+1}, ..., y_r.  With
+    ``exponents`` order, of degree below k in y_{f+1}, ..., y_r.  With
     f = r that is every column: the restriction to the span of the rows.
     With the rows a basis of K^n whose first f span F
     (``_flat_coordinates``), a form lies in P_F^k exactly when its image
@@ -280,10 +158,10 @@ def _substitutions(rows: Sequence[Sequence[int]], n: int, f: int, k: int) -> Ite
         yield s
         e += 1
         dtype = np.int64 if top**e < INT64_SAFE else object
-        first, parents = _split_first_variable(n, e)
+        first, parents = split_first_variable(n, e)
         coeffs = M[:, first].astype(dtype)
         prev = s[parents].astype(dtype)
-        width, scatter = _scatter_maps(r, e, f, k)
+        width, scatter = scatter_maps(r, e, f, k)
         s = np.zeros((len(first), width), dtype=dtype)
         for j, (source, target) in enumerate(scatter):
             s[:, target] += coeffs[j][:, None] * prev[:, source]
@@ -306,7 +184,7 @@ def dim_intersection_ideal(a: Arrangement, S: SubsetLike, d: int) -> int:
         raise ValueError("degree must be nonnegative")
     n = a.ambient_dim
     idxs = _as_indices(S, a.num_subspaces)
-    total = len(monomial_basis(n, d))
+    total = binom(d + n - 1, n - 1)
     blocks = [_restriction_matrix(a.subspaces[i].integer_rows, n, d) for i in idxs]
     # by width, not dim: the zero subspace has a width-1 block at d = 0
     blocks = [b for b in blocks if b.shape[1]]
@@ -322,12 +200,12 @@ def _times_forms(basis: np.ndarray, forms: Sequence[Sequence[int]], n: int, e: i
     matrix is int64 while n * max|basis| * max|c| < 2^62 and an object
     array of Python ints from there on.
     """
-    maps = _raise_degree_maps(n, e)
+    maps = raise_degree_maps(n, e)
     row_max = int(np.abs(basis).max(initial=0))
     coeff_max = max(abs(c) for f in forms for c in f)
     dtype = np.int64 if n * row_max * coeff_max < INT64_SAFE else object
     basis = basis.astype(dtype, copy=False)
-    out = np.zeros((len(forms), len(basis), len(monomial_basis(n, e + 1))), dtype=dtype)
+    out = np.zeros((len(forms), len(basis), binom(e + n, n - 1)), dtype=dtype)
     for block, f in zip(out, forms):
         for j, c in enumerate(f):
             if c:
@@ -350,11 +228,11 @@ def dim_product_ideal(a: Arrangement, S: SubsetLike, d: int) -> int:
     idxs = _as_indices(S, a.num_subspaces)
     k = len(idxs)
     if not idxs:
-        return len(monomial_basis(n, d))
+        return binom(d + n - 1, n - 1)
     if d < k:
         return 0
 
-    matrix = np.eye(len(monomial_basis(n, d - k)), dtype=np.int64)
+    matrix = np.eye(binom(d - k + n - 1, n - 1), dtype=np.int64)
     for step, i in enumerate(idxs):
         products = _times_forms(matrix, a.subspaces[i].annihilator_forms, n, d - k + step)
         ech = IntEchelon(products.shape[1])
@@ -390,16 +268,6 @@ def _standard_rows_independent(
     if not count:
         return True
     return rank_mod_p(np.hstack([b[rows] for b in blocks]), p) == count
-
-
-def _multiples(leads: np.ndarray, n: int, e: int) -> np.ndarray:
-    """The distinct leading columns of x_1, ..., x_n times degree-e forms
-    with leading columns leads: LM(x_j g) = x_j LM(g) in any monomial
-    order.  Ascending, read off a mask over the degree-(e+1) columns, which
-    unlike ``np.unique`` does not import numpy.ma on its first call."""
-    hit = np.zeros(len(monomial_basis(n, e + 1)), dtype=bool)
-    hit[_raise_degree_maps(n, e)[leads]] = True
-    return np.flatnonzero(hit)
 
 
 def _flat_key(forms: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
@@ -588,7 +456,7 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
       degree d, and its leading monomial mod p is x_j LM(g), as the
       columns run through the monomials in decreasing lex order, a
       monomial order.  So the multiples of the carried leads
-      (``_multiples``) are distinct leading monomials of the span, and
+      (``multiples``) are distinct leading monomials of the span, and
       their number c is at most rank_p.  The span lies in the kernel mod p
       of the blocks (beside the jets once they are started), so where the
       h - c standard rows off the multiples are independent,
@@ -608,7 +476,7 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     combination over Q of the pivot columns left of it, the rows after f:
     a form of I_d whose leading monomial, its first nonzero row, is f.
     Every later degree multiplies them by x_1, ..., x_n and keeps one
-    product per leading monomial (``_multiples``): forms of I with distinct
+    product per leading monomial (``multiples``): forms of I with distinct
     leading monomials, so L_I, their number, is at most dim I_d at every p.
     A degree where I still needs ``certified_pivots`` and gets pivots
     starts the chain again there.
@@ -637,7 +505,7 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     jets = None
     results = []
     for d in range(d_max + 1):
-        kept = _w_degrees(n, d, k) >= 1
+        kept = w_degrees(n, d, k) >= 1
         h = int(kept.sum())
         blocks = [b[kept] for b in map(next, restrictions) if b.shape[1]]
         jet_blocks = [] if jets is None else [j[kept] for j in next(jets)]
@@ -645,18 +513,18 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
         tight = False
         if d:
             if d > m:
-                heads = _multiples(leads_J, n, d - 1)
+                heads = multiples(leads_J, n, d - 1)
                 tight = _standard_rows_independent(blocks + jet_blocks, kept, heads, p)
             if tight:
                 leads_J = heads
             else:
                 for e in range(built, d):
                     products = _times_forms(span, forms[e] if e < m else x, n, e)
-                    span = echelon_mod_p(_residues(products, p), p)[0]
+                    span = echelon_mod_p(reduce_mod_p(products, p), p)[0]
                 leads_J = (span != 0).argmax(axis=1)
                 built = d
             if len(leads_I):
-                leads_I = _multiples(leads_I, n, d - 1)
+                leads_I = multiples(leads_I, n, d - 1)
         chain = max(leads_J if d >= m else empty, leads_I, key=len)
         if tight and not jet_blocks:
             # the blocks alone: L_J = U_I

@@ -32,6 +32,9 @@ per numerator term, and ``reference_fit_numerator`` a product with (1-t)^n.
 ``reference_echelon_mod_p`` is the plain GF(p) elimination loop that
 ``linalg.echelon_mod_p`` trims: two column scans per pivot, an outer
 product per update and a scaled copy of the pivot row.
+
+``monomial_position`` counts a monomial's place in the graded-lex order of
+``monomials.exponents`` from its exponents alone, with no table.
 """
 
 from __future__ import annotations
@@ -59,6 +62,19 @@ from subspace_hilbert.ratpoly import (
 )
 
 ONE_MINUS_T = ONE - T
+
+
+def monomial_position(exps: Sequence[int]) -> int:
+    """The position of x^exps among the monomials of its degree, largest
+    first-variable power first: those before it agree with it before some
+    variable x_t and have a larger power of x_t, any monomial of the
+    remaining degree in the variables after it."""
+    n, rest, position = len(exps), sum(exps), 0
+    for t, e in enumerate(exps):
+        for larger in range(e + 1, rest + 1):
+            position += binom(rest - larger + n - t - 2, n - t - 2)
+        rest -= e
+    return position
 
 
 def _to_vector(entries: Iterable) -> Vector:

@@ -442,8 +442,8 @@ class TestRecoverCommand:
             built.append(binom(d + n - 1, n - 1))
             return split_first_variable(n, d)
 
-        split_first_variable = gpca._split_first_variable
-        monkeypatch.setattr(gpca, "_split_first_variable", spy)
+        split_first_variable = gpca.split_first_variable
+        monkeypatch.setattr(gpca, "split_first_variable", spy)
         monkeypatch.setenv("SUBSPACE_HILBERT_MONOMIAL_CAP", "10")
         pc = sample_points(fixture_arrangement("three-coordinate-axes"), 10, seed=61)
         path = write_json(

@@ -30,7 +30,8 @@ from subspace_hilbert.gpca import (
 )
 from subspace_hilbert.hilbert import transversal_hilbert_function
 from subspace_hilbert.linalg import SubspaceBasis
-from subspace_hilbert.oracle import dim_intersection_ideal, monomial_basis
+from subspace_hilbert.monomials import exponents
+from subspace_hilbert.oracle import dim_intersection_ideal
 from subspace_hilbert.ratpoly import QPoly, binom
 
 from closed_form_reference import (
@@ -57,9 +58,9 @@ def coordinate_axes() -> Arrangement:
 
 def reference_hilbert_value(pc: PointCloud, d: int) -> int:
     """C(d+n-1, n-1) minus the rank of the Fraction evaluation matrix."""
-    basis = monomial_basis(pc.ambient_dim, d)
+    basis = exponents(pc.ambient_dim, d)
     rows = [
-        [math.prod(x**e for x, e in zip(p, exps)) for exps in basis.monomials]
+        [math.prod(x**e for x, e in zip(p, exps)) for exps in basis]
         for p in pc.points
     ]
     return len(basis) - (rank(QMatrix(rows, ncols=len(basis))) if rows else 0)
@@ -75,7 +76,7 @@ def evaluation_matrices(points, n: int, d_max: int) -> list[np.ndarray]:
 
 def direct_evaluation(points, n: int, d: int) -> list[list]:
     """Each degree-d monomial at each point, as Python ints or floats."""
-    monomials = monomial_basis(n, d).monomials
+    monomials = exponents(n, d)
     return [[math.prod(x**e for x, e in zip(p, exps)) for exps in monomials] for p in points]
 
 

@@ -6,6 +6,7 @@ import inspect
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from closed_form_reference import (
     annihilator,
     kernel,
     matvec,
+    monomial_position,
     rank,
     rational_rref,
     reference_echelon_mod_p,
@@ -34,10 +36,9 @@ from subspace_hilbert.arrangement import (
 from subspace_hilbert.fixtures import fixture_arrangement, fixture_names
 from subspace_hilbert.hilbert import hilbert_series_J, transversal_hilbert_function
 from subspace_hilbert.linalg import SubspaceBasis, certified_pivots, echelon_mod_p, rank_mod_p
+from subspace_hilbert.monomials import MonomialCapExceeded, exponents, monomial_cap, w_degrees
 from subspace_hilbert.oracle import (
     GradedPieceResult,
-    MonomialBasis,
-    MonomialCapExceeded,
     _adapted_coordinates,
     _flat_coordinates,
     _flat_jets,
@@ -46,12 +47,9 @@ from subspace_hilbert.oracle import (
     _standard_rows_independent,
     _substitutions,
     _times_forms,
-    _w_degrees,
     dim_intersection_ideal,
     dim_product_ideal,
     hilbert_table,
-    monomial_basis,
-    monomial_cap,
 )
 from subspace_hilbert.ratpoly import QPoly, binom, expand_rational
 
@@ -116,11 +114,11 @@ def naive_dim_product(arr: Arrangement, idxs: tuple[int, ...], d: int) -> int:
     k = len(idxs)
     if d < k:
         return 0
-    basis_d = monomial_basis(n, d)
+    basis_d = exponents(n, d)
     rows = []
     choices = itertools.product(*[annihilator(arr.subspaces[i]) for i in idxs])
     for forms in choices:
-        for alpha in monomial_basis(n, d - k).monomials:
+        for alpha in exponents(n, d - k):
             poly = {alpha: Fraction(1)}
             for f in forms:
                 bumped: dict[tuple[int, ...], Fraction] = {}
@@ -132,21 +130,21 @@ def naive_dim_product(arr: Arrangement, idxs: tuple[int, ...], d: int) -> int:
                 poly = bumped
             row = [Fraction(0)] * len(basis_d)
             for exps, c in poly.items():
-                row[basis_d.position(exps)] = c
+                row[monomial_position(exps)] = c
             rows.append(row)
     return rank(QMatrix(rows, ncols=len(basis_d)))
 
 
 def python_products(basis: list[list[int]], forms: list[list[int]], n: int, e: int) -> list[list[int]]:
     """Rows f * b in Python ints, one block per form, over the degree-(e+1) monomials."""
-    target = monomial_basis(n, e + 1)
+    target = exponents(n, e + 1)
     rows = []
     for f in forms:
         for b in basis:
             row = [0] * len(target)
-            for exps, x in zip(monomial_basis(n, e).monomials, b):
+            for exps, x in zip(exponents(n, e), b):
                 for j, c in enumerate(f):
-                    row[target.position(exps[:j] + (exps[j] + 1,) + exps[j + 1 :])] += c * x
+                    row[monomial_position(exps[:j] + (exps[j] + 1,) + exps[j + 1 :])] += c * x
             rows.append(row)
     return rows
 
@@ -172,7 +170,7 @@ def substitution_images(basis: list[list[int]], n: int, d: int) -> list[dict]:
         return {e: c for e, c in out.items() if c}
 
     images = []
-    for exps in monomial_basis(n, d).monomials:
+    for exps in exponents(n, d):
         acc = {(0,) * n_i: 1}
         for j, e in enumerate(exps):
             for _ in range(e):
@@ -182,12 +180,12 @@ def substitution_images(basis: list[list[int]], n: int, d: int) -> list[dict]:
 
 
 def reference_restriction_rows(basis: list[list[int]], n: int, d: int) -> list[list[int]]:
-    target = monomial_basis(len(basis), d)
+    target = exponents(len(basis), d)
     rows = []
     for image in substitution_images(basis, n, d):
         row = [0] * len(target)
         for exps, c in image.items():
-            row[target.position(exps)] = c
+            row[monomial_position(exps)] = c
         rows.append(row)
     return rows
 
@@ -268,41 +266,6 @@ def invertible_matrices(draw, n: int):
     return matrix
 
 
-class TestMonomialBasis:
-    def test_counts(self):
-        for n in range(1, 6):
-            for d in range(0, 7):
-                assert len(monomial_basis(n, d)) == binom(d + n - 1, n - 1)
-
-    def test_graded_lex_order(self):
-        assert monomial_basis(2, 2).monomials == ((2, 0), (1, 1), (0, 2))
-        basis = monomial_basis(3, 2)
-        assert basis.monomials[0] == (2, 0, 0)
-        assert basis.monomials[-1] == (0, 0, 2)
-        assert basis.monomials == tuple(
-            sorted(basis.monomials, reverse=True)
-        )
-
-    def test_every_exponent_sums_to_degree(self):
-        for exps in monomial_basis(4, 3).monomials:
-            assert sum(exps) == 3 and all(e >= 0 for e in exps)
-
-    def test_position_roundtrip(self):
-        basis = monomial_basis(3, 4)
-        for i, exps in enumerate(basis.monomials):
-            assert basis.position(exps) == i
-
-    def test_zero_variables(self):
-        assert monomial_basis(0, 0).monomials == ((),)
-        assert monomial_basis(0, 3).monomials == ()
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            MonomialBasis(-1, 2)
-        with pytest.raises(ValueError):
-            MonomialBasis(2, -1)
-
-
 class TestGradedPieceResult:
     def test_containment_enforced(self):
         GradedPieceResult(3, 7, 7)
@@ -368,7 +331,7 @@ class TestRestrictionMatrix:
     def test_matches_dict_substitution(self, case, d):
         n, basis = case
         matrix = _restriction_matrix(basis, n, d)
-        assert matrix.shape == (len(monomial_basis(n, d)), len(monomial_basis(len(basis), d)))
+        assert matrix.shape == (len(exponents(n, d)), len(exponents(len(basis), d)))
         assert matrix.tolist() == reference_restriction_rows(basis, n, d)
 
     @settings(max_examples=60, deadline=None)
@@ -571,7 +534,7 @@ class TestCertifiedTable:
         # beside the jets too dim J_d, equal to the lead count
         s, _, rows, _ = _adapted_coordinates(arr)
         for d, width, count, independent in records:
-            blocks = sum(len(monomial_basis(len(r), d)) for i, r in enumerate(rows) if i != s)
+            blocks = sum(len(exponents(len(r), d)) for i, r in enumerate(rows) if i != s)
             if independent:
                 assert count == exact[d][0 if width == blocks else 1]
         # the bracket in the adapted coordinates is sound at every prime
@@ -593,7 +556,7 @@ class TestCertifiedTable:
         # products, reduced mod p before the one elimination of the chain
         p, n, e = oracle.PRIME, 5, 4
         rng = random.Random(1007)
-        width = len(monomial_basis(n, e))
+        width = len(exponents(n, e))
         basis = [[p - 1] * width] + [[rng.randrange(p) for _ in range(width)] for _ in range(2)]
         forms = [[-1, -1, -1, 0, 2], [0, -1, -1, -1, -1]]
         exact = python_products(basis, forms, n, e)
@@ -715,7 +678,7 @@ def adapted_bounds(arr: Arrangement, d: int, p: int) -> tuple[int, int]:
     positive w-degree, and U_J = 0 below m."""
     n = arr.ambient_dim
     s, k, rows, forms = _adapted_coordinates(arr)
-    kept = _w_degrees(n, d, k) >= 1
+    kept = w_degrees(n, d, k) >= 1
     blocks = [_restriction_matrix(r, n, d)[kept] for i, r in enumerate(rows) if i != s]
     blocks = [b for b in blocks if b.shape[1]]
     height = int(kept.sum())
@@ -735,7 +698,7 @@ def degrees_by_kept_rows(arr: Arrangement, d_max: int) -> dict[int, int]:
     the largest subspace is proper."""
     n, k = arr.ambient_dim, _adapted_coordinates(arr)[1]
     return {
-        len(monomial_basis(n, d)) - len(monomial_basis(k, d)): d
+        len(exponents(n, d)) - len(exponents(k, d)): d
         for d in range(d_max + 1)
     }
 
@@ -762,7 +725,7 @@ def reference_flats(arr: Arrangement) -> dict:
 
 def w_degree_columns(n: int, f: int, d: int, k: int) -> list[int]:
     return [
-        c for c, exps in enumerate(monomial_basis(n, d).monomials) if sum(exps[f:]) < k
+        c for c, exps in enumerate(exponents(n, d)) if sum(exps[f:]) < k
     ]
 
 
@@ -914,7 +877,7 @@ def spied_standard_rows(mp, records: list, n: int, d_max: int) -> None:
     ``_standard_rows_independent`` call of ``hilbert_table`` in Q^n up to
     d_max: the degree is read off the number of monomials kept runs over,
     one to one for n >= 2 (in Q^1, where every degree has one, the last)."""
-    degree_of = {len(monomial_basis(n, d)): d for d in range(d_max + 1)}
+    degree_of = {len(exponents(n, d)): d for d in range(d_max + 1)}
     standard_rows = oracle._standard_rows_independent
 
     def spy(blocks, kept, leads, p):
@@ -1165,10 +1128,10 @@ def spied_eliminations(mp, records: list) -> None:
 
 
 def spied_carried_multiples(mp, m: int, records: list) -> None:
-    """Record (e, leads, heads) for the J chain's ``_multiples`` call of
+    """Record (e, leads, heads) for the J chain's ``multiples`` call of
     ``hilbert_table`` in every degree e + 1 > m: the first call with that
     e, since J's multiples come before the I chain's in a degree."""
-    multiples, seen = oracle._multiples, set()
+    multiples, seen = oracle.multiples, set()
 
     def spy(leads, n, e):
         heads = multiples(leads, n, e)
@@ -1177,7 +1140,7 @@ def spied_carried_multiples(mp, m: int, records: list) -> None:
             records.append((e, leads, heads))
         return heads
 
-    mp.setattr(oracle, "_multiples", spy)
+    mp.setattr(oracle, "multiples", spy)
 
 
 def refused_multiples(mp, m: int, refuse) -> None:
@@ -1229,21 +1192,6 @@ class TestLeadingTerms:
         assert len(eliminations) == arr.num_subspaces + 2
         assert counted == eliminated
 
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data())
-    def test_multiples_are_the_distinct_raised_leads(self, data):
-        # x_j times each lead monomial, once each, ascending
-        n, e = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 4))
-        basis = monomial_basis(n, e)
-        leads = sorted(data.draw(st.sets(st.integers(0, len(basis) - 1))))
-        raised = {
-            monomial_basis(n, e + 1).position(exps[:j] + (exps[j] + 1,) + exps[j + 1 :])
-            for exps in (basis.monomials[i] for i in leads)
-            for j in range(n)
-        }
-        got = oracle._multiples(np.array(leads, dtype=np.intp), n, e)
-        assert got.tolist() == sorted(raised)
-
     @pytest.mark.parametrize("p", [2, 3, 7, 2**31 - 1])
     @settings(max_examples=40, deadline=None)
     @given(arr=arrangements())
@@ -1291,7 +1239,7 @@ class TestLeadingTerms:
         # degrees rebuild it, and J closes without dim_product_ideal
         arr = random_arrangement(4, [2] * 5, 0)
         n, m, d_max = arr.ambient_dim, arr.num_subspaces, 8
-        degree_of = {len(monomial_basis(n, d)): d for d in range(d_max + 1)}
+        degree_of = {len(exponents(n, d)): d for d in range(d_max + 1)}
         eliminated, fallbacks = [], []
         spied_eliminations(monkeypatch, eliminated)
         monkeypatch.setattr(oracle, "dim_product_ideal", lambda *args: fallbacks.append(args))
@@ -1328,7 +1276,7 @@ class TestLeadingTerms:
     def test_transversal_degrees_above_m_close_by_count(self, monkeypatch, name):
         arr = fixture_arrangement(name)
         n, m, d_max = arr.ambient_dim, arr.num_subspaces, 7
-        degree_of = {len(monomial_basis(n, d)): d for d in range(d_max + 1)}
+        degree_of = {len(exponents(n, d)): d for d in range(d_max + 1)}
         eliminated = []
         spied_eliminations(monkeypatch, eliminated)
         table = hilbert_table(arr, d_max)
@@ -1376,7 +1324,7 @@ class TestIntersectionChain:
         m, d_max = arr.num_subspaces, arr.num_subspaces + 3
         degree_of = degrees_by_kept_rows(arr, d_max)
         counts, closings = [], []
-        multiples = oracle._multiples
+        multiples = oracle.multiples
 
         def raise_spy(leads, n, e):
             raised = multiples(leads, n, e)
@@ -1386,7 +1334,7 @@ class TestIntersectionChain:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "PRIME", p)
             spied_closings(mp, closings)
-            mp.setattr(oracle, "_multiples", raise_spy)
+            mp.setattr(oracle, "multiples", raise_spy)
             table = hilbert_table(arr, d_max)
         # a start: the non-pivot columns of a certified_pivots with pivots
         counts += [
@@ -1464,3 +1412,25 @@ def test_oracle_never_depends_on_the_closed_forms():
             todo.extend(_package_dependencies(module))
     assert "linalg" in seen and "arrangement" in seen
     assert "hilbert" not in seen
+
+
+def test_recovery_depends_on_the_monomials_not_the_oracle():
+    # both engines take the monomial order, its index maps and the cap
+    # from one module; recovery needs nothing else of the oracle's
+    assert "monomials" in _package_dependencies("gpca")
+    assert "oracle" not in _package_dependencies("gpca")
+
+
+def test_no_module_imports_another_modules_private_name():
+    # what one package module takes from another is public there
+    package = Path(inspect.getfile(oracle)).parent
+    crossing = [
+        f"{path.name}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "subspace_hilbert")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert crossing == []
