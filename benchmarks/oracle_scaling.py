@@ -10,21 +10,22 @@ common line.
   (``PENCILS``), and every d <= 8: the time of ``hilbert_table(arr, d)``,
   best of ``--repeat`` runs; for each degree how dim I_d closed ("standard
   rows", where the rows of the restriction blocks off a chain's leading
-  monomials are independent mod p, by ``_standard_rows_independent``;
-  "bracket", where the blocks were ranked whole and the rank mod the first
-  prime was their row or column count, so ``certified_pivots`` returned
-  there, or where L_J met U_I; or "exact", where ``certified_pivots``
-  lifted past its first prime) and how dim J_d closed: "bracket" (L_J met
-  dim I_d), "degree" (below m, where J_d = 0 < dim I_d), "standard rows"
-  (from m on, where the rows off J's leading monomials of the blocks beside
-  the jets are independent mod p) or "exact" (``dim_product_ideal``);
+  monomials are independent mod p, by ``standard_columns_independent`` on
+  their transpose; "bracket", where the blocks were ranked whole and the
+  rank mod the first prime was their row or column count, so
+  ``certified_pivots`` returned there, or where L_J met U_I; or "exact",
+  where ``certified_pivots`` lifted past its first prime) and how dim J_d
+  closed: "bracket" (L_J met dim I_d), "degree" (below m, where J_d = 0 <
+  dim I_d), "standard rows" (from m on, where the rows off J's leading
+  monomials of the blocks beside the jets are independent mod p) or
+  "exact" (``dim_product_ideal``);
   whether the GF(p) product span of degree d >= 1 ("J step") took an
   ``echelon_mod_p`` elimination ("eliminate", every degree d <= m and a
   rebuild above m) or was carried by its leading monomials alone
   ("count"); and the sha256 of the table to d = 8.  These come from one
-  extra, untimed call with those functions wrapped here (``closing``); an
-  ``echelon_mod_p`` call made inside a rank helper
-  (``_standard_rows_independent``, ``certified_pivots``) is no J step.
+  extra, untimed call with those functions wrapped here (``closing``): the
+  oracle's own ``echelon_mod_p`` calls are its J steps, since the closing
+  tests and certificates eliminate inside ``linalg``.
 - **Near the monomial cap.**  Five larger cases (Q^6 dims [1,1,1] to d = 9,
   Q^7 [2,3] to d = 7, Q^4 [1,1,2,1] to d = 16, Q^5 [1,2] to d = 10, and the
   Q^5 pencil [3,1,2,3] to d = 10), each run ``--repeat`` times in a fresh
@@ -133,8 +134,9 @@ def closing(arr) -> tuple[list[str], list[str], list[str], str]:
     dims = [s.dim for s in arr.subspaces]
     s = dims.index(max(dims))
     k = dims[s]
-    # the rank helpers see the rows of positive w-degree, w the coordinates
-    # off the largest subspace V_s, and a J step the monomials of its degree
+    # the closing tests see the rows of positive w-degree as columns, w the
+    # coordinates off the largest subspace V_s, and a J step the monomials
+    # of its degree
     degree_of_rows = {
         binom(d + n - 1, n - 1) - binom(d + k - 1, k - 1): d for d in range(D_MAX + 1)
     }
@@ -146,7 +148,6 @@ def closing(arr) -> tuple[list[str], list[str], list[str], str]:
     ]
     called = {key: set() for key in ("I", "J", "rows")}
     eliminated = set()
-    in_rank = [False]
     lifts = [0]
 
     def product_spy(fn):
@@ -156,36 +157,26 @@ def closing(arr) -> tuple[list[str], list[str], list[str], str]:
 
         return wrapper
 
-    def rank_spy(fn):
-        def wrapper(*args):
-            in_rank[0] = True
-            try:
-                return fn(*args)
-            finally:
-                in_rank[0] = False
-
-        return wrapper
-
     def pivots_spy(fn):
         # certified_pivots(transpose of the blocks), its columns the h rows:
         # exact where it lifts past its first prime
         def wrapper(matrix):
             before = lifts[0]
-            result = rank_spy(fn)(matrix)
+            result = fn(matrix)
             if lifts[0] > before:
                 called["I"].add(degree_of_rows[matrix.shape[1]])
             return result
 
         return wrapper
 
-    def rows_spy(fn):
-        # _standard_rows_independent(matrices, kept, leads, p), kept over the
-        # monomials of the degree: independent rows of the blocks alone
-        # close I; of the blocks beside the jets, J
-        def wrapper(matrices, kept, *rest):
-            independent = rank_spy(fn)(matrices, kept, *rest)
-            d = degree_of_columns[len(kept)]
-            if independent and sum(b.shape[1] for b in matrices) == block_width[d]:
+    def columns_spy(fn):
+        # standard_columns_independent(transpose, heads, p), its columns the
+        # h rows: independent rows of the blocks alone close I; of the
+        # blocks beside the jets, J
+        def wrapper(matrix, *rest):
+            independent = fn(matrix, *rest)
+            d = degree_of_rows[matrix.shape[1]]
+            if independent and len(matrix) == block_width[d]:
                 called["rows"].add(d)
             return independent
 
@@ -193,8 +184,7 @@ def closing(arr) -> tuple[list[str], list[str], list[str], str]:
 
     def elimination_spy(fn):
         def wrapper(matrix, p):
-            if not in_rank[0]:
-                eliminated.add(degree_of_columns[matrix.shape[1]])
+            eliminated.add(degree_of_columns[matrix.shape[1]])
             return fn(matrix, p)
 
         return wrapper
@@ -206,23 +196,23 @@ def closing(arr) -> tuple[list[str], list[str], list[str], str]:
 
         return wrapper
 
-    spies = {
-        "certified_pivots": pivots_spy,
-        "dim_product_ideal": product_spy,
-        "_standard_rows_independent": rows_spy,
-        "echelon_mod_p": elimination_spy,
-    }
-    saved = {name: getattr(oracle, name) for name in spies}
-    for name, fn in saved.items():
-        setattr(oracle, name, spies[name](fn))
-    saved_lifts = linalg._lifts
-    linalg._lifts = lifts_spy(saved_lifts)
+    # the J tests are the oracle's own calls, the I tests kernel_leads' calls
+    spies = [
+        (linalg, "certified_pivots", pivots_spy),
+        (linalg, "standard_columns_independent", columns_spy),
+        (linalg, "_lifts", lifts_spy),
+        (oracle, "dim_product_ideal", product_spy),
+        (oracle, "standard_columns_independent", columns_spy),
+        (oracle, "echelon_mod_p", elimination_spy),
+    ]
+    saved = [(module, name, getattr(module, name)) for module, name, _ in spies]
+    for module, name, spy in spies:
+        setattr(module, name, spy(getattr(module, name)))
     try:
         table = oracle.hilbert_table(arr, D_MAX)
     finally:
-        for name, fn in saved.items():
-            setattr(oracle, name, fn)
-        linalg._lifts = saved_lifts
+        for module, name, fn in saved:
+            setattr(module, name, fn)
     I = [
         "exact" if d in called["I"]
         else "standard rows" if d in called["rows"]

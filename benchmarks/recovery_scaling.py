@@ -10,8 +10,8 @@ from building the evaluation matrix at the cloud's distinct rays
 - ``before_s``: ``certified_rank`` of every degree's matrix, as
   ``estimate_hilbert_value`` did for each degree before the chain;
 - ``after_s``: one step of ``estimate_hilbert_values``' chain
-  (``gpca._exact_value``), given the previous degree's leading monomials
-  as the chain left them.
+  (``linalg.kernel_leads`` with the ``multiples`` of the previous degree's
+  leading monomials as the chain left them).
 
 The two values must agree.  Each degree also records its shape (points,
 distinct rays, monomials), the value, and the route of the chain step:
@@ -26,7 +26,7 @@ distinct rays, monomials), the value, and the route of the chain step:
 - "fallback": ``certified_rank`` fell back to ``IntEchelon``, which
   also gives the pivots that the chain carries on.
 
-The routes come from wrapping ``gpca.certified_pivots`` and, inside it,
+The routes come from wrapping ``linalg.certified_pivots`` and, inside it,
 ``linalg.echelon_mod_p`` (one call per prime), ``linalg._certify`` and
 ``linalg._echelon_pivots``, around one extra, untimed step; the chain's own
 rank mod a prime eliminates outside ``certified_pivots``.
@@ -61,10 +61,11 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen  # noqa: E402  (the benchmark's own seeded cloud generator)
 
-from subspace_hilbert import gpca, linalg  # noqa: E402
+from subspace_hilbert import linalg  # noqa: E402
 from subspace_hilbert.cli import parse_point_document  # noqa: E402
-from subspace_hilbert.gpca import _evaluations, _exact_value  # noqa: E402
-from subspace_hilbert.linalg import certified_rank  # noqa: E402
+from subspace_hilbert.gpca import _evaluations  # noqa: E402
+from subspace_hilbert.linalg import PRIME, certified_rank, kernel_leads  # noqa: E402
+from subspace_hilbert.monomials import multiples  # noqa: E402
 
 SEED = 1
 DEFAULT_OUT = Path(__file__).with_name("BENCH_recovery.json")
@@ -90,7 +91,8 @@ def certified_value(rays, n: int, d: int) -> int:
 
 
 def chain_value(rays, n: int, d: int, leading):
-    return _exact_value(evaluation_matrix(rays, n, d), n, d, leading)
+    heads = None if leading is None else multiples(leading, n, d - 1)
+    return kernel_leads(evaluation_matrix(rays, n, d), heads, PRIME)
 
 
 @contextlib.contextmanager
@@ -98,16 +100,15 @@ def counting(counts: Counter):
     """Count primes, certificates and fallbacks of the chain's
     certified_pivots calls."""
     inside = [False]
-    pivots = gpca.certified_pivots
     originals = {
         name: getattr(linalg, name)
-        for name in ("echelon_mod_p", "_certify", "_echelon_pivots")
+        for name in ("certified_pivots", "echelon_mod_p", "_certify", "_echelon_pivots")
     }
 
     def certified_pivots(*args):
         inside[0] = True
         try:
-            return pivots(*args)
+            return originals["certified_pivots"](*args)
         finally:
             inside[0] = False
 
@@ -124,16 +125,19 @@ def counting(counts: Counter):
         counts["fallback"] += 1
         return originals["_echelon_pivots"](*args)
 
-    wrappers = {"echelon_mod_p": echelon_mod_p, "_certify": certify, "_echelon_pivots": fallback}
+    wrappers = {
+        "certified_pivots": certified_pivots,
+        "echelon_mod_p": echelon_mod_p,
+        "_certify": certify,
+        "_echelon_pivots": fallback,
+    }
     for name, wrapper in wrappers.items():
         setattr(linalg, name, wrapper)
-    gpca.certified_pivots = certified_pivots
     try:
         yield
     finally:
         for name, original in originals.items():
             setattr(linalg, name, original)
-        gpca.certified_pivots = pivots
 
 
 def route(counts: Counter) -> str:

@@ -5,8 +5,8 @@ space of degree-d forms vanishing on a point set has dimension C(d+n-1, n-1)
 minus the rank of the evaluation matrix, and with enough generic points per
 subspace this reproduces the arrangement's own graded dimensions.  The
 matrices of consecutive degrees come from the oracle's monomial recursion
-(``_evaluations``), and exact clouds close them by the rule of ``linalg``
-and the carried leads (``monomials.multiples``) that the oracle uses too
+(``_evaluations``), and exact clouds close them by ``linalg.kernel_leads``
+with the carried leads (``monomials.multiples``), as the oracle does
 (``estimate_hilbert_values``).  Second, exact recovery: given the values
 of the Hilbert polynomial at the n consecutive degrees m..m+n-1 for a
 transversal arrangement, integer difference steps turn them into the
@@ -34,14 +34,7 @@ from typing import Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from .arrangement import Arrangement
-from .linalg import (
-    INT64_SAFE,
-    PRIME,
-    approx_rank,
-    certified_pivots,
-    primitive_int_vector,
-    rank_mod_p,
-)
+from .linalg import INT64_SAFE, PRIME, approx_rank, kernel_leads, primitive_int_vector
 from .monomials import check_monomial_cap, multiples, split_first_variable
 
 Number = Union[int, float, Fraction]
@@ -152,8 +145,8 @@ def estimate_hilbert_value(pc: PointCloud, d: int, tol: float | None = None) -> 
     (``PointCloud.rays``): scaling a point by lambda scales its row by
     lambda^d, so the rank is unchanged and every entry is an integer.  The
     matrix is int64 when max|x|^d < 2^62 bounds every entry, an object
-    array of Python ints otherwise, and its exact rank is
-    ``certified_rank``'s.  Float clouds (or an explicit tol) use
+    array of Python ints otherwise, and the exact kernel dimension is
+    ``linalg.kernel_leads``'.  Float clouds (or an explicit tol) use
     tolerance-based elimination, defaulting to a relative 1e-8.
 
     The one-degree case of ``estimate_hilbert_values``.
@@ -171,33 +164,21 @@ def estimate_hilbert_values(
     """``estimate_hilbert_value`` at each of the ascending consecutive degrees.
 
     Each degree's matrix is built from the last (``_evaluations``).  Exact
-    clouds close each degree by the rule of ``linalg``: the standard columns
-    independent mod a prime, else one ``certified_pivots``, whose non-pivot
-    columns lead the kernel and are carried to the next degree.
-
-    The columns of the evaluation matrix run through the monomials in
-    decreasing lex order, so a vanishing form's leading monomial here, its
-    last nonzero column, is its lex-smallest monomial, and lex order is
-    multiplicative: the leading monomial of x_j times a form is x_j times
-    the form's.  A certified rank with pivots C gives, for each other column
-    f, a vanishing form led by f (D e_f minus the pivot columns' multiples,
-    N[i, f] e_{C_i}; the reduced echelon form N is zero left of each pivot),
-    and the set S of the x_j * f (``multiples``) lead vanishing forms of the
-    next degree.
-    Forms with distinct leading monomials are independent, so the next
-    kernel has dimension at least |S|, and only the columns outside S can be
-    its pivots.  When those columns are independent mod a prime they are
-    independent over Q, so the next rank is exactly their number, with those
-    columns as its pivots, and S is carried on.  Otherwise the degree is
-    certified in full; a certificate without pivots (``certified_pivots``
-    proves none on its shortcut) leaves the next degree to a certificate
-    too.
+    clouds close each degree by ``linalg.kernel_leads``, whose kernel is
+    the forms vanishing on the rays, with the ``multiples`` of the last
+    degree's leads as heads where that degree proved them.  A form that
+    vanishes on the rays vanishes times x_j too, and the columns run through
+    the monomials in decreasing lex order, which multiplication keeps: a
+    vanishing form's leading monomial, its last nonzero column, is its
+    lex-smallest.  A degree whose certificate proves no pivots
+    (``certified_pivots`` proves none on its shortcut) leaves the next
+    degree to a certificate too.
 
     The arrangement's ideal is generated in degrees <= m (Derksen and
     Sidman, 2002) and in generic coordinates its initial ideal has no
     generators past m either (Bayer and Stillman, 1987), so after the first
-    degree of a recovery nearly every degree closes this way.  That only
-    says how often; the argument above holds for any cloud.
+    degree of a recovery nearly every degree closes by its heads.  That only
+    says how often; ``kernel_leads`` is exact for any cloud.
 
     The monomial cap is checked per degree, in ascending order, just before
     that degree's matrix is built.  Float clouds and an explicit tol rank
@@ -220,7 +201,8 @@ def estimate_hilbert_values(
         if not pc.points:
             values.append(math.comb(d + n - 1, n - 1))
         elif exact:
-            value, leading = _exact_value(next(matrices), n, d, leading)
+            heads = None if leading is None else multiples(leading, n, d - 1)
+            value, leading = kernel_leads(next(matrices), heads, PRIME)
             values.append(value)
         else:
             message = f"the degree-{d} monomials of these points do not fit a float"
@@ -233,27 +215,6 @@ def estimate_hilbert_values(
             rank = approx_rank(matrix, rel_tol=1e-8 if tol is None else tol)
             values.append(matrix.shape[1] - rank)
     return values
-
-
-def _exact_value(
-    matrix: np.ndarray, n: int, d: int, leading: np.ndarray | None
-) -> tuple[int, np.ndarray | None]:
-    """The kernel dimension of the degree-d evaluation matrix at the rays,
-    and the kernel's leading monomials, as ascending column indices, where
-    they are proven, else None (``estimate_hilbert_values``).
-
-    leading holds the previous degree's leading monomials, or None.
-    """
-    total = matrix.shape[1]
-    if leading is not None:
-        heads = multiples(leading, n, d - 1)
-        block = np.delete(matrix, heads, axis=1)
-        if len(block) >= block.shape[1] and rank_mod_p(block, PRIME) == block.shape[1]:
-            return total - block.shape[1], heads
-    rank, pivots = certified_pivots(matrix)
-    if pivots is None:
-        return total - rank, None
-    return total - rank, np.delete(np.arange(total), pivots)
 
 
 def _evaluations(points: Sequence[Sequence[Number]], n: int) -> Iterator[np.ndarray]:

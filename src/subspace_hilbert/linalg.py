@@ -7,9 +7,10 @@ gives their annihilator forms (``SubspaceBasis``, by ``kernel_basis``).
 Integer matrices have two exact rank routes: ``certified_rank``, a rank mod
 a prime certified over Q by a lifted reduced echelon form (the one
 exact-rank entry point; ``certified_pivots`` also returns the pivot columns
-that the certificate proves), and ``IntEchelon``, an incremental
-fraction-free accumulator on lists of Python ints for callers that add rows
-one at a time and for the certificate's fallback.
+that the certificate proves, and ``kernel_leads`` the kernel they lead),
+and ``IntEchelon``, an incremental fraction-free accumulator on lists of
+Python ints for callers that add rows one at a time and for the
+certificate's fallback.
 ``echelon_mod_p`` is the GF(p) eliminator for numpy matrices of residues
 (``reduce_mod_p``) and ``rank_mod_p`` its rank of an integer matrix;
 ``arrangement.dimension_function`` reduces its own rows of Python ints mod
@@ -19,16 +20,9 @@ is a tolerance-based rank for float matrices.
 The oracle's intersection ideal and exact point recovery close a degree of
 a kernel by one rule, the standard-monomial step of Buchberger-Moller
 (Marinari, Moller and Mora, "Groebner bases of ideals defined by
-functionals", AAECC 1993).  Given Lambda, distinct leading monomials of
-forms known to lie in the kernel over Q, the standard rows or columns, those
-off Lambda, are ranked mod p (``rank_mod_p``): independent there, they are
-independent over Q, and the kernel has dimension |Lambda|.  Otherwise
-``certified_pivots`` ranks the whole matrix.  Where it proves its pivots,
-each non-pivot column f gives a kernel vector over Q whose last nonzero
-entry is at f (f minus multiples of the pivot columns left of it); with
-the columns ordered so that a form's leading monomial is its last nonzero
-entry, the non-pivot columns are a Lambda, and their multiples by
-x_1, ..., x_n (``monomials.multiples``) one of the next degree.
+functionals", AAECC 1993): ``kernel_leads`` states it and its proof, and
+``standard_columns_independent`` is its test mod p.  Both engines carry the
+leads it returns to the next degree by ``monomials.multiples``.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -533,3 +527,54 @@ def certified_pivots(matrix: np.ndarray) -> tuple[int, np.ndarray | None]:
         if candidate is not None and _certify(m, pivots, *candidate):
             return r, pivots
     return _echelon_pivots(m)
+
+
+def standard_columns_independent(matrix: np.ndarray, heads: np.ndarray, p: int) -> bool:
+    """Whether the columns of the integer matrix off heads, distinct column
+    indices, are independent mod p; False at once when they outnumber the
+    rows, True at once when there are none."""
+    count = matrix.shape[1] - len(heads)
+    if count > len(matrix):
+        return False
+    # the standard columns ranked as rows: the faster way round on the
+    # oracle's blocks, and no slower on evaluation matrices
+    return not count or rank_mod_p(np.delete(matrix, heads, axis=1).T, p) == count
+
+
+def kernel_leads(
+    matrix: np.ndarray, heads: np.ndarray | None, p: int
+) -> tuple[int, np.ndarray | None]:
+    """Dimension over Q of the kernel {v : matrix @ v = 0} of an integer
+    matrix, and its leading columns where they are proven, else None.
+
+    A vector's leading column is its last nonzero entry.  heads, when given,
+    are distinct columns, each the leading column of an integer vector of
+    the kernel, all over Q or all mod p.  Vectors with distinct leading
+    columns are independent (mod p, and then so are the integer vectors over
+    Q), so the kernel has dimension at least |heads|.
+
+    1. If the standard columns, those off heads, are independent mod p
+       (``standard_columns_independent``), they are independent over Q,
+       since a minor nonzero mod p is nonzero.  Then rank_Q >= cols -
+       |heads|, so the kernel has dimension exactly |heads|, and heads are
+       as many leading columns as that dimension: all of them, over Q or
+       mod p as given.  Returns (len(heads), heads), the same array.
+    2. Otherwise, or without heads, ``certified_pivots`` ranks the matrix.
+       Where it proves its pivots C, each other column f leads a kernel
+       vector over Q: D e_f minus sum_i N[i, f] e_{C_i}, with N its reduced
+       echelon form, which is zero left of each pivot.  Returns the kernel's
+       dimension and those columns in ascending order, or None for the
+       leads where it proves no pivots.
+
+    Leads carry from degree to degree where the kernels are the graded
+    pieces of an ideal and the columns its monomials in an order that
+    multiplication keeps (u before v implies x_j u before x_j v; lex order
+    is, either way round): x_j times a kernel form is a kernel form of the
+    next degree, led by x_j times its lead, so ``monomials.multiples`` of
+    one degree's leads are heads of the next.
+    """
+    if heads is not None and standard_columns_independent(matrix, heads, p):
+        return len(heads), heads
+    rank, pivots = certified_pivots(matrix)
+    cols = matrix.shape[1]
+    return cols - rank, None if pivots is None else np.delete(np.arange(cols), pivots)

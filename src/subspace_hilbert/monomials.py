@@ -49,11 +49,15 @@ def check_monomial_cap(n: int, d: int) -> None:
 @lru_cache(maxsize=None)
 def exponents(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     """All exponent vectors of total degree d in n variables, graded-lex:
-    lexicographic within the degree, largest first variable power first."""
+    lexicographic within the degree, largest first variable power first.
+    One variable has the one vector (d,): building it from every first power
+    would make a table to degree D cost O(D^2)."""
     if n < 0 or d < 0:
         raise ValueError("n and d must be nonnegative")
     if n == 0:
         return ((),) if d == 0 else ()
+    if n == 1:
+        return ((d,),)
     return tuple(
         (first,) + rest for first in range(d, -1, -1) for rest in exponents(n - 1, d - first)
     )

@@ -39,9 +39,9 @@ independent over Q).  Through degree m it multiplies its span by the forms
 of V_1, ..., V_m (``_times_forms``) and eliminates; J is generated in
 degree m, so above m it multiplies the span's leading monomials alone by
 x_1, ..., x_n (``multiples``), and builds the span again only in a degree
-where those multiples do not close it.  The intersection chain is carried
-over Q: it starts from the non-pivot columns of a ``certified_pivots``
-that proves its pivots and multiplies by x_1, ..., x_n (``multiples``);
+where those multiples do not close it.  The intersection chain starts
+from the leads of a degree that ``linalg.kernel_leads`` proves and
+multiplies them by x_1, ..., x_n (``multiples``);
 I is generated in degrees <= m (Derksen and Sidman, "A sharp bound for the
 Castelnuovo-Mumford regularity of subspace arrangements", Adv. Math.
 2002), so above m the multiples span I_d over Q, and their count mostly
@@ -62,9 +62,10 @@ product of ideals of linear subspaces is the intersection of the powers
 of products of ideals", Collect. Math. 2003), each of which contains
 P_F^{k_F} for F = V_A.
 
-A degree closes by the rule of ``linalg``, which ``gpca`` applies to
-point recovery too: the standard rows mod p, else one ``certified_pivots``
-(``hilbert_table`` sets out both ways and why they are exact).
+A degree closes by ``linalg.kernel_leads``, as in point recovery: the
+standard rows off a chain's leads independent mod p, else one
+``certified_pivots`` (``hilbert_table`` sets out what is particular to the
+oracle).
 
 The public per-degree functions ``dim_intersection_ideal`` and
 ``dim_product_ideal`` work in the given coordinates and are the references
@@ -87,14 +88,14 @@ from .linalg import (
     INT64_SAFE,
     PRIME,
     IntEchelon,
-    certified_pivots,
     certified_rank,
     echelon_mod_p,
     kernel_basis,
+    kernel_leads,
     primitive_int_vector,
-    rank_mod_p,
     reduce_mod_p,
     rref,
+    standard_columns_independent,
 )
 from .monomials import (
     check_monomial_cap,
@@ -246,28 +247,10 @@ def dim_product_ideal(a: Arrangement, S: SubsetLike, d: int) -> int:
     return matrix.shape[0]
 
 
-def _standard_rows_independent(
-    blocks: list[np.ndarray], kept: np.ndarray, leads: np.ndarray, p: int
-) -> bool:
-    """Whether the standard rows of the integer blocks placed side by side,
-    those off the leading monomials leads, are independent mod p.
-
-    The blocks' rows are the monomials where kept is set, and leads, distinct
-    monomials among them, are the leading monomials of as many forms in the
-    blocks' left kernel, mod p (the J chain) or over Q (the I chain).  The
-    kernel mod p has as many leading monomials as its dimension, so for
-    leads mod p the standard rows are independent exactly when leads are
-    all of them, that is, when the kernel mod p has dimension |leads|.
-    """
-    rows = kept.copy()
-    rows[leads] = False
-    rows = rows[kept]
-    count = int(rows.sum())
-    if count > sum(b.shape[1] for b in blocks):
-        return False
-    if not count:
-        return True
-    return rank_mod_p(np.hstack([b[rows] for b in blocks]), p) == count
+def _transposed(blocks: list[np.ndarray], h: int) -> np.ndarray:
+    """The blocks side by side, transposed, rows last to first: a matrix with
+    h columns, the last the first kept monomial."""
+    return np.hstack(blocks).T[:, ::-1] if blocks else np.zeros((0, h), dtype=np.int64)
 
 
 def _flat_key(forms: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
@@ -408,35 +391,30 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     until then U_J is U_I and a table that never asks pays nothing.
 
     The lower ends L_J and L_I (below) count distinct leading monomials of
-    forms in J and in I.  A degree closes in one of two ways, the rule of
-    ``linalg``.
+    forms in J and in I.  A degree closes by ``kernel_leads`` on the
+    blocks' transpose, rows last to first (``_transposed``), whose kernel
+    is I_d: a form's leading monomial, its first nonzero row, is its last
+    nonzero column there, and the columns run in increasing lex order,
+    which multiplication keeps.  Its heads are the columns of the larger of
+    the two chains' leads Lambda (J's from m on); below m, before an I chain
+    has started, it gets none.
 
-    * Standard rows.  Let Lambda be the larger of the two chains' leading
-      monomials (J's from m on).  Where the h - |Lambda| rows of the blocks
-      off Lambda are independent mod p = PRIME
-      (``_standard_rows_independent``, one elimination of those rows
-      alone), a subset of rows ranks at most rank_p, and rank_p at most the
-      rank over Q, so
-
-          h - |Lambda| <= rank_p <= rank_Q,
-          |Lambda| <= dim I_d = h - rank_Q <= |Lambda|,
-
-      and dim I_d = |Lambda|.  ``gpca._exact_value`` applies the rule to
-      the columns of an evaluation matrix.  The same test of J's leading
-      monomials against the blocks beside the jets gives dim J_d = L_J.
-      J's leads are those of forms in the kernel mod p, whose leading
-      monomials are as many as its dimension, so its standard rows are
-      independent exactly when |Lambda| is U_I (or U_J): the bracket meets,
-      found without ranking every row.
-    * ``certified_pivots``.  Otherwise, and below m before an I chain has
-      started, the blocks are ranked whole, as their transpose with the
-      rows last to first.  It ranks them mod its first prime first; where
-      that rank is h (U_I = 0) or the blocks' width (full column rank, so
-      it is their rank over Q) the bracket meets and it returns there;
-      elsewhere it lifts to the rank over Q.  dim I_d is h minus that rank, and h in
-      a degree without blocks.  dim J_d is L_J where L_J reaches dim I_d,
-      0 below m, and ``dim_product_ideal`` (on the arrangement as given)
-      where neither dim I_d nor the standard rows close it.
+    * Standard rows.  Where the h - |Lambda| rows off Lambda are
+      independent mod p = PRIME, dim I_d = |Lambda|.  The same test
+      (``standard_columns_independent``) of J's leading monomials against
+      the blocks beside the jets gives dim J_d = L_J.  J's leads are those
+      of forms in the kernel mod p, whose leading monomials are as many as
+      its dimension, so its standard rows are independent exactly when
+      |Lambda| is U_I (or U_J): the bracket meets, found without ranking
+      every row.
+    * ``certified_pivots``.  Otherwise the blocks are ranked whole.  It
+      ranks them mod its first prime first; where that rank is h (U_I = 0)
+      or the blocks' width (full column rank, so it is their rank over Q)
+      the bracket meets and it returns there; elsewhere it lifts to the
+      rank over Q.  dim I_d is h minus that rank, and h in a degree without
+      blocks.  dim J_d is L_J where L_J reaches dim I_d, 0 below m, and
+      ``dim_product_ideal`` (on the arrangement as given) where neither
+      dim I_d nor the standard rows close it.
 
     Every value returned is exact, at every prime.
 
@@ -471,15 +449,12 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     Either way the leads are those of an elimination in every degree, so
     L_J, and with it every fallback and every value, is too.
 
-    L_I is carried over Q, from a degree where ``certified_pivots`` proved
-    its pivots.  There a non-pivot column f of the transpose is a
-    combination over Q of the pivot columns left of it, the rows after f:
-    a form of I_d whose leading monomial, its first nonzero row, is f.
-    Every later degree multiplies them by x_1, ..., x_n and keeps one
-    product per leading monomial (``multiples``): forms of I with distinct
-    leading monomials, so L_I, their number, is at most dim I_d at every p.
-    A degree where I still needs ``certified_pivots`` and gets pivots
-    starts the chain again there.
+    L_I is carried over Q, from the last degree where ``certified_pivots``
+    proved its pivots: there ``kernel_leads`` returns the leading monomials
+    of forms of I_d.  Every later degree multiplies them by x_1, ..., x_n
+    and keeps one product per leading monomial (``multiples``): forms of I
+    with distinct leading monomials, so L_I, their number, is at most
+    dim I_d at every p.
 
     Refuses degrees whose monomial count exceeds the cap
     (``check_monomial_cap``).
@@ -506,7 +481,10 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     results = []
     for d in range(d_max + 1):
         kept = w_degrees(n, d, k) >= 1
-        h = int(kept.sum())
+        count = np.cumsum(kept)
+        h = int(count[-1])
+        # column of each kept monomial in the blocks' transpose
+        column = h - count
         blocks = [b[kept] for b in map(next, restrictions) if b.shape[1]]
         jet_blocks = [] if jets is None else [j[kept] for j in next(jets)]
         # whether the standard rows proved L_J = U_J, h - rank_p(blocks | jets)
@@ -514,7 +492,9 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
         if d:
             if d > m:
                 heads = multiples(leads_J, n, d - 1)
-                tight = _standard_rows_independent(blocks + jet_blocks, kept, heads, p)
+                tight = standard_columns_independent(
+                    _transposed(blocks + jet_blocks, h), column[heads], p
+                )
             if tight:
                 leads_J = heads
             else:
@@ -529,22 +509,22 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
         if tight and not jet_blocks:
             # the blocks alone: L_J = U_I
             dim_I = len(leads_J)
-        elif len(chain) and _standard_rows_independent(blocks, kept, chain, p):
-            dim_I = len(chain)
-        elif blocks:
-            # the transpose, rows last to first: its non-pivot columns are
-            # the rows that depend over Q on the rows after them
-            rank, pivots = certified_pivots(np.hstack(blocks).T[:, ::-1])
-            dim_I = h - rank
-            if pivots is not None:
-                leads_I = np.delete(np.flatnonzero(kept)[::-1], pivots)[::-1]
+        elif blocks or len(chain):
+            # a chain closes a degree without blocks by its count
+            heads_I = column[chain] if len(chain) else None
+            dim_I, leads = kernel_leads(_transposed(blocks, h), heads_I, p)
+            if leads is not None and leads is not heads_I:
+                # leads a certificate proved restart the I chain, ascending
+                leads_I = np.flatnonzero(kept)[h - 1 - leads[::-1]]
         else:
             dim_I = h
         if d >= m and not tight and len(leads_J) < dim_I:
             if jets is None:
                 jets = islice(_flat_jets(forms, n), d, None)
                 jet_blocks = [j[kept] for j in next(jets)]
-            tight = _standard_rows_independent(blocks + jet_blocks, kept, leads_J, p)
+            tight = standard_columns_independent(
+                _transposed(blocks + jet_blocks, h), column[leads_J], p
+            )
         if d < m:
             dim_J = 0
         elif tight or len(leads_J) == dim_I:

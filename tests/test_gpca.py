@@ -374,8 +374,8 @@ class TestEstimateHilbertValues:
             certified.append(matrix.shape[1])
             return certified_pivots(matrix)
 
-        certified_pivots = gpca.certified_pivots
-        monkeypatch.setattr(gpca, "certified_pivots", spy)
+        certified_pivots = linalg.certified_pivots
+        monkeypatch.setattr(linalg, "certified_pivots", spy)
         pc = PointCloud(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         assert estimate_hilbert_values(pc, range(1, 4)) == [0, 3, 7]
         assert certified == [3, 6, 10]
@@ -391,8 +391,8 @@ class TestEstimateHilbertValues:
             certified.append(matrix.shape[1])
             return certified_pivots(matrix)
 
-        certified_pivots = gpca.certified_pivots
-        monkeypatch.setattr(gpca, "certified_pivots", spy)
+        certified_pivots = linalg.certified_pivots
+        monkeypatch.setattr(linalg, "certified_pivots", spy)
         monkeypatch.setattr(linalg, "LIFT_PRIMES", (2, 3))
         pc = PointCloud(2, [[1, 1], [1, 3]])
         assert estimate_hilbert_values(pc, range(2, 4)) == [1, 2]

@@ -27,7 +27,7 @@ from closed_form_reference import (
     span_of,
 )
 from strategies import arrangements
-from subspace_hilbert import linalg, oracle
+from subspace_hilbert import gpca, linalg, oracle
 from subspace_hilbert.arrangement import (
     Arrangement,
     dimension_function,
@@ -35,7 +35,14 @@ from subspace_hilbert.arrangement import (
 )
 from subspace_hilbert.fixtures import fixture_arrangement, fixture_names
 from subspace_hilbert.hilbert import hilbert_series_J, transversal_hilbert_function
-from subspace_hilbert.linalg import SubspaceBasis, certified_pivots, echelon_mod_p, rank_mod_p
+from subspace_hilbert.linalg import (
+    SubspaceBasis,
+    certified_pivots,
+    echelon_mod_p,
+    kernel_leads,
+    rank_mod_p,
+    standard_columns_independent,
+)
 from subspace_hilbert.monomials import MonomialCapExceeded, exponents, monomial_cap, w_degrees
 from subspace_hilbert.oracle import (
     GradedPieceResult,
@@ -44,9 +51,9 @@ from subspace_hilbert.oracle import (
     _flat_jets,
     _flats,
     _restriction_matrix,
-    _standard_rows_independent,
     _substitutions,
     _times_forms,
+    _transposed,
     dim_intersection_ideal,
     dim_product_ideal,
     hilbert_table,
@@ -522,7 +529,7 @@ class TestCertifiedTable:
         records = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "PRIME", p)
-            spied_standard_rows(mp, records, arr.ambient_dim, d_max)
+            spied_standard_rows(mp, records, arr, d_max)
             table = hilbert_table(arr, d_max)
         full = (1 << arr.num_subspaces) - 1
         exact = [
@@ -532,11 +539,10 @@ class TestCertifiedTable:
         assert [(r.dim_I, r.dim_J) for r in table] == exact
         # standard rows independent beside the blocks alone prove dim I_d,
         # beside the jets too dim J_d, equal to the lead count
-        s, _, rows, _ = _adapted_coordinates(arr)
+        blocks = restriction_widths(arr, d_max)
         for d, width, count, independent in records:
-            blocks = sum(len(exponents(len(r), d)) for i, r in enumerate(rows) if i != s)
             if independent:
-                assert count == exact[d][0 if width == blocks else 1]
+                assert count == exact[d][0 if width == blocks[d] else 1]
         # the bracket in the adapted coordinates is sound at every prime
         for d, (dim_I, dim_J) in enumerate(exact):
             upper_I, upper_J = adapted_bounds(arr, d, p)
@@ -550,6 +556,13 @@ class TestCertifiedTable:
             (dim_intersection_ideal(arr, 3, d), dim_product_ideal(arr, 3, d))
             for d in range(6)
         ]
+
+    def test_one_variable_to_degree_10000(self):
+        # the zero subspace of Q^1: one monomial per degree, which lies in
+        # I = J = (x) from degree 1 on
+        arr = Arrangement(1, [SubspaceBasis(1, [])])
+        table = hilbert_table(arr, 10000)
+        assert [(r.dim_I, r.dim_J) for r in table] == [(0, 0)] + [(1, 1)] * 10000
 
     def test_products_mod_p_match_python_ints(self):
         # entries p - 1 times form coefficients -1 and 2: exact int64
@@ -651,7 +664,7 @@ def spied_closings(mp, records: list) -> None:
     ``hilbert_table``: the number of rows of the restriction blocks it
     ranks (the columns of their transpose), whether it lifted past its first
     prime, and its rank and pivots."""
-    lifts, real_lifts, real_pivots = [], linalg._lifts, oracle.certified_pivots
+    lifts, real_lifts, real_pivots = [], linalg._lifts, linalg.certified_pivots
 
     def lifts_spy(*args):
         lifts.append(None)
@@ -664,7 +677,7 @@ def spied_closings(mp, records: list) -> None:
         return result
 
     mp.setattr(linalg, "_lifts", lifts_spy)
-    mp.setattr(oracle, "certified_pivots", spy)
+    mp.setattr(linalg, "certified_pivots", spy)
 
 
 def _rank_side_by_side(matrices: list[np.ndarray], p: int) -> int:
@@ -854,38 +867,51 @@ class TestRanksModP:
     ):
         # the jets start at m, where I and J first differ: from there every
         # degree eliminates the blocks beside the jets once, for U_J, and
-        # none before; the m - 1 restriction blocks are nonzero here, so a
-        # longer list holds jets
+        # none before; the jets are nonzero here, so a transpose with more
+        # rows than the restriction blocks' width holds jets
         m = arr.num_subspaces
         degree_of = degrees_by_kept_rows(arr, d_max)
-        standard_rows = oracle._standard_rows_independent
+        width = restriction_widths(arr, d_max)
+        standard_columns = oracle.standard_columns_independent
         eliminations = [0] * (d_max + 1)
 
-        def spy(blocks, kept, leads, p):
-            if len(blocks) > m - 1:
-                eliminations[degree_of[int(kept.sum())]] += 1
-            return standard_rows(blocks, kept, leads, p)
+        def spy(matrix, heads, p):
+            d = degree_of[matrix.shape[1]]
+            if len(matrix) > width[d]:
+                eliminations[d] += 1
+            return standard_columns(matrix, heads, p)
 
-        monkeypatch.setattr(oracle, "_standard_rows_independent", spy)
+        monkeypatch.setattr(oracle, "standard_columns_independent", spy)
         table = hilbert_table(arr, d_max)
         assert [r.dim_J < r.dim_I for r in table].index(True, m) == m
         assert eliminations == [0] * m + [1] * (d_max + 1 - m)
 
 
-def spied_standard_rows(mp, records: list, n: int, d_max: int) -> None:
-    """Record (degree, width, leads, independent) for every
-    ``_standard_rows_independent`` call of ``hilbert_table`` in Q^n up to
-    d_max: the degree is read off the number of monomials kept runs over,
-    one to one for n >= 2 (in Q^1, where every degree has one, the last)."""
-    degree_of = {len(exponents(n, d)): d for d in range(d_max + 1)}
-    standard_rows = oracle._standard_rows_independent
+def restriction_widths(arr: Arrangement, d_max: int) -> list[int]:
+    """The width of the restriction blocks ``hilbert_table`` ranks in each
+    degree d <= d_max: those of every subspace but the largest."""
+    s, _, rows, _ = _adapted_coordinates(arr)
+    return [
+        sum(len(exponents(len(r), d)) for i, r in enumerate(rows) if i != s)
+        for d in range(d_max + 1)
+    ]
 
-    def spy(blocks, kept, leads, p):
-        independent = standard_rows(blocks, kept, leads, p)
-        records.append((degree_of[len(kept)], sum(b.shape[1] for b in blocks), len(leads), independent))
+
+def spied_standard_rows(mp, records: list, arr: Arrangement, d_max: int) -> None:
+    """Record (degree, width, leads, independent) for every standard-rows
+    test of ``hilbert_table`` up to d_max, its own for J and those inside
+    ``kernel_leads`` for I: the width is the rows of the transposed blocks,
+    and the degree is read off the monomials they keep (``degrees_by_kept_rows``)."""
+    degree_of = degrees_by_kept_rows(arr, d_max)
+    standard_columns = linalg.standard_columns_independent
+
+    def spy(matrix, heads, p):
+        independent = standard_columns(matrix, heads, p)
+        records.append((degree_of[matrix.shape[1]], len(matrix), len(heads), independent))
         return independent
 
-    mp.setattr(oracle, "_standard_rows_independent", spy)
+    mp.setattr(oracle, "standard_columns_independent", spy)
+    mp.setattr(linalg, "standard_columns_independent", spy)
 
 
 class TestStandardRows:
@@ -894,7 +920,8 @@ class TestStandardRows:
     def test_independent_exactly_when_the_leads_are_every_kernel_lead(self, data):
         # leads drawn among the leading rows of the kernel mod p, as a chain
         # finds them: the rows off them are independent exactly when they
-        # are all of them; the blocks' rows sit at the kept monomials
+        # are all of them; row i of the blocks is column h - 1 - i of their
+        # transpose
         p, blocks, jets = data.draw(blocks_and_jets())
         matrices = blocks + jets
         assume(matrices)
@@ -903,12 +930,41 @@ class TestStandardRows:
         kernel = [
             i for i in range(h) if _rank_of_rows(rows[i:], p) == _rank_of_rows(rows[i + 1 :], p)
         ]
-        padding = [False] * data.draw(st.integers(0, 4))
-        kept = np.array(data.draw(st.permutations([True] * h + padding)), dtype=bool)
         leads = data.draw(st.lists(st.sampled_from(kernel), unique=True) if kernel else st.just([]))
-        positions = np.flatnonzero(kept)[np.array(leads, dtype=np.intp)]
-        independent = _standard_rows_independent(matrices, kept, positions, p)
+        heads = h - 1 - np.array(leads, dtype=np.intp)
+        independent = standard_columns_independent(_transposed(matrices, h), heads, p)
         assert independent == (len(leads) == len(kernel) == h - _rank_by_rows(matrices, p))
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 2**31 - 1])
+    @settings(max_examples=30, deadline=None)
+    @given(case=blocks_and_jets(), given_heads=st.sampled_from(["all", "one missing", "none"]))
+    def test_kernel_leads(self, p, case, given_heads):
+        # heads that lead kernel forms over Q: all of them close the kernel
+        # where the standard columns are independent mod p, and come back
+        # as they are; one missing, or none given, the matrix is ranked
+        # whole, and proven pivots leave the same leads.  A column leads a
+        # kernel form exactly when it depends on the columns left of it
+        _, blocks, jets = case
+        matrices = blocks + jets
+        assume(matrices)
+        rows = np.hstack(matrices)
+        h = len(rows)
+        leads = [c for c in range(h) if _rank_Q(rows[: c + 1]) == _rank_Q(rows[:c])]
+        heads = None if given_heads == "none" else np.array(leads, dtype=np.intp)
+        if given_heads == "one missing":
+            assume(leads)
+            heads = np.delete(heads, len(leads) // 2)
+        nullity, got = kernel_leads(rows.T, heads, p)
+        assert nullity == len(leads) == h - _rank_Q(rows)
+        closed = heads is not None and standard_columns_independent(rows.T, heads, p)
+        assert (heads is not None and got is heads) == closed
+        assert given_heads == "all" or not closed
+        assert got is None or got.tolist() == leads
+
+
+def _rank_Q(rows: np.ndarray) -> int:
+    """Rank over Q of an integer matrix, by the reference rational RREF."""
+    return rank(QMatrix(rows.tolist(), ncols=rows.shape[1])) if len(rows) else 0
 
 
 class TestFlats:
@@ -1102,28 +1158,14 @@ def materialized_chain(arr: Arrangement, d_max: int, p: int):
 
 def spied_eliminations(mp, records: list) -> None:
     """Record a copy of every matrix ``hilbert_table`` eliminates in a J
-    step: every ``echelon_mod_p`` call outside the standard rows'
-    ``_standard_rows_independent`` and the whole blocks'
-    ``certified_pivots``."""
-    eliminate, inside = oracle.echelon_mod_p, [False]
-
-    def helper_spy(fn):
-        def wrapper(*args):
-            inside[0] = True
-            try:
-                return fn(*args)
-            finally:
-                inside[0] = False
-
-        return wrapper
+    step: every ``echelon_mod_p`` call of its own, since the standard rows
+    and the whole blocks are ranked inside ``linalg``."""
+    eliminate = oracle.echelon_mod_p
 
     def spy(matrix, p):
-        if not inside[0]:
-            records.append(matrix.copy())
+        records.append(matrix.copy())
         return eliminate(matrix, p)
 
-    for name in ("_standard_rows_independent", "certified_pivots"):
-        mp.setattr(oracle, name, helper_spy(getattr(oracle, name)))
     mp.setattr(oracle, "echelon_mod_p", spy)
 
 
@@ -1145,18 +1187,19 @@ def spied_carried_multiples(mp, m: int, records: list) -> None:
 
 def refused_multiples(mp, m: int, refuse) -> None:
     """Make ``hilbert_table`` refuse the J chain's multiples in each degree
-    d > m where refuse(d) holds: their standard-rows test fails, so the
-    degree rebuilds the span."""
+    d > m where refuse(d) holds: their standard-rows test, the table's next
+    one after them, fails, so the degree rebuilds the span."""
     records = []
     spied_carried_multiples(mp, m, records)
-    standard_rows = oracle._standard_rows_independent
+    standard_columns = oracle.standard_columns_independent
+    tested = [0]
 
-    def spy(blocks, kept, leads, p):
-        if any(leads is heads for e, _, heads in records if refuse(e + 1)):
-            return False
-        return standard_rows(blocks, kept, leads, p)
+    def spy(matrix, heads, p):
+        refused = len(records) > tested[0] and refuse(records[-1][0] + 1)
+        tested[0] = len(records)
+        return False if refused else standard_columns(matrix, heads, p)
 
-    mp.setattr(oracle, "_standard_rows_independent", spy)
+    mp.setattr(oracle, "standard_columns_independent", spy)
 
 
 class TestLeadingTerms:
@@ -1372,7 +1415,7 @@ class TestIntersectionChain:
         degree_of = degrees_by_kept_rows(arr, d_max)
         closings, records = [], []
         spied_closings(monkeypatch, closings)
-        spied_standard_rows(monkeypatch, records, arr.ambient_dim, d_max)
+        spied_standard_rows(monkeypatch, records, arr, d_max)
         table = hilbert_table(arr, d_max)
         closed = {d for d, _, count, independent in records if independent and count == table[d].dim_I}
         assert closed >= set(range(m + 1, d_max + 1))
@@ -1412,6 +1455,22 @@ def test_oracle_never_depends_on_the_closed_forms():
             todo.extend(_package_dependencies(module))
     assert "linalg" in seen and "arrangement" in seen
     assert "hilbert" not in seen
+
+
+def test_engines_close_degrees_through_linalg():
+    # the degree-closing rule is linalg.kernel_leads: neither engine ranks a
+    # degree's matrix over Q or tests its standard columns itself
+    for module in (oracle, gpca):
+        names = set()
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name for alias in node.names)
+        assert "kernel_leads" in names
+        assert not names & {"certified_pivots", "rank_mod_p"}
 
 
 def test_recovery_depends_on_the_monomials_not_the_oracle():
