@@ -126,6 +126,15 @@ def _check_axioms(n: int, m: int, dims: Sequence[int]) -> None:
                 raise ValueError("codimensions must be submodular")
 
 
+def _transversal_dims(n: int, codims: Sequence[int]) -> tuple[int, ...]:
+    """Dimension by mask of a transversal arrangement in K^n with these
+    singleton codims: n - min(n, c_S), the sums c_S built by doubling."""
+    sums = [0]
+    for c in codims:
+        sums += [s + c for s in sums]
+    return tuple(n - min(n, s) for s in sums)
+
+
 @dataclass(frozen=True)
 class DimensionFunction:
     """dim of the subspace intersection for every subset of indices.
@@ -163,12 +172,7 @@ class DimensionFunction:
         singleton codimensions must have."""
         if any(c < 1 or c > ambient_dim for c in codims):
             raise ValueError("codimensions must lie in 1..ambient_dim")
-        # c_S for every mask, doubling over the subspaces: index = mask
-        sums = [0]
-        for c in codims:
-            sums += [s + c for s in sums]
-        table = [ambient_dim - min(ambient_dim, s) for s in sums]
-        return cls(ambient_dim, len(codims), table)
+        return cls(ambient_dim, len(codims), _transversal_dims(ambient_dim, codims))
 
     def dim_of(self, mask: int) -> int:
         return self.dims_by_mask[mask]
@@ -251,8 +255,7 @@ def dimension_function(arr: Arrangement) -> DimensionFunction:
 def is_transversal(df: DimensionFunction) -> bool:
     """True when every subset codimension is min(n, sum of singleton codims),
     i.e. the table is the transversal one for its singleton codimensions."""
-    expected = DimensionFunction.transversal(df.ambient_dim, df.singleton_codims)
-    return df.dims_by_mask == expected.dims_by_mask
+    return df.dims_by_mask == _transversal_dims(df.ambient_dim, df.singleton_codims)
 
 
 def random_arrangement(

@@ -57,13 +57,14 @@ EXIT_DATA = 1
 EXIT_USAGE = 2
 EXIT_DISAGREEMENT = 3
 
-# Top degree of ``analyze --max-degree``, with or without --oracle.  The
-# report lists one Hilbert-function value per degree m..D.  At D = 10000 that
-# listing adds about 0.03 s and 0.2 MB for three lines in Q^3, and 0.1-0.2 s
-# and 0.4 MB for 16 hyperplanes in Q^12; at D = 100000 it adds 0.25 s and
-# 1.1-1.9 MB and 1.2 s and 4.5-4.9 MB.  The oracle's monomial cap bounds D
-# further wherever n >= 2; in Q^1 every degree has one monomial, so there
-# this limit alone keeps a table finite.
+# Top degree of ``analyze --max-degree``, with or without --oracle, and the
+# largest ``recover --m``.  The analyze report lists one Hilbert-function
+# value per degree m..D.  At D = 10000 that listing adds about 0.03 s and
+# 0.2 MB for three lines in Q^3, and 0.1-0.2 s and 0.4 MB for 16 hyperplanes
+# in Q^12; at D = 100000 it adds 0.25 s and 1.1-1.9 MB and 1.2 s and
+# 4.5-4.9 MB.  The oracle's monomial cap bounds D further wherever n >= 2; in
+# Q^1 every degree has one monomial, so there this limit alone keeps a table
+# finite.  The recovery report lists m codimensions.
 MAX_DEGREE = 10_000
 
 
@@ -448,6 +449,8 @@ def _cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 def _cmd_recover(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.m < 1:
         parser.error("--m must be at least 1")
+    if args.m > MAX_DEGREE:
+        parser.error(f"--m must be at most {MAX_DEGREE}")
     if (args.values is None) == (args.points is None):
         parser.error("provide exactly one of --values or --points")
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):

@@ -35,7 +35,7 @@ import numpy as np
 
 from .arrangement import Arrangement
 from .linalg import INT64_SAFE, PRIME, approx_rank, kernel_leads, primitive_int_vector
-from .monomials import check_monomial_cap, multiples, split_first_variable
+from .monomials import check_monomial_cap, multiples, split_last_variable
 
 Number = Union[int, float, Fraction]
 
@@ -221,8 +221,8 @@ def _evaluations(points: Sequence[Sequence[Number]], n: int) -> Iterator[np.ndar
     """The evaluation matrices at the points in degrees d = 0, 1, 2, ...:
     entry (k, i) of the degree-d one is monomial i of degree d at point k.
 
-    With x_j the first variable of x^beta, x^beta is x_j times x^beta / x_j
-    (``monomials.split_first_variable``), so each degree is one gather and
+    With x_j the last variable of x^beta, x^beta is x_j times x^beta / x_j
+    (``monomials.split_last_variable``), so each degree is one gather and
     product of the last, as in ``oracle._substitutions``.  Integer points
     give entries of at most top^d in absolute value, top the largest
     |coordinate|: int64 while top^d < 2^62, Python ints from there on.
@@ -241,9 +241,9 @@ def _evaluations(points: Sequence[Sequence[Number]], n: int) -> Iterator[np.ndar
         d += 1
         if x.dtype == np.int64 and top**d >= INT64_SAFE:
             x, m = x.astype(object), m.astype(object)
-        first, parents = split_first_variable(n, d)
+        last, parents = split_last_variable(n, d)
         with np.errstate(over="ignore", invalid="ignore"):
-            m = x[:, first] * m[:, parents]
+            m = x[:, last] * m[:, parents]
 
 
 def recover_codimensions(

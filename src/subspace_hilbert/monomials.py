@@ -82,26 +82,20 @@ def raise_degree_maps(n: int, d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def split_first_variable(n: int, e: int) -> tuple[np.ndarray, np.ndarray]:
-    """For each degree-e monomial (e >= 1): its first variable j, and the
-    position in degree e-1 of the monomial divided by x_j."""
+def split_last_variable(n: int, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each degree-e monomial (e >= 1): its last variable j, and the
+    position in degree e-1 of the monomial divided by x_j.  The monomials of
+    positive degree in x_1, ..., x_{n-t} come first, and from e = 2 on their
+    parents do too: dividing by the last variable keeps that degree > 0."""
     parent_pos = _position_map(n, e - 1)
-    first, parents = [], []
+    last, parents = [], []
     for exps in exponents(n, e):
-        j = next(t for t, x in enumerate(exps) if x)
-        first.append(j)
+        j = max(t for t, x in enumerate(exps) if x)
+        last.append(j)
         parents.append(parent_pos[exps[:j] + (exps[j] - 1,) + exps[j + 1 :]])
-    out = np.array(first, dtype=np.intp), np.array(parents, dtype=np.intp)
+    out = np.array(last, dtype=np.intp), np.array(parents, dtype=np.intp)
     for arr in out:
         arr.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=None)
-def w_degrees(n: int, e: int, f: int) -> np.ndarray:
-    """For each degree-e monomial in n variables, its degree in the last n - f."""
-    out = np.array([sum(exps[f:]) for exps in exponents(n, e)], dtype=np.intp)
-    out.flags.writeable = False
     return out
 
 
@@ -114,12 +108,12 @@ def scatter_maps(r: int, e: int, f: int, k: int) -> tuple[int, tuple]:
     y_{f+1}, ..., y_r, so the kept columns of degree e come from kept
     columns alone."""
     maps = raise_degree_maps(r, e - 1)
-    low = w_degrees(r, e, f) < k
+    below, low = (np.array([sum(x[f:]) < k for x in exponents(r, t)], bool) for t in (e - 1, e))
     if low.all():
         return len(low), tuple((slice(None), maps[:, j]) for j in range(r))
     column = np.cumsum(low) - 1
     column[~low] = -1
-    targets = column[maps[w_degrees(r, e - 1, f) < k]]
+    targets = column[maps[below]]
     pairs = tuple((t >= 0, t[t >= 0]) for t in targets.T)
     for source, target in pairs:
         source.flags.writeable = target.flags.writeable = False

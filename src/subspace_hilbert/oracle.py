@@ -24,10 +24,11 @@ J is contained in I, so
     rank_p(product matrix) <= dim J_d <= dim I_d <= total - rank_p(restriction matrix),
 
 and where the two ends meet both values are exact.  The table works in
-coordinates (u, w) in which the largest subspace V_s is {w = 0}
+coordinates (w, u) in which the largest subspace V_s is {w = 0}
 (``_adapted_coordinates``); there the block of V_s adds exactly c_s to the
 rank, over Q and over every GF(p), and only the other blocks are
-eliminated.
+eliminated, on the rows of positive w-degree: the first of each degree,
+with w first, and the only ones built (``_substitutions``).
 
 Both ideals are also bounded from below by chains of forms carried from
 degree to degree as their leading monomials, as in the symbolic
@@ -102,12 +103,12 @@ from .monomials import (
     multiples,
     raise_degree_maps,
     scatter_maps,
-    split_first_variable,
-    w_degrees,
+    split_last_variable,
 )
 from .ratpoly import binom
 
 SubsetLike = Union[int, Iterable[int]]
+IntRows = Sequence[Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -134,21 +135,23 @@ def _as_indices(S: SubsetLike, m: int) -> tuple[int, ...]:
     return tuple(indices)
 
 
-def _substitutions(rows: Sequence[Sequence[int]], n: int, f: int, k: int) -> Iterator[np.ndarray]:
+def _substitutions(rows: IntRows, n: int, f: int, k: int, tail: int = 0) -> Iterator[np.ndarray]:
     """Images of the monomials under x = M^T y in degrees d = 0, 1, 2, ...
 
     M is r x n, the integer rows.  Row i of the degree-d matrix holds the
     exact image of monomial i of R_d at the y-monomials, in
-    ``exponents`` order, of degree below k in y_{f+1}, ..., y_r.  With
-    f = r that is every column: the restriction to the span of the rows.
-    With the rows a basis of K^n whose first f span F
-    (``_flat_coordinates``), a form lies in P_F^k exactly when its image
-    has no kept term: these are the jets of order k along F.
+    ``exponents`` order, of degree below k in y_{f+1}, ..., y_r; from d = 1
+    on the rows stop after the monomials of positive degree in x_1, ...,
+    x_{n-tail} (all of them at tail = 0).  With f = r that is every column:
+    the restriction to the span of the rows.  With the rows a basis of K^n
+    whose first f span F (``_flat_coordinates``), a form lies in P_F^k
+    exactly when its image has no kept term: the jets of order k along F.
 
-    With x_j the first variable of x^beta, the image of x^beta is
-    (sum_t M[t, j] y_t) times that of x^beta / x_j.  Every coefficient and
-    partial sum is at most top^d in absolute value, top the largest l1 norm
-    of a column of M: int64 while top^d < 2^62, Python ints from there on.
+    With x_j the last variable of x^beta (``monomials.split_last_variable``),
+    the image of x^beta is (sum_t M[t, j] y_t) times that of x^beta / x_j, a
+    row of the last degree.  Every coefficient and partial sum is at most
+    top^d in absolute value, top the largest l1 norm of a column of M: int64
+    while top^d < 2^62, Python ints from there on.
     """
     r = len(rows)
     top = max((sum(abs(row[j]) for row in rows) for j in range(n)), default=0)
@@ -159,18 +162,19 @@ def _substitutions(rows: Sequence[Sequence[int]], n: int, f: int, k: int) -> Ite
         yield s
         e += 1
         dtype = np.int64 if top**e < INT64_SAFE else object
-        first, parents = split_first_variable(n, e)
-        coeffs = M[:, first].astype(dtype)
-        prev = s[parents].astype(dtype)
+        last, parents = split_last_variable(n, e)
+        h = len(last) - binom(e + tail - 1, tail - 1)
+        coeffs = M[:, last[:h]].astype(dtype)
+        prev = s[parents[:h]].astype(dtype)
         width, scatter = scatter_maps(r, e, f, k)
-        s = np.zeros((len(first), width), dtype=dtype)
+        s = np.zeros((h, width), dtype=dtype)
         for j, (source, target) in enumerate(scatter):
             s[:, target] += coeffs[j][:, None] * prev[:, source]
 
 
-def _restriction_matrix(basis: Sequence[Sequence[int]], n: int, d: int) -> np.ndarray:
+def _restriction_matrix(basis: IntRows, n: int, d: int) -> np.ndarray:
     """The degree-d restriction matrix to the span of the rows of basis
-    (``_substitutions`` keeping every column)."""
+    (``_substitutions`` keeping every row and column)."""
     return next(islice(_substitutions(basis, n, len(basis), 1), d, None))
 
 
@@ -192,7 +196,7 @@ def dim_intersection_ideal(a: Arrangement, S: SubsetLike, d: int) -> int:
     return total - (certified_rank(np.hstack(blocks)) if blocks else 0)
 
 
-def _times_forms(basis: np.ndarray, forms: Sequence[Sequence[int]], n: int, e: int) -> np.ndarray:
+def _times_forms(basis: np.ndarray, forms: IntRows, n: int, e: int) -> np.ndarray:
     """The products f * b of each linear form f with each row b of basis.
 
     basis holds degree-e forms over the degree-e monomials.  The result has
@@ -249,19 +253,17 @@ def dim_product_ideal(a: Arrangement, S: SubsetLike, d: int) -> int:
 
 def _transposed(blocks: list[np.ndarray], h: int) -> np.ndarray:
     """The blocks side by side, transposed, rows last to first: a matrix with
-    h columns, the last the first kept monomial."""
+    h columns, the last the first monomial."""
     return np.hstack(blocks).T[:, ::-1] if blocks else np.zeros((0, h), dtype=np.int64)
 
 
-def _flat_key(forms: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
+def _flat_key(forms: IntRows, n: int) -> tuple[tuple[int, ...], ...]:
     """The primitive rows of the integer ``rref`` of forms: equal keys, equal
     spans, so one key per subspace cut out by the forms."""
     return tuple(tuple(primitive_int_vector(row)) for row in rref(forms, n)[0])
 
 
-def _flats(
-    forms: Sequence[Sequence[Sequence[int]]], n: int
-) -> dict[tuple[tuple[int, ...], ...], int]:
+def _flats(forms: Sequence[IntRows], n: int) -> dict[tuple[tuple[int, ...], ...], int]:
     """The flats V_A = intersection of V_i over i in A (A nonempty) with
     multiplicity k_F = #{i : F inside V_i} >= 2, keyed by ``_flat_key`` of
     their annihilating forms; forms[i] are those of V_i in K^n.
@@ -289,7 +291,7 @@ def _flats(
 
 
 def _flat_coordinates(
-    forms: Sequence[Sequence[int]], n: int, rows: Sequence[Sequence[int]] | None = None
+    forms: IntRows, n: int, rows: IntRows | None = None
 ) -> tuple[list[list[int]], int]:
     """Coordinates (u, w) adapted to the subspace F cut out by forms.
 
@@ -309,16 +311,16 @@ def _flat_coordinates(
 def _adapted_coordinates(
     a: Arrangement,
 ) -> tuple[int, int, list[list[list[int]]], list[tuple[tuple[int, ...], ...]]]:
-    """The arrangement in coordinates (u, w) with its largest subspace {w = 0}.
+    """The arrangement in coordinates (w, u) with its largest subspace {w = 0}.
 
     s is the first index of largest dimension and k = dim V_s.  With M the
-    ``_flat_coordinates`` of V_s, its integer rows then unit vectors,
+    ``_flat_coordinates`` of V_s, its unit vectors then its integer rows,
     x = M^T y is an invertible change of coordinates, under which a form f
-    in x becomes the form M f in y and V_s the span of e_1, ..., e_k.  One
-    ``rref`` of each subspace's forms so mapped gives both its integer rows
-    (``kernel_basis``) and its forms (the primitive rows, with distinct
-    leading variables); V_s gets e_1, ..., e_k.  M starts from V_s's own
-    rows, not from a ``kernel_basis`` of its forms (minors of minors of
+    in x becomes the form M f in y, and V_s gets the last k axes: w comes
+    first.  One ``rref`` of each subspace's forms so mapped gives both its
+    integer rows (``kernel_basis``) and its forms (the primitive rows, with
+    distinct leading variables); V_s gets e_{n-k+1}, ..., e_n.  M takes
+    V_s's own rows, not a ``kernel_basis`` of its forms (minors of minors of
     those rows), which keeps the mapped forms, and so the rows taken from
     them, small.  Returns s, k and the rows and forms of every subspace.
     Integers throughout.
@@ -327,7 +329,8 @@ def _adapted_coordinates(
     dims = [sub.dim for sub in a.subspaces]
     s = dims.index(max(dims))
     k = dims[s]
-    basis = _flat_coordinates(a.subspaces[s].annihilator_forms, n, a.subspaces[s].integer_rows)[0]
+    flat, f = _flat_coordinates(a.subspaces[s].annihilator_forms, n, a.subspaces[s].integer_rows)
+    basis = flat[f:] + flat[:f]
     rows, forms = [], []
     for sub in a.subspaces:
         mapped = [
@@ -339,16 +342,16 @@ def _adapted_coordinates(
     return s, k, rows, forms
 
 
-def _flat_jets(forms: Sequence[Sequence[Sequence[int]]], n: int) -> Iterator[list[np.ndarray]]:
+def _flat_jets(forms: Sequence[IntRows], n: int, tail: int) -> Iterator[list[np.ndarray]]:
     """The jet blocks in degrees d = 0, 1, 2, ... of every flat F with
     k_F >= 2 (``_flats`` of forms in K^n): the ``_substitutions`` of order
-    k_F along F in its ``_flat_coordinates``.  A generator: nothing is
-    built before the first ``next``, so a table that never asks pays
-    nothing."""
+    k_F along F in its ``_flat_coordinates``, on the rows tail leaves.  A
+    generator: nothing is built before the first ``next``, so a table that
+    never asks pays nothing."""
     gens = []
     for flat, k_F in _flats(forms, n).items():
         rows, f = _flat_coordinates(flat, n)
-        gens.append(_substitutions(rows, n, f, k_F))
+        gens.append(_substitutions(rows, n, f, k_F, tail))
     while True:
         yield [next(g) for g in gens]
 
@@ -356,7 +359,7 @@ def _flat_jets(forms: Sequence[Sequence[Sequence[int]]], n: int) -> Iterator[lis
 def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     """Oracle dimensions of both ideals (full index set) for d = 0..d_max.
 
-    The table works on the arrangement written in coordinates (u, w) with
+    The table works on the arrangement written in coordinates (w, u) with
     the largest subspace V_s = {w = 0}, s the first index of largest
     dimension k (``_adapted_coordinates``): an invertible linear change of
     coordinates maps I_d and J_d onto those of the image arrangement, so
@@ -366,7 +369,8 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     others.  Column operations with it clear those rows of every other
     block, so the rank of all the blocks is c_s plus the rank of the other
     blocks on the rows of w-degree >= 1, exactly, over Q and over every
-    GF(p).  Let h = total - c_s be the number of those rows.
+    GF(p).  Let h = total - c_s be the number of those rows, the first h as w
+    comes first.  Degree 0 needs no rank: V_s holds the origin, so I_0 = 0.
 
     Each degree is bracketed by ranks mod a prime p:
 
@@ -377,27 +381,27 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     mod p never raises its rank.  U_J is 0 below m, where J has no forms.
     From m on it is h - rank_p of the restriction blocks beside the jet
     blocks of the flats with k_F >= 2 (``_flats``, ``_flat_jets``), all in
-    the adapted coordinates and on the h rows, beside which the block of
-    V_s again adds exactly c_s.  Blocks and jets alike are the exact
-    integer images of ``_substitutions``, reduced mod p before they are
-    eliminated.  Over Q the kernel of all those blocks is the degree-d part
-    of I and of every P_F^{k_F}, which contains J_d; and reduction mod p
-    never raises a rank, so U_J >= dim J_d for every p.  The kernel is J_d
-    itself (Conca and Herzog: J is the intersection of the (sum of I_i over
-    A)^|A| over the nonempty index sets A, and for F = V_A that power
-    contains P_F^{k_F}), so at PRIME the bound is met wherever rank_p is
-    the rank over Q.  The jets are started (``_flat_jets``) at the first
-    degree d >= m where L_J < dim I_d, and built in every degree after it;
-    until then U_J is U_I and a table that never asks pays nothing.
+    the adapted coordinates and on the h rows, beside which the block of V_s
+    again adds exactly c_s.  Blocks and jets alike are the exact integer
+    images of ``_substitutions`` on the h rows alone (tail k), reduced mod p
+    before they are eliminated.  Over Q the kernel of all those blocks is
+    the degree-d part of I and of every P_F^{k_F}, which contains J_d; and
+    reduction mod p never raises a rank, so U_J >= dim J_d for every p.  The
+    kernel is J_d itself (Conca and Herzog: J is the intersection of the
+    (sum of I_i over A)^|A| over the nonempty index sets A, and for F = V_A
+    that power contains P_F^{k_F}), so at PRIME the bound is met wherever
+    rank_p is the rank over Q.  The jets are started (``_flat_jets``) at the
+    first degree d >= m where L_J < dim I_d, and built in every degree after
+    it; until then U_J is U_I and a table that never asks pays nothing.
 
     The lower ends L_J and L_I (below) count distinct leading monomials of
     forms in J and in I.  A degree closes by ``kernel_leads`` on the
     blocks' transpose, rows last to first (``_transposed``), whose kernel
     is I_d: a form's leading monomial, its first nonzero row, is its last
-    nonzero column there, and the columns run in increasing lex order,
-    which multiplication keeps.  Its heads are the columns of the larger of
-    the two chains' leads Lambda (J's from m on); below m, before an I chain
-    has started, it gets none.
+    nonzero column there (monomial i is column h - 1 - i), and the columns
+    run in increasing lex order, which multiplication keeps.  Its heads are
+    the columns of the larger of the two chains' leads Lambda (J's from m
+    on); below m, before an I chain has started, it gets none.
 
     * Standard rows.  Where the h - |Lambda| rows off Lambda are
       independent mod p = PRIME, dim I_d = |Lambda|.  The same test
@@ -467,7 +471,8 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     m = a.num_subspaces
     full = (1 << m) - 1
     s, k, rows, forms = _adapted_coordinates(a)
-    restrictions = [_substitutions(r, n, len(r), 1) for i, r in enumerate(rows) if i != s]
+    del rows[s]  # its block adds exactly c_s
+    restrictions = [islice(_substitutions(r, n, len(r), 1, k), 1, None) for r in rows]
     x = np.eye(n, dtype=np.int64).tolist()
     # the J chain: the leading columns of its span, and the span as last
     # built, of degree built
@@ -478,52 +483,47 @@ def hilbert_table(a: Arrangement, d_max: int) -> list[GradedPieceResult]:
     empty = np.zeros(0, dtype=np.intp)
     leads_I = empty
     jets = None
-    results = []
-    for d in range(d_max + 1):
-        kept = w_degrees(n, d, k) >= 1
-        count = np.cumsum(kept)
-        h = int(count[-1])
-        # column of each kept monomial in the blocks' transpose
-        column = h - count
-        blocks = [b[kept] for b in map(next, restrictions) if b.shape[1]]
-        jet_blocks = [] if jets is None else [j[kept] for j in next(jets)]
+    results = [GradedPieceResult(degree=0, dim_I=0, dim_J=0)]
+    for d in range(1, d_max + 1):
+        h = binom(d + n - 1, n - 1) - binom(d + k - 1, k - 1)
+        blocks = [b for b in map(next, restrictions) if b.shape[1]]
+        jet_blocks = [] if jets is None else next(jets)
         # whether the standard rows proved L_J = U_J, h - rank_p(blocks | jets)
         tight = False
-        if d:
-            if d > m:
-                heads = multiples(leads_J, n, d - 1)
-                tight = standard_columns_independent(
-                    _transposed(blocks + jet_blocks, h), column[heads], p
-                )
-            if tight:
-                leads_J = heads
-            else:
-                for e in range(built, d):
-                    products = _times_forms(span, forms[e] if e < m else x, n, e)
-                    span = echelon_mod_p(reduce_mod_p(products, p), p)[0]
-                leads_J = (span != 0).argmax(axis=1)
-                built = d
-            if len(leads_I):
-                leads_I = multiples(leads_I, n, d - 1)
+        if d > m:
+            heads = multiples(leads_J, n, d - 1)
+            tight = standard_columns_independent(
+                _transposed(blocks + jet_blocks, h), h - 1 - heads, p
+            )
+        if tight:
+            leads_J = heads
+        else:
+            for e in range(built, d):
+                products = _times_forms(span, forms[e] if e < m else x, n, e)
+                span = echelon_mod_p(reduce_mod_p(products, p), p)[0]
+            leads_J = (span != 0).argmax(axis=1)
+            built = d
+        if len(leads_I):
+            leads_I = multiples(leads_I, n, d - 1)
         chain = max(leads_J if d >= m else empty, leads_I, key=len)
         if tight and not jet_blocks:
             # the blocks alone: L_J = U_I
             dim_I = len(leads_J)
         elif blocks or len(chain):
             # a chain closes a degree without blocks by its count
-            heads_I = column[chain] if len(chain) else None
+            heads_I = h - 1 - chain if len(chain) else None
             dim_I, leads = kernel_leads(_transposed(blocks, h), heads_I, p)
             if leads is not None and leads is not heads_I:
                 # leads a certificate proved restart the I chain, ascending
-                leads_I = np.flatnonzero(kept)[h - 1 - leads[::-1]]
+                leads_I = h - 1 - leads[::-1]
         else:
             dim_I = h
         if d >= m and not tight and len(leads_J) < dim_I:
             if jets is None:
-                jets = islice(_flat_jets(forms, n), d, None)
-                jet_blocks = [j[kept] for j in next(jets)]
+                jets = islice(_flat_jets(forms, n, k), d, None)
+                jet_blocks = next(jets)
             tight = standard_columns_independent(
-                _transposed(blocks + jet_blocks, h), column[leads_J], p
+                _transposed(blocks + jet_blocks, h), h - 1 - leads_J, p
             )
         if d < m:
             dim_J = 0

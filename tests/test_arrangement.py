@@ -314,6 +314,14 @@ class TestTransversal:
             assert is_transversal(df)
             assert df.singleton_codims == tuple(codims)
 
+    @settings(max_examples=100, deadline=None)
+    @given(arr=arrangements(max_n=5, max_m=4))
+    def test_is_transversal_compares_with_the_transversal_table(self, arr):
+        # the definition: the table equals the validated transversal one
+        df = dimension_function(arr)
+        expected = DimensionFunction.transversal(df.ambient_dim, df.singleton_codims)
+        assert is_transversal(df) == (df.dims_by_mask == expected.dims_by_mask)
+
     def test_transversal_rejects_bad_codims(self):
         with pytest.raises(ValueError):
             DimensionFunction.transversal(3, [0])

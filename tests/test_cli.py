@@ -389,6 +389,28 @@ class TestRecoverCommand:
         assert doc["dimensions"] == [1, 1, 1]
         assert doc["hilbert_values"] == {"start": 3, "values": ["7", "12", "18"]}
 
+    @pytest.mark.parametrize("mode", ["values", "points"])
+    def test_m_limit(self, tmp_path, capsys, mode):
+        # the report lists m codimensions, so --m is bounded as --max-degree
+        # is.  At the limit --values recovers m lines of Q^2, and --points
+        # evaluates degree m in Q^1, where no subspace can be recovered
+        if mode == "values":
+            source, accepted = ["--values", "1", "2", "--n", "2"], EXIT_OK
+        else:
+            path = write_json(tmp_path, "cloud.json", {"n": 1, "points": [["2"]]})
+            source, accepted = ["--points", path], EXIT_DATA
+        assert main(["recover", *source, "--m", str(cli.MAX_DEGREE), "--json"]) == accepted
+        captured = capsys.readouterr()
+        assert "must be at most" not in captured.err
+        if mode == "values":
+            assert json.loads(captured.out)["codimensions"] == [1] * cli.MAX_DEGREE
+        with pytest.raises(SystemExit) as info:
+            main(["recover", *source, "--m", str(cli.MAX_DEGREE + 1), "--json"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: --m must be at most {cli.MAX_DEGREE}\n" in captured.err
+
     def test_inconsistent_values_exit_with_hint(self, capsys):
         code = main(["recover", "--values", "1", "1", "1", "--m", "3", "--n", "3"])
         assert code == EXIT_DATA
@@ -440,10 +462,10 @@ class TestRecoverCommand:
 
         def spy(n, d):
             built.append(binom(d + n - 1, n - 1))
-            return split_first_variable(n, d)
+            return split_last_variable(n, d)
 
-        split_first_variable = gpca.split_first_variable
-        monkeypatch.setattr(gpca, "split_first_variable", spy)
+        split_last_variable = gpca.split_last_variable
+        monkeypatch.setattr(gpca, "split_last_variable", spy)
         monkeypatch.setenv("SUBSPACE_HILBERT_MONOMIAL_CAP", "10")
         pc = sample_points(fixture_arrangement("three-coordinate-axes"), 10, seed=61)
         path = write_json(

@@ -11,8 +11,7 @@ from subspace_hilbert.monomials import (
     multiples,
     raise_degree_maps,
     scatter_maps,
-    split_first_variable,
-    w_degrees,
+    split_last_variable,
 )
 from subspace_hilbert.ratpoly import binom
 
@@ -65,7 +64,7 @@ def test_multiples_are_the_distinct_raised_leads(data):
     assert got.tolist() == sorted(raised)
     # every cached table is shared by all later calls: none can be written
     f, k = data.draw(st.integers(0, n)), data.draw(st.integers(1, 3))
-    tables = [raise_degree_maps(n, e), *split_first_variable(n, e + 1), w_degrees(n, e, f)]
+    tables = [raise_degree_maps(n, e), *split_last_variable(n, e + 1)]
     tables += [
         part
         for pair in scatter_maps(n, e + 1, f, k)[1]
@@ -74,3 +73,28 @@ def test_multiples_are_the_distinct_raised_leads(data):
     ]
     for table in tables:
         assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_split_last_variable(n):
+    # x^beta is x_j, j its last variable, times the parent of degree e - 1
+    for e in range(1, 6):
+        parents = exponents(n, e - 1)
+        for exps, j, parent in zip(exponents(n, e), *split_last_variable(n, e)):
+            assert exps[j] and not any(exps[j + 1 :])
+            assert parents[parent] == exps[:j] + (exps[j] - 1,) + exps[j + 1 :]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_rows_off_the_last_variables_are_a_prefix_closed_under_parents(n):
+    # the monomials of positive degree in x_1..x_{n-t} are the first
+    # N(n, e) - N(t, e), and from e = 2 on their parents the first of e - 1
+    for tail in range(n + 1):
+        for e in range(1, 11):
+            rows = binom(e + n - 1, n - 1) - binom(e + tail - 1, tail - 1)
+            assert [any(x[: n - tail]) for x in exponents(n, e)] == [True] * rows + [False] * (
+                binom(e + tail - 1, tail - 1)
+            )
+            if e >= 2:
+                parent_rows = binom(e + n - 2, n - 1) - binom(e + tail - 2, tail - 1)
+                assert all(split_last_variable(n, e)[1][:rows] < parent_rows)

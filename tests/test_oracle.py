@@ -43,7 +43,7 @@ from subspace_hilbert.linalg import (
     rank_mod_p,
     standard_columns_independent,
 )
-from subspace_hilbert.monomials import MonomialCapExceeded, exponents, monomial_cap, w_degrees
+from subspace_hilbert.monomials import MonomialCapExceeded, exponents, monomial_cap
 from subspace_hilbert.oracle import (
     GradedPieceResult,
     _adapted_coordinates,
@@ -616,15 +616,16 @@ class TestCertifiedTable:
         }
 
     # the degrees whose blocks are ranked whole (``certified_pivots``):
-    # those without a chain, and those where the chain falls short of U_I;
-    # the others close by the standard rows, I there by the lead count.  The
-    # exact degrees are those where it lifted past its first prime
+    # those d >= 1 without a chain, and those where the chain falls short of
+    # U_I; the others close by the standard rows, I there by the lead count,
+    # and degree 0, where I and J are 0, ranks nothing.  The exact degrees
+    # are those where it lifted past its first prime
     BRACKET = {
         # the I chain starts at the exact kernel of degree 1 and fills
         # degree 2, not 3 = m, which restarts it
-        "three-pencil-planes": [0, 1, 3],
+        "three-pencil-planes": [1, 3],
         # below m neither chain has started; from m on J's leads fill I
-        "three-coordinate-axes": [0, 1, 2],
+        "three-coordinate-axes": [1, 2],
     }
 
     @pytest.mark.parametrize(
@@ -688,14 +689,14 @@ def _rank_side_by_side(matrices: list[np.ndarray], p: int) -> int:
 def adapted_bounds(arr: Arrangement, d: int, p: int) -> tuple[int, int]:
     """U_I and U_J of degree d mod p as ``hilbert_table`` forms them once
     the jets have started: in the adapted coordinates, on the rows of
-    positive w-degree, and U_J = 0 below m."""
+    positive w-degree, w the first n - k coordinates, and U_J = 0 below m."""
     n = arr.ambient_dim
     s, k, rows, forms = _adapted_coordinates(arr)
-    kept = w_degrees(n, d, k) >= 1
+    kept = np.array([any(exps[: n - k]) for exps in exponents(n, d)], dtype=bool)
     blocks = [_restriction_matrix(r, n, d)[kept] for i, r in enumerate(rows) if i != s]
     blocks = [b for b in blocks if b.shape[1]]
     height = int(kept.sum())
-    jets = [j[kept] for j in next(itertools.islice(_flat_jets(forms, n), d, None))]
+    jets = [j[kept] for j in next(itertools.islice(_flat_jets(forms, n, 0), d, None))]
     rank_I, rank_J = _rank_side_by_side(blocks, p), _rank_side_by_side(blocks + jets, p)
     return height - rank_I, height - rank_J if d >= arr.num_subspaces else 0
 
@@ -800,13 +801,14 @@ class TestProductBound:
 
     def test_a_small_prime_leaves_it_open_and_the_table_falls_back(self, monkeypatch):
         # three copies of the line through (1, 2) become three copies of the
-        # first axis in the adapted coordinates, which close mod 2 ...
+        # last axis in the adapted coordinates, which close mod 2 ...
         line = SubspaceBasis(2, [[1, 2]])
         assert product_bound(Arrangement(2, [line] * 3), 3, 2) == 1
-        # ... but beside the first axis, kept as it is, the flat of the two
-        # lines has coordinates (1, 2), (1, 0) of determinant -2, singular mod 2
+        # ... but beside the first axis, which becomes the last, they become
+        # the line through (2, 1): along it x_1 = 2u + w and x_2 = u, so mod 2
+        # the jet of every multiple of x_1^2 vanishes
         arr = Arrangement(2, [SubspaceBasis(2, [[1, 0]]), line, line])
-        assert _adapted_coordinates(arr)[2] == [[[1, 0]], [[1, 2]], [[1, 2]]]
+        assert _adapted_coordinates(arr)[2] == [[[0, 1]], [[2, 1]], [[2, 1]]]
         assert product_bound(arr, 3, 2) > dim_product_ideal(arr, 0b111, 3) == 1
         calls = []
 
@@ -1046,22 +1048,94 @@ class TestJets:
         assert jet.tolist() == [[row[c] for c in columns] for row in full]
 
 
+@st.composite
+def prefix_cases(draw, kind):
+    """(rows, n, f, k, tail): r x n integer rows, n <= 6 and 0 <= tail <= n,
+    as the restriction to the span of the rows (f = r, k = 1, the zero
+    subspace at r = 0) or as jets of order k >= 2 along the span of the
+    first f of n rows."""
+    n = draw(st.integers(1, 6))
+    r = draw(st.integers(0, n)) if kind == "restriction" else n
+    rows = draw(
+        st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=r, max_size=r)
+    )
+    f, k = (r, 1) if kind == "restriction" else (draw(st.integers(0, r - 1)), draw(st.integers(2, 3)))
+    return rows, n, f, k, draw(st.integers(0, n))
+
+
+class TestPrefixRows:
+    # the rows of positive degree in x_1..x_{n-tail} are the first of each
+    # degree, closed under the last-variable parents from degree 2 on
+    # (test_monomials), so a build with a tail is the full build cut short
+
+    @pytest.mark.parametrize("kind", ["restriction", "jets"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_a_tail_builds_the_first_rows_of_the_full_build(self, kind, data):
+        rows, n, f, k, tail = data.draw(prefix_cases(kind))
+        degrees = [e for e in range(11) if binom(e + n - 1, n - 1) <= 300]
+        full = itertools.islice(_substitutions(rows, n, f, k), len(degrees))
+        cut = itertools.islice(_substitutions(rows, n, f, k, tail), len(degrees))
+        for e, whole, part in zip(degrees, full, cut):
+            h = binom(e + n - 1, n - 1) - binom(e + tail - 1, tail - 1) if e else 1
+            assert part.dtype == whole.dtype
+            assert part.tolist() == whole[:h].tolist()
+
+    @pytest.mark.parametrize(
+        "arr, with_jets",
+        [
+            (fixture_arrangement("three-coordinate-axes"), False),
+            (fixture_arrangement("three-pencil-planes"), True),
+            (arrangement_kinds.pencil(5, [3, 1, 2, 3], 14), True),
+            # the zero subspace as V_s, k = 0
+            (Arrangement(3, [SubspaceBasis(3)] * 3), False),
+            (Arrangement(1, [SubspaceBasis(1)] * 3), False),
+        ],
+        ids=["three-coordinate-axes", "three-pencil-planes", "Q^5 pencil", "zero in Q^3", "zero in Q^1"],
+    )
+    def test_the_table_asks_every_block_and_jet_for_exactly_h_rows(
+        self, monkeypatch, arr, with_jets
+    ):
+        n, m, d_max = arr.ambient_dim, arr.num_subspaces, arr.num_subspaces + 3
+        k = _adapted_coordinates(arr)[1]
+        builds, substitutions = [], oracle._substitutions
+
+        def spy(rows, n, f, k, tail=0):
+            heights = []
+            builds.append((k > 1, tail, heights))
+            for matrix in substitutions(rows, n, f, k, tail):
+                heights.append(len(matrix))
+                yield matrix
+
+        monkeypatch.setattr(oracle, "_substitutions", spy)
+        table = hilbert_table(arr, d_max)
+        full = (1 << m) - 1
+        assert [r.dim_J for r in table] == [dim_product_ideal(arr, full, d) for d in range(d_max + 1)]
+        jets = sum(jet for jet, _, _ in builds)
+        assert len(builds) - jets == m - 1 and bool(jets) == with_jets
+        for _, tail, heights in builds:
+            assert tail == k and heights[0] == 1
+            assert heights[1:] == [
+                binom(d + n - 1, n - 1) - binom(d + k - 1, k - 1) for d in range(1, len(heights))
+            ]
+            assert len(heights) >= d_max
+
 class TestAdaptedCoordinates:
     @settings(max_examples=80, deadline=None)
     @given(arr=arrangements_with_ties())
-    def test_the_largest_subspace_becomes_the_first_axes(self, arr):
+    def test_the_largest_subspace_becomes_the_last_axes(self, arr):
         n = arr.ambient_dim
         s, k, rows, forms = _adapted_coordinates(arr)
         dims = [sub.dim for sub in arr.subspaces]
         assert dims[s] == k == max(dims) and k not in dims[:s]
-        assert rows[s] == np.eye(n, dtype=int)[:k].tolist()
-        assert all(f[:k] == (0,) * k for f in forms[s])
-        # with M the rows of V_s, then the unit vectors at the pivot columns
-        # of its forms, x = M^T y takes adapted coordinates y back, up to a
+        assert rows[s] == np.eye(n, dtype=int)[n - k :].tolist()
+        assert all(f[n - k :] == (0,) * k for f in forms[s])
+        # with M the unit vectors at the pivot columns of the forms of V_s,
+        # then its rows, x = M^T y takes adapted coordinates y back, up to a
         # scale: the rows to V_i, and a form f of V_i to the adapted form M f
         _, pivots = rational_rref(QMatrix(arr.subspaces[s].annihilator_forms, ncols=n))
         units = np.eye(n, dtype=int)[list(pivots)].tolist()
-        basis = [*arr.subspaces[s].integer_rows, *units]
+        basis = [*units, *arr.subspaces[s].integer_rows]
         assert rank(QMatrix(basis, ncols=n)) == n
         back = QMatrix(list(zip(*basis)), ncols=n)
         for sub, r, fs in zip(arr.subspaces, rows, forms):
@@ -1078,7 +1152,7 @@ class TestAdaptedCoordinates:
         arr = Arrangement(3, [SubspaceBasis(3, v) for v in vectors])
         s, k, rows, forms = _adapted_coordinates(arr)
         assert (s, k) == (1, 2)
-        assert rows[1] == [[1, 0, 0], [0, 1, 0]] and forms[1] == ((0, 0, 1),)
+        assert rows[1] == [[0, 1, 0], [0, 0, 1]] and forms[1] == ((1, 0, 0),)
 
     @settings(max_examples=80, deadline=None)
     @given(arr=arrangements_with_ties())
@@ -1277,9 +1351,9 @@ class TestLeadingTerms:
         assert all(leads == expected[e] for e, leads in carried)
 
     def test_multiples_that_miss_rebuild_the_span(self, monkeypatch):
-        # five planes in Q^4: the multiples of the carried leads miss one
-        # leading monomial of the span at d = 6 and at d = 7, so those
-        # degrees rebuild it, and J closes without dim_product_ideal
+        # five planes in Q^4: the multiples of the carried leads miss
+        # leading monomials of the span at d = 6, 7 and 8, so those degrees
+        # rebuild it, and J closes without dim_product_ideal
         arr = random_arrangement(4, [2] * 5, 0)
         n, m, d_max = arr.ambient_dim, arr.num_subspaces, 8
         degree_of = {len(exponents(n, d)): d for d in range(d_max + 1)}
@@ -1287,7 +1361,7 @@ class TestLeadingTerms:
         spied_eliminations(monkeypatch, eliminated)
         monkeypatch.setattr(oracle, "dim_product_ideal", lambda *args: fallbacks.append(args))
         table = hilbert_table(arr, d_max)
-        assert [degree_of[e.shape[1]] for e in eliminated] == list(range(1, m + 3))
+        assert [degree_of[e.shape[1]] for e in eliminated] == list(range(1, m + 4))
         assert fallbacks == []
         full = (1 << m) - 1
         assert [r.dim_J for r in table] == [dim_product_ideal(arr, full, d) for d in range(d_max + 1)]
